@@ -159,42 +159,31 @@ def _csv_header(dimension: int) -> list[str]:
 # simulate
 
 
-def _alt_play_rows(cfg: RunConfig, index: int):
-    payoff = cfg.map.payoff
-    e1, e2 = cfg.map.step_sizes
-    init = cfg.initial_exact[index]
-    rows = []
-    if cfg.n_backward > 0:
-        back = ExactAltOrbit(payoff, e1, e2, init)
-        collected = []
-        for t in range(1, cfg.n_backward + 1):
-            back.retreat()
-            collected.append(
-                (
-                    -t,
-                    back.xy_float(),
-                    back.payoff_value_float(),
-                    back.phi_float(),
-                    back.phi_defect_float(),
-                )
-            )
-        rows.extend(reversed(collected))
-    fwd = ExactAltOrbit(payoff, e1, e2, init)
-    rows.append(
-        (0, fwd.xy_float(), fwd.payoff_value_float(), fwd.phi_float(), 0.0)
-    )
-    for t in range(1, cfg.n_forward + 1):
+def _exact_rows(payoff: PayoffData, eta1, eta2, init, n_forward: int, n_backward: int):
+    """Rows (t, xy, f, phi, defect) for t in [-n_backward, n_forward] of one
+    exact orbit, read one step at a time, and the orbit's exact level."""
+    back = ExactAltOrbit(payoff, eta1, eta2, init)
+    collected = []
+    for t in range(1, n_backward + 1):
+        back.retreat()
+        collected.append((-t, back.xy_float(), back.payoff_value_float(), back.phi_float(),
+                          back.phi_defect_float()))
+    fwd = ExactAltOrbit(payoff, eta1, eta2, init)
+    level = fwd.phi_fraction()
+    rows = collected[::-1]
+    rows.append((0, fwd.xy_float(), fwd.payoff_value_float(), fwd.phi_float(), 0.0))
+    for t in range(1, n_forward + 1):
         fwd.advance()
-        rows.append(
-            (
-                t,
-                fwd.xy_float(),
-                fwd.payoff_value_float(),
-                fwd.phi_float(),
-                fwd.phi_defect_float(),
-            )
-        )
-    return rows
+        rows.append((t, fwd.xy_float(), fwd.payoff_value_float(), fwd.phi_float(),
+                     fwd.phi_defect_float()))
+    return rows, level
+
+
+def _csv_rows(rows) -> list[list[str]]:
+    return [
+        [str(t)] + [_fmt(v) for v in coords] + [_fmt(f), _fmt(phi), _fmt(defect)]
+        for t, coords, f, phi, defect in rows
+    ]
 
 
 def _series_evaluator(cfg: RunConfig):
@@ -236,17 +225,14 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     summary = {"map_kind": cfg.map.kind, "trajectories": []}
     for i in range(len(cfg.initial_states)):
         if cfg.map.kind == "alt_play":
-            raw_rows = _alt_play_rows(cfg, i)
+            raw_rows, _ = _exact_rows(cfg.map.payoff, *cfg.map.step_sizes,
+                                      cfg.initial_exact[i], cfg.n_forward, cfg.n_backward)
             fp_fwd = fp_back = False
         else:
             raw_rows, seg = _float_rows(cfg, i)
             fp_fwd, fp_back = seg.fixed_point_forward, seg.fixed_point_backward
-        csv_rows = [
-            [str(t)] + [_fmt(v) for v in coords] + [_fmt(f), _fmt(phi), _fmt(defect)]
-            for t, coords, f, phi, defect in raw_rows
-        ]
         path = out_dir / f"{cfg.output_prefix}_trajectory_{i}.csv"
-        _write_csv(path, _csv_header(dimension), csv_rows)
+        _write_csv(path, _csv_header(dimension), _csv_rows(raw_rows))
         defects = [d for *_rest, d in raw_rows if not math.isnan(d)]
         summary["trajectories"].append(
             {
@@ -512,38 +498,10 @@ def cmd_figures(which: str, out_dir: Path) -> int:
         abs(float(v)) for init in recipe["initial_states"] for v in init
     )
     for i, init in enumerate(recipe["initial_states"]):
-        init_fr = [Fraction(v) for v in init]
-        exact_orbit = ExactAltOrbit(payoff, e1, e2, init_fr)
-        level = exact_orbit.phi_fraction()
+        rows, level = _exact_rows(payoff, e1, e2, [Fraction(v) for v in init],
+                                  FIGURE_FORWARD, FIGURE_BACKWARD)
         levels.append(level)
-
-        rows = []
-        back = ExactAltOrbit(payoff, e1, e2, init_fr)
-        collected = []
-        for t in range(1, FIGURE_BACKWARD + 1):
-            back.retreat()
-            collected.append(
-                (-t, back.xy_float(), back.payoff_value_float(), back.phi_float(),
-                 back.phi_defect_float())
-            )
-        rows.extend(reversed(collected))
-        rows.append(
-            (0, exact_orbit.xy_float(), exact_orbit.payoff_value_float(),
-             exact_orbit.phi_float(), 0.0)
-        )
-        for t in range(1, FIGURE_FORWARD + 1):
-            exact_orbit.advance()
-            rows.append(
-                (t, exact_orbit.xy_float(), exact_orbit.payoff_value_float(),
-                 exact_orbit.phi_float(), exact_orbit.phi_defect_float())
-            )
-        csv_rows = [
-            [str(t)] + [_fmt(v) for v in coords] + [_fmt(f), _fmt(phi), _fmt(defect)]
-            for t, coords, f, phi, defect in rows
-        ]
-        _write_csv(
-            out_dir / f"{which}_orbit_{i}.csv", _csv_header(2), csv_rows
-        )
+        _write_csv(out_dir / f"{which}_orbit_{i}.csv", _csv_header(2), _csv_rows(rows))
         _write_csv(
             out_dir / f"{which}_levels_{i}.csv",
             ["x", "y_plus", "y_minus"],

@@ -1,23 +1,18 @@
 """Exact integer arithmetic for alternating bipartite play.
 
 Alternating-play orbits grow exponentially and their conserved quadratic is a
-difference of same-order terms, so any fixed-precision evaluation of it
-eventually drowns in rounding error. This module keeps the whole orbit as
-integer coordinate vectors over a shared integer scale: one step multiplies
-the scale by a fixed integer g, every state is an exact rational, and
-conservation of the quadratic becomes an integer identity that is checked
-with equality, not with a tolerance.
+difference of same-order terms, so float64 loses it to rounding. Here a state
+is integer coordinates v = (AX, AY) over an integer scale S, and conservation
+is an integer identity checked with equality, not with a tolerance.
 
-With step sizes eta_i = p_i/q_i and an integer-scaled payoff matrix
-At = D * A, one forward step maps (AX, AY, S) to
-
-    B   = q1*D*AX + p1*(At @ AY)
-    AX' = q2*D*B
-    AY' = g*AY + p2*(At.T @ B)        with g = q1*q2*D^2, S' = g*S
-
-and the backward step mirrors it. The conserved quadratic has integer
-numerator  num = q1*p2*D*|AX|^2 - q2*p1*D*|AY|^2 + p1*p2*(AX.T At AY)  over
-denominator  p1*p2*D*S^2,  so conservation is  num_t == num_0 * g^(2t).
+With step sizes eta_i = p_i/q_i, At = D * A integer and g = q1*q2*D^2, a step
+is v' = M v and S' = g S for one integer matrix M with integer inverse M_inv,
+M M_inv = g^2 I. The state at position t is M^t v_0 (M_inv^|t| v_0 if t < 0)
+over s_0 g^|t|. The quadratic is num = v.T H v / 2 over p1*p2*D*S^2, so it
+is conserved iff num_t == num_0 * g^(2|t|), which M.T H M == g^2 H certifies
+for every orbit. ``advance`` and ``retreat`` only move the position; a read builds
+the state from the nearest built one, by one product per step or by binary
+powering of M for a long jump, and computes the quadratic once per position.
 """
 
 from __future__ import annotations
@@ -32,34 +27,88 @@ from .errors import ConmotError
 from .objectives import PayoffData
 from .rationals import as_fraction, ratio_to_float
 
-try:  # gmpy2 keeps the big-integer work fast; plain int is a correct fallback
+try:  # gmpy2 (the conmot[fast] extra) speeds up big integers; plain int is exact too
     from gmpy2 import mpz
 except ImportError:  # pragma: no cover
     mpz = int
 
 __all__ = [
-    "ExactAltOrbit",
-    "ConservationAudit",
-    "conservation_audit",
-    "verify_conservation_identity",
-    "assemble_transition_matrix",
-    "difference_log_stats",
+    "ExactAltOrbit", "ConservationAudit", "conservation_audit", "verify_conservation_identity",
+    "assemble_transition_matrix", "difference_log_stats",
 ]
 
 
-def _payoff_integerized(payoff: PayoffData) -> tuple[list[list], int]:
-    """Integer matrix At and positive integer D with A = At / D, exactly."""
-    entries = [[as_fraction(v) for v in row] for row in payoff.exact]
-    denom = 1
-    for row in entries:
-        for v in row:
-            denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    scaled = [[mpz(v.numerator * (denom // v.denominator)) for v in row] for row in entries]
-    return scaled, denom
-
-
 def _matvec(rows: list[list], v: list) -> list:
-    return [sum(r[j] * v[j] for j in range(len(v))) for r in rows]
+    return [sum(c * x for c, x in zip(row, v) if c) for row in rows]
+
+
+def _matmul(a: list[list], b: list[list]) -> list[list]:
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def _matpow(m: list[list], k: int) -> list[list]:
+    """m^k for k >= 1 by binary powering."""
+    result = None
+    while True:
+        if k & 1:
+            result = m if result is None else _matmul(result, m)
+        k >>= 1
+        if not k:
+            return result
+        m = _matmul(m, m)
+
+
+def _scaled(c, rows: list[list]) -> list[list]:
+    return [[c * v for v in row] for row in rows]
+
+
+def _blocks(cx, xy: list[list], yx: list[list], cy) -> list[list]:
+    """The block matrix [[cx I, xy], [yx, cy I]]."""
+    top = [[cx * (i == j) for j in range(len(xy))] + r for i, r in enumerate(xy)]
+    return top + [r + [cy * (i == j) for j in range(len(yx))] for i, r in enumerate(yx)]
+
+
+class _IntegerStep:
+    """The integer step M, its integer inverse M_inv and the quadratic form H."""
+
+    def __init__(self, payoff: PayoffData, eta1: Fraction, eta2: Fraction) -> None:
+        entries = [[as_fraction(v) for v in row] for row in payoff.exact]
+        d = mpz(math.lcm(*(v.denominator for row in entries for v in row)))  # A = At / D
+        at = [[v.numerator * (d // v.denominator) for v in row] for row in entries]
+        att = [list(col) for col in zip(*at)]
+        p1, q1 = mpz(eta1.numerator), mpz(eta1.denominator)
+        p2, q2 = mpz(eta2.numerator), mpz(eta2.denominator)
+        c1, c2 = q1 * d, q2 * d
+        zx, zy = _scaled(0, at), _scaled(0, att)
+        # A step is two shears, X along At Y and then Y along At.T X'; [1] undoes one.
+        half_x = [_blocks(c1, _scaled(s * p1, at), zy, c1) for s in (1, -1)]
+        half_y = [_blocks(c2, zx, _scaled(s * p2, att), c2) for s in (1, -1)]
+        self.m, self.m_inv = _matmul(half_y[0], half_x[0]), _matmul(half_x[1], half_y[1])
+        self.h = _blocks(2 * p2 * c1, _scaled(p1 * p2, at), _scaled(p1 * p2, att), -2 * p1 * c2)
+        self.at, self.d, self.g = at, d, c1 * c2
+        self.kx, self.ky, self.kxy = p2 * c1, p1 * c2, p1 * p2
+        self.phi_den_unit = p1 * p2 * d
+
+    def certified(self) -> bool:
+        """M.T H M == g^2 H and M M_inv == g^2 I, both in exact integers."""
+        g2 = self.g * self.g
+        mt = [list(col) for col in zip(*self.m)]
+        conserves = _matmul(_matmul(mt, self.h), self.m) == _scaled(g2, self.h)
+        n = range(len(self.m))
+        inverts = _matmul(self.m, self.m_inv) == [[g2 * (i == j) for j in n] for i in n]
+        return conserves and inverts
+
+
+@dataclass(slots=True)
+class _Point:
+    """The integer state at one position: coords / scale, scale = s_0 * g^|pos|."""
+
+    pos: int
+    coords: list
+    scale: int
+    g2_pow: int  # g^(2|pos|)
+    quad: tuple | None = None  # (phi numerator, AX.T At AY), once read
 
 
 class ExactAltOrbit:
@@ -68,7 +117,7 @@ class ExactAltOrbit:
     The public accessors return float64 snapshots (rounded from the exact
     rationals) or Fractions; internally nothing is ever rounded. ``advance``
     and ``retreat`` move the orbit position in either direction and are exact
-    mutual inverses.
+    mutual inverses; the integers held at a position depend on it alone.
     """
 
     def __init__(self, payoff: PayoffData, eta1, eta2, xy0) -> None:
@@ -80,38 +129,19 @@ class ExactAltOrbit:
         dx, dy = payoff.dimension_x, payoff.dimension_y
         xy = [as_fraction(v) for v in xy0]
         if len(xy) != dx + dy:
-            raise ConmotError(
-                f"initial state has length {len(xy)}, expected {dx + dy}"
-            )
-
-        at, d_a = _payoff_integerized(payoff)
-        p1, q1 = mpz(eta1.numerator), mpz(eta1.denominator)
-        p2, q2 = mpz(eta2.numerator), mpz(eta2.denominator)
-        self._at = at
-        self._att = [[at[i][j] for i in range(dx)] for j in range(dy)]
-        self._p1a = [[p1 * v for v in row] for row in at]
-        self._p2at = [[p2 * v for v in row] for row in self._att]
-        self._c1 = q1 * mpz(d_a)
-        self._c2 = q2 * mpz(d_a)
-        self._g = q1 * q2 * mpz(d_a) ** 2
-        self._g2 = self._g * self._g
-        self._kx = q1 * p2 * mpz(d_a)
-        self._ky = q2 * p1 * mpz(d_a)
-        self._kxy = p1 * p2
-        self._phi_den_unit = p1 * p2 * mpz(d_a)
-        self._d_a = mpz(d_a)
-
-        s0 = 1
-        for v in xy:
-            s0 = s0 * v.denominator // math.gcd(s0, v.denominator)
-        self._s = mpz(s0)
-        self._s0 = mpz(s0)
+            raise ConmotError(f"initial state has length {len(xy)}, expected {dx + dy}")
+        self._step = _IntegerStep(payoff, eta1, eta2)
+        if not self._step.certified():
+            raise ConmotError("the integer step matrix failed its exact certificate")
+        s0 = mpz(math.lcm(*(v.denominator for v in xy)))
+        self._dx = dx
+        self._phi_den0 = self._step.phi_den_unit * s0 * s0
+        self._payoff_den0 = self._step.d * s0 * s0
         coords = [mpz(v.numerator * (s0 // v.denominator)) for v in xy]
-        self._ax = coords[:dx]
-        self._ay = coords[dx:]
+        self._origin = self._last = _Point(0, coords, s0, mpz(1))
+        self._power = ((True, 1), self._step.m)  # the last M^k or M_inv^k used
         self._pos = 0
-        self._gpow = mpz(1)
-        self._num0 = self._phi_numerator()
+        self._num0 = self._quadratic()[0]
 
     @property
     def position(self) -> int:
@@ -119,116 +149,91 @@ class ExactAltOrbit:
         return self._pos
 
     def advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            ax, ay = self._ax, self._ay
-            b = [self._c1 * ax[i] + s for i, s in enumerate(_matvec(self._p1a, ay))]
-            self._ax = [self._c2 * v for v in b]
-            self._ay = [self._g * ay[j] + s for j, s in enumerate(_matvec(self._p2at, b))]
-            self._s *= self._g
-            self._gpow *= self._g2
-            self._pos += 1
+        self._pos += n
 
     def retreat(self, n: int = 1) -> None:
-        for _ in range(n):
-            ax, ay = self._ax, self._ay
-            by = [self._c2 * ay[j] - s for j, s in enumerate(_matvec(self._p2at, ax))]
-            self._ax = [self._g * ax[i] - s for i, s in enumerate(_matvec(self._p1a, by))]
-            self._ay = [self._c1 * v for v in by]
-            self._s *= self._g
-            self._gpow *= self._g2
-            self._pos -= 1
+        self._pos -= n
+
+    # The integer state at the current position, xy = (_ax + _ay) / _s.
+    _ax = property(lambda self: self._here().coords[: self._dx])
+    _ay = property(lambda self: self._here().coords[self._dx :])
+    _s = property(lambda self: self._here().scale)
+
+    def _here(self) -> _Point:
+        """The state at the current position, built from the nearest built one."""
+        t, start = self._pos, self._last
+        if t == 0:
+            return self._origin
+        if start.pos == t:
+            return start
+        if start.pos * t <= 0 or abs(t - start.pos) >= abs(t):
+            start = self._origin
+        forward, k = t > start.pos, abs(t - start.pos)
+        if self._power[0] != (forward, k):
+            self._power = ((forward, k), _matpow(self._step.m if forward else self._step.m_inv, k))
+        coords, g_k = _matvec(self._power[1], start.coords), self._step.g**k
+        if abs(t) > abs(start.pos):
+            self._last = _Point(t, coords, start.scale * g_k, start.g2_pow * g_k * g_k)
+        else:  # toward t = 0: M_inv^k M^k == g^(2k) I, so the division is exact
+            g2_k = g_k * g_k
+            self._last = _Point(t, [v // g2_k for v in coords], start.scale // g_k,
+                                start.g2_pow // g2_k)
+        return self._last
+
+    def _quadratic(self) -> tuple:
+        """(phi numerator, AX.T At AY, g^(2|t|)) at the current position."""
+        p = self._here()
+        if p.quad is None:
+            step = self._step
+            ax, ay = p.coords[: self._dx], p.coords[self._dx :]
+            cross = sum(x * s for x, s in zip(ax, _matvec(step.at, ay)))
+            num = (step.kx * sum(v * v for v in ax) - step.ky * sum(v * v for v in ay)
+                   + step.kxy * cross)
+            p.quad = (num, cross)
+        return (*p.quad, p.g2_pow)
 
     def xy_float(self) -> np.ndarray:
-        s = self._s
-        return np.array([ratio_to_float(v, s) for v in self._ax + self._ay])
+        p = self._here()
+        return np.array([ratio_to_float(v, p.scale) for v in p.coords])
 
     def xy_fractions(self) -> list[Fraction]:
-        s = int(self._s)
-        return [Fraction(int(v), s) for v in self._ax + self._ay]
-
-    def _phi_numerator(self):
-        ax, ay = self._ax, self._ay
-        sx = sum(v * v for v in ax)
-        sy = sum(v * v for v in ay)
-        cross = sum(ax[i] * s for i, s in enumerate(_matvec(self._at, ay)))
-        return self._kx * sx - self._ky * sy + self._kxy * cross
+        p = self._here()
+        return [Fraction(int(v), int(p.scale)) for v in p.coords]
 
     def phi_fraction(self) -> Fraction:
-        den = self._phi_den_unit * self._s * self._s
-        return Fraction(int(self._phi_numerator()), int(den))
+        num, _, g2_pow = self._quadratic()
+        return Fraction(int(num), int(self._phi_den0 * g2_pow))
 
     def phi_float(self) -> float:
-        den = self._phi_den_unit * self._s * self._s
-        return ratio_to_float(self._phi_numerator(), den)
+        num, _, g2_pow = self._quadratic()
+        return ratio_to_float(num, self._phi_den0 * g2_pow)
 
     def payoff_value_float(self) -> float:
         """Current bilinear value x.T A y as a float snapshot."""
-        cross = sum(
-            self._ax[i] * s for i, s in enumerate(_matvec(self._at, self._ay))
-        )
-        return ratio_to_float(cross, self._d_a * self._s * self._s)
+        _, cross, g2_pow = self._quadratic()
+        return ratio_to_float(cross, self._payoff_den0 * g2_pow)
 
     def phi_matches_start(self) -> bool:
         """Exact integer check that the quadratic still equals its t=0 value."""
-        return self._phi_numerator() == self._num0 * self._gpow
+        num, _, g2_pow = self._quadratic()
+        return num == self._num0 * g2_pow
 
     def phi_defect_float(self) -> float:
         """Relative drift |phi_t - phi_0| / (1 + |phi_0|); exactly 0 when conserved."""
         if self.phi_matches_start():
             return 0.0
-        phi0 = Fraction(int(self._num0), int(self._phi_den_unit * self._s0 * self._s0))
-        drift = abs(self.phi_fraction() - phi0)
-        return float(drift / (1 + abs(phi0)))
+        phi0 = Fraction(int(self._num0), int(self._phi_den0))
+        return float(abs(self.phi_fraction() - phi0) / (1 + abs(phi0)))
 
 
 def verify_conservation_identity(payoff: PayoffData, eta1, eta2) -> bool:
-    """Exact certificate M.T H M == H for the one-step transition matrix.
+    """Exact certificate for the integer step matrix M that ExactAltOrbit runs.
 
-    M is the linear alternating-play update and H the symmetric matrix of the
-    conserved quadratic. Both are integerized (no division happens), so a True
-    return proves the quadratic is constant along every orbit of this
-    instance, at every step, with zero defect.
+    No division happens. True means M.T H M == g^2 H, so the quadratic is
+    constant along every orbit of this instance with zero defect, and
+    M M_inv == g^2 I, so backward steps and moves toward t = 0 are exact.
     """
-    eta1, eta2 = as_fraction(eta1), as_fraction(eta2)
-    at, d_a = _payoff_integerized(payoff)
-    p1, q1 = eta1.numerator, eta1.denominator
-    p2, q2 = eta2.numerator, eta2.denominator
-    dx, dy = payoff.dimension_x, payoff.dimension_y
-    n = dx + dy
-    mu = q1 * q2 * d_a * d_a
-
-    mint = [[0] * n for _ in range(n)]
-    hint = [[0] * n for _ in range(n)]
-    for i in range(dx):
-        mint[i][i] = mu
-        hint[i][i] = 2 * p2 * q1 * d_a
-    for j in range(dy):
-        hint[dx + j][dx + j] = -2 * p1 * q2 * d_a
-    for i in range(dx):
-        for j in range(dy):
-            a_ij = int(at[i][j])
-            mint[i][dx + j] = p1 * q2 * d_a * a_ij
-            mint[dx + j][i] = p2 * q1 * d_a * a_ij
-            hint[i][dx + j] = p1 * p2 * a_ij
-            hint[dx + j][i] = p1 * p2 * a_ij
-    for j in range(dy):
-        for jj in range(dy):
-            acc = sum(int(at[i][j]) * int(at[i][jj]) for i in range(dx))
-            mint[dx + j][dx + jj] = p1 * p2 * acc + (mu if j == jj else 0)
-
-    def matmul(a, b):
-        cols = len(b[0])
-        return [
-            [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-            for i in range(len(a))
-        ]
-
-    mt = [list(row) for row in zip(*mint)]
-    lhs = matmul(matmul(mt, hint), mint)
-    musq = mu * mu
-    return all(
-        lhs[i][j] == musq * hint[i][j] for i in range(n) for j in range(n)
-    )
+    return _IntegerStep(payoff, as_fraction(eta1), as_fraction(eta2)).certified()
 
 
 @dataclass(frozen=True)
@@ -255,24 +260,18 @@ def conservation_audit(
         raise ValueError("steps must be >= 0 and check_every >= 1")
     identity = verify_conservation_identity(payoff, eta1, eta2)
     orbit_exact = ExactAltOrbit(payoff, eta1, eta2, xy0)
-    checked = 0
-    conserved = True
-    max_defect = 0.0
-    done = 0
-    while done < steps:
-        chunk = min(check_every, steps - done)
-        orbit_exact.advance(chunk)
-        done += chunk
-        checked += 1
+    checkpoints = range(check_every, steps + check_every, check_every)
+    defects = []
+    for k in checkpoints:
+        orbit_exact.advance(min(k, steps) - orbit_exact.position)
         if not orbit_exact.phi_matches_start():
-            conserved = False
-            max_defect = max(max_defect, orbit_exact.phi_defect_float())
+            defects.append(orbit_exact.phi_defect_float())
     return ConservationAudit(
         identity_verified=identity,
         steps=steps,
-        checkpoints=checked,
-        conserved=conserved,
-        max_defect=max_defect,
+        checkpoints=len(checkpoints),
+        conserved=not defects,
+        max_defect=max(defects, default=0.0),
     )
 
 

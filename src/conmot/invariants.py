@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import InverseConfig, inverse_step
 from .errors import ConmotError, InversionError, RegionError, StepSizeError
-from .exact import ExactAltOrbit, verify_conservation_identity
+from .exact import verify_conservation_identity
 from .maps import MapInstance, step, step_with_defect
 from .objectives import (
     PayoffData,
@@ -379,15 +379,14 @@ def invariance_defect(
     map_instance: MapInstance,
     state: State,
     horizon: int,
-    *,
-    check_every: int = 200,
 ) -> float:
     """max over k in [1, horizon] of |phi(T^k x) - phi(x)| / (1 + |phi(x)|).
 
     When phi is the closed-form bipartite quadratic of this exact
     alternating-play instance the defect is certified in integer arithmetic
-    (and is exactly 0.0); otherwise the orbit is iterated in float64 and the
-    drift is measured numerically.
+    and is exactly 0.0; a failed certificate is a bug and raises ConmotError.
+    Otherwise the orbit is iterated in float64 and the drift is measured
+    numerically.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -397,19 +396,9 @@ def invariance_defect(
         and phi.payoff.exact == map_instance.payoff.exact
         and (phi.eta1, phi.eta2) == map_instance.step_sizes
     ):
-        if verify_conservation_identity(phi.payoff, phi.eta1, phi.eta2):
-            return 0.0
-        exact_orbit = ExactAltOrbit(
-            phi.payoff, phi.eta1, phi.eta2, [as_fraction(v) for v in state.coordinates]
-        )
-        worst = 0.0
-        done = 0
-        while done < horizon:
-            chunk = min(check_every, horizon - done)
-            exact_orbit.advance(chunk)
-            done += chunk
-            worst = max(worst, exact_orbit.phi_defect_float())
-        return worst
+        if not verify_conservation_identity(phi.payoff, phi.eta1, phi.eta2):
+            raise ConmotError("the exact conservation certificate failed")
+        return 0.0
     base = float(phi(state))
     if math.isnan(base):
         return math.nan

@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conmot import exact
+from conmot.errors import ConmotError
 from conmot.exact import (
     ExactAltOrbit,
     assemble_transition_matrix,
@@ -12,6 +15,7 @@ from conmot.exact import (
     difference_log_stats,
     verify_conservation_identity,
 )
+from conmot.invariants import BipartiteInvariant, invariance_defect
 from conmot.maps import alternating_play, step
 from conmot.objectives import PayoffData
 from conmot.state import State, bipartite_pair
@@ -133,3 +137,106 @@ def test_payoff_value_tracks_the_bilinear_pairing():
     assert ex.payoff_value_float() == pytest.approx(60.0 * -25.0)
     ex.advance(1)
     assert ex.payoff_value_float() == pytest.approx(57.5 * -13.5)
+
+
+# ---------------------------------------------------------------------------
+# Algebraic laws of the position-only engine, on random dyadic games, compared
+# as exact integers: the state at a position must not depend on the path.
+
+
+@st.composite
+def dyadic_orbits(draw):
+    dx = draw(st.integers(1, 3))
+    dy = draw(st.integers(1, 3))
+    entry = st.integers(-1024, 1024).map(lambda k: Fraction(k, 1024))
+    matrix = [[draw(entry) for _ in range(dy)] for _ in range(dx)]
+    eta = st.integers(3, 128).map(lambda k: Fraction(k, 256))
+    xy = [draw(st.integers(-640, 640).map(lambda k: Fraction(k, 64))) for _ in range(dx + dy)]
+    return PayoffData.from_matrix(matrix), draw(eta), draw(eta), xy
+
+
+def _integers(orb):
+    """The exact state read at the current position: coordinates and scale."""
+    return [int(v) for v in orb._ax + orb._ay], int(orb._s)
+
+
+def _move(orb, n):
+    if n >= 0:
+        orb.advance(n)
+    else:
+        orb.retreat(-n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(dyadic_orbits(), st.integers(0, 120), st.integers(0, 120))
+def test_advance_composes(game, a, b):
+    stepped = ExactAltOrbit(*game)
+    stepped.advance(a)
+    _integers(stepped)
+    stepped.advance(b)
+    direct = ExactAltOrbit(*game)
+    direct.advance(a + b)
+    assert stepped.position == direct.position == a + b
+    assert _integers(stepped) == _integers(direct)
+
+
+@settings(max_examples=25, deadline=None)
+@given(dyadic_orbits(), st.integers(0, 120))
+def test_retreat_undoes_advance(game, n):
+    orb = ExactAltOrbit(*game)
+    start = _integers(orb)
+    orb.advance(n)
+    _integers(orb)
+    orb.retreat(n)
+    assert orb.position == 0
+    assert _integers(orb) == start
+    assert orb.phi_matches_start()
+
+
+@settings(max_examples=25, deadline=None)
+@given(dyadic_orbits(), st.lists(st.integers(-40, 40), min_size=1, max_size=8))
+def test_mixed_walks_hold_the_integers_of_their_position(game, moves):
+    walker = ExactAltOrbit(*game)
+    for move in moves:
+        _move(walker, move)
+        _integers(walker)
+    direct = ExactAltOrbit(*game)
+    _move(direct, walker.position)
+    assert _integers(walker) == _integers(direct)
+    assert walker.xy_float().tobytes() == direct.xy_float().tobytes()
+    assert walker.phi_float() == direct.phi_float()
+    assert walker.phi_matches_start()
+
+
+@settings(max_examples=25, deadline=None)
+@given(dyadic_orbits())
+def test_engine_steps_with_the_certified_matrix(game):
+    payoff, e1, e2, xy = game
+    certified = exact._IntegerStep(payoff, e1, e2)
+    assert certified.certified() and verify_conservation_identity(payoff, e1, e2)
+    v0, s0 = _integers(ExactAltOrbit(*game))
+    g = int(certified.g)
+    for move, matrix in ((1, certified.m), (-1, certified.m_inv)):
+        orb = ExactAltOrbit(*game)
+        _move(orb, move)
+        expected = [sum(int(c) * v for c, v in zip(row, v0)) for row in matrix]
+        assert _integers(orb) == (expected, s0 * g)
+    # The step is alternating play: X moves first, then Y against the new X.
+    fwd = ExactAltOrbit(*game)
+    fwd.advance()
+    x_new = [x + e1 * sum(a * y for a, y in zip(row, xy[len(payoff.exact):]))
+             for x, row in zip(xy, payoff.exact)]
+    dx = len(x_new)
+    y_new = [y + e2 * sum(payoff.exact[i][j] * x_new[i] for i in range(dx))
+             for j, y in enumerate(xy[dx:])]
+    assert fwd.xy_fractions() == x_new + y_new
+
+
+def test_a_failed_certificate_raises(monkeypatch):
+    monkeypatch.setattr(exact._IntegerStep, "certified", lambda self: False)
+    with pytest.raises(ConmotError):
+        ExactAltOrbit(PAY, *ETA, (60, -25))
+    phi = BipartiteInvariant(PAY, *ETA)
+    start = State([60.0, -25.0], bipartite_pair(1, 1))
+    with pytest.raises(ConmotError):
+        invariance_defect(phi, alternating_play(PAY, *ETA), start, 5)
