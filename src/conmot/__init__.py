@@ -55,6 +55,7 @@ from .invariants import (
     gaussian_bump_weight,
     invariance_defect,
     make_series_invariant,
+    series_along_orbit,
     series_invariant,
 )
 from .maps import (
@@ -158,6 +159,7 @@ __all__ = [
     "bipartite_invariant",
     "InvariantReport",
     "series_invariant",
+    "series_along_orbit",
     "make_series_invariant",
     "invariance_defect",
     "dphi_rank",

@@ -17,8 +17,8 @@ import numpy as np
 
 from .dynamics import InverseConfig, detect_fixed_point, inverse_step
 from .errors import ChartViolation, InversionError, NumericsError, RegionError
-from .exact import difference_log_stats, verify_conservation_identity
-from .invariants import BipartiteInvariant, invariance_defect
+from .exact import difference_log_stats
+from .invariants import _certified_quadratic, invariance_defect
 from .maps import MapInstance, step
 from .state import State
 
@@ -257,14 +257,7 @@ def level_set_confinement(
     if reports is not None and len(reports) != len(pairs):
         raise ValueError("reports must match pairs one to one")
     continuity_caveat = map_instance.kind in ("gd", "mwu_exp", "mwu_lin")
-    exactly_conserved = (
-        isinstance(phi, BipartiteInvariant)
-        and map_instance.kind == "alt_play"
-        and phi.payoff.exact == map_instance.payoff.exact
-        and (phi.eta1, phi.eta2) == map_instance.step_sizes
-        and verify_conservation_identity(phi.payoff, phi.eta1, phi.eta2)
-    )
-    if not exactly_conserved:
+    if not _certified_quadratic(phi, map_instance):
         probe_horizon = min(horizon, 50)
         for x, _ in pairs[:3]:
             defect = invariance_defect(phi, map_instance, x, probe_horizon)

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .chaos import batched_pair_reports, level_set_confinement, same_orbit
-from .config import RunConfig, build_weight, load_config
+from .config import RunConfig, build_weight, exact_number, load_config
 from .dynamics import orbit
 from .errors import ConfigError, ConmotError
 from .exact import ExactAltOrbit
@@ -31,6 +31,7 @@ from .invariants import (
     BipartiteInvariant,
     invariance_defect,
     make_series_invariant,
+    series_along_orbit,
     series_invariant,
 )
 from .maps import MapInstance, alternating_play
@@ -186,34 +187,30 @@ def _csv_rows(rows) -> list[list[str]]:
     ]
 
 
-def _series_evaluator(cfg: RunConfig):
+def _series_spec(cfg: RunConfig):
+    """(weight, truncation) of a series invariant section, or None."""
     spec = cfg.invariant_spec
     if spec is None or spec["kind"] != "series":
         return None
-    weight = build_weight(spec.get("weight"))
-    truncation = int(spec.get("truncation", 32))
-    return make_series_invariant(cfg.map, None, weight, truncation)
+    return build_weight(spec.get("weight")), int(spec.get("truncation", 32))
 
 
 def _float_rows(cfg: RunConfig, index: int):
     seg = orbit(cfg.map, cfg.initial_states[index], cfg.n_forward, cfg.n_backward)
-    evaluate_phi = _series_evaluator(cfg)
-    obj = cfg.map.objective
-    phi0 = math.nan
-    if evaluate_phi is not None:
-        phi0 = evaluate_phi(seg.origin)
+    ts = seg.indices()
+    series = _series_spec(cfg)
+    # orbit() and the series window step from the same origin with the same
+    # calls, so every row's state is the window's state at that index.
+    phis = ([math.nan] * len(ts) if series is None
+            else series_along_orbit(cfg.map, None, series[0], seg.origin, series[1], ts))
+    phi0 = phis[ts.index(0)]
     scale = 1.0 + abs(phi0)
+    obj = cfg.map.objective
     rows = []
-    for t in seg.indices():
+    for t, phi_t in zip(ts, phis):
         state = seg.state_at(t)
         f_val = float(obj.evaluate(state.coordinates)) if obj is not None else math.nan
-        if evaluate_phi is None:
-            phi_t, defect = math.nan, math.nan
-        elif t == 0:
-            phi_t, defect = phi0, 0.0
-        else:
-            phi_t = evaluate_phi(state)
-            defect = abs(phi_t - phi0) / scale
+        defect = 0.0 if t == 0 and series is not None else abs(phi_t - phi0) / scale
         rows.append((t, state.coordinates, f_val, phi_t, defect))
     return rows, seg
 
@@ -314,8 +311,10 @@ def cmd_invariant(cfg: RunConfig, out_dir: Path) -> int:
 def _classification_invariants(cfg: RunConfig):
     if cfg.map.kind == "alt_play":
         return (BipartiteInvariant(cfg.map.payoff, *cfg.map.step_sizes),)
-    evaluate_phi = _series_evaluator(cfg)
-    return (evaluate_phi,) if evaluate_phi is not None else ()
+    series = _series_spec(cfg)
+    if series is None:
+        return ()
+    return (make_series_invariant(cfg.map, None, series[0], series[1]),)
 
 
 def cmd_classify(cfg: RunConfig, out_dir: Path) -> int:
@@ -325,7 +324,7 @@ def cmd_classify(cfg: RunConfig, out_dir: Path) -> int:
     dim = cfg.map.chart.dimension
     points = {}
     for key in ("x", "y"):
-        vals = [float(Fraction(v) if isinstance(v, str) else v) for v in spec[key]]
+        vals = [float(exact_number(v, f"classify.{key}[{i}]")) for i, v in enumerate(spec[key])]
         if len(vals) != dim:
             raise ConfigError(
                 f"classify.{key} has length {len(vals)}, the chart needs {dim}",

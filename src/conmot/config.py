@@ -19,7 +19,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ConmotError
 from .invariants import (
     WeightFunction,
     constant_weight,
@@ -38,7 +38,7 @@ from .objectives import ObjectiveSpec, PayoffData, bump, double_well, linear, qu
 from .rationals import as_fraction
 from .state import State
 
-__all__ = ["RunConfig", "load_config", "build_weight"]
+__all__ = ["RunConfig", "load_config", "build_weight", "exact_number"]
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_PREFIX = "run"
@@ -66,6 +66,24 @@ def _schema() -> dict:
     return json.loads(text)
 
 
+def exact_number(value, json_path: str, *, positive: bool = False) -> Fraction:
+    """The exact value of one config number, or a ConfigError naming its path.
+
+    Every number must also fit a float64, since each one is used in float
+    arithmetic somewhere; step sizes must be positive.
+    """
+    try:
+        out = as_fraction(value)
+        float(out)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ConfigError(f"{json_path} is not a finite number: {str(value)[:32]!r}",
+                          json_path=json_path) from exc
+    if positive and out <= 0:
+        raise ConfigError(f"{json_path} is a step size and must be positive: {str(value)!r}",
+                          json_path=json_path)
+    return out
+
+
 def _build_objective(section: dict) -> ObjectiveSpec:
     name = section["name"]
     if name == "quadratic":
@@ -79,13 +97,24 @@ def _build_objective(section: dict) -> ObjectiveSpec:
         raise ConfigError(
             "a linear objective needs coefficients", json_path="map.objective"
         )
-    return linear(np.array([float(as_fraction(c)) for c in coeffs]))
+    return linear(np.array([
+        float(exact_number(c, f"map.objective.coefficients[{i}]")) for i, c in enumerate(coeffs)
+    ]))
 
 
 def _require(section: dict, key: str, where: str):
     if key not in section:
         raise ConfigError(f"{where} requires {key!r}", json_path=where)
     return section[key]
+
+
+def _step_size(section: dict) -> Fraction:
+    return exact_number(_require(section, "step_size", "map"), "map.step_size", positive=True)
+
+
+def _step_sizes(rates) -> tuple[Fraction, ...]:
+    return tuple(exact_number(v, f"map.step_sizes[{i}]", positive=True)
+                 for i, v in enumerate(rates))
 
 
 def _build_map(section: dict) -> MapInstance:
@@ -97,24 +126,25 @@ def _build_map(section: dict) -> MapInstance:
             raise ConfigError(
                 "alt_play needs exactly two step sizes", json_path="map.step_sizes"
             )
-        matrix = [[as_fraction(v) for v in row] for row in payoff_section["matrix"]]
+        matrix = [[exact_number(v, f"map.payoff.matrix[{i}][{j}]") for j, v in enumerate(row)]
+                  for i, row in enumerate(payoff_section["matrix"])]
         widths = {len(row) for row in matrix}
         if len(widths) != 1:
             raise ConfigError("payoff rows must all have the same length",
                               json_path="map.payoff.matrix")
         payoff = PayoffData.from_matrix(matrix)
-        return alternating_play(payoff, as_fraction(rates[0]), as_fraction(rates[1]))
+        return alternating_play(payoff, *_step_sizes(rates))
 
     objective = _build_objective(_require(section, "objective", "map"))
     if kind in ("mwu_exp", "mwu_lin"):
         blocks = _require(section, "blocks", "map")
         if "step_sizes" in section:
-            eps = tuple(as_fraction(v) for v in section["step_sizes"])
+            eps = _step_sizes(section["step_sizes"])
         else:
-            eps = as_fraction(_require(section, "step_size", "map"))
+            eps = _step_size(section)
         maker = mwu_exponential if kind == "mwu_exp" else mwu_linear
         return maker(objective, eps, blocks)
-    eta = as_fraction(_require(section, "step_size", "map"))
+    eta = _step_size(section)
     if kind == "gd":
         return gradient_descent(objective, eta)
     return sphere_rgd(objective, eta)
@@ -160,12 +190,18 @@ def load_config(path) -> RunConfig:
     # Second pass: floats become Fractions; ints and strings are unchanged.
     doc = json.loads(text, parse_float=Fraction)
 
-    map_instance = _build_map(doc["map"])
+    try:
+        map_instance = _build_map(doc["map"])
+    except ConfigError:
+        raise
+    except ConmotError as exc:
+        # A map that cannot be built from its section is a config problem.
+        raise ConfigError(f"map: {exc}", json_path="map") from exc
 
     initial_exact: list[tuple[Fraction, ...]] = []
     initial_states: list[State] = []
     for idx, row in enumerate(doc.get("initial_states", [])):
-        vals = tuple(as_fraction(v) for v in row)
+        vals = tuple(exact_number(v, f"initial_states[{idx}][{j}]") for j, v in enumerate(row))
         if len(vals) != map_instance.chart.dimension:
             raise ConfigError(
                 f"initial state {idx} has length {len(vals)}, the chart needs "

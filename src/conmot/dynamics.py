@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ChartViolation, InversionError, NumericsError, RegionError
 from .maps import MapInstance, _raw_step, rgd_sphere_step, step_with_defect
-from .objectives import region_contains
+from .objectives import _tangent_frame, region_contains
 from .state import State, renormalize
 
 __all__ = [
@@ -171,12 +171,6 @@ def _invert_alt_play(map_instance: MapInstance, target: np.ndarray) -> np.ndarra
     y0 = y1 - eta2 * (a.T @ x1)
     x0 = x1 - eta1 * (a @ y0)
     return np.concatenate([x0, y0])
-
-
-def _tangent_frame(x: np.ndarray) -> np.ndarray:
-    d = len(x)
-    u, _, _ = np.linalg.svd(np.eye(d) - np.outer(x, x))
-    return u[:, : d - 1]
 
 
 def _invert_rgd(map_instance: MapInstance, target: np.ndarray, cfg: InverseConfig) -> np.ndarray:

@@ -5,13 +5,15 @@ exactly by alternating play and is certified through the exact engine. The
 truncated series invariant works for the dissipative maps: it sums weighted
 one-step drops of the objective along the bi-infinite orbit, truncated
 symmetrically, and reports its own convergence diagnostics instead of
-pretending to be exact.
+pretending to be exact. The series at T^k x is the same sum with its index
+shifted by k, so defect horizons and trajectory rows read their shifted sums
+from one orbit window around the starting point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -20,7 +22,7 @@ import numpy as np
 from .dynamics import InverseConfig, inverse_step
 from .errors import ConmotError, InversionError, RegionError, StepSizeError
 from .exact import verify_conservation_identity
-from .maps import MapInstance, step, step_with_defect
+from .maps import MapInstance, step
 from .objectives import (
     PayoffData,
     validate_step_size_gd,
@@ -38,6 +40,7 @@ __all__ = [
     "bipartite_invariant",
     "InvariantReport",
     "series_invariant",
+    "series_along_orbit",
     "make_series_invariant",
     "invariance_defect",
     "dphi_rank",
@@ -175,17 +178,25 @@ def _series_preconditions(map_instance: MapInstance, objective) -> list[str]:
     return notes
 
 
-class _OrbitCache:
-    """Lazily extended forward/backward orbit with objective values."""
+class _OrbitWindow:
+    """A lazily extended orbit with its states, f values and series terms
+    p(T^n x)(f(T^{n-1} x) - f(T^n x)) kept by absolute index n: the series at
+    T^c x reads the terms of the one at x shifted by c. Past a side that cannot
+    be continued, entries read None."""
 
-    def __init__(self, map_instance: MapInstance, origin: State, cfg: InverseConfig | None):
-        self.map = map_instance
-        self.cfg = cfg
+    def __init__(self, map_instance: MapInstance, objective, weight: WeightFunction,
+                 origin: State, truncation: int, cfg: InverseConfig | None):
+        if truncation < 0:
+            raise ValueError("truncation must be nonnegative")
+        self.obj = map_instance.objective if objective is None else objective
+        self.notes = _series_preconditions(map_instance, self.obj)
+        self.map, self.weight, self.truncation, self.cfg = map_instance, weight, truncation, cfg
         self.states = {0: origin}
-        self.fmax = 0
-        self.bmax = 0
+        self.fmax = self.bmax = 0
         self.backward_blocked: str | None = None
         self.forward_blocked: str | None = None
+        self._f: dict[int, float | None] = {}
+        self._terms: dict[int, float | None] = {}
 
     def get(self, n: int) -> State | None:
         if n in self.states:
@@ -214,6 +225,99 @@ class _OrbitCache:
             self.states[self.bmax] = prev
         return self.states[n]
 
+    def f(self, n: int) -> float | None:
+        if n not in self._f:
+            s = self.get(n)
+            self._f[n] = None if s is None else float(self.obj.evaluate(s.coordinates))
+        return self._f[n]
+
+    def term(self, n: int) -> float | None:
+        if n not in self._terms:
+            here, f_prev = self.get(n), self.f(n - 1)
+            known = here is not None and f_prev is not None
+            self._terms[n] = self.weight(here) * (f_prev - self.f(n)) if known else None
+        return self._terms[n]
+
+    def series_at(self, c: int, notes: list[str]) -> InvariantReport:
+        """The truncated series at T^c x, summed ring by ring from the window."""
+        here, nxt = self.get(c), self.get(c + 1)
+        if here is None or nxt is None:
+            raise RegionError(self.backward_blocked if c < 0 else self.forward_blocked)
+        # A point that does not move contributes nothing anywhere on its orbit.
+        if here.distance_to(nxt) <= 1e-12:
+            return InvariantReport(value=0.0, truncation_n=0, partial_sums=(), tail_estimate=0.0,
+                                   fixed_point=True, converged_early=True, notes=tuple(notes))
+
+        partial: list[float] = []
+        total = 0.0
+        divergent = False
+        converged_early = False
+        best_ring = math.inf
+        stale_rings = 0
+        last_increment = 0.0
+        completed_depth = 0
+
+        t0 = self.term(c)
+        if t0 is None:
+            notes.append(self.backward_blocked or "the base term could not be computed")
+            notes.append("series evaluated one-sided from ring 1")
+            one_sided = True
+            partial.append(0.0)
+        else:
+            one_sided = False
+            total = t0
+            partial.append(total)
+            last_increment = abs(t0)
+
+        for k in range(1, self.truncation + 1):
+            ring_terms: list[float] = []
+            t_minus = None if one_sided else self.term(c - k)
+            if t_minus is None and not one_sided:
+                one_sided = True
+                notes.append(self.backward_blocked or f"backward orbit stopped before ring {k}")
+            if t_minus is not None:
+                total += t_minus
+                partial.append(total)
+                ring_terms.append(t_minus)
+            t_plus = self.term(c + k)
+            if t_plus is None:
+                notes.append(self.forward_blocked or f"forward orbit stopped before ring {k}")
+                break
+            total += t_plus
+            partial.append(total)
+            ring_terms.append(t_plus)
+            completed_depth = k
+
+            last_increment = abs(ring_terms[-1])
+            ring_mag = max(abs(v) for v in ring_terms)
+            if ring_mag < best_ring:
+                best_ring = ring_mag
+                stale_rings = 0
+            else:
+                stale_rings += 1
+            if all(abs(v) < TERM_STOP_TOL for v in ring_terms):
+                converged_early = True
+                break
+            if stale_rings >= DIVERGENCE_PATIENCE:
+                divergent = True
+                notes.append(
+                    f"no ring below {best_ring:.3e} in {DIVERGENCE_PATIENCE} "
+                    "consecutive rings; the series is not settling and the "
+                    "construction only yields the trivial invariant here"
+                )
+                break
+
+        return InvariantReport(
+            value=math.nan if divergent else total,
+            truncation_n=completed_depth,
+            partial_sums=tuple(partial),
+            tail_estimate=last_increment,
+            divergent=divergent,
+            one_sided=one_sided,
+            converged_early=converged_early,
+            notes=tuple(notes),
+        )
+
 
 def series_invariant(
     map_instance: MapInstance,
@@ -235,123 +339,28 @@ def series_invariant(
     backward step cannot be continued (the report says so). truncation_n in
     the report is the deepest completed ring, so a full two-sided run has
     exactly 2 * truncation_n + 1 partial sums.
+
+    per_step_defect[k - 1] is |Phi(T^k x) - Phi(x)|: the same sum shifted by k,
+    read from the one orbit window the value was summed on.
     """
-    if truncation < 0:
-        raise ValueError("truncation must be nonnegative")
-    if objective is None:
-        objective = map_instance.objective
-    notes = _series_preconditions(map_instance, objective)
-    obj = objective
-    cache = _OrbitCache(map_instance, state, inverse_config)
-
-    def f_at(n: int) -> float | None:
-        s = cache.get(n)
-        return None if s is None else float(obj.evaluate(s.coordinates))
-
-    def term(n: int) -> float | None:
-        here = cache.get(n)
-        f_prev = f_at(n - 1)
-        if here is None or f_prev is None:
-            return None
-        return weight(here) * (f_prev - f_at(n))
-
-    # A point that does not move contributes nothing anywhere on its orbit.
-    nxt, _ = step_with_defect(map_instance, state)
-    if state.distance_to(nxt) <= 1e-12:
-        return InvariantReport(
-            value=0.0,
-            truncation_n=0,
-            partial_sums=(),
-            tail_estimate=0.0,
-            fixed_point=True,
-            converged_early=True,
-            notes=tuple(notes),
+    window = _OrbitWindow(map_instance, objective, weight, state, truncation, inverse_config)
+    report = window.series_at(0, window.notes)
+    if defect_horizon > 0 and not (report.divergent or report.fixed_point):
+        defects = tuple(
+            abs(window.series_at(k, []).value - report.value)
+            for k in range(1, defect_horizon + 1)
         )
+        report = replace(report, per_step_defect=defects)
+    return report
 
-    partial: list[float] = []
-    total = 0.0
-    divergent = False
-    converged_early = False
-    best_ring = math.inf
-    stale_rings = 0
-    last_increment = 0.0
-    completed_depth = 0
 
-    t0 = term(0)
-    if t0 is None:
-        notes.append(cache.backward_blocked or "the base term could not be computed")
-        notes.append("series evaluated one-sided from ring 1")
-        one_sided = True
-        partial.append(0.0)
-    else:
-        one_sided = False
-        total = t0
-        partial.append(total)
-        last_increment = abs(t0)
-
-    for k in range(1, truncation + 1):
-        ring_terms: list[float] = []
-        t_minus = None if one_sided else term(-k)
-        if t_minus is None and not one_sided:
-            one_sided = True
-            notes.append(cache.backward_blocked or f"backward orbit stopped before ring {k}")
-        if t_minus is not None:
-            total += t_minus
-            partial.append(total)
-            ring_terms.append(t_minus)
-        t_plus = term(k)
-        if t_plus is None:
-            notes.append(cache.forward_blocked or f"forward orbit stopped before ring {k}")
-            break
-        total += t_plus
-        partial.append(total)
-        ring_terms.append(t_plus)
-        completed_depth = k
-
-        last_increment = abs(ring_terms[-1])
-        ring_mag = max(abs(v) for v in ring_terms)
-        if ring_mag < best_ring:
-            best_ring = ring_mag
-            stale_rings = 0
-        else:
-            stale_rings += 1
-        if all(abs(v) < TERM_STOP_TOL for v in ring_terms):
-            converged_early = True
-            break
-        if stale_rings >= DIVERGENCE_PATIENCE:
-            divergent = True
-            notes.append(
-                f"no ring below {best_ring:.3e} in {DIVERGENCE_PATIENCE} "
-                "consecutive rings; the series is not settling and the "
-                "construction only yields the trivial invariant here"
-            )
-            break
-
-    value = math.nan if divergent else total
-    defects: tuple[float, ...] = ()
-    if defect_horizon > 0 and not divergent:
-        evaluator = make_series_invariant(
-            map_instance, obj, weight, truncation, inverse_config=inverse_config
-        )
-        walker = state
-        out = []
-        for _ in range(defect_horizon):
-            walker = step(map_instance, walker)
-            out.append(abs(evaluator(walker) - value))
-        defects = tuple(out)
-
-    return InvariantReport(
-        value=value,
-        truncation_n=completed_depth,
-        partial_sums=tuple(partial),
-        tail_estimate=last_increment,
-        per_step_defect=defects,
-        divergent=divergent,
-        one_sided=one_sided,
-        fixed_point=False,
-        converged_early=converged_early,
-        notes=tuple(notes),
-    )
+def series_along_orbit(
+    map_instance: MapInstance, objective, weight: WeightFunction, origin: State,
+    truncation: int, indices,
+) -> list[float]:
+    """Series values at T^t origin for each t in indices, from one orbit window."""
+    window = _OrbitWindow(map_instance, objective, weight, origin, truncation, None)
+    return [window.series_at(t, []).value for t in indices]
 
 
 def make_series_invariant(
@@ -365,13 +374,23 @@ def make_series_invariant(
     """Evaluator closure over the truncated series at a fixed depth."""
 
     def evaluate(x: State) -> float:
-        report = series_invariant(
-            map_instance, objective, weight, x, truncation,
-            inverse_config=inverse_config,
-        )
-        return report.value
+        return series_invariant(map_instance, objective, weight, x, truncation,
+                                inverse_config=inverse_config).value
 
     return evaluate
+
+
+def _certified_quadratic(phi, map_instance: MapInstance) -> bool | None:
+    """None when phi is not the closed-form quadratic of this alternating-play
+    instance; otherwise whether its exact conservation certificate holds."""
+    if not (
+        isinstance(phi, BipartiteInvariant)
+        and map_instance.kind == "alt_play"
+        and phi.payoff.exact == map_instance.payoff.exact
+        and (phi.eta1, phi.eta2) == map_instance.step_sizes
+    ):
+        return None
+    return verify_conservation_identity(phi.payoff, phi.eta1, phi.eta2)
 
 
 def invariance_defect(
@@ -390,13 +409,9 @@ def invariance_defect(
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if (
-        isinstance(phi, BipartiteInvariant)
-        and map_instance.kind == "alt_play"
-        and phi.payoff.exact == map_instance.payoff.exact
-        and (phi.eta1, phi.eta2) == map_instance.step_sizes
-    ):
-        if not verify_conservation_identity(phi.payoff, phi.eta1, phi.eta2):
+    certified = _certified_quadratic(phi, map_instance)
+    if certified is not None:
+        if not certified:
             raise ConmotError("the exact conservation certificate failed")
         return 0.0
     base = float(phi(state))

@@ -6,14 +6,18 @@ here shells out, so failures carry normal tracebacks.
 """
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conmot.cli import main
-from conmot.invariants import BipartiteInvariant
-from conmot.objectives import PayoffData
+from conmot.dynamics import orbit
+from conmot.invariants import BipartiteInvariant, constant_weight, make_series_invariant
+from conmot.maps import gradient_descent
+from conmot.objectives import PayoffData, double_well
+from conmot.state import State, euclidean
 
 
 HYPERBOLIC = {
@@ -195,6 +199,35 @@ def test_invariant_series_converges_on_the_double_well(tmp_path):
     assert len(entry["partial_sums"]) == 2 * entry["truncation_n"] + 1
 
 
+def test_simulate_series_rows_match_a_fresh_series_per_row(tmp_path):
+    """Rows read their series from one orbit window; each agrees with a fresh
+    evaluation at that row's state."""
+    doc = {
+        "map": {"kind": "gd", "objective": {"name": "double_well", "dimension": 1},
+                "step_size": "0.1"},
+        "initial_states": [["0.4"]],
+        "steps": {"forward": 12, "backward": 6},
+        "invariant": {"kind": "series", "truncation": 32},
+    }
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 0
+    _, rows = read_csv(out / "run_trajectory_0.csv")
+
+    m = gradient_descent(double_well(1), Fraction(1, 10))
+    seg = orbit(m, State([0.4], euclidean(1)), 12, 6)
+    fresh = make_series_invariant(m, None, constant_weight(), 32)
+    phi0 = fresh(seg.origin)
+    assert [int(r[0]) for r in rows] == list(seg.indices())
+    for row, t in zip(rows, seg.indices()):
+        assert float(row[1]) == seg.state_at(t).coordinates[0]
+        phi_t = fresh(seg.state_at(t))
+        want = (phi_t, abs(phi_t - phi0) / (1.0 + abs(phi0)))
+        for got, ref in zip((float(row[3]), float(row[4])), want):
+            assert math.isnan(got) == math.isnan(ref)
+            assert math.isnan(got) or abs(got - ref) <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # classify
 
@@ -237,6 +270,31 @@ def test_classify_rejects_wrong_length(tmp_path):
     cfg = write_config(tmp_path, doc)
     rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "classify"])
     assert rc == 2
+
+
+def test_classify_unparsable_coordinate_is_exit_two_with_path(tmp_path, capsys):
+    doc = {
+        "map": {"kind": "gd", "objective": {"name": "quadratic", "dimension": 1},
+                "step_size": 0.5},
+        "classify": {"x": ["abc"], "y": [0.5]},
+    }
+    cfg = write_config(tmp_path, doc)
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "classify"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: configuration:")
+    assert "classify.x[0]" in err
+
+
+@pytest.mark.parametrize("rates", [["1/0", "1/5"], ["-1/10", "1/5"]])
+def test_bad_step_size_string_is_exit_two_with_path(tmp_path, capsys, rates):
+    doc = dict(HYPERBOLIC, map=dict(HYPERBOLIC["map"], step_sizes=rates))
+    cfg = write_config(tmp_path, doc)
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "simulate"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: configuration:")
+    assert "map.step_sizes[0]" in err
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,27 @@ def test_alt_play_needs_exactly_two_step_sizes(tmp_path):
         load_config(write(tmp_path, bad))
 
 
+GD_LINEAR = {"kind": "gd", "objective": {"name": "linear", "coefficients": [1]}, "step_size": 0.1}
+MWU_2x2 = {"kind": "mwu_exp", "objective": {"name": "quadratic", "dimension": 4},
+           "blocks": [2, 2], "step_sizes": [0.1, 0.1]}
+
+
+@pytest.mark.parametrize("doc, json_path", [
+    (dict(BASE, initial_states=[["1e400", 0]]), "initial_states[0][0]"),
+    (dict(BASE, map=dict(BASE["map"], payoff={"matrix": [["1/0"]]})), "map.payoff.matrix[0][0]"),
+    ({"map": dict(GD_LINEAR, step_size="0")}, "map.step_size"),
+    ({"map": dict(GD_LINEAR, objective={"name": "linear", "coefficients": ["x"]})},
+     "map.objective.coefficients[0]"),
+    ({"map": dict(MWU_2x2, step_sizes=[0.1, "-1"])}, "map.step_sizes[1]"),
+    ({"map": dict(MWU_2x2, step_sizes=[0.1])}, "map"),
+])
+def test_bad_numbers_and_unbuildable_maps_name_their_path(tmp_path, doc, json_path):
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, doc))
+    assert err.value.json_path == json_path
+    assert str(err.value).startswith(json_path)
+
+
 def test_gd_config_builds_objective_and_region(tmp_path):
     cfg = load_config(write(tmp_path, {
         "map": {

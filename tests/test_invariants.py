@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conmot import invariants
 from conmot.dynamics import orbit
 from conmot.errors import ConmotError, StepSizeError
 from conmot.invariants import (
@@ -19,9 +20,9 @@ from conmot.invariants import (
     make_series_invariant,
     series_invariant,
 )
-from conmot.maps import alternating_play, gradient_descent, mwu_exponential
+from conmot.maps import alternating_play, gradient_descent, mwu_exponential, sphere_rgd, step
 from conmot.objectives import Box, ObjectiveSpec, PayoffData, double_well, linear, quadratic
-from conmot.state import State, bipartite_pair, euclidean, simplex_product
+from conmot.state import State, bipartite_pair, euclidean, simplex_product, sphere
 
 PAY = PayoffData.from_matrix([[1]])
 
@@ -199,6 +200,80 @@ def test_series_defect_horizon_populates_the_report():
     rep = series_invariant(DOUBLE_WELL_GD, None, ONES, HALF, 48, defect_horizon=4)
     assert len(rep.per_step_defect) == 4
     assert max(rep.per_step_defect) < 1e-4
+
+
+def _well(x):
+    return State([x], euclidean(1))
+
+
+SHIFT_CASES = {
+    "gd-0.25": (DOUBLE_WELL_GD, _well(0.25), 64, 50),
+    "gd-0.6": (DOUBLE_WELL_GD, _well(0.6), 64, 50),
+    "gd--0.7": (DOUBLE_WELL_GD, _well(-0.7), 64, 50),
+    "mwu_exp": (
+        mwu_exponential(quadratic(5), 0.1, (3, 2)),
+        State([0.5, 0.3, 0.2, 0.6, 0.4], simplex_product(3, 2)),
+        32,
+        10,
+    ),
+    "rgd_sphere": (
+        sphere_rgd(linear([1.0, -2.0, 0.5]), 0.1),
+        State([1 / 3, 2 / 3, 2 / 3], sphere(3)),
+        32,
+        20,
+    ),
+}
+
+
+def assert_same_up_to_rounding(got, want):
+    """NaN in the same places, finite entries within 1e-9."""
+    assert [math.isnan(v) for v in got] == [math.isnan(v) for v in want]
+    assert all(abs(a - b) <= 1e-9 for a, b in zip(got, want) if not math.isnan(a))
+
+
+@pytest.mark.parametrize("case", sorted(SHIFT_CASES))
+def test_windowed_defects_match_a_fresh_series_at_every_shift(case):
+    """The series at T^k x is the series at x shifted by k: defects read from
+    the one orbit window agree with a fresh evaluation at each T^k x."""
+    m, x, truncation, horizon = SHIFT_CASES[case]
+    rep = series_invariant(m, None, ONES, x, truncation, defect_horizon=horizon)
+    fresh = make_series_invariant(m, None, ONES, truncation)
+    assert rep.value == fresh(x)
+    want, walker = [], x
+    for _ in range(horizon):
+        walker = step(m, walker)
+        want.append(abs(fresh(walker) - rep.value))
+    assert len(rep.per_step_defect) == horizon
+    assert_same_up_to_rounding(rep.per_step_defect, want)
+
+
+@pytest.mark.parametrize("horizon", [0, 50])
+def test_a_defect_horizon_costs_no_extra_inverse_solves(monkeypatch, horizon):
+    """One orbit window per state: at most N + 1 backward steps at depth N,
+    and no series evaluated inside another."""
+    solves = []
+    series_calls = []
+    inverse = invariants.inverse_step
+    top = invariants.series_invariant
+
+    def counted_inverse(*args, **kwargs):
+        solves.append(1)
+        return inverse(*args, **kwargs)
+
+    def counted_series(*args, **kwargs):
+        series_calls.append(1)
+        return top(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "inverse_step", counted_inverse)
+    monkeypatch.setattr(invariants, "series_invariant", counted_series)
+    for x in (0.25, 0.6, -0.7):
+        solves.clear()
+        series_calls.clear()
+        invariants.series_invariant(
+            DOUBLE_WELL_GD, None, ONES, _well(x), 64, defect_horizon=horizon
+        )
+        assert 0 < len(solves) <= 64 + 1
+        assert len(series_calls) == 1
 
 
 def test_dphi_rank_reference_instance():
