@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import InverseConfig, detect_fixed_point, inverse_step
-from .errors import ChartViolation, InversionError, NumericsError, RegionError
+from .errors import ChartViolation, ConmotError, InversionError, NumericsError, RegionError
 from .exact import difference_log_stats
 from .invariants import _certified_quadratic, invariance_defect
-from .maps import MapInstance, step
+from .maps import MapInstance, step, step_points
 from .state import State
 
 __all__ = [
@@ -55,14 +55,13 @@ def _exp2_safe(log2_value: float) -> float:
     return float(2.0 ** log2_value)
 
 
-def _verdict_from_log2(lim_lo: float, lim_hi: float, eps_low: float, eps_high: float) -> str:
-    lo_thr = math.log2(eps_low)
-    hi_thr = math.log2(eps_high)
-    if lim_hi <= lo_thr:
+def _verdict(lim_lo: float, lim_hi: float, low: float, high: float) -> str:
+    """The verdict rule; thresholds are in the scale of the estimates."""
+    if lim_hi <= low:
         return "converging-pair"
-    if lim_lo <= lo_thr and lim_hi >= hi_thr:
+    if lim_lo <= low and lim_hi >= high:
         return "scramble-candidate"
-    if lim_lo > lo_thr:
+    if lim_lo > low:
         return "separated"
     return "inconclusive"
 
@@ -95,66 +94,63 @@ def scrambled_pair_estimate(
 ) -> ChaosReport:
     """Classify one pair by the tail behavior of its orbit distance.
 
-    Alternating play is linear, so the pair distance is the evolved difference
-    vector and is tracked in log space to any horizon. The nonlinear kinds
-    iterate both float64 orbits directly. The invariant gap is the symmetric
-    relative disagreement |phi(x) - phi(y)| / (1 + max(|phi(x)|, |phi(y)|))
-    when phi is supplied.
+    A batch of one pair; see batched_pair_reports. The invariant gap is the
+    symmetric relative disagreement |phi(x) - phi(y)| / (1 + max(|phi(x)|,
+    |phi(y)|)) when phi is supplied.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if x.chart != map_instance.chart or y.chart != map_instance.chart:
-        raise ChartViolation("pair charts must match the map chart")
-    if np.array_equal(x.coordinates, y.coordinates):
-        raise ValueError("the two points of a pair must differ")
+    return batched_pair_reports(
+        map_instance, [(x, y)], horizon, eps_low=eps_low, eps_high=eps_high, phi=phi
+    )[0]
 
-    tail_start = horizon - max(1, horizon // 5)
-    invariant_gap = _relative_gap(phi, x, y)
 
-    if map_instance.kind == "alt_play":
-        e1, e2 = map_instance.float_step_sizes
-        diff = (x.coordinates - y.coordinates)[None, :]
-        lo_log2, hi_log2 = difference_log_stats(
-            map_instance.payoff, e1, e2, diff, horizon
-        )
-        verdict = _verdict_from_log2(float(lo_log2[0]), float(hi_log2[0]), eps_low, eps_high)
-        lim_lo, lim_hi = _exp2_safe(float(lo_log2[0])), _exp2_safe(float(hi_log2[0]))
-    else:
-        wx, wy = x, y
-        lim_lo, lim_hi = math.inf, -math.inf
-        for t in range(1, horizon + 1):
-            try:
-                wx = step(map_instance, wx)
-                wy = step(map_instance, wy)
-            except ChartViolation as exc:
-                raise NumericsError(
-                    f"pair orbit left float range at step {t}: {exc}", step_index=t
-                ) from exc
-            if t > tail_start:
-                d = wx.distance_to(wy)
-                lim_lo = min(lim_lo, d)
-                lim_hi = max(lim_hi, d)
-        if lim_hi <= eps_low:
-            verdict = "converging-pair"
-        elif lim_lo <= eps_low and lim_hi >= eps_high:
-            verdict = "scramble-candidate"
-        elif lim_lo > eps_low:
-            verdict = "separated"
-        else:
-            verdict = "inconclusive"
+def _pair_step(map_instance: MapInstance, xy: np.ndarray, t: int) -> list[np.ndarray]:
+    """One pair stepped as two States; a chart failure is a NumericsError at t."""
+    try:
+        return [step(map_instance, State(v, map_instance.chart)).coordinates for v in xy]
+    except ChartViolation as exc:
+        raise NumericsError(
+            f"pair orbit left float range at step {t}: {exc}", step_index=t
+        ) from exc
 
-    return ChaosReport(
-        x=x,
-        y=y,
-        horizon=horizon,
-        tail_start=tail_start,
-        liminf_estimate=lim_lo,
-        limsup_estimate=lim_hi,
-        invariant_gap=invariant_gap,
-        eps_low=eps_low,
-        eps_high=eps_high,
-        verdict=verdict,
-    )
+
+def _pair_distance_extremes(
+    map_instance: MapInstance, pairs: list, horizon: int, tail_start: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Min and max of |T^t x - T^t y| over the tail t > tail_start, per pair.
+
+    All points advance together as one (2, B, d) array, one step_points call
+    per time index. A call that fails for some point is redone pair by pair:
+    the lowest failing pair keeps its error and leaves the batch with every
+    pair after it, while the pairs before it go on (one of them may fail
+    later). Once the batch is done the kept error is raised, which is what
+    stepping the pairs one after another raises first.
+    """
+    z = np.array([[x.coordinates for x, _ in pairs], [y.coordinates for _, y in pairs]])
+    lo, hi = np.full(len(pairs), math.inf), np.full(len(pairs), -math.inf)
+    failure = None
+    for t in range(1, horizon + 1):
+        try:
+            z = step_points(map_instance, z)
+        except ConmotError:
+            stepped = []
+            for xy in z.swapaxes(0, 1):
+                try:
+                    stepped.append(_pair_step(map_instance, xy, t))
+                except ConmotError as exc:
+                    failure = exc
+                    break
+            if not stepped:
+                break
+            z = np.array([[x for x, _ in stepped], [y for _, y in stepped]])
+        if t > tail_start:
+            k = z.shape[1]
+            diff = z[0] - z[1]
+            dist = np.sqrt(np.vecdot(diff, diff))
+            np.minimum(lo[:k], dist, out=lo[:k])
+            np.maximum(hi[:k], dist, out=hi[:k])
+    if failure is not None:
+        raise failure
+    return lo, hi
 
 
 def batched_pair_reports(
@@ -166,52 +162,43 @@ def batched_pair_reports(
     eps_high: float = EPS_HIGH,
     phi=None,
 ) -> list[ChaosReport]:
-    """scrambled_pair_estimate over many pairs, vectorized where possible.
+    """Scrambled-pair reports for many pairs, all advanced at once.
 
-    For alternating play all difference vectors evolve under one matrix, so
-    the whole batch advances with a single matrix product per step. Other
-    kinds fall back to the per-pair path.
+    Alternating play is linear, so every pair distance is its evolved
+    difference vector: the whole batch advances with one matrix product per
+    step and is tracked in log space to any horizon. The other kinds stack
+    every x and y into one array and take one vectorised step per time index;
+    each pair's numbers equal those of stepping its two States alone, bit for
+    bit, and a failing step raises what that one-pair loop raises.
     """
     pairs = list(pairs)
-    if map_instance.kind != "alt_play":
-        return [
-            scrambled_pair_estimate(
-                map_instance, x, y, horizon,
-                eps_low=eps_low, eps_high=eps_high, phi=phi,
-            )
-            for x, y in pairs
-        ]
     if not pairs:
         return []
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     for x, y in pairs:
         if x.chart != map_instance.chart or y.chart != map_instance.chart:
             raise ChartViolation("pair charts must match the map chart")
         if np.array_equal(x.coordinates, y.coordinates):
             raise ValueError("the two points of a pair must differ")
-    diffs = np.stack([x.coordinates - y.coordinates for x, y in pairs])
-    e1, e2 = map_instance.float_step_sizes
-    lo_log2, hi_log2 = difference_log_stats(
-        map_instance.payoff, e1, e2, diffs, horizon
-    )
     tail_start = horizon - max(1, horizon // 5)
-    reports = []
-    for (x, y), lo, hi in zip(pairs, lo_log2, hi_log2):
-        gap = _relative_gap(phi, x, y)
-        reports.append(
-            ChaosReport(
-                x=x,
-                y=y,
-                horizon=horizon,
-                tail_start=tail_start,
-                liminf_estimate=_exp2_safe(float(lo)),
-                limsup_estimate=_exp2_safe(float(hi)),
-                invariant_gap=gap,
-                eps_low=eps_low,
-                eps_high=eps_high,
-                verdict=_verdict_from_log2(float(lo), float(hi), eps_low, eps_high),
-            )
+    if map_instance.kind == "alt_play":
+        e1, e2 = map_instance.float_step_sizes
+        diffs = np.stack([x.coordinates - y.coordinates for x, y in pairs])
+        lo, hi = difference_log_stats(map_instance.payoff, e1, e2, diffs, horizon)
+        low, high, scale = math.log2(eps_low), math.log2(eps_high), _exp2_safe
+    else:
+        lo, hi = _pair_distance_extremes(map_instance, pairs, horizon, tail_start)
+        low, high, scale = eps_low, eps_high, float
+    return [
+        ChaosReport(
+            x=x, y=y, horizon=horizon, tail_start=tail_start,
+            liminf_estimate=scale(float(lim_lo)), limsup_estimate=scale(float(lim_hi)),
+            invariant_gap=_relative_gap(phi, x, y), eps_low=eps_low, eps_high=eps_high,
+            verdict=_verdict(float(lim_lo), float(lim_hi), low, high),
         )
-    return reports
+        for (x, y), lim_lo, lim_hi in zip(pairs, lo, hi)
+    ]
 
 
 @dataclass(frozen=True)
@@ -377,38 +364,29 @@ def same_orbit(
     escape_norm = (1.0 + float(np.linalg.norm(y.coordinates))) * ESCAPE_FACTOR
     search_mode = "bidirectional"
 
-    walker = x
-    for k in range(1, max_iterations + 1):
-        try:
-            walker = step(map_instance, walker)
-        except ChartViolation:
-            break
-        d = walker.distance_to(y)
-        closest = min(closest, d)
-        if d <= tolerance:
-            return SameOrbitVerdict(
-                answer="yes", index=k, closest_approach=d,
-                invariant_gap=gap, search_mode=search_mode,
-            )
-        if float(np.linalg.norm(walker.coordinates)) > escape_norm:
-            break
-
-    walker = x
-    for k in range(1, max_iterations + 1):
-        try:
-            walker = inverse_step(map_instance, walker, inverse_config)
-        except (InversionError, RegionError):
-            search_mode = "forward-only"
-            break
-        d = walker.distance_to(y)
-        closest = min(closest, d)
-        if d <= tolerance:
-            return SameOrbitVerdict(
-                answer="yes", index=-k, closest_approach=d,
-                invariant_gap=gap, search_mode=search_mode,
-            )
-        if float(np.linalg.norm(walker.coordinates)) > escape_norm:
-            break
+    # Walk forward, then backward; a failed inverse leaves only the forward half.
+    walks = (
+        (1, lambda w: step(map_instance, w), (ChartViolation,), search_mode),
+        (-1, lambda w: inverse_step(map_instance, w, inverse_config),
+         (InversionError, RegionError), "forward-only"),
+    )
+    for sign, advance, stops, mode_on_stop in walks:
+        walker = x
+        for k in range(1, max_iterations + 1):
+            try:
+                walker = advance(walker)
+            except stops:
+                search_mode = mode_on_stop
+                break
+            d = walker.distance_to(y)
+            closest = min(closest, d)
+            if d <= tolerance:
+                return SameOrbitVerdict(
+                    answer="yes", index=sign * k, closest_approach=d,
+                    invariant_gap=gap, search_mode=search_mode,
+                )
+            if float(np.linalg.norm(walker.coordinates)) > escape_norm:
+                break
 
     return SameOrbitVerdict(
         answer="inconclusive",

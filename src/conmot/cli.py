@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chaos import batched_pair_reports, level_set_confinement, same_orbit
+from .chaos import _relative_gap, batched_pair_reports, level_set_confinement, same_orbit
 from .config import RunConfig, build_weight, exact_number, load_config
 from .dynamics import orbit
 from .errors import ConfigError, ConmotError
@@ -192,7 +192,8 @@ def _series_spec(cfg: RunConfig):
     spec = cfg.invariant_spec
     if spec is None or spec["kind"] != "series":
         return None
-    return build_weight(spec.get("weight")), int(spec.get("truncation", 32))
+    weight = build_weight(spec.get("weight"), cfg.map.chart.dimension)
+    return weight, int(spec.get("truncation", 32))
 
 
 def _float_rows(cfg: RunConfig, index: int):
@@ -275,7 +276,7 @@ def cmd_invariant(cfg: RunConfig, out_dir: Path) -> int:
                 )
             results.append(entry)
     else:
-        weight = build_weight(spec.get("weight"))
+        weight = build_weight(spec.get("weight"), cfg.map.chart.dimension)
         truncation = int(spec.get("truncation", 32))
         horizon = int(spec.get("defect_horizon", 0))
         for i, state in enumerate(cfg.initial_states):
@@ -390,10 +391,8 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, seed: int | None) -> int:
         y = _sample_scan_state(cfg, rng, halfwidth)
         if np.array_equal(x.coordinates, y.coordinates):
             continue
-        if phi is not None:
-            px, py = phi(x), phi(y)
-            if abs(px - py) / (1.0 + max(abs(px), abs(py))) <= min_gap:
-                continue
+        if phi is not None and _relative_gap(phi, x, y) <= min_gap:
+            continue
         kept.append((x, y))
     if len(kept) < pairs_wanted:
         raise ConmotError(

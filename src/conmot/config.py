@@ -150,8 +150,9 @@ def _build_map(section: dict) -> MapInstance:
     return sphere_rgd(objective, eta)
 
 
-def build_weight(section: dict | None) -> WeightFunction:
-    """Weight function from an invariant.weight config section."""
+def build_weight(section: dict | None, dimension: int) -> WeightFunction:
+    """Weight function from an invariant.weight config section on a chart of
+    the given dimension."""
     if section is None:
         return constant_weight(1.0)
     kind = section["kind"]
@@ -161,11 +162,17 @@ def build_weight(section: dict | None) -> WeightFunction:
         if "index" not in section:
             raise ConfigError("coordinate weight needs an index",
                               json_path="invariant.weight")
+        if section["index"] >= dimension:
+            raise ConfigError(f"invariant.weight.index must be below the chart dimension "
+                              f"{dimension}", json_path="invariant.weight.index")
         return coordinate_weight(section["index"])
     if "center" not in section or "width" not in section:
         raise ConfigError("gaussian-bump weight needs center and width",
                           json_path="invariant.weight")
     center = [float(v) for v in section["center"]]
+    if len(center) != dimension:
+        raise ConfigError(f"invariant.weight.center has length {len(center)}, the chart "
+                          f"needs {dimension}", json_path="invariant.weight.center")
     return gaussian_bump_weight(center, float(section["width"]))
 
 

@@ -100,16 +100,6 @@ def _invert_gd(map_instance: MapInstance, target: np.ndarray, cfg: InverseConfig
     )
 
 
-def _renorm_blocks(y: np.ndarray, blocks: tuple[int, ...]) -> np.ndarray:
-    out = y.copy()
-    start = 0
-    for size in blocks:
-        sl = slice(start, start + size)
-        out[sl] = out[sl] / out[sl].sum()
-        start += size
-    return out
-
-
 def _invert_mwu(map_instance: MapInstance, target: np.ndarray, cfg: InverseConfig) -> np.ndarray:
     """Ambient-coordinate Newton with exact block renormalization per iterate.
 
@@ -122,7 +112,6 @@ def _invert_mwu(map_instance: MapInstance, target: np.ndarray, cfg: InverseConfi
     def forward(y: np.ndarray) -> np.ndarray:
         return _raw_step(map_instance, y)
 
-    blocks = map_instance.chart.blocks
     y = target.copy()
     r = forward(y) - target
     rn = _norm(r)
@@ -141,7 +130,7 @@ def _invert_mwu(map_instance: MapInstance, target: np.ndarray, cfg: InverseConfi
             if np.any(candidate <= 0.0):
                 lam *= 0.5
                 continue
-            candidate = _renorm_blocks(candidate, blocks)
+            candidate, _ = renormalize(candidate, map_instance.chart)
             rc = forward(candidate) - target
             if _norm(rc) < rn:
                 y, r, rn = candidate, rc, _norm(rc)

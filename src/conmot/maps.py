@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from . import state as charts
 from .errors import ChartViolation, RegionError, StepSizeError
 from .objectives import ObjectiveSpec, PayoffData, region_contains
 from .rationals import as_fraction
-from .state import Chart, State, renormalize
+from .state import Chart, State, renormalize, validate_points
 
 __all__ = [
     "MAP_KINDS",
@@ -43,6 +44,7 @@ __all__ = [
     "alt_play_step",
     "rgd_sphere_step",
     "step",
+    "step_points",
     "step_with_defect",
     "descent_check",
 ]
@@ -55,7 +57,7 @@ class MapInstance:
     """One concrete map: kind, parameters, and the chart it acts on.
 
     Step sizes are stored as exact Fractions (floats convert exactly, decimal
-    strings are taken at face value); float views are derived on demand. For
+    strings are taken at face value); their float view is computed once. For
     mwu kinds step_sizes holds one entry per simplex block, for alt_play the
     pair (eta1, eta2), otherwise a single entry.
     """
@@ -72,7 +74,7 @@ class MapInstance:
         if any(s <= 0 for s in self.step_sizes):
             raise StepSizeError("step sizes must be positive")
 
-    @property
+    @cached_property
     def float_step_sizes(self) -> tuple[float, ...]:
         return tuple(float(s) for s in self.step_sizes)
 
@@ -131,7 +133,8 @@ def sphere_rgd(objective: ObjectiveSpec, eta) -> MapInstance:
 
 # ---------------------------------------------------------------------------
 # raw step rules (array in, array out; each includes the map's own
-# normalization where the definition has one)
+# normalization where the definition has one). Each acts on every point of a
+# (..., d) array, row by row bit for bit, and raises if any point fails.
 
 
 def gd_step(objective: ObjectiveSpec, eta: float, x: np.ndarray) -> np.ndarray:
@@ -152,12 +155,12 @@ def mwu_exp_step(
     start = 0
     for bi, size in enumerate(blocks):
         sl = slice(start, start + size)
-        xb, gb = x[sl], g[sl]
-        w = xb * np.exp(-eps[bi] * (gb - gb.min()))
-        s = float(w.sum())
-        if s <= 0.0:
+        xb, gb = x[..., sl], g[..., sl]
+        w = xb * np.exp(-eps[bi] * (gb - gb.min(-1, keepdims=True)))
+        s = w.sum(-1, keepdims=True)
+        if s.min() <= 0.0:
             raise ChartViolation("a whole simplex block lost all mass in the mwu_exp update")
-        out[sl] = w / s
+        np.divide(w, s, out=out[..., sl])
         start += size
     return out
 
@@ -176,19 +179,19 @@ def mwu_lin_step(
     start = 0
     for bi, size in enumerate(blocks):
         sl = slice(start, start + size)
-        xb, gb = x[sl], g[sl]
+        xb, gb = x[..., sl], g[..., sl]
         factors = 1.0 - eps[bi] * gb
         support = xb > 0
-        if np.any(factors[support] <= 0.0):
+        if (factors[support] <= 0.0).any():
             raise StepSizeError(
                 f"mwu_lin factor {factors[support].min():.6g} is not positive; "
                 "reduce the learning rate"
             )
         w = xb * factors
-        s = float(w.sum())
-        if s <= 0.0:
+        s = w.sum(-1, keepdims=True)
+        if s.min() <= 0.0:
             raise ChartViolation("a whole simplex block lost all mass in the mwu_lin update")
-        out[sl] = w / s
+        np.divide(w, s, out=out[..., sl])
         start += size
     return out
 
@@ -197,18 +200,18 @@ def alt_play_step(payoff: PayoffData, eta1: float, eta2: float, xy: np.ndarray) 
     """One round of alternating play. X moves first; Y responds to the new X."""
     dx = payoff.dimension_x
     a = payoff.matrix
-    x1 = xy[:dx] + eta1 * (a @ xy[dx:])
-    y1 = xy[dx:] + eta2 * (a.T @ x1)
-    return np.concatenate([x1, y1])
+    x1 = xy[..., :dx] + eta1 * (a @ xy[..., dx:, None])[..., 0]
+    y1 = xy[..., dx:] + eta2 * (a.T @ x1[..., None])[..., 0]
+    return np.concatenate([x1, y1], axis=-1)
 
 
 def rgd_sphere_step(objective: ObjectiveSpec, eta: float, x: np.ndarray) -> np.ndarray:
     """Project the gradient to the tangent space, step, retract by normalizing."""
     g = objective.gradient(x)
-    tangent = g - x * float(x @ g)
+    tangent = g - x * np.vecdot(x, g)[..., None]
     z = x - eta * tangent
-    n = float(np.linalg.norm(z))
-    if n <= 0.0:
+    n = np.sqrt(np.vecdot(z, z))[..., None]
+    if n.min() <= 0.0:
         raise ChartViolation("retraction hit the origin; step size far too large")
     return z / n
 
@@ -222,7 +225,7 @@ def _raw_step(map_instance: MapInstance, coords: np.ndarray) -> np.ndarray:
     rates = map_instance.float_step_sizes
     if kind == "gd":
         obj = map_instance.objective
-        if obj.region is not None and not region_contains(obj.region, coords):
+        if obj.region is not None and not region_contains(obj.region, coords).all():
             raise RegionError("state lies outside the objective's declared region")
         return gd_step(obj, rates[0], coords)
     if kind == "mwu_exp":
@@ -232,6 +235,14 @@ def _raw_step(map_instance: MapInstance, coords: np.ndarray) -> np.ndarray:
     if kind == "alt_play":
         return alt_play_step(map_instance.payoff, rates[0], rates[1], coords)
     return rgd_sphere_step(map_instance.objective, rates[0], coords)
+
+
+def step_points(map_instance: MapInstance, coords: np.ndarray) -> np.ndarray:
+    """T on every point of a (..., d) array: each row equals ``step`` on that
+    point bit for bit, and the call raises if ``step`` would raise on any (a
+    NaN that hides a failure from a minimum over points fails finiteness)."""
+    out, _ = renormalize(_raw_step(map_instance, coords), map_instance.chart)
+    return validate_points(out, map_instance.chart)
 
 
 def step_with_defect(map_instance: MapInstance, x: State) -> tuple[State, float]:

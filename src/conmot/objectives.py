@@ -68,14 +68,16 @@ class Ball:
             raise ValueError("ball radius must be positive")
 
 
-def region_contains(region: Box | Ball | None, x: np.ndarray) -> bool:
-    """Whether x lies in the region; an absent region contains everything."""
+def region_contains(region: Box | Ball | None, x: np.ndarray) -> bool | np.ndarray:
+    """Whether x (each point of a (..., d) array) lies in the region; an absent
+    region contains everything."""
     if region is None:
         return True
     x = np.asarray(x, dtype=float)
     if isinstance(region, Box):
-        return bool(np.all(x >= region.lower) and np.all(x <= region.upper))
-    return bool(np.linalg.norm(x - np.asarray(region.center)) <= region.radius)
+        return ((x >= region.lower) & (x <= region.upper)).all(axis=-1)
+    offset = x - np.asarray(region.center)
+    return np.sqrt(np.vecdot(offset, offset)) <= region.radius
 
 
 def sample_region(region: Box | Ball | None, rng: np.random.Generator, dimension: int) -> np.ndarray:
@@ -100,7 +102,9 @@ class ObjectiveSpec:
     hessian_entry_bound is a uniform bound on |d2 f / dx_i dx_j| over the
     working region (or all of R^d when no region is declared). bounded records
     that f itself is bounded on its whole domain, which the series invariants
-    accept in place of a compact region.
+    accept in place of a compact region. gradient maps a (..., d) array of
+    points to their (..., d) gradients, each row equal bit for bit to the
+    gradient of that point alone; evaluate and hessian take one point.
     """
 
     name: str
@@ -213,7 +217,7 @@ def bump(dimension: int) -> ObjectiveSpec:
         return -1.0 / (1.0 + float(x @ x))
 
     def _grad(x: np.ndarray) -> np.ndarray:
-        s = 1.0 + float(x @ x)
+        s = 1.0 + np.vecdot(x, x)[..., None]
         return 2.0 * x / (s * s)
 
     def _hess(x: np.ndarray) -> np.ndarray:
@@ -242,7 +246,7 @@ def linear(coefficients) -> ObjectiveSpec:
         name="linear",
         dimension=d,
         evaluate=lambda x: float(c @ x),
-        gradient=lambda x: c.copy(),
+        gradient=lambda x: np.ones(np.shape(x)) * c,
         hessian=lambda x: np.zeros((d, d)),
         hessian_entry_bound=0.0,
         chart=charts.euclidean(d),
@@ -259,7 +263,9 @@ def bilinear(payoff: PayoffData) -> ObjectiveSpec:
         return float(z[:dx] @ a @ z[dx:])
 
     def _grad(z: np.ndarray) -> np.ndarray:
-        return np.concatenate([a @ z[dx:], a.T @ z[:dx]])
+        # One matrix-vector product per point, the BLAS call of a single point.
+        return np.concatenate(
+            [(a @ z[..., dx:, None])[..., 0], (a.T @ z[..., :dx, None])[..., 0]], axis=-1)
 
     def _hess(z: np.ndarray) -> np.ndarray:
         h = np.zeros((d, d))

@@ -28,6 +28,7 @@ __all__ = [
     "sphere",
     "bipartite_pair",
     "renormalize",
+    "validate_points",
     "sample_chart",
 ]
 
@@ -91,19 +92,33 @@ def bipartite_pair(x_dim: int, y_dim: int) -> Chart:
     return Chart("bipartite-pair", (x_dim, y_dim))
 
 
-def _chart_residual(coords: np.ndarray, chart: Chart) -> float:
-    """Worst violation of the chart's defining equations (0 for euclidean kinds)."""
+def _chart_residual(coords: np.ndarray, chart: Chart):
+    """Worst violation of the chart's equations per point (0 for euclidean kinds)."""
     if chart.kind == "simplex-product":
-        worst = 0.0
-        for sl in chart.block_slices():
-            worst = max(worst, abs(float(coords[sl].sum()) - 1.0))
-        neg = float(coords.min())
-        if neg < 0:
-            worst = max(worst, -neg)
-        return worst
+        deviations = [abs(coords[..., sl].sum(-1) - 1.0) for sl in chart.block_slices()]
+        return np.maximum.reduce([*deviations, -coords.min(-1)])
     if chart.kind == "sphere":
-        return abs(float(np.linalg.norm(coords)) - 1.0)
+        return abs(np.sqrt(np.vecdot(coords, coords)) - 1.0)
     return 0.0
+
+
+def validate_points(coords: np.ndarray, chart: Chart) -> np.ndarray:
+    """The State checks, in place on every point of a (..., d) float array:
+    finite entries, tiny simplex negatives clamped to 0, residual <= SUM_TOL."""
+    if not np.isfinite(coords).all():
+        raise ChartViolation("state coordinates must be finite")
+    if chart.kind == "simplex-product":
+        # Tiny negatives from float updates are clamped to exactly 0.
+        tiny = (coords < 0) & (coords >= -CLAMP_TOL)
+        coords[tiny] = 0.0
+    elif chart.kind != "sphere":
+        return coords
+    residual = _chart_residual(coords, chart).max()
+    if residual > SUM_TOL:
+        raise ChartViolation(
+            f"chart residual {residual:.3e} exceeds {SUM_TOL:.0e} on {chart.kind}"
+        )
+    return coords
 
 
 @dataclass(frozen=True)
@@ -124,17 +139,7 @@ class State:
                 f"state has dimension {coords.shape[0]} but chart "
                 f"{self.chart.kind} expects {self.chart.dimension}"
             )
-        if not np.all(np.isfinite(coords)):
-            raise ChartViolation("state coordinates must be finite")
-        if self.chart.kind == "simplex-product":
-            # Tiny negatives from float updates are clamped to exactly 0.
-            tiny = (coords < 0) & (coords >= -CLAMP_TOL)
-            coords[tiny] = 0.0
-        residual = _chart_residual(coords, self.chart)
-        if residual > SUM_TOL:
-            raise ChartViolation(
-                f"chart residual {residual:.3e} exceeds {SUM_TOL:.0e} on {self.chart.kind}"
-            )
+        validate_points(coords, self.chart)
         coords.setflags(write=False)
         object.__setattr__(self, "coordinates", coords)
 
@@ -156,22 +161,23 @@ def renormalize(coords: np.ndarray, chart: Chart) -> tuple[np.ndarray, float]:
     residual that was removed). Euclidean kinds pass through with defect 0.
     Raises ChartViolation when renormalization is impossible (a zero block, a
     zero vector on the sphere, or a negative beyond the clamp tolerance).
+    A (..., d) array is renormalized point by point, one defect per point.
     """
-    out = np.array(coords, dtype=float).reshape(-1)
+    out = np.array(coords, dtype=float)
     defect = _chart_residual(out, chart)
     if chart.kind == "simplex-product":
-        neg = float(out.min())
+        neg = out.min()
         if neg < -CLAMP_TOL:
             raise ChartViolation(f"coordinate {neg:.3e} is below the clamp tolerance")
         out[out < 0] = 0.0
         for sl in chart.block_slices():
-            s = float(out[sl].sum())
-            if s <= 0.0:
+            s = out[..., sl].sum(-1, keepdims=True)
+            if s.min() <= 0.0:
                 raise ChartViolation("cannot renormalize a block with zero total mass")
-            out[sl] = out[sl] / s
+            np.divide(out[..., sl], s, out=out[..., sl])
     elif chart.kind == "sphere":
-        n = float(np.linalg.norm(out))
-        if n <= 0.0:
+        n = np.sqrt(np.vecdot(out, out))[..., None]
+        if n.min() <= 0.0:
             raise ChartViolation("cannot renormalize the zero vector onto the sphere")
         out = out / n
     return out, defect

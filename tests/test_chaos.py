@@ -5,18 +5,29 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conmot.chaos import (
+    EPS_HIGH,
+    EPS_LOW,
     batched_pair_reports,
     level_set_confinement,
     orbit_signature,
     same_orbit,
     scrambled_pair_estimate,
 )
+from conmot.errors import ChartViolation, NumericsError, RegionError, StepSizeError
 from conmot.invariants import BipartiteInvariant
-from conmot.maps import alternating_play, gradient_descent, step
-from conmot.objectives import PayoffData, double_well, quadratic
-from conmot.state import State, bipartite_pair, euclidean, sample_chart
+from conmot.maps import (
+    alternating_play,
+    gradient_descent,
+    mwu_exponential,
+    mwu_linear,
+    sphere_rgd,
+    step,
+)
+from conmot.objectives import Box, ObjectiveSpec, PayoffData, bump, double_well, linear, quadratic
+from conmot.state import State, bipartite_pair, euclidean, sample_chart, simplex_product
 
 PAY = PayoffData.from_matrix([[1]])
 ETA = (Fraction(1, 10), Fraction(1, 5))
@@ -210,3 +221,161 @@ def test_same_orbit_nearby_but_distinct_points_stay_unresolved():
     mid = _bp((60 + 57.5) / 2, (-25 - 13.5) / 2)  # between x and T(x)
     v = same_orbit(m, x, mid, 40, 1e-9)
     assert v.answer == "inconclusive"
+
+
+# ---------------------------------------------------------------------------
+# batched nonlinear pairs against the one-pair-at-a-time loop
+
+
+def _reference_reports(m, pairs, horizon, eps_low=EPS_LOW, eps_high=EPS_HIGH):
+    """(liminf, limsup, verdict) per pair, stepping each pair's States alone."""
+    tail_start = horizon - max(1, horizon // 5)
+    out = []
+    for x, y in pairs:
+        wx, wy = x, y
+        lim_lo, lim_hi = math.inf, -math.inf
+        for t in range(1, horizon + 1):
+            try:
+                wx = step(m, wx)
+                wy = step(m, wy)
+            except ChartViolation as exc:
+                raise NumericsError(
+                    f"pair orbit left float range at step {t}: {exc}", step_index=t
+                ) from exc
+            if t > tail_start:
+                d = wx.distance_to(wy)
+                lim_lo = min(lim_lo, d)
+                lim_hi = max(lim_hi, d)
+        if lim_hi <= eps_low:
+            verdict = "converging-pair"
+        elif lim_lo <= eps_low and lim_hi >= eps_high:
+            verdict = "scramble-candidate"
+        elif lim_lo > eps_low:
+            verdict = "separated"
+        else:
+            verdict = "inconclusive"
+        out.append((lim_lo, lim_hi, verdict))
+    return out
+
+
+def _scan_map(kind, dim, rate):
+    if kind == "gd-double-well":
+        return gradient_descent(double_well(dim), rate)
+    if kind == "gd-bump":
+        return gradient_descent(bump(dim), rate)
+    if kind == "mwu_exp":
+        return mwu_exponential(quadratic(dim + 2), rate, (dim, 2))
+    if kind == "mwu_lin":
+        return mwu_linear(quadratic(dim + 2), rate, (dim, 2))
+    coeffs = np.linspace(-1.0, 2.0, dim + 1)
+    return sphere_rgd(linear(coeffs), rate)
+
+
+def _sample_pairs(m, seed, count):
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(count):
+        if m.chart.kind == "euclidean":
+            a, b = (State(rng.uniform(-1.4, 1.4, m.chart.dimension), m.chart) for _ in "ab")
+        else:
+            a, b = sample_chart(m.chart, rng), sample_chart(m.chart, rng)
+        pairs.append((a, b))
+    return pairs
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["gd-double-well", "gd-bump", "mwu_exp", "mwu_lin", "rgd_sphere"]),
+    st.integers(1, 4),
+    st.sampled_from([0.05, 0.1, 0.3]),
+    st.integers(0, 2**31),
+    st.integers(1, 12),
+    st.integers(1, 80),
+)
+def test_batched_reports_equal_the_one_pair_loop_bit_for_bit(kind, dim, rate, seed, count, horizon):
+    m = _scan_map(kind, dim, rate)
+    pairs = _sample_pairs(m, seed, count)
+    # Thresholds near the typical tail distances exercise every verdict.
+    eps_low, eps_high = 1e-3, 1e-1
+    batch = batched_pair_reports(m, pairs, horizon, eps_low=eps_low, eps_high=eps_high)
+    reference = _reference_reports(m, pairs, horizon, eps_low, eps_high)
+    for rep, (lo, hi, verdict) in zip(batch, reference, strict=True):
+        assert rep.liminf_estimate.hex() == lo.hex()
+        assert rep.limsup_estimate.hex() == hi.hex()
+        assert rep.verdict == verdict
+        assert rep.tail_start == horizon - max(1, horizon // 5)
+
+
+def _raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    exc = info.value
+    return type(exc), str(exc), getattr(exc, "step_index", None)
+
+
+def _expanding(region=None, power=1):
+    """x <- x + eta x^power coordinatewise: every nonzero point runs away."""
+    return ObjectiveSpec(
+        name="expanding",
+        dimension=1,
+        evaluate=lambda x: float(-np.sum(x ** (power + 1)) / (power + 1)),
+        gradient=lambda x: -(x**power),
+        region=region,
+    )
+
+
+def _pt(v):
+    return State([float(v)], euclidean(1))
+
+
+def test_region_exit_raises_the_region_error_of_the_loop():
+    """x <- 1.5 x leaves [-2, 2] at t = 5 from 0.3, t = 2 from 1.2 and
+    t = 10 from 0.05; the region check raises on the step after."""
+    m = gradient_descent(_expanding(Box((-2.0,), (2.0,))), 0.5)
+    pairs = [(_pt(0.3), _pt(-0.3)), (_pt(1.2), _pt(0.1)), (_pt(0.0), _pt(0.05))]
+    want = _raised(lambda: _reference_reports(m, pairs, 40))
+    assert want[0] is RegionError
+    assert _raised(lambda: batched_pair_reports(m, pairs, 40)) == want
+
+
+def test_a_later_pair_failing_earlier_does_not_mask_an_earlier_pair():
+    """x <- x + x^3 overflows at t = 7 from 1.5 and at t = 6 from 3.0; the loop
+    finishes pair 1 before it starts pair 2, so it reports t = 7."""
+    m = gradient_descent(_expanding(power=3), 1.0)
+    pairs = [(_pt(0.0), _pt(0.01)), (_pt(1.5), _pt(-0.5)), (_pt(3.0), _pt(0.2))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _raised(lambda: _reference_reports(m, pairs, 40))
+        with pytest.raises(NumericsError) as info:
+            batched_pair_reports(m, pairs, 40)
+    assert want == (NumericsError,
+                    "pair orbit left float range at step 7: state coordinates must be finite", 7)
+    assert (type(info.value), str(info.value), info.value.step_index) == want
+    assert isinstance(info.value.__cause__, ChartViolation)
+
+
+def _tilt():
+    """g = 3 - 4x: at rate 1/2 the mwu_lin factor 2 x_i - 1/2 turns negative
+    once a coordinate falls to 1/4, and the poorer coordinate keeps falling."""
+    return ObjectiveSpec(
+        name="tilt", dimension=2,
+        evaluate=lambda x: float(3.0 * x.sum() - 2.0 * x @ x),
+        gradient=lambda x: 3.0 - 4.0 * x,
+    )
+
+
+def test_mwu_lin_rate_too_large_raises_the_step_size_error_of_the_lowest_failing_pair():
+    m = mwu_linear(_tilt(), 0.5, (2,))
+    chart = simplex_product(2)
+
+    def pt(a):
+        return State([a, 1.0 - a], chart)
+
+    # Pair 0 (through 0.45) fails later than pair 1 (through 0.3), with a
+    # different factor in the message; the uniform point never fails.
+    pairs = [(pt(0.5), pt(0.45)), (pt(0.3), pt(0.5))]
+    first = _raised(lambda: _reference_reports(m, pairs[:1], 30))
+    second = _raised(lambda: _reference_reports(m, pairs[1:], 30))
+    assert first[0] is second[0] is StepSizeError
+    assert first[1] != second[1]
+    assert _raised(lambda: batched_pair_reports(m, pairs, 30)) == first
+    assert _raised(lambda: batched_pair_reports(m, pairs[1:], 30)) == second

@@ -286,6 +286,34 @@ def test_classify_unparsable_coordinate_is_exit_two_with_path(tmp_path, capsys):
     assert "classify.x[0]" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "invariant"])
+@pytest.mark.parametrize(
+    "weight, path",
+    [
+        ({"kind": "coordinate", "index": 3}, "invariant.weight.index"),
+        ({"kind": "gaussian-bump", "center": [0, 1], "width": 1.0}, "invariant.weight.center"),
+    ],
+)
+def test_weight_that_does_not_fit_the_chart_is_exit_two_with_path(
+    tmp_path, capsys, command, weight, path
+):
+    doc = {
+        "map": {"kind": "gd", "objective": {"name": "double_well", "dimension": 1},
+                "step_size": "0.1"},
+        "initial_states": [[0.5]],
+        "steps": {"forward": 3},
+        "invariant": {"kind": "series", "truncation": 8, "weight": weight},
+    }
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "o"
+    rc = main(["--config", str(cfg), "--out", str(out), command])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: configuration:")
+    assert path in err
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("rates", [["1/0", "1/5"], ["-1/10", "1/5"]])
 def test_bad_step_size_string_is_exit_two_with_path(tmp_path, capsys, rates):
     doc = dict(HYPERBOLIC, map=dict(HYPERBOLIC["map"], step_sizes=rates))

@@ -165,8 +165,23 @@ def test_scan_and_classify_sections_are_carried_through(tmp_path):
 
 
 def test_build_weight_catalog():
-    assert build_weight(None).kind == "constant"
-    assert build_weight({"kind": "constant", "value": 2.0})([0.0]) == 2.0
-    assert build_weight({"kind": "coordinate", "index": 1})([5.0, 9.0]) == 9.0
-    bumpw = build_weight({"kind": "gaussian-bump", "center": [0.0], "width": 2.0})
+    assert build_weight(None, 1).kind == "constant"
+    assert build_weight({"kind": "constant", "value": 2.0}, 1)([0.0]) == 2.0
+    assert build_weight({"kind": "coordinate", "index": 1}, 2)([5.0, 9.0]) == 9.0
+    bumpw = build_weight({"kind": "gaussian-bump", "center": [0.0], "width": 2.0}, 1)
     assert bumpw([0.0]) == 1.0
+
+
+@pytest.mark.parametrize(
+    "weight, path",
+    [
+        ({"kind": "coordinate", "index": 3}, "invariant.weight.index"),
+        ({"kind": "coordinate", "index": 1}, "invariant.weight.index"),
+        ({"kind": "gaussian-bump", "center": [0.0, 1.0], "width": 1.0}, "invariant.weight.center"),
+    ],
+)
+def test_build_weight_checks_the_chart_dimension(weight, path):
+    with pytest.raises(ConfigError) as info:
+        build_weight(weight, 1)
+    assert info.value.json_path == path
+

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conmot.errors import ChartViolation, RegionError, StepSizeError
 from conmot.maps import (
@@ -14,10 +15,11 @@ from conmot.maps import (
     mwu_linear,
     sphere_rgd,
     step,
+    step_points,
     step_with_defect,
 )
-from conmot.objectives import PayoffData, double_well, linear, quadratic, bump
-from conmot.state import State, bipartite_pair, euclidean, simplex_product, sphere
+from conmot.objectives import PayoffData, bilinear, double_well, linear, quadratic, bump
+from conmot.state import State, bipartite_pair, euclidean, sample_chart, simplex_product, sphere
 
 
 def test_gd_contracts_the_quadratic():
@@ -178,3 +180,84 @@ def test_step_sizes_are_stored_exactly():
     m = alternating_play(PayoffData.from_matrix([[1]]), "0.1", Fraction(1, 5))
     assert m.step_sizes == (Fraction(1, 10), Fraction(1, 5))
     assert m.float_step_sizes == (0.1, 0.2)
+
+
+# ---------------------------------------------------------------------------
+# array kernels: a (B, d) array is B single points, bit for bit
+
+
+def _catalogue(name, dim):
+    if name == "quadratic":
+        return quadratic(dim)
+    if name == "double_well":
+        return double_well(dim)
+    if name == "bump":
+        return bump(dim)
+    if name == "linear":
+        return linear(np.linspace(-1.0, 1.5, dim))
+    payoff = PayoffData.from_matrix(np.arange(1.0, 1.0 + dim * (dim + 1)).reshape(dim, dim + 1) / 7)
+    return bilinear(payoff)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["quadratic", "double_well", "bump", "linear", "bilinear"]),
+    st.integers(1, 6),
+    st.integers(1, 9),
+    st.integers(0, 2**31),
+)
+def test_catalogue_gradients_act_row_by_row_bit_for_bit(name, dim, rows, seed):
+    obj = _catalogue(name, dim)
+    pts = np.random.default_rng(seed).normal(scale=2.0, size=(rows, obj.dimension))
+    batch = obj.gradient(pts)
+    assert batch.shape == pts.shape
+    for row, p in zip(batch, pts):
+        assert row.tobytes() == obj.gradient(p).tobytes()
+    stacked = obj.gradient(np.stack([pts, pts[::-1]]))
+    assert stacked[0].tobytes() == batch.tobytes()
+
+
+def _kernel_map(kind, dim):
+    if kind == "gd":
+        return gradient_descent(double_well(dim), 0.1)
+    if kind == "mwu_exp":
+        return mwu_exponential(quadratic(dim + 2), (0.3, 0.1), (dim, 2))
+    if kind == "mwu_lin":
+        return mwu_linear(quadratic(dim + 2), 0.2, (dim, 2))
+    if kind == "alt_play":
+        return alternating_play(PayoffData.from_matrix(np.ones((dim, 2)) / 3), 0.1, 0.2)
+    return sphere_rgd(linear(np.linspace(-1.0, 2.0, dim + 1)), 0.1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["gd", "mwu_exp", "mwu_lin", "alt_play", "rgd_sphere"]),
+    st.integers(1, 4),
+    st.integers(1, 9),
+    st.integers(0, 2**31),
+)
+def test_step_points_equals_step_on_each_state_bit_for_bit(kind, dim, rows, seed):
+    m = _kernel_map(kind, dim)
+    rng = np.random.default_rng(seed)
+    if m.chart.kind in ("euclidean", "bipartite-pair"):
+        states = [State(rng.uniform(-1.4, 1.4, m.chart.dimension), m.chart) for _ in range(rows)]
+    else:
+        states = [sample_chart(m.chart, rng) for _ in range(rows)]
+    coords = np.stack([s.coordinates for s in states])
+    out = step_points(m, coords)
+    for row, s in zip(out, states):
+        assert row.tobytes() == step(m, s).coordinates.tobytes()
+
+
+def test_step_points_raises_when_any_point_fails():
+    m = gradient_descent(double_well(1), 0.1)
+    with pytest.raises(RegionError):
+        step_points(m, np.array([[0.5], [2.0], [0.1]]))
+    mwu = mwu_linear(quadratic(2), 1.5, (2,))  # factor 1 - 1.5 x fails only at x = 0.9
+    with pytest.raises(StepSizeError):
+        step_points(mwu, np.array([[0.5, 0.5], [0.9, 0.1]]))
+
+
+def test_float_step_sizes_are_converted_once():
+    m = mwu_exponential(quadratic(3), "0.1", (3,))
+    assert m.float_step_sizes is m.float_step_sizes
