@@ -22,6 +22,7 @@ from .config import RunConfig, load_config
 from .dynamics import (
     FixedPointSet,
     InverseConfig,
+    Orbit,
     OrbitSegment,
     detect_fixed_point,
     inverse_step,
@@ -138,6 +139,7 @@ __all__ = [
     "descent_check",
     # dynamics
     "InverseConfig",
+    "Orbit",
     "OrbitSegment",
     "FixedPointSet",
     "inverse_step",

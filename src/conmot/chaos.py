@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import InverseConfig, detect_fixed_point, inverse_step
+from .dynamics import Orbit, detect_fixed_point
 from .errors import ChartViolation, ConmotError, InversionError, NumericsError, RegionError
-from .exact import difference_log_stats
+from .exact import _tail_start, difference_log_stats
 from .invariants import _certified_quadratic, invariance_defect
 from .maps import MapInstance, step, step_points
 from .state import State
@@ -181,7 +181,7 @@ def batched_pair_reports(
             raise ChartViolation("pair charts must match the map chart")
         if np.array_equal(x.coordinates, y.coordinates):
             raise ValueError("the two points of a pair must differ")
-    tail_start = horizon - max(1, horizon // 5)
+    tail_start = _tail_start(horizon)
     if map_instance.kind == "alt_play":
         e1, e2 = map_instance.float_step_sizes
         diffs = np.stack([x.coordinates - y.coordinates for x, y in pairs])
@@ -323,7 +323,6 @@ def same_orbit(
     tolerance: float,
     *,
     phis=(),
-    inverse_config: InverseConfig | None = None,
 ) -> SameOrbitVerdict:
     """Decide orbit membership by invariants first, then bidirectional search.
 
@@ -365,16 +364,12 @@ def same_orbit(
     search_mode = "bidirectional"
 
     # Walk forward, then backward; a failed inverse leaves only the forward half.
-    walks = (
-        (1, lambda w: step(map_instance, w), (ChartViolation,), search_mode),
-        (-1, lambda w: inverse_step(map_instance, w, inverse_config),
-         (InversionError, RegionError), "forward-only"),
-    )
-    for sign, advance, stops, mode_on_stop in walks:
-        walker = x
+    orb = Orbit(map_instance, x)
+    walks = ((1, ChartViolation, search_mode), (-1, (InversionError, RegionError), "forward-only"))
+    for sign, stops, mode_on_stop in walks:
         for k in range(1, max_iterations + 1):
             try:
-                walker = advance(walker)
+                walker = orb[sign * k]
             except stops:
                 search_mode = mode_on_stop
                 break

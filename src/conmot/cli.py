@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .chaos import _relative_gap, batched_pair_reports, level_set_confinement, same_orbit
-from .config import RunConfig, build_weight, exact_number, load_config
-from .dynamics import orbit
+from .config import RunConfig, build_weight, chart_point, load_config
+from .dynamics import Orbit
 from .errors import ConfigError, ConmotError
 from .exact import ExactAltOrbit
 from .invariants import (
@@ -36,6 +36,7 @@ from .invariants import (
 )
 from .maps import MapInstance, alternating_play
 from .objectives import PayoffData
+from .rationals import as_float
 from .state import State, sample_chart
 
 __all__ = ["main", "build_parser"]
@@ -163,20 +164,21 @@ def _csv_header(dimension: int) -> list[str]:
 def _exact_rows(payoff: PayoffData, eta1, eta2, init, n_forward: int, n_backward: int):
     """Rows (t, xy, f, phi, defect) for t in [-n_backward, n_forward] of one
     exact orbit, read one step at a time, and the orbit's exact level."""
-    back = ExactAltOrbit(payoff, eta1, eta2, init)
+    orb = ExactAltOrbit(payoff, eta1, eta2, init)
     collected = []
     for t in range(1, n_backward + 1):
-        back.retreat()
-        collected.append((-t, back.xy_float(), back.payoff_value_float(), back.phi_float(),
-                          back.phi_defect_float()))
-    fwd = ExactAltOrbit(payoff, eta1, eta2, init)
-    level = fwd.phi_fraction()
+        orb.retreat()
+        collected.append((-t, orb.xy_float(), orb.payoff_value_float(), orb.phi_float(),
+                          orb.phi_defect_float()))
+    # States are canonical by position, so the same engine serves the forward rows.
+    orb.advance(n_backward)
+    level = orb.phi_fraction()
     rows = collected[::-1]
-    rows.append((0, fwd.xy_float(), fwd.payoff_value_float(), fwd.phi_float(), 0.0))
+    rows.append((0, orb.xy_float(), orb.payoff_value_float(), orb.phi_float(), 0.0))
     for t in range(1, n_forward + 1):
-        fwd.advance()
-        rows.append((t, fwd.xy_float(), fwd.payoff_value_float(), fwd.phi_float(),
-                     fwd.phi_defect_float()))
+        orb.advance()
+        rows.append((t, orb.xy_float(), orb.payoff_value_float(), orb.phi_float(),
+                     orb.phi_defect_float()))
     return rows, level
 
 
@@ -197,19 +199,18 @@ def _series_spec(cfg: RunConfig):
 
 
 def _float_rows(cfg: RunConfig, index: int):
-    seg = orbit(cfg.map, cfg.initial_states[index], cfg.n_forward, cfg.n_backward)
+    orb = Orbit(cfg.map, cfg.initial_states[index])
+    seg = orb.segment(cfg.n_forward, cfg.n_backward)
     ts = seg.indices()
     series = _series_spec(cfg)
-    # orbit() and the series window step from the same origin with the same
-    # calls, so every row's state is the window's state at that index.
     phis = ([math.nan] * len(ts) if series is None
-            else series_along_orbit(cfg.map, None, series[0], seg.origin, series[1], ts))
+            else series_along_orbit(orb, None, series[0], series[1], ts))
     phi0 = phis[ts.index(0)]
     scale = 1.0 + abs(phi0)
     obj = cfg.map.objective
     rows = []
     for t, phi_t in zip(ts, phis):
-        state = seg.state_at(t)
+        state = orb[t]
         f_val = float(obj.evaluate(state.coordinates)) if obj is not None else math.nan
         defect = 0.0 if t == 0 and series is not None else abs(phi_t - phi0) / scale
         rows.append((t, state.coordinates, f_val, phi_t, defect))
@@ -266,7 +267,7 @@ def cmd_invariant(cfg: RunConfig, out_dir: Path) -> int:
             value = phi.exact(exact_init)
             entry = {
                 "initial_index": i,
-                "value": float(value),
+                "value": as_float(value),
                 "value_exact": str(value),
             }
             if horizon > 0:
@@ -322,16 +323,8 @@ def cmd_classify(cfg: RunConfig, out_dir: Path) -> int:
     spec = cfg.classify_spec
     if spec is None:
         raise ConfigError("the classify command needs a classify section")
-    dim = cfg.map.chart.dimension
-    points = {}
-    for key in ("x", "y"):
-        vals = [float(exact_number(v, f"classify.{key}[{i}]")) for i, v in enumerate(spec[key])]
-        if len(vals) != dim:
-            raise ConfigError(
-                f"classify.{key} has length {len(vals)}, the chart needs {dim}",
-                json_path=f"classify.{key}",
-            )
-        points[key] = State(np.array(vals), cfg.map.chart)
+    points = {key: chart_point(spec[key], cfg.map.chart, f"classify.{key}")[1]
+              for key in ("x", "y")}
     verdict = same_orbit(
         cfg.map,
         points["x"],
@@ -375,6 +368,9 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, seed: int | None) -> int:
     eps_low = float(spec.get("eps_low", SCAN_EPS_LOW))
     eps_high = float(spec.get("eps_high", SCAN_EPS_HIGH))
     halfwidth = float(spec.get("box_halfwidth", SCAN_BOX_HALFWIDTH))
+    if not math.isfinite(2.0 * halfwidth):  # the sampler draws from a box of width 2h
+        raise ConfigError("scan.box_halfwidth must be below half the float range",
+                          json_path="scan.box_halfwidth")
     min_gap = float(spec.get("min_relative_gap", SCAN_MIN_RELATIVE_GAP))
 
     phi = None
@@ -546,6 +542,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out_dir = args.out
     try:
+        # The flags obey the schema's rules for the config keys they override.
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("--seed must be nonnegative")
+        if args.tolerance is not None and not 0.0 < args.tolerance < math.inf:
+            raise ConfigError("--tolerance must be positive and finite")
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "figures":
             return cmd_figures(args.which, out_dir)
@@ -564,6 +565,10 @@ def main(argv=None) -> int:
         return cmd_scan(cfg, out_dir, seed)
     except ConfigError as exc:
         print(f"error: configuration: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # The output directory or a file name built from the prefix is unusable.
+        print(f"error: configuration: cannot write the output: {exc}", file=sys.stderr)
         return 2
     except ConmotError as exc:
         print(f"error: {_failure_message(exc)}", file=sys.stderr)

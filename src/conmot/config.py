@@ -11,6 +11,8 @@ and mean exactly what they say.
 from __future__ import annotations
 
 import json
+import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -19,7 +21,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from .errors import ConfigError, ConmotError
+from .errors import ChartViolation, ConfigError, ConmotError
 from .invariants import (
     WeightFunction,
     constant_weight,
@@ -36,9 +38,9 @@ from .maps import (
 )
 from .objectives import ObjectiveSpec, PayoffData, bump, double_well, linear, quadratic
 from .rationals import as_fraction
-from .state import State
+from .state import Chart, State
 
-__all__ = ["RunConfig", "load_config", "build_weight", "exact_number"]
+__all__ = ["RunConfig", "load_config", "build_weight", "exact_number", "chart_point"]
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_PREFIX = "run"
@@ -66,6 +68,26 @@ def _schema() -> dict:
     return json.loads(text)
 
 
+def _json_float(text: str) -> Fraction | int:
+    """A JSON float literal read exactly; an integral one reads as an int, the
+    way the schema's integer fields accept it."""
+    value = Fraction(text)
+    return int(value) if value.denominator == 1 else value
+
+
+def _nonfinite_path(node, path: str = "") -> str | None:
+    """JSON path of the first number in node that is not a finite float64."""
+    if isinstance(node, dict):
+        items = ((f"{path}.{k}" if path else k, v) for k, v in node.items())
+    elif isinstance(node, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(node))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        return None if abs(node) <= sys.float_info.max else path
+    else:
+        return None
+    return next((p for p in (_nonfinite_path(v, k) for k, v in items) if p is not None), None)
+
+
 def exact_number(value, json_path: str, *, positive: bool = False) -> Fraction:
     """The exact value of one config number, or a ConfigError naming its path.
 
@@ -82,6 +104,20 @@ def exact_number(value, json_path: str, *, positive: bool = False) -> Fraction:
         raise ConfigError(f"{json_path} is a step size and must be positive: {str(value)!r}",
                           json_path=json_path)
     return out
+
+
+def chart_point(values, chart: Chart, json_path: str) -> tuple[tuple[Fraction, ...], State]:
+    """The exact values of one config point and its State on the chart, or a
+    ConfigError naming json_path."""
+    vals = tuple(exact_number(v, f"{json_path}[{i}]") for i, v in enumerate(values))
+    if len(vals) != chart.dimension:
+        raise ConfigError(f"{json_path} has length {len(vals)}, the chart needs "
+                          f"{chart.dimension}", json_path=json_path)
+    try:
+        return vals, State(np.array([float(v) for v in vals]), chart)
+    except ChartViolation as exc:
+        raise ConfigError(f"{json_path} is not a point of the {chart.kind} chart: {exc}",
+                          json_path=json_path) from exc
 
 
 def _build_objective(section: dict) -> ObjectiveSpec:
@@ -184,18 +220,27 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         plain = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too long an integer, too deep a nest
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(plain, _schema())
-    except jsonschema.ValidationError as exc:
+    # The error jsonschema.validate would raise, without re-checking the
+    # packaged schema against its metaschema on every load.
+    schema = _schema()
+    exc = jsonschema.exceptions.best_match(
+        jsonschema.validators.validator_for(schema)(schema).iter_errors(plain)
+    )
+    if exc is not None:
         path_str = "$" + "".join(
             f"[{p!r}]" if isinstance(p, str) else f"[{p}]" for p in exc.absolute_path
         )
         raise ConfigError(f"{exc.message} (at {path_str})", json_path=path_str) from exc
+    # Every number is used in float arithmetic somewhere; 1e400 reads as inf.
+    where = _nonfinite_path(plain)
+    if where is not None:
+        raise ConfigError(f"{where} is not a finite number", json_path=where)
 
-    # Second pass: floats become Fractions; ints and strings are unchanged.
-    doc = json.loads(text, parse_float=Fraction)
+    # Second pass: floats become Fractions (ints when integral); ints and
+    # strings are unchanged.
+    doc = json.loads(text, parse_float=_json_float)
 
     try:
         map_instance = _build_map(doc["map"])
@@ -205,20 +250,12 @@ def load_config(path) -> RunConfig:
         # A map that cannot be built from its section is a config problem.
         raise ConfigError(f"map: {exc}", json_path="map") from exc
 
-    initial_exact: list[tuple[Fraction, ...]] = []
-    initial_states: list[State] = []
-    for idx, row in enumerate(doc.get("initial_states", [])):
-        vals = tuple(exact_number(v, f"initial_states[{idx}][{j}]") for j, v in enumerate(row))
-        if len(vals) != map_instance.chart.dimension:
-            raise ConfigError(
-                f"initial state {idx} has length {len(vals)}, the chart needs "
-                f"{map_instance.chart.dimension}",
-                json_path=f"initial_states[{idx}]",
-            )
-        initial_exact.append(vals)
-        initial_states.append(
-            State(np.array([float(v) for v in vals]), map_instance.chart)
-        )
+    points = [chart_point(row, map_instance.chart, f"initial_states[{idx}]")
+              for idx, row in enumerate(doc.get("initial_states", []))]
+    prefix = doc.get("output", {}).get("prefix", DEFAULT_PREFIX)
+    if any(sep and sep in prefix for sep in ("/", os.sep, os.altsep, "\0")):
+        raise ConfigError(f"output.prefix must name files inside the output directory: "
+                          f"{prefix!r}", json_path="output.prefix")
 
     steps = doc.get("steps", {})
     invariant_spec = doc.get("invariant")
@@ -232,8 +269,8 @@ def load_config(path) -> RunConfig:
     tolerance = doc.get("tolerance", DEFAULT_TOLERANCE)
     return RunConfig(
         map=map_instance,
-        initial_states=tuple(initial_states),
-        initial_exact=tuple(initial_exact),
+        initial_states=tuple(state for _, state in points),
+        initial_exact=tuple(vals for vals, _ in points),
         n_forward=int(steps.get("forward", 0)),
         n_backward=int(steps.get("backward", 0)),
         invariant_spec=invariant_spec,
@@ -241,5 +278,5 @@ def load_config(path) -> RunConfig:
         classify_spec=doc.get("classify"),
         seed=doc.get("seed"),
         tolerance=float(tolerance),
-        output_prefix=doc.get("output", {}).get("prefix", DEFAULT_PREFIX),
+        output_prefix=prefix,
     )

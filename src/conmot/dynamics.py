@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartViolation, InversionError, NumericsError, RegionError
+from .errors import ChartViolation, ConmotError, InversionError, NumericsError, RegionError
 from .maps import MapInstance, _raw_step, rgd_sphere_step, step_with_defect
 from .objectives import _tangent_frame, region_contains
 from .state import State, renormalize
@@ -21,6 +21,7 @@ from .state import State, renormalize
 __all__ = [
     "InverseConfig",
     "OrbitSegment",
+    "Orbit",
     "FixedPointSet",
     "inverse_step",
     "orbit",
@@ -271,66 +272,86 @@ class OrbitSegment:
         return range(-len(self.backward), len(self.forward) + 1)
 
 
-def orbit(
-    map_instance: MapInstance,
-    origin: State,
-    n_forward: int,
-    n_backward: int = 0,
-    *,
-    inverse_config: InverseConfig | None = None,
-    fixed_point_tolerance: float = FIXED_POINT_TOL,
-) -> OrbitSegment:
-    """Iterate the map both ways from origin.
+class Orbit:
+    """The two-sided orbit through origin, built lazily and kept by signed index.
 
-    Returns exactly the requested window unless a fixed point is reached, in
-    which case that direction is truncated and flagged. Inversion failures
-    propagate with the backward step index attached; non-finite forward states
-    raise NumericsError with the step index (alternating-play orbits grow
-    exponentially, use the exact engine for long horizons).
+    orb[n] is T^n(origin). Forward reads step with step_with_defect and keep
+    each step's chart defect; backward reads run inverse_step. Each state is
+    computed once. Each side keeps its first ConmotError and raises that same
+    exception on any later read past it, without solving again.
     """
-    if n_forward < 0 or n_backward < 0:
-        raise ValueError("orbit lengths must be nonnegative")
-    forward: list[State] = []
-    defects: list[float] = []
-    fp_forward = False
-    current = origin
-    for i in range(n_forward):
+
+    def __init__(self, map_instance: MapInstance, origin: State) -> None:
+        self.map, self.origin = map_instance, origin
+        self.states, self.defects = {0: origin}, {}
+        self.first = self.last = 0  # the stored indices run from first to last
+        self._failures: dict[bool, ConmotError] = {}
+
+    def __getitem__(self, n: int) -> State:
+        if n in self.states:
+            return self.states[n]
+        forward = n > 0
+        if forward in self._failures:
+            raise self._failures[forward]
         try:
-            nxt, defect = step_with_defect(map_instance, current)
+            while self.last < n:
+                nxt, defect = step_with_defect(self.map, self.states[self.last])
+                self.last += 1
+                self.states[self.last], self.defects[self.last] = nxt, defect
+            while self.first > n:
+                prev = inverse_step(self.map, self.states[self.first])
+                self.first -= 1
+                self.states[self.first] = prev
+        except ConmotError as exc:
+            self._failures[forward] = exc
+            raise
+        return self.states[n]
+
+    def _run(self, sign: int, n: int) -> tuple[int, bool]:
+        """Steps on one side before the first fixed point within n, and whether
+        one was met."""
+        for k in range(1, n + 1):
+            if self[sign * (k - 1)].distance_to(self[sign * k]) <= FIXED_POINT_TOL:
+                return k - 1, True
+        return n, False
+
+    def segment(self, n_forward: int, n_backward: int = 0) -> OrbitSegment:
+        """The window [-n_backward, n_forward] around the origin.
+
+        A direction that reaches a fixed point is truncated and flagged.
+        Inversion failures propagate with the backward step index attached;
+        non-finite forward states raise NumericsError with the step index
+        (alternating-play orbits grow exponentially, use the exact engine for
+        long horizons).
+        """
+        if n_forward < 0 or n_backward < 0:
+            raise ValueError("orbit lengths must be nonnegative")
+        try:
+            n_forward, fp_forward = self._run(1, n_forward)
         except ChartViolation as exc:
+            k = self.last + 1
             raise NumericsError(
-                f"forward step {i + 1} produced an invalid state: {exc}", step_index=i + 1
+                f"forward step {k} produced an invalid state: {exc}", step_index=k
             ) from exc
-        if current.distance_to(nxt) <= fixed_point_tolerance:
-            fp_forward = True
-            break
-        forward.append(nxt)
-        defects.append(defect)
-        current = nxt
-    backward: list[State] = []
-    fp_backward = False
-    current = origin
-    for i in range(n_backward):
         try:
-            prev = inverse_step(map_instance, current, inverse_config)
+            n_backward, fp_backward = self._run(-1, n_backward)
         except InversionError as exc:
-            exc.step_index = -(i + 1)
+            exc.step_index = self.first - 1
             raise
         except RegionError as exc:
-            raise RegionError(f"backward step {-(i + 1)}: {exc}") from exc
-        if current.distance_to(prev) <= fixed_point_tolerance:
-            fp_backward = True
-            break
-        backward.append(prev)
-        current = prev
-    return OrbitSegment(
-        origin=origin,
-        forward=tuple(forward),
-        backward=tuple(backward),
-        forward_defects=tuple(defects),
-        fixed_point_forward=fp_forward,
-        fixed_point_backward=fp_backward,
-    )
+            raise RegionError(f"backward step {self.first - 1}: {exc}") from exc
+        fwd, back = range(1, n_forward + 1), range(1, n_backward + 1)
+        return OrbitSegment(
+            self.origin, tuple(self.states[k] for k in fwd), tuple(self.states[-k] for k in back),
+            tuple(self.defects[k] for k in fwd), fp_forward, fp_backward,
+        )
+
+
+def orbit(
+    map_instance: MapInstance, origin: State, n_forward: int, n_backward: int = 0
+) -> OrbitSegment:
+    """Iterate the map both ways from origin; see Orbit.segment."""
+    return Orbit(map_instance, origin).segment(n_forward, n_backward)
 
 
 def detect_fixed_point(

@@ -287,14 +287,18 @@ def assemble_transition_matrix(payoff: PayoffData, eta1: float, eta2: float) -> 
     return m
 
 
+def _tail_start(horizon: int) -> int:
+    """Pair-orbit tails are the steps t > _tail_start(horizon): the last
+    max(1, horizon // 5) steps of the horizon."""
+    return horizon - max(1, horizon // 5)
+
+
 def difference_log_stats(
     payoff: PayoffData,
     eta1: float,
     eta2: float,
     diffs: np.ndarray,
     horizon: int,
-    *,
-    tail_fraction: int = 5,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tail liminf/limsup of log2 ||M^t d|| for each difference vector.
 
@@ -302,7 +306,7 @@ def difference_log_stats(
     norm of the evolved difference. Each difference is renormalized every step
     with the accumulated log kept separately, which reaches horizons where the
     raw norms would overflow float64 by thousands of orders of magnitude. The
-    tail window is the last max(1, horizon // tail_fraction) steps.
+    tail window is the last max(1, horizon // 5) steps.
 
     Returns (liminf_log2, limsup_log2), one entry per row of diffs.
     """
@@ -315,7 +319,7 @@ def difference_log_stats(
     u = diffs / norms[:, None]
     logs = np.log2(norms)
     mt = assemble_transition_matrix(payoff, eta1, eta2).T
-    tail_start = horizon - max(1, horizon // tail_fraction)
+    tail_start = _tail_start(horizon)
     lim_lo = np.full(len(u), np.inf)
     lim_hi = np.full(len(u), -np.inf)
     for t in range(1, horizon + 1):

@@ -19,16 +19,16 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import InverseConfig, inverse_step
+from .dynamics import Orbit
 from .errors import ConmotError, InversionError, RegionError, StepSizeError
 from .exact import verify_conservation_identity
-from .maps import MapInstance, step
+from .maps import MapInstance
 from .objectives import (
     PayoffData,
     validate_step_size_gd,
     validate_step_size_manifold,
 )
-from .rationals import as_fraction
+from .rationals import as_float, as_fraction
 from .state import State
 
 __all__ = [
@@ -113,7 +113,7 @@ class BipartiteInvariant:
 
     def __call__(self, xy) -> float:
         coords = xy.coordinates if isinstance(xy, State) else xy
-        return float(self.exact(coords))
+        return as_float(self.exact(coords))
 
 
 def bipartite_invariant(payoff: PayoffData, eta1, eta2, xy) -> float:
@@ -179,51 +179,31 @@ def _series_preconditions(map_instance: MapInstance, objective) -> list[str]:
 
 
 class _OrbitWindow:
-    """A lazily extended orbit with its states, f values and series terms
-    p(T^n x)(f(T^{n-1} x) - f(T^n x)) kept by absolute index n: the series at
-    T^c x reads the terms of the one at x shifted by c. Past a side that cannot
-    be continued, entries read None."""
+    """Memoised f values and series terms p(T^n x)(f(T^{n-1} x) - f(T^n x))
+    by absolute index n over one Orbit: the series at T^c x reads the terms of
+    the one at x shifted by c. Past a side that cannot be continued, entries
+    read None."""
 
-    def __init__(self, map_instance: MapInstance, objective, weight: WeightFunction,
-                 origin: State, truncation: int, cfg: InverseConfig | None):
+    def __init__(self, orbit: Orbit, objective, weight: WeightFunction, truncation: int):
         if truncation < 0:
             raise ValueError("truncation must be nonnegative")
-        self.obj = map_instance.objective if objective is None else objective
-        self.notes = _series_preconditions(map_instance, self.obj)
-        self.map, self.weight, self.truncation, self.cfg = map_instance, weight, truncation, cfg
-        self.states = {0: origin}
-        self.fmax = self.bmax = 0
+        self.obj = orbit.map.objective if objective is None else objective
+        self.notes = _series_preconditions(orbit.map, self.obj)
+        self.orbit, self.weight, self.truncation = orbit, weight, truncation
         self.backward_blocked: str | None = None
         self.forward_blocked: str | None = None
         self._f: dict[int, float | None] = {}
         self._terms: dict[int, float | None] = {}
 
     def get(self, n: int) -> State | None:
-        if n in self.states:
-            return self.states[n]
-        if n > 0:
-            if self.forward_blocked is not None:
-                return None
-            while self.fmax < n:
-                try:
-                    nxt = step(self.map, self.states[self.fmax])
-                except RegionError as exc:
-                    self.forward_blocked = f"forward step {self.fmax + 1}: {exc}"
-                    return None
-                self.fmax += 1
-                self.states[self.fmax] = nxt
-            return self.states[n]
-        if self.backward_blocked is not None:
+        try:
+            return self.orbit[n]
+        except (InversionError, RegionError) as exc:
+            if n > 0:
+                self.forward_blocked = f"forward step {self.orbit.last + 1}: {exc}"
+            else:
+                self.backward_blocked = f"backward step {self.orbit.first - 1}: {exc}"
             return None
-        while self.bmax > n:
-            try:
-                prev = inverse_step(self.map, self.states[self.bmax], self.cfg)
-            except (InversionError, RegionError) as exc:
-                self.backward_blocked = f"backward step {self.bmax - 1}: {exc}"
-                return None
-            self.bmax -= 1
-            self.states[self.bmax] = prev
-        return self.states[n]
 
     def f(self, n: int) -> float | None:
         if n not in self._f:
@@ -327,7 +307,6 @@ def series_invariant(
     truncation: int,
     *,
     defect_horizon: int = 0,
-    inverse_config: InverseConfig | None = None,
 ) -> InvariantReport:
     """Truncated series sum_n p(T^n x) (f(T^{n-1} x) - f(T^n x)).
 
@@ -343,7 +322,7 @@ def series_invariant(
     per_step_defect[k - 1] is |Phi(T^k x) - Phi(x)|: the same sum shifted by k,
     read from the one orbit window the value was summed on.
     """
-    window = _OrbitWindow(map_instance, objective, weight, state, truncation, inverse_config)
+    window = _OrbitWindow(Orbit(map_instance, state), objective, weight, truncation)
     report = window.series_at(0, window.notes)
     if defect_horizon > 0 and not (report.divergent or report.fixed_point):
         defects = tuple(
@@ -355,11 +334,11 @@ def series_invariant(
 
 
 def series_along_orbit(
-    map_instance: MapInstance, objective, weight: WeightFunction, origin: State,
-    truncation: int, indices,
+    orbit: Orbit, objective, weight: WeightFunction, truncation: int, indices
 ) -> list[float]:
-    """Series values at T^t origin for each t in indices, from one orbit window."""
-    window = _OrbitWindow(map_instance, objective, weight, origin, truncation, None)
+    """Series values at T^t of the orbit's origin for each t in indices, summed
+    on that one orbit."""
+    window = _OrbitWindow(orbit, objective, weight, truncation)
     return [window.series_at(t, []).value for t in indices]
 
 
@@ -368,14 +347,11 @@ def make_series_invariant(
     objective,
     weight: WeightFunction,
     truncation: int,
-    *,
-    inverse_config: InverseConfig | None = None,
 ) -> Callable[[State], float]:
     """Evaluator closure over the truncated series at a fixed depth."""
 
     def evaluate(x: State) -> float:
-        return series_invariant(map_instance, objective, weight, x, truncation,
-                                inverse_config=inverse_config).value
+        return series_invariant(map_instance, objective, weight, x, truncation).value
 
     return evaluate
 
@@ -418,11 +394,10 @@ def invariance_defect(
     if math.isnan(base):
         return math.nan
     scale = 1.0 + abs(base)
+    orb = Orbit(map_instance, state)
     worst = 0.0
-    walker = state
-    for _ in range(horizon):
-        walker = step(map_instance, walker)
-        worst = max(worst, abs(float(phi(walker)) - base) / scale)
+    for k in range(1, horizon + 1):
+        worst = max(worst, abs(float(phi(orb[k])) - base) / scale)
     return worst
 
 

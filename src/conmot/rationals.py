@@ -12,7 +12,7 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 
-__all__ = ["as_fraction", "ratio_to_float"]
+__all__ = ["as_fraction", "as_float", "ratio_to_float"]
 
 
 def as_fraction(value) -> Fraction:
@@ -31,6 +31,15 @@ def as_fraction(value) -> Fraction:
         return Fraction(value)
     # numpy scalars and anything else float-like
     return Fraction(float(value))
+
+
+def as_float(value: Fraction) -> float:
+    """float(value), correctly rounded; magnitudes beyond the float range
+    give +-inf instead of raising."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def ratio_to_float(num: int, den: int) -> float:

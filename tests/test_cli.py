@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conmot import dynamics, maps
 from conmot.cli import main
 from conmot.dynamics import orbit
 from conmot.invariants import BipartiteInvariant, constant_weight, make_series_invariant
@@ -226,6 +227,25 @@ def test_simulate_series_rows_match_a_fresh_series_per_row(tmp_path):
         for got, ref in zip((float(row[3]), float(row[4])), want):
             assert math.isnan(got) == math.isnan(ref)
             assert math.isnan(got) or abs(got - ref) <= 1e-9
+
+
+def test_simulate_computes_each_state_of_its_orbit_once(tmp_path, monkeypatch):
+    """Rows and series values read one orbit: 12 forward and 6 backward rows
+    at depth 32 reach T^44 x and T^-39 x, each computed once."""
+    solves, steps = [], []
+    invert, raw = dynamics._invert_gd, maps._raw_step
+    monkeypatch.setattr(dynamics, "_invert_gd", lambda *a: solves.append(1) or invert(*a))
+    monkeypatch.setattr(maps, "_raw_step", lambda *a: steps.append(1) or raw(*a))
+    doc = {
+        "map": {"kind": "gd", "objective": {"name": "double_well", "dimension": 1},
+                "step_size": "0.1"},
+        "initial_states": [["0.4"]],
+        "steps": {"forward": 12, "backward": 6},
+        "invariant": {"kind": "series", "truncation": 32},
+    }
+    cfg = write_config(tmp_path, doc)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "simulate"]) == 0
+    assert (len(solves), len(steps)) == (39, 44)
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +577,55 @@ def test_backward_region_escape_is_exit_three(tmp_path, capsys):
     assert err.startswith("error:")
     assert not err.startswith("error: configuration:")
     assert "backward step -1" in err
+
+
+@pytest.mark.parametrize("prefix", ["no/such/dir", "../x"])
+def test_a_prefix_with_a_path_separator_is_exit_two(tmp_path, capsys, prefix):
+    cfg = write_config(tmp_path, dict(HYPERBOLIC, steps={"forward": 2}, output={"prefix": prefix}))
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "a" / "out"), "simulate"])
+    assert rc == 2
+    assert "output.prefix" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["config.json"]
+
+
+SIMPLEX_3 = {"kind": "mwu_exp", "objective": {"name": "quadratic", "dimension": 3},
+             "blocks": [3], "step_size": "0.1"}
+SPHERE_3 = {"kind": "rgd_sphere", "objective": {"name": "linear", "coefficients": [1, -2, 0.5]},
+            "step_size": "0.1"}
+
+
+@pytest.mark.parametrize("doc, command, json_path", [
+    ({"map": SIMPLEX_3, "initial_states": [["0.5", "0.6", "0.2"]]}, "simulate",
+     "initial_states[0]"),
+    ({"map": SPHERE_3, "initial_states": [["0.6", "0.8", "0"], [1, 1, 1]]}, "simulate",
+     "initial_states[1]"),
+    ({"map": dict(SIMPLEX_3, objective={"name": "quadratic", "dimension": 2}, blocks=[2]),
+      "classify": {"x": ["0.9", "0.9"], "y": ["0.5", "0.5"]}}, "classify", "classify.x"),
+    ({"map": SPHERE_3, "classify": {"x": ["0.6", "0.8", "0"], "y": [0, 0, 2]}}, "classify",
+     "classify.y"),
+])
+def test_points_off_their_chart_are_exit_two_with_their_path(tmp_path, capsys, doc, command,
+                                                             json_path):
+    cfg = write_config(tmp_path, doc)
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
+    assert rc == 2
+    assert f"error: configuration: {json_path} is not a point of the" in capsys.readouterr().err
+
+
+def test_a_scan_box_wider_than_the_float_range_is_exit_two(tmp_path, capsys):
+    doc = dict(HYPERBOLIC, scan={"pairs": 1, "horizon": 3, "box_halfwidth": 1e308}, seed=1)
+    rc = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "o"), "scan"])
+    assert rc == 2
+    assert "scan.box_halfwidth" in capsys.readouterr().err
+
+
+def test_a_closed_form_value_beyond_the_float_range_is_written_as_inf(tmp_path):
+    doc = dict(HYPERBOLIC, initial_states=[[1e300, -1e300]], invariant={"kind": "closed-form"})
+    cfg, out = write_config(tmp_path, doc), tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "invariant"]) == 0
+    (entry,) = json.loads((out / "hyp_invariant.json").read_text())["results"]
+    assert entry["value"] == "inf"
+    assert Fraction(entry["value_exact"]) > 10**600
 
 
 def test_simulate_without_initial_states_is_exit_two(tmp_path, capsys):

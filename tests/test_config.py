@@ -3,9 +3,10 @@
 import json
 from fractions import Fraction
 
+import jsonschema
 import pytest
 
-from conmot.config import build_weight, load_config
+from conmot.config import _schema, build_weight, load_config
 from conmot.errors import ConfigError
 
 
@@ -103,6 +104,23 @@ def test_bad_numbers_and_unbuildable_maps_name_their_path(tmp_path, doc, json_pa
     assert str(err.value).startswith(json_path)
 
 
+@pytest.mark.parametrize("doc, json_path", [
+    ({"map": dict(MWU_2x2, blocks=[3], step_sizes=[0.1],
+                  objective={"name": "quadratic", "dimension": 3}),
+      "initial_states": [["0.5", "0.6", "0.2"]]}, "initial_states[0]"),
+    ({"map": MWU_2x2,
+      "initial_states": [["0.5", "0.5", "0.5", "0.5"], ["0.5", "0.5", "1.5", "-0.5"]]},
+     "initial_states[1]"),
+    ({"map": {"kind": "rgd_sphere", "objective": {"name": "quadratic", "dimension": 3},
+              "step_size": "0.1"}, "initial_states": [[1, 1, 1]]}, "initial_states[0]"),
+])
+def test_initial_states_off_their_chart_name_their_path(tmp_path, doc, json_path):
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, doc))
+    assert err.value.json_path == json_path
+    assert str(err.value).startswith(f"{json_path} is not a point of the")
+
+
 def test_gd_config_builds_objective_and_region(tmp_path):
     cfg = load_config(write(tmp_path, {
         "map": {
@@ -185,3 +203,49 @@ def test_build_weight_checks_the_chart_dimension(weight, path):
         build_weight(weight, 1)
     assert info.value.json_path == path
 
+
+
+def test_the_packaged_schema_is_valid_against_its_metaschema():
+    schema = _schema()
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_integral_floats_are_read_as_integers(tmp_path):
+    """The schema's integer fields accept 2.0; the config reads it as 2."""
+    cfg = load_config(write(tmp_path, {
+        "map": {"kind": "mwu_exp", "objective": {"name": "quadratic", "dimension": 2.0},
+                "blocks": [2.0], "step_size": 0.1},
+        "initial_states": [[0.4, 0.6]], "steps": {"forward": 2.0}, "seed": 3.0,
+        "invariant": {"kind": "series", "weight": {"kind": "coordinate", "index": 1.0}},
+    }))
+    values = (cfg.map.objective.dimension, cfg.map.chart.blocks[0], cfg.n_forward, cfg.seed,
+              cfg.invariant_spec["weight"]["index"])
+    assert values == (2, 2, 2, 3, 1)
+    assert all(type(v) is int for v in values)
+
+
+@pytest.mark.parametrize("text, json_path", [
+    ('"tolerance": 1e400', "tolerance"),
+    ('"scan": {"pairs": 1, "horizon": 2, "eps_low": 1e400}', "scan.eps_low"),
+    ('"initial_states": [[1, -1e999]]', "initial_states[0][1]"),
+    ('"steps": {"forward": 1' + "0" * 400 + "}", "steps.forward"),
+], ids=["tolerance", "eps_low", "initial_state", "huge_integer"])
+def test_numbers_beyond_float64_name_their_path(tmp_path, text, json_path):
+    """Literals that read as inf, and integers no float can hold, are config
+    errors before anything converts them. The text's key replaces BASE's."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(BASE)[:-1] + ", " + text + "}")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.json_path == json_path
+    assert str(err.value) == f"{json_path} is not a finite number"
+
+
+@pytest.mark.parametrize("text", ['{"seed": ' + "9" * 5000 + "}",
+                                  '{"map": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+                         ids=["long_integer", "deep_nesting"])
+def test_json_the_parser_cannot_hold_is_a_config_error(tmp_path, text):
+    path = tmp_path / "run.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(path)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conmot import dynamics
 from conmot.dynamics import (
     FixedPointSet,
     InverseConfig,
+    Orbit,
     detect_fixed_point,
     inverse_step,
     orbit,
@@ -19,6 +21,7 @@ from conmot.maps import (
     mwu_linear,
     sphere_rgd,
     step,
+    step_with_defect,
 )
 from conmot.objectives import PayoffData, bump, double_well, linear, quadratic
 from conmot.state import (
@@ -145,6 +148,69 @@ def test_orbit_forward_defects_are_recorded():
     seg = orbit(m, s, 25)
     assert len(seg.forward_defects) == 25
     assert max(seg.forward_defects) < 1e-14
+
+
+ORBIT_CASES = {
+    "gd": (gradient_descent(double_well(2), 0.1), State([0.3, -0.6], euclidean(2))),
+    "mwu_exp": (
+        mwu_exponential(quadratic(5), 0.1, (3, 2)),
+        State([0.5, 0.3, 0.2, 0.6, 0.4], simplex_product(3, 2)),
+    ),
+    "rgd_sphere": (
+        sphere_rgd(linear([1.0, -2.0, 0.5]), 0.1), State([1 / 3, 2 / 3, 2 / 3], sphere(3))
+    ),
+    "alt_play": (
+        alternating_play(PayoffData.from_matrix([[1]]), 0.1, 0.2),
+        State([60.0, -25.0], bipartite_pair(1, 1)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_orbit_reads_equal_a_direct_walk_bit_for_bit(case):
+    m, x = ORBIT_CASES[case]
+    orb = Orbit(m, x)
+    for n in (3, -2, 6, -4, 1):  # out of order, both sides
+        orb[n]
+    fwd, back, defects = [x], [x], []
+    for _ in range(6):
+        nxt, defect = step_with_defect(m, fwd[-1])
+        fwd.append(nxt)
+        defects.append(defect)
+    for _ in range(4):
+        back.append(inverse_step(m, back[-1]))
+    assert orb[0] is x
+    for k in range(7):
+        assert orb[k].coordinates.tobytes() == fwd[k].coordinates.tobytes()
+    for k in range(5):
+        assert orb[-k].coordinates.tobytes() == back[k].coordinates.tobytes()
+    assert [orb.defects[k] for k in range(1, 7)] == defects
+    seg = orb.segment(6, 4)  # read from the stored states, not stepped again
+    assert all(s is orb[k] for k, s in enumerate(seg.forward, 1))
+    assert all(s is orb[-k] for k, s in enumerate(seg.backward, 1))
+
+
+def test_a_failed_side_reraises_without_solving_again(monkeypatch):
+    solves = []
+    inverse = dynamics.inverse_step
+
+    def counted_inverse(*args, **kwargs):
+        solves.append(1)
+        return inverse(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "inverse_step", counted_inverse)
+    # x -> x/2: the preimages of 3 are 6, then 12, outside the ball of radius 10.
+    orb = Orbit(gradient_descent(quadratic(1), 0.5), State([3.0], euclidean(1)))
+    with pytest.raises(RegionError) as first:
+        orb[-5]
+    assert len(solves) == 2
+    for n in (-2, -3, -5):
+        with pytest.raises(RegionError) as again:
+            orb[n]
+        assert again.value is first.value
+    assert len(solves) == 2
+    assert orb[-1].coordinates[0] == 6.0
+    assert orb[2].coordinates[0] == 0.75  # the forward side is untouched
 
 
 def test_detect_fixed_point_examples():

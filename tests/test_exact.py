@@ -104,7 +104,7 @@ def test_transition_matrix_matches_the_map_and_has_unit_determinant():
 def test_difference_log_stats_match_direct_float_orbits_at_short_horizon():
     rng = np.random.default_rng(5)
     diffs = rng.normal(size=(3, 2))
-    lo, hi = difference_log_stats(PAY, *ETA, diffs, horizon=10, tail_fraction=5)
+    lo, hi = difference_log_stats(PAY, *ETA, diffs, horizon=10)
     m = assemble_transition_matrix(PAY, 0.1, 0.2)
     for row in range(3):
         d = diffs[row].copy()

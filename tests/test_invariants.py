@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conmot import invariants
+from conmot import dynamics, invariants
 from conmot.dynamics import orbit
 from conmot.errors import ConmotError, StepSizeError
 from conmot.invariants import (
@@ -253,7 +253,7 @@ def test_a_defect_horizon_costs_no_extra_inverse_solves(monkeypatch, horizon):
     and no series evaluated inside another."""
     solves = []
     series_calls = []
-    inverse = invariants.inverse_step
+    inverse = dynamics.inverse_step
     top = invariants.series_invariant
 
     def counted_inverse(*args, **kwargs):
@@ -264,7 +264,7 @@ def test_a_defect_horizon_costs_no_extra_inverse_solves(monkeypatch, horizon):
         series_calls.append(1)
         return top(*args, **kwargs)
 
-    monkeypatch.setattr(invariants, "inverse_step", counted_inverse)
+    monkeypatch.setattr(dynamics, "inverse_step", counted_inverse)
     monkeypatch.setattr(invariants, "series_invariant", counted_series)
     for x in (0.25, 0.6, -0.7):
         solves.clear()

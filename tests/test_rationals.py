@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conmot.rationals import as_fraction, ratio_to_float
+from conmot.rationals import as_float, as_fraction, ratio_to_float
 
 
 def test_float_input_converts_to_its_exact_binary_value():
@@ -67,3 +67,9 @@ def test_ratio_to_float_matches_fraction_rounding_closely(num, den):
     else:
         # The 64-bit window argument allows at most one ulp of slack.
         assert got == pytest.approx(want, rel=1e-15)
+
+
+def test_as_float_rounds_like_float_and_saturates_beyond_the_range():
+    assert as_float(Fraction(1, 3)) == float(Fraction(1, 3))
+    assert as_float(Fraction(10**400, 3)) == math.inf
+    assert as_float(Fraction(-(10**400), 7)) == -math.inf
