@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conmot import dynamics
 from conmot.dynamics import (
@@ -23,11 +23,12 @@ from conmot.maps import (
     step,
     step_with_defect,
 )
-from conmot.objectives import PayoffData, bump, double_well, linear, quadratic
+from conmot.objectives import PayoffData, bilinear, bump, double_well, linear, quadratic
 from conmot.state import (
     State,
     bipartite_pair,
     euclidean,
+    renormalize,
     sample_chart,
     simplex_product,
     sphere,
@@ -73,6 +74,50 @@ def test_roundtrip_across_all_map_families():
             assert inverse_step(m, step(m, s)).distance_to(s) <= 1e-10, m.kind
 
 
+ITERATIVE_KINDS = ("gd", "mwu_exp", "mwu_lin", "rgd_sphere")
+
+
+@st.composite
+def roundtrip_cases(draw):
+    """A map of an iterative kind on a catalogue objective and a point of its
+    chart. The step size is a drawn fraction of a bound that keeps the map
+    one-to-one: gd needs eta * ||H|| < 1, where ||H|| <= d * L; the simplex
+    and sphere kinds also move with the gradient, whose norm stays within 1
+    there."""
+    kind = draw(st.sampled_from(ITERATIVE_KINDS))
+    blocks = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    d = sum(blocks) if kind.startswith("mwu") else draw(st.integers(1, 4))
+    name = draw(st.sampled_from(["quadratic", "double_well", "bump", "linear", "bilinear"]
+                                [: 4 + (d > 1)]))
+    obj = {
+        "quadratic": lambda: quadratic(d),
+        "double_well": lambda: double_well(d),
+        "bump": lambda: bump(d),
+        "linear": lambda: linear(np.linspace(-1.0, 1.0, d) / np.sqrt(d)),
+        "bilinear": lambda: bilinear(PayoffData.from_matrix([np.linspace(-0.5, 0.5, d - 1)])),
+    }[name]()
+    curvature = d * obj.hessian_entry_bound + (kind != "gd")
+    eta = draw(st.floats(0.01, 0.9)) / max(curvature, 1.0)
+    u = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+    if kind == "gd":
+        m = gradient_descent(obj, eta)
+        scale = {"quadratic": 9.9 / np.sqrt(d), "double_well": 1.45}.get(name, 3.0)
+        return m, State(scale * u, m.chart)
+    if kind == "rgd_sphere":
+        assume(np.linalg.norm(u) > 0.1)
+        m = sphere_rgd(obj, eta)
+        return m, State(renormalize(u, m.chart)[0], m.chart)
+    m = (mwu_exponential if kind == "mwu_exp" else mwu_linear)(obj, eta, blocks)
+    return m, State(renormalize(0.05 + np.abs(u), m.chart)[0], m.chart)
+
+
+@settings(max_examples=300, deadline=None)
+@given(roundtrip_cases())
+def test_forward_then_inverse_returns_to_the_start_on_every_iterative_kind(case):
+    m, s = case
+    assert inverse_step(m, step(m, s)).distance_to(s) <= 1e-10
+
+
 def test_gd_inverse_fails_loudly_outside_the_region():
     """The preimage of a point near the region edge lies outside it."""
     m = gradient_descent(quadratic(1), 0.5)
@@ -80,12 +125,28 @@ def test_gd_inverse_fails_loudly_outside_the_region():
         inverse_step(m, State([9.0], euclidean(1)))  # preimage 18 > radius 10
 
 
-def test_inversion_error_carries_diagnostics():
-    m = mwu_exponential(quadratic(2), 0.05, (2,))
-    cfg = InverseConfig(max_iterations=0)
+INVERSION_FAILURES = {
+    "gd": (gradient_descent(double_well(2), 0.1), State([0.3, -0.6], euclidean(2)), "gd"),
+    "mwu_exp": (mwu_exponential(quadratic(2), 0.05, (2,)), State([0.4, 0.6], simplex_product(2)),
+                "mwu"),
+    "rgd_sphere": (sphere_rgd(linear([1.0, -2.0, 0.5]), 0.1),
+                   State([1 / 3, 2 / 3, 2 / 3], sphere(3)), "sphere"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INVERSION_FAILURES))
+def test_inversion_error_carries_diagnostics(kind, monkeypatch):
+    m, x, name = INVERSION_FAILURES[kind]
     with pytest.raises(InversionError) as err:
-        inverse_step(m, State([0.4, 0.6], simplex_product(2)), cfg)
-    assert err.value.residual is not None
+        inverse_step(m, x, InverseConfig(max_iterations=0))
+    assert str(err.value) == f"{name} inversion did not reach 1.0e-12 in 0 iterations"
+    assert err.value.last_iterate.shape == x.coordinates.shape
+    assert err.value.residual > 1e-12
+    # An orbit attaches the index of the backward step that failed.
+    monkeypatch.setattr(dynamics, "_DEFAULT_CFG", InverseConfig(max_iterations=0))
+    with pytest.raises(InversionError) as err:
+        Orbit(m, x).segment(0, 3)
+    assert err.value.step_index == -1
 
 
 def test_orbit_with_no_steps_contains_only_the_origin():
