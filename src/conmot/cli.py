@@ -538,8 +538,15 @@ def _failure_message(exc: Exception) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Every numerical failure is caught by a finiteness, chart or region check
+    # and reported as one error line; numpy's warnings would only add source
+    # text to stderr before it.
+    with np.errstate(all="ignore"):
+        return _run(args)
+
+
+def _run(args) -> int:
     out_dir = args.out
     try:
         # The flags obey the schema's rules for the config keys they override.

@@ -11,6 +11,7 @@ and mean exactly what they say.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -68,10 +69,14 @@ def _schema() -> dict:
     return json.loads(text)
 
 
-def _json_float(text: str) -> Fraction | int:
+def _json_float(text: str) -> Fraction | int | float:
     """A JSON float literal read exactly; an integral one reads as an int, the
-    way the schema's integer fields accept it."""
-    value = Fraction(text)
+    way the schema's integer fields accept it. A literal whose decimal exponent
+    lies outside the float64 range reads as inf, for load_config to reject."""
+    try:
+        value = as_fraction(text)
+    except ValueError:
+        return math.inf
     return int(value) if value.denominator == 1 else value
 
 
@@ -241,6 +246,10 @@ def load_config(path) -> RunConfig:
     # Second pass: floats become Fractions (ints when integral); ints and
     # strings are unchanged.
     doc = json.loads(text, parse_float=_json_float)
+    where = _nonfinite_path(doc)
+    if where is not None:
+        raise ConfigError(f"{where} has a decimal exponent outside the float64 range",
+                          json_path=where)
 
     try:
         map_instance = _build_map(doc["map"])

@@ -2,9 +2,12 @@
 
 Every map in the package is invertible on its working region, so orbits extend
 in both directions. Forward steps are the cheap direction; backward steps are
-closed-form for alternating play and damped Newton solves for the rest. An
-inverse that leaves the declared region or the simplex interior raises rather
-than silently projecting.
+closed-form for alternating play and one damped Newton loop for the rest. The
+loop solves in the coordinates of the chart's tangent frame at each iterate,
+with the analytic Jacobian of the step rule (the chain rule through the
+objective's Hessian); only an objective without a Hessian falls back to finite
+differences along the frame. An inverse that leaves the declared region or the
+simplex interior raises rather than silently projecting.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartViolation, ConmotError, InversionError, NumericsError, RegionError
-from .maps import MapInstance, _raw_step, rgd_sphere_step, step_with_defect
-from .objectives import _tangent_frame, region_contains
-from .state import State, renormalize
+from .maps import MapInstance, _raw_step, gd_step, rgd_sphere_step, step_jacobian, step_with_defect
+from .objectives import region_contains
+from .state import Chart, State, renormalize, tangent_frame
 
 __all__ = [
     "InverseConfig",
@@ -38,114 +41,78 @@ class InverseConfig:
 
     tolerance: float = 1e-12
     max_iterations: int = 60
-    fd_step: float = 1e-7
 
 
 _DEFAULT_CFG = InverseConfig()
+
+# Forward-difference step for the Jacobian of an objective without a Hessian.
+FD_STEP = 1e-7
 
 
 def _norm(v: np.ndarray) -> float:
     return float(np.linalg.norm(v))
 
 
-def _fd_jacobian(func, y: np.ndarray, base: np.ndarray, h: float) -> np.ndarray:
-    d = len(y)
-    jac = np.empty((len(base), d))
-    for j in range(d):
-        probe = y.copy()
-        probe[j] += h
-        jac[:, j] = (func(probe) - base) / h
-    return jac
+def _retract(chart: Chart, y: np.ndarray) -> np.ndarray | None:
+    """The iterate y back on the chart; None when it left the simplex interior."""
+    if chart.kind == "sphere":
+        return y / np.linalg.norm(y)
+    if chart.kind != "simplex-product":
+        return y
+    return None if np.any(y <= 0.0) else renormalize(y, chart)[0]
 
 
-def _invert_gd(map_instance: MapInstance, target: np.ndarray, cfg: InverseConfig) -> np.ndarray:
-    obj = map_instance.objective
+def _newton(map_instance: MapInstance, target: np.ndarray, cfg: InverseConfig) -> np.ndarray:
+    """Damped Newton on T(y) = target in the tangent-frame coordinates at y.
+
+    The Jacobian comes from step_jacobian, or from forward differences along
+    the frame columns when the objective has no Hessian. Each step is halved
+    until the retracted iterate lowers the residual norm.
+    """
+    kind, chart, obj = map_instance.kind, map_instance.chart, map_instance.objective
     eta = map_instance.float_step_sizes[0]
+    name = {"gd": "gd", "rgd_sphere": "sphere"}.get(kind, "mwu")
 
     def residual(y: np.ndarray) -> np.ndarray:
-        return y - eta * obj.gradient(y) - target
+        # gd skips _raw_step's region check: an intermediate iterate may leave
+        # the region, and inverse_step checks the converged preimage instead.
+        if kind == "gd":
+            return gd_step(obj, eta, y) - target
+        return _raw_step(map_instance, y) - target
 
-    y = target.copy()
+    # The sphere starts from the reverse step, the other kinds from the target.
+    y = rgd_sphere_step(obj, -eta, target) if kind == "rgd_sphere" else target.copy()
     r = residual(y)
     rn = _norm(r)
-    eye = np.eye(len(y))
-    for _ in range(cfg.max_iterations):
-        if rn <= cfg.tolerance:
-            if obj.region is not None and not region_contains(obj.region, y):
-                raise RegionError("backward step left the objective's declared region")
-            return y
-        if obj.hessian is not None:
-            jac = eye - eta * obj.hessian(y)
-        else:
-            jac = _fd_jacobian(residual, y, r, cfg.fd_step)
-        try:
-            delta = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            delta = np.linalg.lstsq(jac, -r, rcond=1e-6)[0]
-        lam = 1.0
-        for _ in range(40):
-            candidate = y + lam * delta
-            rc = residual(candidate)
-            if _norm(rc) < rn:
-                y, r, rn = candidate, rc, _norm(rc)
-                break
-            lam *= 0.5
-        else:
-            raise InversionError(
-                "gd inversion stalled in the line search", last_iterate=y, residual=rn
-            )
-    raise InversionError(
-        f"gd inversion did not reach {cfg.tolerance:.1e} in {cfg.max_iterations} iterations",
-        last_iterate=y,
-        residual=rn,
-    )
-
-
-def _invert_mwu(map_instance: MapInstance, target: np.ndarray, cfg: InverseConfig) -> np.ndarray:
-    """Ambient-coordinate Newton with exact block renormalization per iterate.
-
-    Both mwu variants are scale-invariant per block, so the Jacobian is
-    singular along block-sum directions; lstsq picks the minimum-norm step and
-    the renormalization removes the null component. An iterate that cannot
-    stay strictly interior fails loudly instead of being projected back.
-    """
-
-    def forward(y: np.ndarray) -> np.ndarray:
-        return _raw_step(map_instance, y)
-
-    y = target.copy()
-    r = forward(y) - target
-    rn = _norm(r)
     for _ in range(cfg.max_iterations):
         if rn <= cfg.tolerance:
             return y
-        jac = _fd_jacobian(forward, y, r + target, cfg.fd_step)
-        # The block-sum null directions show up as noise-level singular
-        # values in the differenced Jacobian; without a relative cutoff
-        # lstsq amplifies the residual along them and Newton stalls.
-        delta = np.linalg.lstsq(jac, -r, rcond=1e-6)[0]
+        frame = tangent_frame(chart, y)
+        jac = step_jacobian(map_instance, y)
+        if jac is None:
+            jac = np.column_stack([(residual(y + FD_STEP * u) - r) / FD_STEP for u in frame.T])
+        else:
+            jac = jac @ frame
+        try:  # a square system (the euclidean frame) is solved directly
+            coeffs = np.linalg.solve(jac, -r)
+        except np.linalg.LinAlgError:  # not square, or singular
+            coeffs = np.linalg.lstsq(jac, -r)[0]
+        delta = frame @ coeffs
         lam = 1.0
-        accepted = False
         for _ in range(40):
-            candidate = y + lam * delta
-            if np.any(candidate <= 0.0):
-                lam *= 0.5
-                continue
-            candidate, _ = renormalize(candidate, map_instance.chart)
-            rc = forward(candidate) - target
-            if _norm(rc) < rn:
-                y, r, rn = candidate, rc, _norm(rc)
-                accepted = True
-                break
+            candidate = _retract(chart, y + lam * delta)
+            if candidate is not None:
+                rc = residual(candidate)
+                if _norm(rc) < rn:
+                    y, r, rn = candidate, rc, _norm(rc)
+                    break
             lam *= 0.5
-        if not accepted:
-            raise InversionError(
-                "mwu inversion left the simplex interior or stalled",
-                last_iterate=y,
-                residual=rn,
-            )
+        else:
+            stall = "left the simplex interior or stalled" if name == "mwu" else (
+                "stalled in the line search")
+            raise InversionError(f"{name} inversion {stall}", last_iterate=y, residual=rn)
     raise InversionError(
-        f"mwu inversion did not reach {cfg.tolerance:.1e} in {cfg.max_iterations} iterations",
+        f"{name} inversion did not reach {cfg.tolerance:.1e} in {cfg.max_iterations} iterations",
         last_iterate=y,
         residual=rn,
     )
@@ -163,51 +130,6 @@ def _invert_alt_play(map_instance: MapInstance, target: np.ndarray) -> np.ndarra
     return np.concatenate([x0, y0])
 
 
-def _invert_rgd(map_instance: MapInstance, target: np.ndarray, cfg: InverseConfig) -> np.ndarray:
-    """Damped Gauss-Newton in the tangent chart of the current iterate."""
-    obj = map_instance.objective
-    eta = map_instance.float_step_sizes[0]
-
-    def forward(y: np.ndarray) -> np.ndarray:
-        return rgd_sphere_step(obj, eta, y)
-
-    # Reverse-step initial guess, re-normalized onto the sphere.
-    y = rgd_sphere_step(obj, -eta, target)
-    r = forward(y) - target
-    rn = _norm(r)
-    d = len(target)
-    for _ in range(cfg.max_iterations):
-        if rn <= cfg.tolerance:
-            return y
-        frame = _tangent_frame(y)
-        jac = np.empty((d, d - 1))
-        for j in range(d - 1):
-            z = y + cfg.fd_step * frame[:, j]
-            z /= np.linalg.norm(z)
-            jac[:, j] = (forward(z) - (r + target)) / cfg.fd_step
-        coeffs = np.linalg.lstsq(jac, -r, rcond=1e-6)[0]
-        lam = 1.0
-        accepted = False
-        for _ in range(40):
-            candidate = y + lam * (frame @ coeffs)
-            candidate /= np.linalg.norm(candidate)
-            rc = forward(candidate) - target
-            if _norm(rc) < rn:
-                y, r, rn = candidate, rc, _norm(rc)
-                accepted = True
-                break
-            lam *= 0.5
-        if not accepted:
-            raise InversionError(
-                "sphere inversion stalled in the line search", last_iterate=y, residual=rn
-            )
-    raise InversionError(
-        f"sphere inversion did not reach {cfg.tolerance:.1e} in {cfg.max_iterations} iterations",
-        last_iterate=y,
-        residual=rn,
-    )
-
-
 def inverse_step(
     map_instance: MapInstance, x: State, cfg: InverseConfig | None = None
 ) -> State:
@@ -220,16 +142,12 @@ def inverse_step(
     cfg = cfg or _DEFAULT_CFG
     if x.chart != map_instance.chart:
         raise ChartViolation("state chart does not match map chart")
-    coords = x.coordinates
-    kind = map_instance.kind
-    if kind == "gd":
-        prev = _invert_gd(map_instance, coords, cfg)
-    elif kind in ("mwu_exp", "mwu_lin"):
-        prev = _invert_mwu(map_instance, coords, cfg)
-    elif kind == "alt_play":
-        prev = _invert_alt_play(map_instance, coords)
+    if map_instance.kind == "alt_play":
+        prev = _invert_alt_play(map_instance, x.coordinates)
     else:
-        prev = _invert_rgd(map_instance, coords, cfg)
+        prev = _newton(map_instance, x.coordinates, cfg)
+    if map_instance.kind == "gd" and not region_contains(map_instance.objective.region, prev):
+        raise RegionError("backward step left the objective's declared region")
     prev, _ = renormalize(prev, map_instance.chart)
     return State(prev, map_instance.chart)
 

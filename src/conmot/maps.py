@@ -46,6 +46,7 @@ __all__ = [
     "step",
     "step_points",
     "step_with_defect",
+    "step_jacobian",
     "descent_check",
 ]
 
@@ -214,6 +215,44 @@ def rgd_sphere_step(objective: ObjectiveSpec, eta: float, x: np.ndarray) -> np.n
     if n.min() <= 0.0:
         raise ChartViolation("retraction hit the origin; step size far too large")
     return z / n
+
+
+def step_jacobian(map_instance: MapInstance, y: np.ndarray) -> np.ndarray | None:
+    """dT/dy of the raw rule at one point y, in ambient coordinates, by the
+    chain rule through the objective's Hessian; None when the objective has
+    none. Defined for the kinds that take an objective.
+
+    Each mwu block is w / sum(w) with weights w_j = y_j a(g_j), a = exp(-eps g)
+    or 1 - eps g; the sphere rule is z / ||z|| with z = y - eta (g - y <y, g>).
+    """
+    obj = map_instance.objective
+    if obj.hessian is None:
+        return None
+    h = obj.hessian(y)
+    eye = np.eye(len(y))
+    rates = map_instance.float_step_sizes
+    if map_instance.kind == "gd":
+        return eye - rates[0] * h
+    g = obj.gradient(y)
+    if map_instance.kind == "rgd_sphere":
+        eta, yg = rates[0], y @ g
+        z = y - eta * (g - y * yg)
+        n = np.linalg.norm(z)
+        dz = eye - eta * (h - yg * eye - np.outer(y, g + h @ y))
+        return (eye - np.outer(z, z) / (n * n)) @ dz / n
+    jac = np.empty((len(y), len(y)))
+    for sl, eps in zip(map_instance.chart.block_slices(), rates):
+        yb, gb = y[sl], g[sl]
+        if map_instance.kind == "mwu_exp":
+            a = np.exp(-eps * (gb - gb.min()))
+            da = -eps * a
+        else:
+            a, da = 1.0 - eps * gb, -eps
+        dw = (yb * da)[:, None] * h[sl]
+        dw[:, sl] += np.diag(a)
+        s = yb @ a
+        jac[sl] = (dw - np.outer(yb * a / s, dw.sum(0))) / s
+    return jac
 
 
 # ---------------------------------------------------------------------------

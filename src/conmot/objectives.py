@@ -359,7 +359,7 @@ def estimate_pullback_lipschitz(
     for _ in range(samples):
         x = rng.normal(size=d)
         x /= np.linalg.norm(x)
-        u = _tangent_frame(x)
+        u = charts.tangent_frame(charts.sphere(d), x)
 
         def pullback(s_coeffs: np.ndarray) -> float:
             z = x + u @ s_coeffs
@@ -379,13 +379,6 @@ def estimate_pullback_lipschitz(
                 hess[a, b] = hess[b, a] = val
         worst = max(worst, float(np.linalg.norm(hess, 2)) if k else 0.0)
     return ESTIMATE_SAFETY * worst
-
-
-def _tangent_frame(x: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the tangent space at a unit vector, as columns."""
-    d = len(x)
-    u, s, _ = np.linalg.svd(np.eye(d) - np.outer(x, x))
-    return u[:, : d - 1]
 
 
 def validate_step_size_gd(

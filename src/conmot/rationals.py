@@ -9,10 +9,29 @@ fractions just to print them.
 from __future__ import annotations
 
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
 __all__ = ["as_fraction", "as_float", "ratio_to_float"]
+
+# A decimal string with an exponent: integer digits, fraction digits, exponent.
+_EXPONENT_FORM = re.compile(r"\s*[-+]?([\d_]*)\.?([\d_]*)e([-+]?[\d_]+)\s*", re.IGNORECASE)
+
+
+def _check_exponent(text: str) -> None:
+    """Raise ValueError for a decimal string whose magnitude lies outside the
+    float64 range, before Fraction expands its exponent into an exact integer
+    (which takes time that grows faster than the exponent)."""
+    match = _EXPONENT_FORM.fullmatch(text)
+    if match is None:
+        return
+    whole, frac, exp = (g.replace("_", "") for g in match.groups())
+    significant = (whole + frac).lstrip("0")
+    # 10**lead <= |value| < 10**(lead + 1); a zero is judged by its exponent.
+    lead = int(exp) + (len(significant) - len(frac) - 1 if significant else 0)
+    if not -325 < lead < 309:
+        raise ValueError("decimal exponent outside the float64 range")
 
 
 def as_fraction(value) -> Fraction:
@@ -27,6 +46,8 @@ def as_fraction(value) -> Fraction:
         if not math.isfinite(value):
             raise ValueError("cannot convert a non-finite float to a rational")
         return Fraction(value)
+    if isinstance(value, str):
+        _check_exponent(value)
     if isinstance(value, (str, Decimal)):
         return Fraction(value)
     # numpy scalars and anything else float-like

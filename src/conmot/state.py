@@ -12,6 +12,7 @@ A chart names the set a state belongs to and fixes the validity checks:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "bipartite_pair",
     "renormalize",
     "validate_points",
+    "tangent_frame",
     "sample_chart",
 ]
 
@@ -181,6 +183,31 @@ def renormalize(coords: np.ndarray, chart: Chart) -> tuple[np.ndarray, float]:
             raise ChartViolation("cannot renormalize the zero vector onto the sphere")
         out = out / n
     return out, defect
+
+
+def tangent_frame(chart: Chart, y: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the chart's tangent space at y, as columns.
+
+    The sphere uses a basis of the hyperplane orthogonal to y. The other
+    charts have one read-only frame each, built once: the identity for
+    euclidean kinds, and for a simplex product a basis of the vectors whose
+    every block sums to zero.
+    """
+    if chart.kind == "sphere":
+        return np.linalg.svd(np.eye(len(y)) - np.outer(y, y))[0][:, : len(y) - 1]
+    return _constant_frame(chart)
+
+
+@functools.cache
+def _constant_frame(chart: Chart) -> np.ndarray:
+    frame = np.eye(chart.dimension)
+    if chart.kind == "simplex-product":
+        # The leading singular vectors of the projector onto block-sum-zero vectors.
+        for sl, size in zip(chart.block_slices(), chart.blocks):
+            frame[sl, sl] -= 1.0 / size
+        frame = np.linalg.svd(frame)[0][:, : chart.dimension - len(chart.blocks)]
+    frame.setflags(write=False)
+    return frame
 
 
 def sample_chart(chart: Chart, rng: np.random.Generator, scale: float = 1.0) -> State:

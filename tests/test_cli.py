@@ -7,6 +7,7 @@ here shells out, so failures carry normal tracebacks.
 
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -233,8 +234,8 @@ def test_simulate_computes_each_state_of_its_orbit_once(tmp_path, monkeypatch):
     """Rows and series values read one orbit: 12 forward and 6 backward rows
     at depth 32 reach T^44 x and T^-39 x, each computed once."""
     solves, steps = [], []
-    invert, raw = dynamics._invert_gd, maps._raw_step
-    monkeypatch.setattr(dynamics, "_invert_gd", lambda *a: solves.append(1) or invert(*a))
+    invert, raw = dynamics._newton, maps._raw_step
+    monkeypatch.setattr(dynamics, "_newton", lambda *a: solves.append(1) or invert(*a))
     monkeypatch.setattr(maps, "_raw_step", lambda *a: steps.append(1) or raw(*a))
     doc = {
         "map": {"kind": "gd", "objective": {"name": "double_well", "dimension": 1},
@@ -617,6 +618,21 @@ def test_a_scan_box_wider_than_the_float_range_is_exit_two(tmp_path, capsys):
     rc = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "o"), "scan"])
     assert rc == 2
     assert "scan.box_halfwidth" in capsys.readouterr().err
+
+
+def test_a_numerical_failure_writes_only_its_error_line_to_stderr(tmp_path, capsys):
+    """Squaring a coordinate near 1e300 in the region check overflows; numpy's
+    warning must not reach stderr ahead of the error."""
+    doc = {"map": {"kind": "gd", "objective": {"name": "quadratic", "dimension": 2},
+                   "step_size": "0.1"},
+           "scan": {"pairs": 2, "horizon": 5, "box_halfwidth": 1e300}, "seed": 1}
+    cfg = write_config(tmp_path, doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "scan"])
+    assert rc == 3
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == "error: state lies outside the objective's declared region\n"
 
 
 def test_a_closed_form_value_beyond_the_float_range_is_written_as_inf(tmp_path):

@@ -96,6 +96,7 @@ MWU_2x2 = {"kind": "mwu_exp", "objective": {"name": "quadratic", "dimension": 4}
      "map.objective.coefficients[0]"),
     ({"map": dict(MWU_2x2, step_sizes=[0.1, "-1"])}, "map.step_sizes[1]"),
     ({"map": dict(MWU_2x2, step_sizes=[0.1])}, "map"),
+    (dict(BASE, initial_states=[["1e99999999", 0]]), "initial_states[0][0]"),
 ])
 def test_bad_numbers_and_unbuildable_maps_name_their_path(tmp_path, doc, json_path):
     with pytest.raises(ConfigError) as err:
@@ -249,3 +250,14 @@ def test_json_the_parser_cannot_hold_is_a_config_error(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(path)
+
+
+@pytest.mark.parametrize("literal", ["1e-99999999", "-1e-400", "0e400"])
+def test_literals_with_an_exponent_beyond_float64_name_their_path(tmp_path, literal):
+    """Rejected before their exponent is expanded into an exact integer."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(BASE)[:-1] + ', "initial_states": [[1, ' + literal + "]]}")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.json_path == "initial_states[0][1]"
+    assert str(err.value) == "initial_states[0][1] has a decimal exponent outside the float64 range"

@@ -1,5 +1,7 @@
 """Inverse steps, bidirectional orbits, and fixed-point detection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -116,6 +118,20 @@ def roundtrip_cases(draw):
 def test_forward_then_inverse_returns_to_the_start_on_every_iterative_kind(case):
     m, s = case
     assert inverse_step(m, step(m, s)).distance_to(s) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["gd", "mwu_lin", "rgd_sphere"])
+def test_an_objective_without_a_hessian_inverts_by_finite_differences(kind):
+    obj = dataclasses.replace(double_well(3), hessian=None)
+    m = {"gd": lambda: gradient_descent(obj, 0.1), "mwu_lin": lambda: mwu_linear(obj, 0.2, (2, 1)),
+         "rgd_sphere": lambda: sphere_rgd(obj, 0.1)}[kind]()
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        if kind == "gd":
+            s = State(rng.uniform(-1.4, 1.4, 3), m.chart)
+        else:
+            s = sample_chart(m.chart, rng)
+        assert inverse_step(m, step(m, s)).distance_to(s) <= 1e-10
 
 
 def test_gd_inverse_fails_loudly_outside_the_region():

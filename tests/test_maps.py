@@ -1,5 +1,6 @@
 """Forward update rules: worked one-step values, fixed points, error paths."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conmot.errors import ChartViolation, RegionError, StepSizeError
 from conmot.maps import (
+    _raw_step,
     alternating_play,
     descent_check,
     gradient_descent,
@@ -15,6 +17,7 @@ from conmot.maps import (
     mwu_linear,
     sphere_rgd,
     step,
+    step_jacobian,
     step_points,
     step_with_defect,
 )
@@ -261,3 +264,38 @@ def test_step_points_raises_when_any_point_fails():
 def test_float_step_sizes_are_converted_once():
     m = mwu_exponential(quadratic(3), "0.1", (3,))
     assert m.float_step_sizes is m.float_step_sizes
+
+
+# ---------------------------------------------------------------------------
+# step Jacobians
+
+
+def _jacobian_map(kind, obj):
+    if kind == "gd":
+        return gradient_descent(obj, 0.1)
+    if kind == "rgd_sphere":
+        return sphere_rgd(obj, 0.1)
+    ctor = mwu_exponential if kind == "mwu_exp" else mwu_linear
+    return ctor(obj, (0.3, 0.2), (2, obj.dimension - 2))
+
+
+@pytest.mark.parametrize("name", ["quadratic", "double_well", "bump", "linear", "bilinear"])
+@pytest.mark.parametrize("kind", ["gd", "mwu_exp", "mwu_lin", "rgd_sphere"])
+def test_step_jacobian_matches_central_differences_of_the_rule(kind, name):
+    m = _jacobian_map(kind, _catalogue(name, 3))
+    rng = np.random.default_rng(11)
+    h = 1e-6
+    for _ in range(5):
+        if m.chart.kind in ("euclidean", "bipartite-pair"):
+            y = rng.uniform(-1.4, 1.4, m.chart.dimension)
+        else:
+            y = sample_chart(m.chart, rng).coordinates
+        eye = np.eye(len(y))
+        central = np.stack([(_raw_step(m, y + h * e) - _raw_step(m, y - h * e)) / (2 * h)
+                            for e in eye], axis=1)
+        np.testing.assert_allclose(step_jacobian(m, y), central, atol=1e-8)
+
+
+def test_step_jacobian_is_none_without_a_hessian():
+    m = gradient_descent(dataclasses.replace(quadratic(2), hessian=None), 0.1)
+    assert step_jacobian(m, np.array([0.5, 0.5])) is None

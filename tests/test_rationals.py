@@ -22,6 +22,17 @@ def test_decimal_string_is_taken_at_face_value():
     assert as_fraction(Decimal("2.25")) == Fraction(9, 4)
 
 
+@pytest.mark.parametrize("text", ["1e99999999", "-1e-99999999", "1e309", "0.001e312", "1e-325"])
+def test_decimal_exponents_beyond_float64_are_rejected_before_expansion(text):
+    with pytest.raises(ValueError, match="outside the float64 range"):
+        as_fraction(text)
+
+
+def test_decimal_exponents_within_float64_are_taken_at_face_value():
+    assert as_fraction("0.0001e312") == 10**308
+    assert as_fraction("12.5e-325") == Fraction(125, 10**326)
+
+
 def test_int_and_fraction_pass_through():
     assert as_fraction(7) == Fraction(7)
     f = Fraction(22, 7)
