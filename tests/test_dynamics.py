@@ -76,9 +76,6 @@ def test_roundtrip_across_all_map_families():
             assert inverse_step(m, step(m, s)).distance_to(s) <= 1e-10, m.kind
 
 
-ITERATIVE_KINDS = ("gd", "mwu_exp", "mwu_lin", "rgd_sphere")
-
-
 @st.composite
 def roundtrip_cases(draw):
     """A map of an iterative kind on a catalogue objective and a point of its
@@ -86,7 +83,7 @@ def roundtrip_cases(draw):
     one-to-one: gd needs eta * ||H|| < 1, where ||H|| <= d * L; the simplex
     and sphere kinds also move with the gradient, whose norm stays within 1
     there."""
-    kind = draw(st.sampled_from(ITERATIVE_KINDS))
+    kind = draw(st.sampled_from(["gd", "mwu_exp", "mwu_lin", "rgd_sphere"]))
     blocks = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
     d = sum(blocks) if kind.startswith("mwu") else draw(st.integers(1, 4))
     name = draw(st.sampled_from(["quadratic", "double_well", "bump", "linear", "bilinear"]
