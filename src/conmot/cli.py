@@ -123,6 +123,8 @@ def _fmt(value) -> str:
 
 def _jsonable(obj):
     """Make a structure strict-JSON safe; non-finite floats become strings."""
+    if dataclasses.is_dataclass(obj):
+        return _jsonable(dataclasses.asdict(obj))
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -277,28 +279,13 @@ def cmd_invariant(cfg: RunConfig, out_dir: Path) -> int:
                 )
             results.append(entry)
     else:
-        weight = build_weight(spec.get("weight"), cfg.map.chart.dimension)
-        truncation = int(spec.get("truncation", 32))
+        weight, truncation = _series_spec(cfg)
         horizon = int(spec.get("defect_horizon", 0))
         for i, state in enumerate(cfg.initial_states):
             report = series_invariant(
                 cfg.map, None, weight, state, truncation, defect_horizon=horizon
             )
-            results.append(
-                {
-                    "initial_index": i,
-                    "value": report.value,
-                    "truncation_n": report.truncation_n,
-                    "partial_sums": list(report.partial_sums),
-                    "tail_estimate": report.tail_estimate,
-                    "per_step_defect": list(report.per_step_defect),
-                    "divergent": report.divergent,
-                    "one_sided": report.one_sided,
-                    "fixed_point": report.fixed_point,
-                    "converged_early": report.converged_early,
-                    "notes": list(report.notes),
-                }
-            )
+            results.append({"initial_index": i, **dataclasses.asdict(report)})
     payload = {"kind": spec["kind"], "map_kind": cfg.map.kind, "results": results}
     path = out_dir / f"{cfg.output_prefix}_invariant.json"
     _write_json(path, payload)
@@ -333,15 +320,8 @@ def cmd_classify(cfg: RunConfig, out_dir: Path) -> int:
         float(spec.get("tolerance", cfg.tolerance)),
         phis=_classification_invariants(cfg),
     )
-    payload = {
-        "answer": verdict.answer,
-        "index": verdict.index,
-        "closest_approach": verdict.closest_approach,
-        "invariant_gap": verdict.invariant_gap,
-        "search_mode": verdict.search_mode,
-    }
     path = out_dir / f"{cfg.output_prefix}_classify.json"
-    _write_json(path, payload)
+    _write_json(path, verdict)
     print(f"{verdict.answer} (details in {path})")
     return 0
 
@@ -427,19 +407,11 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, seed: int | None) -> int:
         "pair_reports": pair_entries,
     }
     if phi is not None:
-        confinement = level_set_confinement(
+        payload["confinement"] = level_set_confinement(
             cfg.map, phi, kept, horizon,
             tolerance=cfg.tolerance, eps_low=eps_low, eps_high=eps_high,
             reports=reports,
         )
-        payload["confinement"] = {
-            "status": confinement.status,
-            "reason": confinement.reason,
-            "checked_pairs": confinement.checked_pairs,
-            "verdict_counts": dict(sorted(confinement.verdict_counts.items())),
-            "refutations": [list(r) for r in confinement.refutations],
-            "continuity_caveat": confinement.continuity_caveat,
-        }
     path = out_dir / f"{cfg.output_prefix}_scan.json"
     _write_json(path, payload)
     ordered = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))

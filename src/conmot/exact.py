@@ -70,9 +70,16 @@ def _blocks(cx, xy: list[list], yx: list[list], cy) -> list[list]:
 
 
 class _IntegerStep:
-    """The integer step M, its integer inverse M_inv and the quadratic form H."""
+    """The integer step M, its integer inverse M_inv and the quadratic form H.
 
-    def __init__(self, payoff: PayoffData, eta1: Fraction, eta2: Fraction) -> None:
+    This is the one place that knows Phi: the engine, the certificate and the
+    closed-form invariant all read ``quadratic`` and ``h`` from here.
+    """
+
+    def __init__(self, payoff: PayoffData, eta1, eta2) -> None:
+        self.eta = eta1, eta2 = as_fraction(eta1), as_fraction(eta2)
+        if eta1 <= 0 or eta2 <= 0:
+            raise ConmotError("step sizes must be positive")
         entries = [[as_fraction(v) for v in row] for row in payoff.exact]
         d = mpz(math.lcm(*(v.denominator for row in entries for v in row)))  # A = At / D
         at = [[v.numerator * (d // v.denominator) for v in row] for row in entries]
@@ -89,6 +96,24 @@ class _IntegerStep:
         self.at, self.d, self.g = at, d, c1 * c2
         self.kx, self.ky, self.kxy = p2 * c1, p1 * c2, p1 * p2
         self.phi_den_unit = p1 * p2 * d
+        self.dx, self.dim = payoff.dimension_x, len(self.m)
+
+    def integer_state(self, xy) -> tuple[list, int]:
+        """(coords, s) with xy == coords / s over the least common scale s."""
+        vals = [as_fraction(v) for v in xy]
+        if len(vals) != self.dim:
+            raise ConmotError(f"state has length {len(vals)}, expected {self.dim}")
+        s = mpz(math.lcm(*(v.denominator for v in vals)))
+        return [mpz(v.numerator * (s // v.denominator)) for v in vals], s
+
+    def quadratic(self, coords: list) -> tuple:
+        """(phi numerator, AX.T At AY) of integer coordinates over a scale s:
+        Phi = num / (phi_den_unit s^2) and x.T A y = cross / (d s^2)."""
+        ax, ay = coords[: self.dx], coords[self.dx :]
+        cross = sum(x * s for x, s in zip(ax, _matvec(self.at, ay)))
+        num = (self.kx * sum(v * v for v in ax) - self.ky * sum(v * v for v in ay)
+               + self.kxy * cross)
+        return num, cross
 
     def certified(self) -> bool:
         """M.T H M == g^2 H and M M_inv == g^2 I, both in exact integers."""
@@ -121,23 +146,15 @@ class ExactAltOrbit:
     """
 
     def __init__(self, payoff: PayoffData, eta1, eta2, xy0) -> None:
-        eta1, eta2 = as_fraction(eta1), as_fraction(eta2)
-        if eta1 <= 0 or eta2 <= 0:
-            raise ConmotError("step sizes must be positive")
         self.payoff = payoff
-        self.eta1, self.eta2 = eta1, eta2
-        dx, dy = payoff.dimension_x, payoff.dimension_y
-        xy = [as_fraction(v) for v in xy0]
-        if len(xy) != dx + dy:
-            raise ConmotError(f"initial state has length {len(xy)}, expected {dx + dy}")
         self._step = _IntegerStep(payoff, eta1, eta2)
+        self.eta1, self.eta2 = self._step.eta
+        coords, s0 = self._step.integer_state(xy0)
         if not self._step.certified():
             raise ConmotError("the integer step matrix failed its exact certificate")
-        s0 = mpz(math.lcm(*(v.denominator for v in xy)))
-        self._dx = dx
+        self._dx = self._step.dx
         self._phi_den0 = self._step.phi_den_unit * s0 * s0
         self._payoff_den0 = self._step.d * s0 * s0
-        coords = [mpz(v.numerator * (s0 // v.denominator)) for v in xy]
         self._origin = self._last = _Point(0, coords, s0, mpz(1))
         self._power = ((True, 1), self._step.m)  # the last M^k or M_inv^k used
         self._pos = 0
@@ -184,12 +201,7 @@ class ExactAltOrbit:
         """(phi numerator, AX.T At AY, g^(2|t|)) at the current position."""
         p = self._here()
         if p.quad is None:
-            step = self._step
-            ax, ay = p.coords[: self._dx], p.coords[self._dx :]
-            cross = sum(x * s for x, s in zip(ax, _matvec(step.at, ay)))
-            num = (step.kx * sum(v * v for v in ax) - step.ky * sum(v * v for v in ay)
-                   + step.kxy * cross)
-            p.quad = (num, cross)
+            p.quad = self._step.quadratic(p.coords)
         return (*p.quad, p.g2_pow)
 
     def xy_float(self) -> np.ndarray:
@@ -232,8 +244,9 @@ def verify_conservation_identity(payoff: PayoffData, eta1, eta2) -> bool:
     No division happens. True means M.T H M == g^2 H, so the quadratic is
     constant along every orbit of this instance with zero defect, and
     M M_inv == g^2 I, so backward steps and moves toward t = 0 are exact.
+    Step sizes that are not positive raise ConmotError.
     """
-    return _IntegerStep(payoff, as_fraction(eta1), as_fraction(eta2)).certified()
+    return _IntegerStep(payoff, eta1, eta2).certified()
 
 
 @dataclass(frozen=True)

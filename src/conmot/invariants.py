@@ -21,14 +21,14 @@ import numpy as np
 
 from .dynamics import Orbit
 from .errors import ConmotError, InversionError, RegionError, StepSizeError
-from .exact import verify_conservation_identity
+from .exact import _IntegerStep
 from .maps import MapInstance
 from .objectives import (
     PayoffData,
     validate_step_size_gd,
     validate_step_size_manifold,
 )
-from .rationals import as_float, as_fraction
+from .rationals import ratio_to_float
 from .state import State
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
 
 TERM_STOP_TOL = 1e-14
 DIVERGENCE_PATIENCE = 32
+DPHI_RANK_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -88,32 +89,28 @@ def gaussian_bump_weight(center, width: float) -> WeightFunction:
 class BipartiteInvariant:
     """Phi(X, Y) = |X|^2/eta1 - |Y|^2/eta2 + X.T A Y.
 
-    Callable on a State or a raw coordinate vector. Float evaluation goes
-    through exact rational arithmetic first (float64 inputs are exact binary
-    rationals), so the only rounding is the final conversion.
+    Callable on a State or a raw coordinate vector. Evaluation reads the
+    integer form of the exact engine (``exact._IntegerStep``): the point is
+    put over one integer scale s (float64 inputs are exact binary rationals)
+    and Phi is one integer numerator over phi_den_unit * s^2, so a float read
+    is that quotient correctly rounded, the same float an exact orbit gives
+    at the same point.
     """
 
     def __init__(self, payoff: PayoffData, eta1, eta2) -> None:
         self.payoff = payoff
-        self.eta1 = as_fraction(eta1)
-        self.eta2 = as_fraction(eta2)
-        if self.eta1 <= 0 or self.eta2 <= 0:
-            raise ConmotError("step sizes must be positive")
+        self._step = _IntegerStep(payoff, eta1, eta2)
+        self.eta1, self.eta2 = self._step.eta
+
+    def _ratio(self, xy) -> tuple[int, int]:
+        coords, s = self._step.integer_state(xy.coordinates if isinstance(xy, State) else xy)
+        return self._step.quadratic(coords)[0], self._step.phi_den_unit * s * s
 
     def exact(self, xy) -> Fraction:
-        dx = self.payoff.dimension_x
-        vals = [as_fraction(v) for v in xy]
-        if len(vals) != dx + self.payoff.dimension_y:
-            raise ConmotError("state length does not match the payoff dimensions")
-        x, y = vals[:dx], vals[dx:]
-        a = self.payoff.exact
-        quad = sum(v * v for v in x) / self.eta1 - sum(v * v for v in y) / self.eta2
-        cross = sum(x[i] * a[i][j] * y[j] for i in range(len(x)) for j in range(len(y)))
-        return quad + cross
+        return Fraction(*map(int, self._ratio(xy)))
 
     def __call__(self, xy) -> float:
-        coords = xy.coordinates if isinstance(xy, State) else xy
-        return as_float(self.exact(coords))
+        return ratio_to_float(*self._ratio(xy))
 
 
 def bipartite_invariant(payoff: PayoffData, eta1, eta2, xy) -> float:
@@ -366,7 +363,7 @@ def _certified_quadratic(phi, map_instance: MapInstance) -> bool | None:
         and (phi.eta1, phi.eta2) == map_instance.step_sizes
     ):
         return None
-    return verify_conservation_identity(phi.payoff, phi.eta1, phi.eta2)
+    return phi._step.certified()
 
 
 def invariance_defect(
@@ -401,27 +398,19 @@ def invariance_defect(
     return worst
 
 
-def dphi_rank(
-    payoff: PayoffData, eta1, eta2, *, tolerance_factor: float = 1e-10
-) -> tuple[np.ndarray, int]:
+def dphi_rank(payoff: PayoffData, eta1, eta2) -> tuple[np.ndarray, int]:
     """Gradient matrix of the bipartite quadratic and its numerical rank.
 
-    Phi is the quadratic form z -> z.T H z with H assembled below up to the
-    factor 2 on the diagonal blocks, so its differential at z is 2 H z and
-    the rank of H counts independent directions of variation. H is always
+    Phi is the quadratic form z -> z.T H z / 2 with H = [[2/eta1 I, A],
+    [A.T, -2/eta2 I]], so its differential at z is H z and the rank of H
+    counts independent directions of variation. H is the exact engine's
+    integer form over phi_den_unit, each entry correctly rounded. It is
     nonsingular for positive step sizes, hence the rank equals the full
-    bipartite dimension.
+    bipartite dimension; singular values below DPHI_RANK_RTOL times the
+    largest do not count.
     """
-    e1, e2 = float(as_fraction(eta1)), float(as_fraction(eta2))
-    if e1 <= 0 or e2 <= 0:
-        raise ConmotError("step sizes must be positive")
-    a = payoff.matrix
-    dx, dy = payoff.dimension_x, payoff.dimension_y
-    h = np.zeros((dx + dy, dx + dy))
-    h[:dx, :dx] = (2.0 / e1) * np.eye(dx)
-    h[:dx, dx:] = a
-    h[dx:, :dx] = a.T
-    h[dx:, dx:] = (-2.0 / e2) * np.eye(dy)
+    step = _IntegerStep(payoff, eta1, eta2)
+    h = np.array([[ratio_to_float(v, step.phi_den_unit) for v in row] for row in step.h])
     sv = np.linalg.svd(h, compute_uv=False)
-    rank = int(np.sum(sv > tolerance_factor * sv[0]))
+    rank = int(np.sum(sv > DPHI_RANK_RTOL * sv[0]))
     return h, rank

@@ -1,9 +1,11 @@
 """Small helpers for exact rational bookkeeping.
 
 Floats are dyadic rationals, so Fraction(float) is exact; decimal strings and
-Decimal values are parsed exactly as written. These helpers centralize that
-conversion plus a shift-based float emission that avoids reducing huge
-fractions just to print them.
+Decimal values are parsed exactly as written. Every exact-to-float read goes
+through one rule: the correctly rounded quotient (Python's int / int), with
++-inf for a magnitude beyond the float range, so a rational gives the same
+float whether it is held reduced (as_float) or as an unreduced integer pair
+(ratio_to_float).
 """
 
 from __future__ import annotations
@@ -57,30 +59,14 @@ def as_fraction(value) -> Fraction:
 def as_float(value: Fraction) -> float:
     """float(value), correctly rounded; magnitudes beyond the float range
     give +-inf instead of raising."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
+    return ratio_to_float(value.numerator, value.denominator)
 
 
 def ratio_to_float(num: int, den: int) -> float:
-    """num/den as a float without reducing the fraction.
-
-    Uses 64-bit leading windows of both integers, so the relative error is
-    below one float64 ulp; magnitudes beyond the float range round to +-inf.
-    """
-    num = int(num)
-    den = int(den)
-    if den == 0:
-        raise ZeroDivisionError("ratio_to_float with zero denominator")
-    if num == 0:
-        return 0.0
-    sign = -1.0 if (num < 0) != (den < 0) else 1.0
-    num, den = abs(num), abs(den)
-    nb, db = num.bit_length(), den.bit_length()
-    top_n = num >> (nb - 64) if nb > 64 else num << (64 - nb)
-    top_d = den >> (db - 64) if db > 64 else den << (64 - db)
+    """num/den correctly rounded, without reducing the fraction first;
+    magnitudes beyond the float range give +-inf. A zero den raises."""
+    num, den = int(num), int(den)
     try:
-        return sign * math.ldexp(top_n / top_d, nb - db)
+        return num / den
     except OverflowError:
-        return sign * math.inf
+        return math.inf if (num < 0) == (den < 0) else -math.inf

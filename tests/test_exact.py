@@ -240,3 +240,20 @@ def test_a_failed_certificate_raises(monkeypatch):
     start = State([60.0, -25.0], bipartite_pair(1, 1))
     with pytest.raises(ConmotError):
         invariance_defect(phi, alternating_play(PAY, *ETA), start, 5)
+
+
+def test_the_orbit_and_the_closed_form_read_the_same_float_at_the_start():
+    # A start where a 64-bit leading-window quotient rounded Phi one ulp off.
+    x0 = [-11.439523619558951, 18.975829069034646]
+    orbit_phi = ExactAltOrbit(PAY, *ETA, x0).phi_float()
+    assert orbit_phi == BipartiteInvariant(PAY, *ETA)(x0) == -708.8578826975653
+
+
+@pytest.mark.parametrize(
+    "etas",
+    [(Fraction(-1, 10), Fraction(1, 5)), (0, Fraction(1, 5)), (Fraction(1, 10), 0),
+     (Fraction(1, 10), -0.5)],
+)
+def test_the_certificate_rejects_nonpositive_step_sizes(etas):
+    with pytest.raises(ConmotError, match="step sizes must be positive"):
+        verify_conservation_identity(PAY, *etas)

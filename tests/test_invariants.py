@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conmot import dynamics, invariants
 from conmot.dynamics import orbit
@@ -51,6 +52,57 @@ def test_bipartite_invariant_accepts_states_and_checks_length():
     assert phi(s) == 31375.0
     with pytest.raises(ConmotError):
         phi.exact([1.0, 2.0, 3.0])
+
+
+def _reference_phi(matrix, eta1: Fraction, eta2: Fraction, xy) -> Fraction:
+    """|X|^2/eta1 - |Y|^2/eta2 + X.T A Y summed in Fractions, term by term."""
+    dx = len(matrix)
+    x = [Fraction(v) for v in xy[:dx]]
+    y = [Fraction(v) for v in xy[dx:]]
+    cross = sum(x[i] * matrix[i][j] * y[j] for i in range(dx) for j in range(len(y)))
+    return sum(v * v for v in x) / eta1 - sum(v * v for v in y) / eta2 + cross
+
+
+def _reference_float(value: Fraction) -> float:
+    """The correctly rounded float of value, +-inf beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+_RATIONALS = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+_STEP_SIZES = st.fractions(min_value=Fraction(1, 50), max_value=4, max_denominator=50)
+# Ordinary, subnormal and near-overflow magnitudes, both signs.
+_COORDINATES = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 1.3e154, -1.3e154,
+                     1e300, -1e300, 1.7976931348623157e308]),
+)
+
+
+@st.composite
+def _quadratic_cases(draw):
+    dx, dy = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    matrix = [[draw(_RATIONALS) for _ in range(dy)] for _ in range(dx)]
+    xy = [draw(_COORDINATES) for _ in range(dx + dy)]
+    return matrix, draw(_STEP_SIZES), draw(_STEP_SIZES), xy
+
+
+@settings(max_examples=300, deadline=None)
+@given(_quadratic_cases())
+@example(([[1]], Fraction(1, 3), Fraction(2, 7), [1e300, 0.0]))  # +inf
+@example(([[1]], Fraction(1, 3), Fraction(2, 7), [0.0, -1e300]))  # -inf
+@example(([[Fraction(1, 3)]], Fraction(1, 10), Fraction(1, 5), [5e-324, -5e-324]))
+def test_bipartite_invariant_equals_the_fraction_reference_bit_for_bit(case):
+    matrix, eta1, eta2, xy = case
+    phi = BipartiteInvariant(PayoffData.from_matrix(matrix), eta1, eta2)
+    want = _reference_phi(matrix, eta1, eta2, xy)
+    assert phi.exact(xy) == want
+    got = phi(np.array(xy))
+    assert got == _reference_float(want)
+    assert math.copysign(1.0, got) == math.copysign(1.0, _reference_float(want))
 
 
 def test_weight_catalog():
@@ -274,6 +326,37 @@ def test_a_defect_horizon_costs_no_extra_inverse_solves(monkeypatch, horizon):
         )
         assert 0 < len(solves) <= 64 + 1
         assert len(series_calls) == 1
+
+
+def _hand_assembled_h(payoff: PayoffData, eta1: float, eta2: float) -> np.ndarray:
+    """H = [[2/eta1 I, A], [A.T, -2/eta2 I]] built entry by entry in floats."""
+    a = payoff.matrix
+    dx, dy = payoff.dimension_x, payoff.dimension_y
+    h = np.zeros((dx + dy, dx + dy))
+    h[:dx, :dx] = (2.0 / eta1) * np.eye(dx)
+    h[:dx, dx:] = a
+    h[dx:, :dx] = a.T
+    h[dx:, dx:] = (-2.0 / eta2) * np.eye(dy)
+    return h
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.data(),
+    st.floats(1e-6, 10.0),
+    st.floats(1e-6, 10.0),
+)
+def test_dphi_rank_reads_the_hand_assembled_matrix_from_the_integer_form(dx, dy, data, e1, e2):
+    matrix = [[data.draw(_RATIONALS) for _ in range(dy)] for _ in range(dx)]
+    payoff = PayoffData.from_matrix(matrix)
+    h, rank = dphi_rank(payoff, e1, e2)
+    ref = _hand_assembled_h(payoff, e1, e2)
+    assert h.dtype == ref.dtype and h.shape == ref.shape
+    assert np.array_equal(h, ref)
+    sv = np.linalg.svd(ref, compute_uv=False)
+    assert rank == int(np.sum(sv > 1e-10 * sv[0]))
 
 
 def test_dphi_rank_reference_instance():

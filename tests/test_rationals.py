@@ -71,16 +71,22 @@ def test_ratio_to_float_handles_huge_integers():
     st.integers(min_value=1, max_value=10**40),
 )
 def test_ratio_to_float_matches_fraction_rounding_closely(num, den):
-    got = ratio_to_float(num, den)
-    want = float(Fraction(num, den))
-    if want == 0.0:
-        assert got == 0.0
-    else:
-        # The 64-bit window argument allows at most one ulp of slack.
-        assert got == pytest.approx(want, rel=1e-15)
+    assert ratio_to_float(num, den) == float(Fraction(num, den))
 
 
 def test_as_float_rounds_like_float_and_saturates_beyond_the_range():
     assert as_float(Fraction(1, 3)) == float(Fraction(1, 3))
     assert as_float(Fraction(10**400, 3)) == math.inf
     assert as_float(Fraction(-(10**400), 7)) == -math.inf
+
+
+def test_ratio_to_float_rounds_correctly_where_a_leading_window_does_not():
+    # Halfway cases decided by bits far below the leading 64 of each integer.
+    big = 3**200
+    num = (2**53 + 1) * big * 2**70 + 1
+    den = big * 2**70
+    assert ratio_to_float(num, den) == float(Fraction(num, den)) == 2.0**53 + 2
+    assert ratio_to_float(-num, den) == -(2.0**53 + 2)
+    assert ratio_to_float(1, 3 * 2**1074) == 0.0
+    assert ratio_to_float(2, 3 * 2**1074) == 5e-324
+
