@@ -23,10 +23,8 @@ from .dynamics import (
     FixedPointSet,
     InverseConfig,
     Orbit,
-    OrbitSegment,
     detect_fixed_point,
     inverse_step,
-    orbit,
 )
 from .errors import (
     ChartViolation,
@@ -140,10 +138,8 @@ __all__ = [
     # dynamics
     "InverseConfig",
     "Orbit",
-    "OrbitSegment",
     "FixedPointSet",
     "inverse_step",
-    "orbit",
     "detect_fixed_point",
     # exact engine
     "ExactAltOrbit",

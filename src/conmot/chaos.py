@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Orbit, detect_fixed_point
+from .dynamics import FIXED_POINT_TOL, Orbit, detect_fixed_point
 from .errors import ChartViolation, ConmotError, InversionError, NumericsError, RegionError
 from .exact import _tail_start, difference_log_stats
 from .invariants import _certified_quadratic, invariance_defect
@@ -354,7 +354,8 @@ def same_orbit(
         )
 
     # Two distinct fixed points sit on two distinct constant orbits.
-    if detect_fixed_point(map_instance, x) and detect_fixed_point(map_instance, y):
+    orb = Orbit(map_instance, x)
+    if x.distance_to(orb[1]) <= FIXED_POINT_TOL and detect_fixed_point(map_instance, y):
         return SameOrbitVerdict(
             answer="no", index=None, closest_approach=closest,
             invariant_gap=gap, search_mode="fixed-points",
@@ -364,7 +365,6 @@ def same_orbit(
     search_mode = "bidirectional"
 
     # Walk forward, then backward; a failed inverse leaves only the forward half.
-    orb = Orbit(map_instance, x)
     walks = ((1, ChartViolation, search_mode), (-1, (InversionError, RegionError), "forward-only"))
     for sign, stops, mode_on_stop in walks:
         for k in range(1, max_iterations + 1):

@@ -22,7 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .chaos import _relative_gap, batched_pair_reports, level_set_confinement, same_orbit
+from .chaos import (
+    EPS_HIGH, EPS_LOW, _relative_gap, batched_pair_reports, level_set_confinement, same_orbit,
+)
 from .config import RunConfig, build_weight, chart_point, load_config
 from .dynamics import Orbit
 from .errors import ConfigError, ConmotError
@@ -41,8 +43,6 @@ from .state import State, sample_chart
 
 __all__ = ["main", "build_parser"]
 
-SCAN_EPS_LOW = 1e-6
-SCAN_EPS_HIGH = 1e-3
 SCAN_BOX_HALFWIDTH = 1.0
 SCAN_MIN_RELATIVE_GAP = 1e-3
 CLASSIFY_MAX_ITERATIONS = 1000
@@ -202,8 +202,7 @@ def _series_spec(cfg: RunConfig):
 
 def _float_rows(cfg: RunConfig, index: int):
     orb = Orbit(cfg.map, cfg.initial_states[index])
-    seg = orb.segment(cfg.n_forward, cfg.n_backward)
-    ts = seg.indices()
+    ts = orb.segment(cfg.n_forward, cfg.n_backward)
     series = _series_spec(cfg)
     phis = ([math.nan] * len(ts) if series is None
             else series_along_orbit(orb, None, series[0], series[1], ts))
@@ -216,7 +215,7 @@ def _float_rows(cfg: RunConfig, index: int):
         f_val = float(obj.evaluate(state.coordinates)) if obj is not None else math.nan
         defect = 0.0 if t == 0 and series is not None else abs(phi_t - phi0) / scale
         rows.append((t, state.coordinates, f_val, phi_t, defect))
-    return rows, seg
+    return rows, ts
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
@@ -230,8 +229,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
                                       cfg.initial_exact[i], cfg.n_forward, cfg.n_backward)
             fp_fwd = fp_back = False
         else:
-            raw_rows, seg = _float_rows(cfg, i)
-            fp_fwd, fp_back = seg.fixed_point_forward, seg.fixed_point_backward
+            raw_rows, ts = _float_rows(cfg, i)
+            # A side cut short of what was asked stopped at a fixed point.
+            fp_fwd, fp_back = ts[-1] < cfg.n_forward, -ts[0] < cfg.n_backward
         path = out_dir / f"{cfg.output_prefix}_trajectory_{i}.csv"
         _write_csv(path, _csv_header(dimension), _csv_rows(raw_rows))
         defects = [d for *_rest, d in raw_rows if not math.isnan(d)]
@@ -345,8 +345,8 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, seed: int | None) -> int:
         raise ConfigError("scan needs a seed (config key or --seed)")
     pairs_wanted = int(spec["pairs"])
     horizon = int(spec["horizon"])
-    eps_low = float(spec.get("eps_low", SCAN_EPS_LOW))
-    eps_high = float(spec.get("eps_high", SCAN_EPS_HIGH))
+    eps_low = float(spec.get("eps_low", EPS_LOW))
+    eps_high = float(spec.get("eps_high", EPS_HIGH))
     halfwidth = float(spec.get("box_halfwidth", SCAN_BOX_HALFWIDTH))
     if not math.isfinite(2.0 * halfwidth):  # the sampler draws from a box of width 2h
         raise ConfigError("scan.box_halfwidth must be below half the float range",
@@ -501,12 +501,10 @@ def cmd_figures(which: str, out_dir: Path) -> int:
 # entry point
 
 
-def _failure_message(exc: Exception) -> str:
-    message = str(exc)
-    step_index = getattr(exc, "step_index", None)
-    if step_index is not None:
-        message += f" (step index {step_index})"
-    return message
+def _failure_message(exc: ConmotError) -> str:
+    if exc.step_index is None:
+        return str(exc)
+    return f"{exc} (step index {exc.step_index})"
 
 
 def main(argv=None) -> int:

@@ -16,18 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartViolation, ConmotError, InversionError, NumericsError, RegionError
+from .errors import ChartViolation, ConmotError, InversionError, RegionError
 from .maps import MapInstance, _raw_step, gd_step, rgd_sphere_step, step_jacobian, step_with_defect
-from .objectives import region_contains
+from .objectives import nearest_region_point, region_contains
 from .state import Chart, State, renormalize, tangent_frame
 
 __all__ = [
     "InverseConfig",
-    "OrbitSegment",
     "Orbit",
     "FixedPointSet",
     "inverse_step",
-    "orbit",
     "detect_fixed_point",
 ]
 
@@ -137,7 +135,8 @@ def inverse_step(
 
     Alternating play inverts in closed form; the other kinds run damped Newton
     to cfg.tolerance on the forward residual. Raises InversionError when the
-    solve stalls and RegionError when the preimage leaves a declared region.
+    solve stalls and RegionError when the preimage leaves a declared region
+    and the region's nearest point does not step to x within cfg.tolerance.
     """
     cfg = cfg or _DEFAULT_CFG
     if x.chart != map_instance.chart:
@@ -146,48 +145,16 @@ def inverse_step(
         prev = _invert_alt_play(map_instance, x.coordinates)
     else:
         prev = _newton(map_instance, x.coordinates, cfg)
-    if map_instance.kind == "gd" and not region_contains(map_instance.objective.region, prev):
-        raise RegionError("backward step left the objective's declared region")
+    region = map_instance.objective.region if map_instance.kind == "gd" else None
+    if not region_contains(region, prev):
+        # A start on the boundary can converge a rounding past it: take the
+        # nearest region point when it still steps to x within the tolerance.
+        prev = nearest_region_point(region, prev)
+        if not (region_contains(region, prev)
+                and _norm(_raw_step(map_instance, prev) - x.coordinates) <= cfg.tolerance):
+            raise RegionError("backward step left the objective's declared region")
     prev, _ = renormalize(prev, map_instance.chart)
     return State(prev, map_instance.chart)
-
-
-@dataclass(frozen=True)
-class OrbitSegment:
-    """A finite window of a bi-infinite orbit around its origin.
-
-    forward[k] is T^{k+1}(origin) and backward[k] is T^{-(k+1)}(origin).
-    forward_defects logs the pre-renormalization chart defect of each forward
-    step. The fixed-point flags record that iteration stopped early because
-    the next step moved less than the fixed-point tolerance; the mathematical
-    continuation from there is the constant sequence.
-    """
-
-    origin: State
-    forward: tuple[State, ...]
-    backward: tuple[State, ...]
-    forward_defects: tuple[float, ...]
-    fixed_point_forward: bool = False
-    fixed_point_backward: bool = False
-
-    def state_at(self, k: int) -> State:
-        """State at signed orbit index k within the stored window."""
-        if k == 0:
-            return self.origin
-        if k > 0:
-            if k > len(self.forward):
-                if self.fixed_point_forward:
-                    return self.forward[-1] if self.forward else self.origin
-                raise IndexError(f"forward index {k} outside stored window")
-            return self.forward[k - 1]
-        if -k > len(self.backward):
-            if self.fixed_point_backward:
-                return self.backward[-1] if self.backward else self.origin
-            raise IndexError(f"backward index {k} outside stored window")
-        return self.backward[-k - 1]
-
-    def indices(self) -> range:
-        return range(-len(self.backward), len(self.forward) + 1)
 
 
 class Orbit:
@@ -195,8 +162,9 @@ class Orbit:
 
     orb[n] is T^n(origin). Forward reads step with step_with_defect and keep
     each step's chart defect; backward reads run inverse_step. Each state is
-    computed once. Each side keeps its first ConmotError and raises that same
-    exception on any later read past it, without solving again.
+    computed once. A failed step sets the error's step_index to the index it
+    could not compute; each side keeps that first failure and raises it again
+    on any later read past it, without solving again.
     """
 
     def __init__(self, map_instance: MapInstance, origin: State) -> None:
@@ -221,55 +189,29 @@ class Orbit:
                 self.first -= 1
                 self.states[self.first] = prev
         except ConmotError as exc:
+            exc.step_index = self.last + 1 if forward else self.first - 1
             self._failures[forward] = exc
             raise
         return self.states[n]
 
-    def _run(self, sign: int, n: int) -> tuple[int, bool]:
-        """Steps on one side before the first fixed point within n, and whether
-        one was met."""
+    def _run(self, sign: int, n: int) -> int:
+        """Steps on one side before the first fixed point within n."""
         for k in range(1, n + 1):
             if self[sign * (k - 1)].distance_to(self[sign * k]) <= FIXED_POINT_TOL:
-                return k - 1, True
-        return n, False
+                return k - 1
+        return n
 
-    def segment(self, n_forward: int, n_backward: int = 0) -> OrbitSegment:
-        """The window [-n_backward, n_forward] around the origin.
+    def segment(self, n_forward: int, n_backward: int = 0) -> range:
+        """The indices of the window [-n_backward, n_forward] around the origin.
 
-        A direction that reaches a fixed point is truncated and flagged.
-        Inversion failures propagate with the backward step index attached;
-        non-finite forward states raise NumericsError with the step index
-        (alternating-play orbits grow exponentially, use the exact engine for
-        long horizons).
+        A side that reaches a fixed point (the next step moves less than
+        FIXED_POINT_TOL) stops there, shorter than asked. The forward side is
+        stepped first; a failure propagates as the orbit raised it.
         """
         if n_forward < 0 or n_backward < 0:
             raise ValueError("orbit lengths must be nonnegative")
-        try:
-            n_forward, fp_forward = self._run(1, n_forward)
-        except ChartViolation as exc:
-            k = self.last + 1
-            raise NumericsError(
-                f"forward step {k} produced an invalid state: {exc}", step_index=k
-            ) from exc
-        try:
-            n_backward, fp_backward = self._run(-1, n_backward)
-        except InversionError as exc:
-            exc.step_index = self.first - 1
-            raise
-        except RegionError as exc:
-            raise RegionError(f"backward step {self.first - 1}: {exc}") from exc
-        fwd, back = range(1, n_forward + 1), range(1, n_backward + 1)
-        return OrbitSegment(
-            self.origin, tuple(self.states[k] for k in fwd), tuple(self.states[-k] for k in back),
-            tuple(self.defects[k] for k in fwd), fp_forward, fp_backward,
-        )
-
-
-def orbit(
-    map_instance: MapInstance, origin: State, n_forward: int, n_backward: int = 0
-) -> OrbitSegment:
-    """Iterate the map both ways from origin; see Orbit.segment."""
-    return Orbit(map_instance, origin).segment(n_forward, n_backward)
+        n_forward = self._run(1, n_forward)
+        return range(-self._run(-1, n_backward), n_forward + 1)
 
 
 def detect_fixed_point(

@@ -16,7 +16,10 @@ __all__ = [
 
 
 class ConmotError(Exception):
-    """Base class for all errors raised by conmot."""
+    """Base class for all errors raised by conmot. step_index is the signed
+    index of the orbit step that failed, set by dynamics.Orbit; else None."""
+
+    step_index: int | None = None
 
 
 class ChartViolation(ConmotError):
@@ -35,7 +38,7 @@ class InversionError(ConmotError):
     """Newton inversion failed.
 
     Carries the last iterate and residual norm so callers can report where the
-    solve gave up, and the backward step index when raised from orbit code.
+    solve gave up.
     """
 
     def __init__(
@@ -44,12 +47,10 @@ class InversionError(ConmotError):
         *,
         last_iterate: np.ndarray | None = None,
         residual: float | None = None,
-        step_index: int | None = None,
     ) -> None:
         super().__init__(message)
         self.last_iterate = last_iterate
         self.residual = residual
-        self.step_index = step_index
 
 
 class NumericsError(ConmotError):

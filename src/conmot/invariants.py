@@ -197,9 +197,9 @@ class _OrbitWindow:
             return self.orbit[n]
         except (InversionError, RegionError) as exc:
             if n > 0:
-                self.forward_blocked = f"forward step {self.orbit.last + 1}: {exc}"
+                self.forward_blocked = f"forward step {exc.step_index}: {exc}"
             else:
-                self.backward_blocked = f"backward step {self.orbit.first - 1}: {exc}"
+                self.backward_blocked = f"backward step {exc.step_index}: {exc}"
             return None
 
     def f(self, n: int) -> float | None:
@@ -217,9 +217,7 @@ class _OrbitWindow:
 
     def series_at(self, c: int, notes: list[str]) -> InvariantReport:
         """The truncated series at T^c x, summed ring by ring from the window."""
-        here, nxt = self.get(c), self.get(c + 1)
-        if here is None or nxt is None:
-            raise RegionError(self.backward_blocked if c < 0 else self.forward_blocked)
+        here, nxt = self.orbit[c], self.orbit[c + 1]  # a failed step raises as the orbit did
         # A point that does not move contributes nothing anywhere on its orbit.
         if here.distance_to(nxt) <= 1e-12:
             return InvariantReport(value=0.0, truncation_n=0, partial_sums=(), tail_estimate=0.0,

@@ -24,6 +24,7 @@ __all__ = [
     "Box",
     "Ball",
     "region_contains",
+    "nearest_region_point",
     "sample_region",
     "ObjectiveSpec",
     "PayoffData",
@@ -78,6 +79,17 @@ def region_contains(region: Box | Ball | None, x: np.ndarray) -> bool | np.ndarr
         return ((x >= region.lower) & (x <= region.upper)).all(axis=-1)
     offset = x - np.asarray(region.center)
     return np.sqrt(np.vecdot(offset, offset)) <= region.radius
+
+
+def nearest_region_point(region: Box | Ball, x: np.ndarray) -> np.ndarray:
+    """The point of the region nearest to one point x: x clipped to a box, or
+    x moved radially onto a ball it lies outside of."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(region, Box):
+        return np.clip(x, region.lower, region.upper)
+    center = np.asarray(region.center)
+    norm = float(np.linalg.norm(x - center))
+    return x if norm <= region.radius else center + (x - center) * (region.radius / norm)
 
 
 def sample_region(region: Box | Ball | None, rng: np.random.Generator, dimension: int) -> np.ndarray:

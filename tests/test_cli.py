@@ -15,7 +15,7 @@ import pytest
 
 from conmot import dynamics, maps
 from conmot.cli import main
-from conmot.dynamics import orbit
+from conmot.dynamics import Orbit
 from conmot.invariants import BipartiteInvariant, constant_weight, make_series_invariant
 from conmot.maps import gradient_descent
 from conmot.objectives import PayoffData, double_well
@@ -217,13 +217,13 @@ def test_simulate_series_rows_match_a_fresh_series_per_row(tmp_path):
     _, rows = read_csv(out / "run_trajectory_0.csv")
 
     m = gradient_descent(double_well(1), Fraction(1, 10))
-    seg = orbit(m, State([0.4], euclidean(1)), 12, 6)
+    orb = Orbit(m, State([0.4], euclidean(1)))
     fresh = make_series_invariant(m, None, constant_weight(), 32)
-    phi0 = fresh(seg.origin)
-    assert [int(r[0]) for r in rows] == list(seg.indices())
-    for row, t in zip(rows, seg.indices()):
-        assert float(row[1]) == seg.state_at(t).coordinates[0]
-        phi_t = fresh(seg.state_at(t))
+    phi0 = fresh(orb.origin)
+    assert [int(r[0]) for r in rows] == list(range(-6, 13))
+    for row, t in zip(rows, range(-6, 13)):
+        assert float(row[1]) == orb[t].coordinates[0]
+        phi_t = fresh(orb[t])
         want = (phi_t, abs(phi_t - phi0) / (1.0 + abs(phi0)))
         for got, ref in zip((float(row[3]), float(row[4])), want):
             assert math.isnan(got) == math.isnan(ref)
@@ -577,7 +577,39 @@ def test_backward_region_escape_is_exit_three(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert not err.startswith("error: configuration:")
-    assert "backward step -1" in err
+    assert err == "error: backward step left the objective's declared region (step index -1)\n"
+
+
+MWU_LIN_TOO_FAST = {
+    "map": {"kind": "mwu_lin", "objective": {"name": "quadratic", "dimension": 3},
+            "blocks": [3], "step_size": "1.5"},
+    "initial_states": [["0.9", "0.05", "0.05"]],
+    "invariant": {"kind": "series", "truncation": 8},
+}
+GD_OUTSIDE_THE_BOX = {
+    "map": {"kind": "gd", "objective": {"name": "double_well", "dimension": 1},
+            "step_size": "0.1"},
+    "initial_states": [["1.7"]],
+    "steps": {"forward": 5},
+    "invariant": {"kind": "series", "truncation": 8},
+    "classify": {"x": ["1.7"], "y": ["0.5"]},
+}
+
+
+@pytest.mark.parametrize("doc, command, message", [
+    (MWU_LIN_TOO_FAST, "simulate", "mwu_lin factor -0.35 is not positive; reduce the learning rate"),
+    (MWU_LIN_TOO_FAST, "invariant", "mwu_lin factor -0.35 is not positive; reduce the learning rate"),
+    (GD_OUTSIDE_THE_BOX, "simulate", "state lies outside the objective's declared region"),
+    (GD_OUTSIDE_THE_BOX, "invariant", "state lies outside the objective's declared region"),
+    (GD_OUTSIDE_THE_BOX, "classify", "state lies outside the objective's declared region"),
+])
+def test_a_failed_orbit_step_is_exit_three_with_its_step_index(tmp_path, capsys, doc, command,
+                                                                message):
+    """Every command reports an orbit failure the same way: the raw message
+    and the index of the step that could not be taken."""
+    cfg = write_config(tmp_path, doc)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), command]) == 3
+    assert capsys.readouterr().err == f"error: {message} (step index 1)\n"
 
 
 @pytest.mark.parametrize("prefix", ["no/such/dir", "../x"])

@@ -1,6 +1,7 @@
 """Inverse steps, bidirectional orbits, and fixed-point detection."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,9 +14,8 @@ from conmot.dynamics import (
     Orbit,
     detect_fixed_point,
     inverse_step,
-    orbit,
 )
-from conmot.errors import InversionError, RegionError
+from conmot.errors import InversionError, RegionError, StepSizeError
 from conmot.maps import (
     alternating_play,
     gradient_descent,
@@ -25,7 +25,9 @@ from conmot.maps import (
     step,
     step_with_defect,
 )
-from conmot.objectives import PayoffData, bilinear, bump, double_well, linear, quadratic
+from conmot.objectives import (
+    PayoffData, bilinear, bump, double_well, linear, quadratic, region_contains,
+)
 from conmot.state import (
     State,
     bipartite_pair,
@@ -100,7 +102,7 @@ def roundtrip_cases(draw):
     u = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
     if kind == "gd":
         m = gradient_descent(obj, eta)
-        scale = {"quadratic": 9.9 / np.sqrt(d), "double_well": 1.45}.get(name, 3.0)
+        scale = {"quadratic": 9.9 / np.sqrt(d), "double_well": 1.5}.get(name, 3.0)
         return m, State(scale * u, m.chart)
     if kind == "rgd_sphere":
         assume(np.linalg.norm(u) > 0.1)
@@ -128,6 +130,36 @@ def test_an_objective_without_a_hessian_inverts_by_finite_differences(kind):
             s = State(rng.uniform(-1.4, 1.4, 3), m.chart)
         else:
             s = sample_chart(m.chart, rng)
+        assert inverse_step(m, step(m, s)).distance_to(s) <= 1e-10
+
+
+def test_gd_inverse_of_a_step_from_the_box_edge_returns_to_the_edge():
+    """Newton converges one rounding past x = 1.5 here; the box's nearest
+    point steps to the target within the tolerance and is the preimage."""
+    m = gradient_descent(double_well(1), Fraction(4307790947919605, 2**55))
+    s = State([1.5], euclidean(1))
+    assert inverse_step(m, step(m, s)).distance_to(s) <= 1e-10
+
+
+def test_gd_round_trip_from_region_boundaries():
+    """Starts on a face of the double well's box and on the quadratic's
+    bounding sphere, with step sizes drawn below the one-to-one bound
+    eta * d * (Hessian entry bound) < 1."""
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        d = int(rng.integers(1, 4))
+        m = gradient_descent(double_well(d), rng.uniform(0.01, 0.9) / (5.75 * d))
+        u = rng.uniform(-1.5, 1.5, d)
+        u[rng.integers(d)] = rng.choice([-1.5, 1.5])
+        s = State(u, m.chart)
+        assert inverse_step(m, step(m, s)).distance_to(s) <= 1e-10
+    for _ in range(300):
+        d = int(rng.integers(1, 5))
+        m = gradient_descent(quadratic(d), rng.uniform(0.01, 0.9) / d)
+        u = rng.normal(size=d)
+        s = State(10.0 * u / np.linalg.norm(u), m.chart)
+        if not region_contains(m.objective.region, s.coordinates):
+            continue  # rounded a hair past the sphere: not a start of the map
         assert inverse_step(m, step(m, s)).distance_to(s) <= 1e-10
 
 
@@ -165,63 +197,73 @@ def test_inversion_error_carries_diagnostics(kind, monkeypatch):
 def test_orbit_with_no_steps_contains_only_the_origin():
     m = gradient_descent(double_well(1), 0.1)
     s = State([0.5], euclidean(1))
-    seg = orbit(m, s, 0, 0)
-    assert list(seg.indices()) == [0]
-    assert seg.state_at(0) is s
+    orb = Orbit(m, s)
+    assert list(orb.segment(0, 0)) == [0]
+    assert orb[0] is s
+    assert orb.states == {0: s}
 
 
 def test_orbit_forward_tail_reaches_the_basin_minimizer():
-    m = gradient_descent(double_well(1), 0.1)
-    seg = orbit(m, State([0.5], euclidean(1)), 200)
-    assert abs(seg.state_at(seg.indices()[-1]).coordinates[0] - 1.0) <= 1e-8
+    orb = Orbit(gradient_descent(double_well(1), 0.1), State([0.5], euclidean(1)))
+    assert abs(orb[orb.segment(200)[-1]].coordinates[0] - 1.0) <= 1e-8
 
 
 def test_orbit_backward_tail_climbs_to_the_local_maximum():
-    m = gradient_descent(double_well(1), 0.1)
-    seg = orbit(m, State([0.5], euclidean(1)), 0, 200)
-    assert abs(seg.state_at(seg.indices()[0]).coordinates[0] - 0.0) <= 1e-6
+    orb = Orbit(gradient_descent(double_well(1), 0.1), State([0.5], euclidean(1)))
+    assert abs(orb[orb.segment(0, 200)[0]].coordinates[0] - 0.0) <= 1e-6
 
 
 def test_orbit_truncates_at_fixed_points_and_flags_it():
-    m = gradient_descent(double_well(1), 0.1)
-    seg = orbit(m, State([1.0], euclidean(1)), 50)
-    assert seg.fixed_point_forward is True
-    assert len(seg.forward) < 50
-    # state_at extends past the truncation by repeating the fixed point
-    assert seg.state_at(50).coordinates[0] == pytest.approx(1.0)
+    orb = Orbit(gradient_descent(double_well(1), 0.1), State([1.0], euclidean(1)))
+    window = orb.segment(50)
+    # A side cut short of what was asked stopped at a fixed point.
+    assert window[-1] < 50
+    # Past the cut the orbit stays at the fixed point.
+    assert orb[50].coordinates[0] == pytest.approx(1.0)
 
 
 def test_orbit_indices_cover_the_requested_window():
     m = alternating_play(PayoffData.from_matrix([[1]]), 0.1, 0.2)
-    seg = orbit(m, State([60.0, -25.0], bipartite_pair(1, 1)), 5, 3)
-    assert list(seg.indices()) == list(range(-3, 6))
-    np.testing.assert_allclose(seg.state_at(1).coordinates, [57.5, -13.5])
+    orb = Orbit(m, State([60.0, -25.0], bipartite_pair(1, 1)))
+    assert orb.segment(5, 3) == range(-3, 6)
+    np.testing.assert_allclose(orb[1].coordinates, [57.5, -13.5])
 
 
 def test_orbit_consistency_forward_of_backward_is_identity():
     dw = double_well(2)
     m = gradient_descent(dw, 0.1)
     rng = np.random.default_rng(3)
-    s = State(rng.uniform(-1.2, 1.2, size=2), euclidean(2))
-    seg = orbit(m, s, 0, 10)
+    orb = Orbit(m, State(rng.uniform(-1.2, 1.2, size=2), euclidean(2)))
+    assert orb.segment(0, 10) == range(-10, 1)
     for k in range(-10, 0):
-        fwd = step(m, seg.state_at(k))
-        assert fwd.distance_to(seg.state_at(k + 1)) <= 1e-9
+        fwd = step(m, orb[k])
+        assert fwd.distance_to(orb[k + 1]) <= 1e-9
 
 
 def test_orbit_backward_failure_reports_the_step_index():
     m = gradient_descent(quadratic(1), 0.5)
-    with pytest.raises(RegionError, match="backward step -1"):
-        # 6 -> 12 leaves the ball of radius 10 on the first backward step
-        orbit(m, State([6.0], euclidean(1)), 0, 5)
+    # 6 -> 12 leaves the ball of radius 10 on the first backward step
+    with pytest.raises(RegionError) as err:
+        Orbit(m, State([6.0], euclidean(1))).segment(0, 5)
+    assert str(err.value) == "backward step left the objective's declared region"
+    assert err.value.step_index == -1
+
+
+def test_orbit_forward_failure_reports_the_step_index():
+    # x -> x (1 - 1.5 g) on the simplex: a factor turns negative at the start.
+    m = mwu_linear(quadratic(3), 1.5, (3,))
+    with pytest.raises(StepSizeError) as err:
+        Orbit(m, State([0.9, 0.05, 0.05], simplex_product(3))).segment(4)
+    assert str(err.value) == "mwu_lin factor -0.35 is not positive; reduce the learning rate"
+    assert err.value.step_index == 1
 
 
 def test_orbit_forward_defects_are_recorded():
     m = mwu_exponential(quadratic(4), 0.01, (2, 2))
-    s = State([0.4, 0.6, 0.3, 0.7], simplex_product(2, 2))
-    seg = orbit(m, s, 25)
-    assert len(seg.forward_defects) == 25
-    assert max(seg.forward_defects) < 1e-14
+    orb = Orbit(m, State([0.4, 0.6, 0.3, 0.7], simplex_product(2, 2)))
+    assert orb.segment(25) == range(0, 26)
+    assert sorted(orb.defects) == list(range(1, 26))
+    assert max(orb.defects.values()) < 1e-14
 
 
 ORBIT_CASES = {
@@ -259,9 +301,9 @@ def test_orbit_reads_equal_a_direct_walk_bit_for_bit(case):
     for k in range(5):
         assert orb[-k].coordinates.tobytes() == back[k].coordinates.tobytes()
     assert [orb.defects[k] for k in range(1, 7)] == defects
-    seg = orb.segment(6, 4)  # read from the stored states, not stepped again
-    assert all(s is orb[k] for k, s in enumerate(seg.forward, 1))
-    assert all(s is orb[-k] for k, s in enumerate(seg.backward, 1))
+    stored = dict(orb.states)
+    assert orb.segment(6, 4) == range(-4, 7)  # read from the stored states, not stepped again
+    assert all(orb[k] is stored[k] for k in range(-4, 7)) and orb.states == stored
 
 
 def test_a_failed_side_reraises_without_solving_again(monkeypatch):
@@ -282,9 +324,21 @@ def test_a_failed_side_reraises_without_solving_again(monkeypatch):
         with pytest.raises(RegionError) as again:
             orb[n]
         assert again.value is first.value
+        assert again.value.step_index == -2  # the index it could not compute
     assert len(solves) == 2
     assert orb[-1].coordinates[0] == 6.0
     assert orb[2].coordinates[0] == 0.75  # the forward side is untouched
+
+
+def test_a_stored_forward_failure_keeps_its_step_index():
+    orb = Orbit(mwu_linear(quadratic(3), 1.5, (3,)), State([0.9, 0.05, 0.05], simplex_product(3)))
+    with pytest.raises(StepSizeError) as first:
+        orb[3]
+    for n in (1, 2, 5):
+        with pytest.raises(StepSizeError) as again:
+            orb[n]
+        assert again.value is first.value and again.value.step_index == 1
+    assert (orb.first, orb.last) == (0, 0)
 
 
 def test_detect_fixed_point_examples():

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conmot import dynamics, invariants
-from conmot.dynamics import orbit
-from conmot.errors import ConmotError, StepSizeError
+from conmot.dynamics import Orbit
+from conmot.errors import ConmotError, RegionError, StepSizeError
 from conmot.invariants import (
     BipartiteInvariant,
     bipartite_invariant,
@@ -142,9 +142,9 @@ def test_series_partial_sums_are_nondecreasing_for_unit_weight():
 def test_series_telescopes_to_the_orbit_endpoint_gap():
     rep = series_invariant(DOUBLE_WELL_GD, None, ONES, HALF, 12)
     n = rep.truncation_n
-    seg = orbit(DOUBLE_WELL_GD, HALF, n, n + 1)
+    orb = Orbit(DOUBLE_WELL_GD, HALF)
     f = double_well(1).evaluate
-    endpoints = f(seg.state_at(-(n + 1)).coordinates) - f(seg.state_at(n).coordinates)
+    endpoints = f(orb[-(n + 1)].coordinates) - f(orb[n].coordinates)
     assert abs(rep.value - endpoints) <= 1e-12
 
 
@@ -171,6 +171,27 @@ def test_series_downgrades_to_one_sided_when_backward_exits_the_region():
     assert rep.one_sided is True
     assert rep.value == pytest.approx(40.5, abs=1e-9)
     assert any("backward" in note for note in rep.notes)
+
+
+def test_blocked_side_notes_name_the_step_that_failed():
+    """Each side's note gives the index the orbit could not compute."""
+    m = gradient_descent(quadratic(1), 0.5)
+    rep = series_invariant(m, None, ONES, State([9.0], euclidean(1)), 60)
+    assert "backward step -1: backward step left the objective's declared region" in rep.notes
+    # x -> 1.5 x leaves the box at step 4, so step 5 cannot be taken.
+    hill = ObjectiveSpec(name="hill", dimension=1, evaluate=lambda z: -0.5 * float(z @ z),
+                         gradient=lambda z: -z, region=Box(lower=(-2.0,), upper=(2.0,)))
+    rep = series_invariant(gradient_descent(hill, 0.5), None, ONES, State([0.5], euclidean(1)), 8)
+    assert rep.notes[-1] == "forward step 5: state lies outside the objective's declared region"
+    assert rep.truncation_n == 4
+
+
+def test_series_at_a_start_outside_the_region_raises_the_orbit_failure():
+    m = gradient_descent(double_well(1), Fraction(1, 10))
+    with pytest.raises(RegionError) as err:
+        series_invariant(m, None, ONES, State([1.7], euclidean(1)), 8)
+    assert str(err.value) == "state lies outside the objective's declared region"
+    assert err.value.step_index == 1
 
 
 def test_series_flags_divergence_on_a_two_cycle():

@@ -74,6 +74,28 @@ def test_ratio_to_float_matches_fraction_rounding_closely(num, den):
     assert ratio_to_float(num, den) == float(Fraction(num, den))
 
 
+@st.composite
+def near_halfway_ratios(draw):
+    """num, den with num/den within a tiny offset (possibly zero) of the
+    midpoint between two adjacent normal floats m 2^e and (m + 1) 2^e, both
+    integers scaled by one large cofactor, so the bits that decide the
+    rounding lie far below the leading 64 of either."""
+    m = draw(st.integers(2**52, 2**53 - 1))
+    e = draw(st.integers(-1074, 970))
+    shift = draw(st.integers(1, 300))
+    offset = draw(st.integers(-2, 2))
+    q = Fraction(((2 * m + 1) << shift) + offset, 1 << shift) * Fraction(2) ** (e - 1)
+    cofactor = draw(st.integers(2**64, 2**512))
+    sign = draw(st.sampled_from([1, -1]))
+    return sign * q.numerator * cofactor, q.denominator * cofactor
+
+
+@given(near_halfway_ratios())
+def test_ratio_to_float_rounds_near_halfway_quotients_correctly(ratio):
+    num, den = ratio
+    assert ratio_to_float(num, den) == float(Fraction(num, den))
+
+
 def test_as_float_rounds_like_float_and_saturates_beyond_the_range():
     assert as_float(Fraction(1, 3)) == float(Fraction(1, 3))
     assert as_float(Fraction(10**400, 3)) == math.inf
