@@ -104,13 +104,17 @@ def scrambled_pair_estimate(
 
 
 def _pair_step(map_instance: MapInstance, xy: np.ndarray, t: int) -> list[np.ndarray]:
-    """One pair stepped as two States; a chart failure is a NumericsError at t."""
+    """One pair stepped as two States; a chart failure is a NumericsError at t,
+    and any other failure keeps its type and gets step index t."""
     try:
         return [step(map_instance, State(v, map_instance.chart)).coordinates for v in xy]
     except ChartViolation as exc:
         raise NumericsError(
             f"pair orbit left float range at step {t}: {exc}", step_index=t
         ) from exc
+    except ConmotError as exc:
+        exc.step_index = t
+        raise
 
 
 def _pair_distance_extremes(

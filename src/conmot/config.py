@@ -6,6 +6,15 @@ pass re-reads every float as a Fraction, so step sizes, payoff entries, and
 initial states reach the exact engine without a detour through float64.
 Decimal strings like "0.1" or "1/10" are accepted wherever exactness matters
 and mean exactly what they say.
+
+The first pass checks the document with a small validator for exactly the
+JSON Schema (draft 2020-12) keywords the packaged schema uses: type,
+properties, required, additionalProperties, enum, items, minItems,
+minLength, minimum and exclusiveMinimum, with $schema and title skipped as
+annotations. It answers only "valid or not" and may only err toward
+"invalid": a document it rejects goes to jsonschema, imported then, which
+words the error or, finding none, lets loading go on. A valid config never
+imports jsonschema.
 """
 
 from __future__ import annotations
@@ -19,7 +28,6 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .errors import ChartViolation, ConfigError, ConmotError
@@ -67,6 +75,51 @@ class RunConfig:
 def _schema() -> dict:
     text = resources.files("conmot").joinpath("schema/run_config.schema.json").read_text()
     return json.loads(text)
+
+
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# JSON Schema types as draft 2020-12 reads them: a bool is no number, and an
+# integral float such as 2.0 is an integer.
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "number": _number,
+    "integer": lambda x: _number(x) and (isinstance(x, int) or x.is_integer()),
+}
+
+# One check per keyword of the packaged schema, called as check(x, value,
+# schema). Any other keyword, type name or non-string enum member reads as
+# "invalid" and so reaches jsonschema: these checks may call a document
+# invalid that jsonschema accepts, never the other way round. minimum and
+# exclusiveMinimum fail only on x < m and x <= m, so NaN passes both.
+_KEYWORDS = {
+    "$schema": lambda x, v, s: True,
+    "title": lambda x, v, s: True,
+    "type": lambda x, v, s: any(_TYPES.get(t, lambda _: False)(x)
+                                for t in ([v] if isinstance(v, str) else v)),
+    "enum": lambda x, v, s: isinstance(x, str) and x in v,
+    "properties": lambda x, v, s: not isinstance(x, dict) or all(
+        _valid(x[k], sub) for k, sub in v.items() if k in x),
+    "required": lambda x, v, s: not isinstance(x, dict) or all(k in x for k in v),
+    "additionalProperties": lambda x, v, s: not isinstance(x, dict) or all(
+        _valid(x[k], v) for k in x if k not in s.get("properties", {})),
+    "items": lambda x, v, s: not isinstance(x, list) or all(_valid(e, v) for e in x),
+    "minItems": lambda x, v, s: not isinstance(x, list) or len(x) >= v,
+    "minLength": lambda x, v, s: not isinstance(x, str) or len(x) >= v,
+    "minimum": lambda x, v, s: not _number(x) or not x < v,
+    "exclusiveMinimum": lambda x, v, s: not _number(x) or not x <= v,
+}
+
+
+def _valid(node, schema) -> bool:
+    """Whether node is valid against schema, answered only by _KEYWORDS."""
+    if isinstance(schema, bool):
+        return schema
+    return all(_KEYWORDS.get(k, lambda *_: False)(node, v, schema) for k, v in schema.items())
 
 
 def _json_float(text: str) -> Fraction | int | float:
@@ -227,17 +280,20 @@ def load_config(path) -> RunConfig:
         plain = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too long an integer, too deep a nest
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    # The error jsonschema.validate would raise, without re-checking the
-    # packaged schema against its metaschema on every load.
     schema = _schema()
-    exc = jsonschema.exceptions.best_match(
-        jsonschema.validators.validator_for(schema)(schema).iter_errors(plain)
-    )
-    if exc is not None:
-        path_str = "$" + "".join(
-            f"[{p!r}]" if isinstance(p, str) else f"[{p}]" for p in exc.absolute_path
+    if not _valid(plain, schema):
+        # The error jsonschema.validate would raise, without re-checking the
+        # packaged schema against its metaschema on every load.
+        import jsonschema
+
+        exc = jsonschema.exceptions.best_match(
+            jsonschema.validators.validator_for(schema)(schema).iter_errors(plain)
         )
-        raise ConfigError(f"{exc.message} (at {path_str})", json_path=path_str) from exc
+        if exc is not None:
+            path_str = "$" + "".join(
+                f"[{p!r}]" if isinstance(p, str) else f"[{p}]" for p in exc.absolute_path
+            )
+            raise ConfigError(f"{exc.message} (at {path_str})", json_path=path_str) from exc
     # Every number is used in float arithmetic somewhere; 1e400 reads as inf.
     where = _nonfinite_path(plain)
     if where is not None:

@@ -70,6 +70,7 @@ def _newton(map_instance: MapInstance, target: np.ndarray, cfg: InverseConfig) -
     kind, chart, obj = map_instance.kind, map_instance.chart, map_instance.objective
     eta = map_instance.float_step_sizes[0]
     name = {"gd": "gd", "rgd_sphere": "sphere"}.get(kind, "mwu")
+    euclidean = chart.kind == "euclidean"  # the frame is the identity: skip its products
 
     def residual(y: np.ndarray) -> np.ndarray:
         # gd skips _raw_step's region check: an intermediate iterate may leave
@@ -89,13 +90,13 @@ def _newton(map_instance: MapInstance, target: np.ndarray, cfg: InverseConfig) -
         jac = step_jacobian(map_instance, y)
         if jac is None:
             jac = np.column_stack([(residual(y + FD_STEP * u) - r) / FD_STEP for u in frame.T])
-        else:
+        elif not euclidean:
             jac = jac @ frame
         try:  # a square system (the euclidean frame) is solved directly
             coeffs = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:  # not square, or singular
             coeffs = np.linalg.lstsq(jac, -r)[0]
-        delta = frame @ coeffs
+        delta = coeffs if euclidean else frame @ coeffs
         lam = 1.0
         for _ in range(40):
             candidate = _retract(chart, y + lam * delta)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -217,6 +217,13 @@ def rgd_sphere_step(objective: ObjectiveSpec, eta: float, x: np.ndarray) -> np.n
     return z / n
 
 
+@cache
+def _identity(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 def step_jacobian(map_instance: MapInstance, y: np.ndarray) -> np.ndarray | None:
     """dT/dy of the raw rule at one point y, in ambient coordinates, by the
     chain rule through the objective's Hessian; None when the objective has
@@ -229,7 +236,7 @@ def step_jacobian(map_instance: MapInstance, y: np.ndarray) -> np.ndarray | None
     if obj.hessian is None:
         return None
     h = obj.hessian(y)
-    eye = np.eye(len(y))
+    eye = _identity(len(y))
     rates = map_instance.float_step_sizes
     if map_instance.kind == "gd":
         return eye - rates[0] * h

@@ -17,7 +17,6 @@ from typing import Callable
 import numpy as np
 
 from . import state as charts
-from .errors import ChartViolation
 from .rationals import as_fraction
 
 __all__ = [

@@ -16,7 +16,7 @@ from conmot.chaos import (
     same_orbit,
     scrambled_pair_estimate,
 )
-from conmot.errors import ChartViolation, NumericsError, RegionError, StepSizeError
+from conmot.errors import ChartViolation, ConmotError, NumericsError, RegionError, StepSizeError
 from conmot.invariants import BipartiteInvariant
 from conmot.maps import (
     alternating_play,
@@ -242,6 +242,9 @@ def _reference_reports(m, pairs, horizon, eps_low=EPS_LOW, eps_high=EPS_HIGH):
                 raise NumericsError(
                     f"pair orbit left float range at step {t}: {exc}", step_index=t
                 ) from exc
+            except ConmotError as exc:
+                exc.step_index = t
+                raise
             if t > tail_start:
                 d = wx.distance_to(wy)
                 lim_lo = min(lim_lo, d)
@@ -334,7 +337,7 @@ def test_region_exit_raises_the_region_error_of_the_loop():
     m = gradient_descent(_expanding(Box((-2.0,), (2.0,))), 0.5)
     pairs = [(_pt(0.3), _pt(-0.3)), (_pt(1.2), _pt(0.1)), (_pt(0.0), _pt(0.05))]
     want = _raised(lambda: _reference_reports(m, pairs, 40))
-    assert want[0] is RegionError
+    assert (want[0], want[2]) == (RegionError, 6)
     assert _raised(lambda: batched_pair_reports(m, pairs, 40)) == want
 
 

@@ -664,7 +664,8 @@ def test_a_numerical_failure_writes_only_its_error_line_to_stderr(tmp_path, caps
         rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "scan"])
     assert rc == 3
     assert [str(w.message) for w in caught] == []
-    assert capsys.readouterr().err == "error: state lies outside the objective's declared region\n"
+    assert capsys.readouterr().err == (
+        "error: state lies outside the objective's declared region (step index 1)\n")
 
 
 def test_a_closed_form_value_beyond_the_float_range_is_written_as_inf(tmp_path):

@@ -5,7 +5,8 @@ and section, with rare bad numbers, off-chart points and odd prefixes) and,
 one time in three, mutated: a key deleted, a value replaced by arbitrary
 JSON, or an unknown key added. Each document runs
 through every subcommand that reads a config, with the global seed and
-tolerance flags drawn as well. Sizes stay small (steps and horizons <= 20,
+tolerance flags drawn as well. The same documents, and arbitrary JSON, check
+config's small schema validator against jsonschema. Sizes stay small (steps and horizons <= 20,
 truncation <= 8, pairs <= 3) so the whole test runs in a few seconds.
 """
 
@@ -16,10 +17,12 @@ import math
 import tempfile
 from pathlib import Path
 
+import jsonschema
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conmot.cli import FIGURE_RECIPES, main
+from conmot.config import _schema, _valid
 
 COMMANDS = ("simulate", "invariant", "classify", "scan")
 
@@ -207,3 +210,28 @@ def test_every_subcommand_exits_zero_two_or_three(doc, flags):
 @pytest.mark.parametrize("which", sorted(FIGURE_RECIPES))
 def test_figures_reads_no_config_and_exits_zero(tmp_path, which):
     assert _run(["--out", str(tmp_path), "figures", which]) == 0
+
+
+GD = {"kind": "gd", "objective": {"name": "quadratic"}, "step_size": "0.1"}
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=DOCUMENTS | JSON)
+@example(doc={"map": GD, "steps": {"forward": 2.0}})
+@example(doc={"map": GD, "steps": {"forward": True}})
+@example(doc={"map": GD, "tolerance": True})
+@example(doc={"map": GD, "tolerance": math.nan})
+@example(doc={"map": GD, "scan": {"pairs": 1, "horizon": 1, "min_relative_gap": math.nan}})
+@example(doc={"map": GD, "tolerance": 0})
+@example(doc={"map": GD, "output": {"prefix": ""}})
+@example(doc={"map": GD, "output": {"prefix": "\U0001d11e"}})  # one code point, two UTF-16 units
+@example(doc={"map": GD, "unknown": 1})
+def test_the_small_validator_agrees_with_jsonschema(doc):
+    """It must never accept what jsonschema rejects, and on these documents
+    it answers exactly as jsonschema does."""
+    plain = json.loads(json.dumps(doc))
+    schema = _schema()
+    theirs = jsonschema.validators.validator_for(schema)(schema).is_valid(plain)
+    ours = _valid(plain, schema)
+    assert theirs or not ours, "accepted a document jsonschema rejects"
+    assert ours == theirs

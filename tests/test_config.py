@@ -1,12 +1,17 @@
 """JSON run-configuration loading: schema gate, exactness, construction."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from conmot.config import _schema, build_weight, load_config
+import conmot
+from conmot.config import _KEYWORDS, _TYPES, _schema, build_weight, load_config
 from conmot.errors import ConfigError
 
 
@@ -209,6 +214,37 @@ def test_build_weight_checks_the_chart_dimension(weight, path):
 def test_the_packaged_schema_is_valid_against_its_metaschema():
     schema = _schema()
     jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def _subschemas(schema):
+    yield schema
+    for key, value in schema.items():
+        if key == "properties":
+            for sub in value.values():
+                yield from _subschemas(sub)
+        elif isinstance(value, dict):
+            yield from _subschemas(value)
+
+
+def test_the_small_validator_knows_every_keyword_and_type_of_the_schema():
+    """A schema edit that adds, say, pattern must extend config._KEYWORDS;
+    until then every config would fall through to jsonschema."""
+    subschemas = list(_subschemas(_schema()))
+    assert {key for sub in subschemas for key in sub} <= _KEYWORDS.keys()
+    types = {t for sub in subschemas if "type" in sub
+             for t in ([sub["type"]] if isinstance(sub["type"], str) else sub["type"])}
+    assert types <= _TYPES.keys()
+
+
+def test_a_valid_config_loads_without_importing_jsonschema(tmp_path):
+    code = ("import sys, conmot.cli; conmot.cli.load_config(sys.argv[1]); "
+            "print('jsonschema' in sys.modules)")
+    src = str(Path(conmot.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code, str(write(tmp_path, BASE))],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 def test_integral_floats_are_read_as_integers(tmp_path):
