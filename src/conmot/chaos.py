@@ -50,9 +50,11 @@ def _relative_gap(phi, x: State, y: State) -> float:
 
 
 def _exp2_safe(log2_value: float) -> float:
-    if log2_value > 1023.0:
+    """2 ** log2_value, and inf only where that overflows float64."""
+    try:
+        return 2.0 ** float(log2_value)
+    except OverflowError:
         return math.inf
-    return float(2.0 ** log2_value)
 
 
 def _verdict(lim_lo: float, lim_hi: float, low: float, high: float) -> str:
@@ -169,8 +171,10 @@ def batched_pair_reports(
     """Scrambled-pair reports for many pairs, all advanced at once.
 
     Alternating play is linear, so every pair distance is its evolved
-    difference vector: the whole batch advances with one matrix product per
-    step and is tracked in log space to any horizon. The other kinds stack
+    difference vector: the batch jumps to the tail window by one product with
+    a power of the step matrix, and the window is read in chunks of batched
+    products with consecutive powers, in log space to any horizon (see
+    difference_log_stats). The other kinds stack
     every x and y into one array and take one vectorised step per time index;
     each pair's numbers equal those of stepping its two States alone, bit for
     bit, and a failing step raises what that one-pair loop raises.

@@ -146,7 +146,11 @@ def _jsonable(obj):
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
+    """Stream the document to the file: no second copy of it as one string."""
+    doc = _jsonable(payload)
+    with path.open("w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
@@ -358,7 +362,7 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, seed: int | None) -> int:
         phi = BipartiteInvariant(cfg.map.payoff, *cfg.map.step_sizes)
 
     rng = np.random.default_rng(seed)
-    kept = []
+    kept, gaps = [], []
     attempts = 0
     max_attempts = 200 * pairs_wanted
     while len(kept) < pairs_wanted and attempts < max_attempts:
@@ -367,18 +371,25 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, seed: int | None) -> int:
         y = _sample_scan_state(cfg, rng, halfwidth)
         if np.array_equal(x.coordinates, y.coordinates):
             continue
-        if phi is not None and _relative_gap(phi, x, y) <= min_gap:
+        gap = _relative_gap(phi, x, y)  # nan without phi, and nan <= min_gap is False
+        if gap <= min_gap:
             continue
         kept.append((x, y))
+        gaps.append(gap)
     if len(kept) < pairs_wanted:
         raise ConmotError(
             f"could not sample {pairs_wanted} cross-level pairs in "
             f"{max_attempts} attempts; widen the box or lower min_relative_gap"
         )
 
-    reports = batched_pair_reports(
-        cfg.map, kept, horizon, eps_low=eps_low, eps_high=eps_high, phi=phi
-    )
+    # Each pair's gap is the filter's: the reports are made without phi.
+    reports = [
+        dataclasses.replace(report, invariant_gap=gap)
+        for report, gap in zip(
+            batched_pair_reports(cfg.map, kept, horizon, eps_low=eps_low, eps_high=eps_high),
+            gaps,
+        )
+    ]
     counts: dict[str, int] = {}
     pair_entries = []
     for idx, report in enumerate(reports):

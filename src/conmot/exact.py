@@ -306,6 +306,34 @@ def _tail_start(horizon: int) -> int:
     return horizon - max(1, horizon // 5)
 
 
+# Window steps evaluated per batched product: a (chunk, d, B) buffer.
+_WINDOW_CHUNK = 16
+
+
+def _pow2_normalised(a: np.ndarray, axes=None) -> tuple[np.ndarray, np.ndarray]:
+    """(a / 2^e, e) with e the binary exponent of max |a| over ``axes``
+    (dropped from e's shape); dividing by a power of two is exact, so log2 of
+    the scale is the integer e."""
+    _, e = np.frexp(np.max(np.abs(a), axis=axes, keepdims=True))
+    return np.ldexp(a, -e), np.squeeze(e, axis=axes)
+
+
+def _normalised_power(m: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """(p, e) with m^k == p * 2^e, by binary powering renormalised after
+    every product; max |p| is in [1/2, 1) for k >= 1."""
+    power, e = np.eye(len(m)), 0
+    base, base_e = _pow2_normalised(m)
+    base_e = int(base_e)
+    while k:
+        if k & 1:
+            power, e_new = _pow2_normalised(power @ base)
+            e += base_e + int(e_new)
+        base, e_new = _pow2_normalised(base @ base)
+        base_e = 2 * base_e + int(e_new)
+        k >>= 1
+    return power, e
+
+
 def difference_log_stats(
     payoff: PayoffData,
     eta1: float,
@@ -316,31 +344,59 @@ def difference_log_stats(
     """Tail liminf/limsup of log2 ||M^t d|| for each difference vector.
 
     The dynamics is linear, so the distance between two orbits is exactly the
-    norm of the evolved difference. Each difference is renormalized every step
-    with the accumulated log kept separately, which reaches horizons where the
-    raw norms would overflow float64 by thousands of orders of magnitude. The
-    tail window is the last max(1, horizon // 5) steps.
+    norm of the evolved difference. The tail window is the last
+    max(1, horizon // 5) steps, and only it is evaluated:
+
+    - the jump: each difference is carried to the first window step by one
+      product with M^(tail_start + 1), got by binary powering;
+    - the window: in chunks of _WINDOW_CHUNK steps, one batched product of
+      the carried differences with a stack of consecutive powers of M, then
+      squared norms, log2 and a running min and max; the next chunk's stack
+      is this one times M^_WINDOW_CHUNK.
+
+    Every matrix and every row is scaled by a power of two after each
+    product, with log2 of the scale kept apart as an integer, so no value
+    overflows or underflows however far the orbits grow and however large or
+    small the differences are. As in any float64 evaluation, ||M^t d|| is
+    resolved only to about eps ||M^t|| ||d||: a difference that lies, to
+    rounding, in an invariant subspace that M stretches less than its
+    dominant one (the kernel of A, a contracting eigenvector) reads as noise.
 
     Returns (liminf_log2, limsup_log2), one entry per row of diffs.
     """
     diffs = np.atleast_2d(np.asarray(diffs, dtype=np.float64))
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    norms = np.linalg.norm(diffs, axis=1)
-    if np.any(norms == 0.0):
+    if np.any(np.max(np.abs(diffs), axis=1) == 0.0):
         raise ValueError("difference vectors must be nonzero")
-    u = diffs / norms[:, None]
-    logs = np.log2(norms)
-    mt = assemble_transition_matrix(payoff, eta1, eta2).T
+    m = assemble_transition_matrix(payoff, eta1, eta2)
     tail_start = _tail_start(horizon)
-    lim_lo = np.full(len(u), np.inf)
-    lim_hi = np.full(len(u), -np.inf)
-    for t in range(1, horizon + 1):
-        u = u @ mt
-        row_norms = np.linalg.norm(u, axis=1)
-        logs = logs + np.log2(row_norms)
-        u = u / row_norms[:, None]
-        if t > tail_start:
-            np.minimum(lim_lo, logs, out=lim_lo)
-            np.maximum(lim_hi, logs, out=lim_hi)
-    return lim_lo, lim_hi
+    u, row_e = _pow2_normalised(diffs, axes=1)
+    jump, jump_e = _normalised_power(m, tail_start + 1)
+    u, carry_e = _pow2_normalised(u @ jump.T, axes=1)
+    logs = row_e + carry_e + float(jump_e)  # log2 of each row's scale
+
+    window = horizon - tail_start
+    chunk = min(_WINDOW_CHUNK, window)
+    stack, stack_e = np.empty((chunk, len(m), len(m))), np.zeros(chunk)  # M^j / 2^stack_e[j]
+    stack[0] = np.eye(len(m))
+    for j in range(1, chunk):
+        stack[j], e = _pow2_normalised(m @ stack[j - 1])
+        stack_e[j] = stack_e[j - 1] + e
+    step, step_e = _normalised_power(m, chunk)
+    ut = np.ascontiguousarray(u.T)
+    buf = np.empty((chunk, len(m), len(u)))
+    sq = np.empty((chunk, len(u)))
+    lo, hi = np.full(len(u), np.inf), np.full(len(u), -np.inf)
+    for first in range(0, window, chunk):
+        n = min(chunk, window - first)
+        rows, log2_sq = buf[:n], sq[:n]
+        np.matmul(stack[:n], ut, out=rows)
+        np.einsum("kdb,kdb->kb", rows, rows, out=log2_sq)
+        np.log2(log2_sq, out=log2_sq)
+        log2_sq += 2.0 * stack_e[:n, None]
+        np.minimum(lo, log2_sq.min(axis=0), out=lo)
+        np.maximum(hi, log2_sq.max(axis=0), out=hi)
+        stack, e = _pow2_normalised(step @ stack, axes=(1, 2))
+        stack_e += step_e + e
+    return 0.5 * lo + logs, 0.5 * hi + logs

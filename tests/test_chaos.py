@@ -1,5 +1,6 @@
 """Scrambled-pair estimates, level-set confinement, same-orbit classification."""
 
+import inspect
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conmot.chaos import (
     EPS_HIGH,
     EPS_LOW,
+    _exp2_safe,
     batched_pair_reports,
     level_set_confinement,
     orbit_signature,
@@ -17,6 +19,7 @@ from conmot.chaos import (
     scrambled_pair_estimate,
 )
 from conmot.errors import ChartViolation, ConmotError, NumericsError, RegionError, StepSizeError
+from conmot.exact import difference_log_stats
 from conmot.invariants import BipartiteInvariant
 from conmot.maps import (
     alternating_play,
@@ -93,6 +96,22 @@ def test_batched_reports_match_single_pair_calls():
         assert rep.verdict == single.verdict
         assert rep.liminf_estimate == pytest.approx(single.liminf_estimate, rel=1e-9)
         assert rep.limsup_estimate == pytest.approx(single.limsup_estimate, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "log2_value, expected",
+    [(1023.0, 2.0**1023), (1023.5, 2.0**1023.5), (1024.0, math.inf), (-1100.0, 0.0)],
+)
+def test_estimates_are_infinite_only_where_the_power_overflows(log2_value, expected):
+    assert _exp2_safe(log2_value) == expected
+
+
+def test_the_tracer_indexed_arguments_keep_their_positions():
+    """perfbench/tracer.py counts pair-steps from positional arguments: diffs
+    and horizon of difference_log_stats, pairs and horizon of
+    batched_pair_reports. Moving them would zero its counts silently."""
+    assert list(inspect.signature(difference_log_stats).parameters)[3:5] == ["diffs", "horizon"]
+    assert list(inspect.signature(batched_pair_reports).parameters)[1:3] == ["pairs", "horizon"]
 
 
 def test_confinement_scan_completes_on_the_certified_instance():

@@ -5,6 +5,7 @@ at a temporary output directory, and inspects the files it writes. Nothing
 here shells out, so failures carry normal tracebacks.
 """
 
+import dataclasses
 import json
 import math
 import warnings
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from conmot import dynamics, maps
-from conmot.cli import main
+from conmot.cli import _jsonable, _write_json, main
 from conmot.dynamics import Orbit
 from conmot.invariants import BipartiteInvariant, constant_weight, make_series_invariant
 from conmot.maps import gradient_descent
@@ -650,6 +651,41 @@ def test_a_scan_box_wider_than_the_float_range_is_exit_two(tmp_path, capsys):
     rc = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "o"), "scan"])
     assert rc == 2
     assert "scan.box_halfwidth" in capsys.readouterr().err
+
+
+def test_an_alt_play_scan_of_pairs_beyond_1e154_apart_separates_them(tmp_path):
+    """Pair differences whose raw norm overflows float64 when squared."""
+    doc = dict(HYPERBOLIC, scan={"pairs": 3, "horizon": 200, "box_halfwidth": 1e160}, seed=5)
+    cfg, out = write_config(tmp_path, doc), tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "scan"]) == 0
+    payload = json.loads((out / "hyp_scan.json").read_text())
+    assert payload["verdict_counts"] == {"separated": 3}
+    for report in payload["pair_reports"]:
+        assert 1e150 < report["liminf_estimate"] <= report["limsup_estimate"] < math.inf
+
+
+@dataclasses.dataclass
+class _Inner:
+    ratio: Fraction
+    values: np.ndarray
+
+
+@dataclasses.dataclass
+class _Outer:
+    inner: _Inner
+    extremes: tuple
+
+
+def test_json_outputs_are_the_bytes_of_the_whole_document(tmp_path):
+    payload = {
+        "b": _Outer(_Inner(Fraction(-3, 7), np.array([1.5, np.nan, -np.inf])),
+                    (math.inf, -math.inf, math.nan, np.float64(2.5), np.int64(7))),
+        "a": [{"z": 1, "y": [None, True, "text"]}, np.array([0.1])],
+    }
+    path = tmp_path / "doc.json"
+    _write_json(path, payload)
+    expected = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+    assert path.read_bytes() == expected.encode()
 
 
 def test_a_numerical_failure_writes_only_its_error_line_to_stderr(tmp_path, capsys):

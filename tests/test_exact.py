@@ -1,10 +1,12 @@
 """Exact integer-scaled alternating-play engine and its conservation proofs."""
 
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conmot import exact
 from conmot.errors import ConmotError
@@ -122,6 +124,82 @@ def test_difference_log_stats_reject_degenerate_input():
         difference_log_stats(PAY, *ETA, np.zeros((1, 2)), horizon=5)
     with pytest.raises(ValueError):
         difference_log_stats(PAY, *ETA, np.ones((1, 2)), horizon=0)
+
+
+@pytest.mark.parametrize("shift", [-1070, -700, 600, 1000])
+def test_difference_log_stats_take_huge_and_tiny_differences(shift):
+    """Scaling a difference by 2^shift moves its log2 norms by exactly shift,
+    also where its raw norm would overflow or underflow."""
+    diffs = np.array([[3.0, -1.0], [1.0, 0.0], [-5.0, 7.0]])
+    lo, hi = difference_log_stats(PAY, *ETA, diffs, horizon=300)
+    lo_s, hi_s = difference_log_stats(PAY, *ETA, np.ldexp(diffs, shift), horizon=300)
+    np.testing.assert_allclose(lo_s, lo + shift, rtol=1e-15)
+    np.testing.assert_allclose(hi_s, hi + shift, rtol=1e-15)
+    # A difference of 1e-200 is nonzero.
+    (lo_tiny,), _ = difference_log_stats(PAY, *ETA, [[1e-200, 0.0]], horizon=300)
+    assert lo_tiny == pytest.approx(lo[1] + math.log2(1e-200), rel=1e-15)
+
+
+def _log2_of(square: Fraction) -> float:
+    """log2 of a positive Fraction, accurate to the last bits of the float."""
+    shift = square.numerator.bit_length() - square.denominator.bit_length()
+    return shift + math.log2(square / Fraction(2) ** shift)
+
+
+@st.composite
+def integer_pair_differences(draw):
+    dx, dy = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    matrix = [[draw(st.integers(-3, 3)) for _ in range(dy)] for _ in range(dx)]
+    eta = st.sampled_from([Fraction(1, 2**k) for k in range(1, 5)])  # float M is exact
+    diff = draw(st.lists(st.integers(-5, 5), min_size=dx + dy, max_size=dx + dy).filter(any))
+    horizon = draw(st.one_of(st.just(1), st.integers(1, 400)))  # 1 has tail_start 0
+    return PayoffData.from_matrix(matrix), draw(eta), draw(eta), diff, horizon
+
+
+@settings(max_examples=40, deadline=None)
+@given(integer_pair_differences())
+def test_difference_log_stats_match_the_exact_orbit(case):
+    """lo and hi are the min and max of log2 ||M^t d|| over the tail window,
+    read exactly from ExactAltOrbit.
+
+    float64 resolves M^t d only to about eps ||M^t|| ||d||. Where d lies (to
+    within that) in an invariant subspace that M^t stretches far less than
+    its dominant one, for instance the kernel of A or a contracting
+    eigenvector of a rational M, no float64 evaluation recovers ||M^t d||;
+    such instances are skipped by their exact condition number
+    kappa_t = ||M^t||_F ||d|| / ||M^t d||, kept at or below 2^8 over the window.
+    """
+    payoff, e1, e2, diff, horizon = case
+    lo, hi = difference_log_stats(payoff, float(e1), float(e2), [diff], horizon)
+    step = exact._IntegerStep(payoff, e1, e2)  # M^t = step.m^t / g^t
+    tail_start = horizon - max(1, horizon // 5)
+    power = exact._matpow(step.m, tail_start + 1)
+    orbit = ExactAltOrbit(payoff, e1, e2, diff)
+    log2_d2 = _log2_of(Fraction(sum(v * v for v in diff)))
+    window = []
+    for t in range(tail_start + 1, horizon + 1):
+        if t > tail_start + 1:
+            power = exact._matmul(step.m, power)
+        orbit.advance(t - orbit.position)
+        log2_v2 = _log2_of(sum(v * v for v in orbit.xy_fractions()))
+        log2_m2 = _log2_of(Fraction(int(sum(c * c for row in power for c in row)),
+                                    int(step.g) ** (2 * t)))
+        assume(0.5 * (log2_m2 + log2_d2 - log2_v2) <= 8)
+        window.append(0.5 * log2_v2)
+    for got, want in ((lo[0], min(window)), (hi[0], max(window))):
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_difference_log_stats_peak_memory_is_bounded():
+    """The window is evaluated in fixed chunks, never as a whole."""
+    diffs = np.random.default_rng(3).uniform(-40, 40, (1000, 2))
+    tracemalloc.start()
+    try:
+        difference_log_stats(PAY, *ETA, diffs, horizon=5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_initial_state_denominators_are_respected():
