@@ -8,6 +8,10 @@ needed). Output is deterministic byte for byte given the same config and
 seed: floats are written with repr and JSON keys are sorted.
 
 Exit codes: 0 success, 2 configuration problem, 3 numerical failure.
+
+At module level only the standard library, ``errors`` and ``rationals`` are
+imported; each command imports what it runs. ``figures`` runs on the exact
+engine alone and never loads numpy.
 """
 
 from __future__ import annotations
@@ -19,27 +23,14 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .chaos import (
-    EPS_HIGH, EPS_LOW, _relative_gap, batched_pair_reports, level_set_confinement, same_orbit,
-)
-from .config import RunConfig, build_weight, chart_point, load_config
-from .dynamics import Orbit
 from .errors import ConfigError, ConmotError
-from .exact import ExactAltOrbit
-from .invariants import (
-    BipartiteInvariant,
-    invariance_defect,
-    make_series_invariant,
-    series_along_orbit,
-    series_invariant,
-)
-from .maps import MapInstance, alternating_play
-from .objectives import PayoffData
 from .rationals import as_float
-from .state import State, sample_chart
+
+if TYPE_CHECKING:
+    from .config import RunConfig
+    from .exact import PayoffData
 
 __all__ = ["main", "build_parser"]
 
@@ -129,17 +120,21 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(float(v)) for v in obj]
-    if isinstance(obj, (np.floating, float)):
+    np = sys.modules.get("numpy")  # only a process that imported numpy holds its values
+    if np is not None:
+        if isinstance(obj, np.ndarray):
+            return [_jsonable(float(v)) for v in obj]
+        if isinstance(obj, np.floating):
+            obj = float(obj)
+        elif isinstance(obj, np.integer):
+            return int(obj)
+    if isinstance(obj, float):
         v = float(obj)
         if math.isnan(v):
             return "nan"
         if math.isinf(v):
             return "inf" if v > 0 else "-inf"
         return v
-    if isinstance(obj, np.integer):
-        return int(obj)
     if isinstance(obj, Fraction):
         return str(obj)
     return obj
@@ -170,6 +165,8 @@ def _csv_header(dimension: int) -> list[str]:
 def _exact_rows(payoff: PayoffData, eta1, eta2, init, n_forward: int, n_backward: int):
     """Rows (t, xy, f, phi, defect) for t in [-n_backward, n_forward] of one
     exact orbit, read one step at a time, and the orbit's exact level."""
+    from .exact import ExactAltOrbit
+
     orb = ExactAltOrbit(payoff, eta1, eta2, init)
     collected = []
     for t in range(1, n_backward + 1):
@@ -197,6 +194,8 @@ def _csv_rows(rows) -> list[list[str]]:
 
 def _series_spec(cfg: RunConfig):
     """(weight, truncation) of a series invariant section, or None."""
+    from .config import build_weight
+
     spec = cfg.invariant_spec
     if spec is None or spec["kind"] != "series":
         return None
@@ -205,6 +204,9 @@ def _series_spec(cfg: RunConfig):
 
 
 def _float_rows(cfg: RunConfig, index: int):
+    from .dynamics import Orbit
+    from .invariants import series_along_orbit
+
     orb = Orbit(cfg.map, cfg.initial_states[index])
     ts = orb.segment(cfg.n_forward, cfg.n_backward)
     series = _series_spec(cfg)
@@ -260,6 +262,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_invariant(cfg: RunConfig, out_dir: Path) -> int:
+    from .exact import BipartiteInvariant
+    from .invariants import invariance_defect, series_invariant
+
     spec = cfg.invariant_spec
     if spec is None:
         raise ConfigError("the invariant command needs an invariant section")
@@ -302,6 +307,9 @@ def cmd_invariant(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _classification_invariants(cfg: RunConfig):
+    from .exact import BipartiteInvariant
+    from .invariants import make_series_invariant
+
     if cfg.map.kind == "alt_play":
         return (BipartiteInvariant(cfg.map.payoff, *cfg.map.step_sizes),)
     series = _series_spec(cfg)
@@ -311,6 +319,9 @@ def _classification_invariants(cfg: RunConfig):
 
 
 def cmd_classify(cfg: RunConfig, out_dir: Path) -> int:
+    from .chaos import same_orbit
+    from .config import chart_point
+
     spec = cfg.classify_spec
     if spec is None:
         raise ConfigError("the classify command needs a classify section")
@@ -334,7 +345,11 @@ def cmd_classify(cfg: RunConfig, out_dir: Path) -> int:
 # scan
 
 
-def _sample_scan_state(cfg: RunConfig, rng: np.random.Generator, halfwidth: float) -> State:
+def _sample_scan_state(cfg: RunConfig, rng, halfwidth: float):
+    """One State drawn by the numpy Generator rng: uniform in the box of the
+    given halfwidth on a flat chart, else from the chart's own sampler."""
+    from .state import State, sample_chart
+
     chart = cfg.map.chart
     if chart.kind in ("euclidean", "bipartite-pair"):
         return State(rng.uniform(-halfwidth, halfwidth, chart.dimension), chart)
@@ -342,6 +357,11 @@ def _sample_scan_state(cfg: RunConfig, rng: np.random.Generator, halfwidth: floa
 
 
 def cmd_scan(cfg: RunConfig, out_dir: Path, seed: int | None) -> int:
+    import numpy as np
+
+    from .chaos import EPS_HIGH, EPS_LOW, _relative_gap, batched_pair_reports, level_set_confinement
+    from .exact import BipartiteInvariant
+
     spec = cfg.scan_spec
     if spec is None:
         raise ConfigError("the scan command needs a scan section")
@@ -434,20 +454,21 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, seed: int | None) -> int:
 # figures
 
 
-def _figure_map(which: str) -> MapInstance:
-    recipe = FIGURE_RECIPES[which]
-    payoff = PayoffData.from_matrix([[Fraction(1)]])
-    return alternating_play(payoff, recipe["eta1"], recipe["eta2"])
+def _figure_grid(window: float) -> list[float]:
+    """FIGURE_GRID evenly spaced points on [-window, window], computed as
+    numpy.linspace computes them: i * step + start, the last point set to
+    stop."""
+    start, stop = -window, window
+    step = (stop - start) / (FIGURE_GRID - 1)
+    return [i * step + start for i in range(FIGURE_GRID - 1)] + [stop]
 
 
-def _level_curve_rows(eta1: Fraction, eta2: Fraction, level: Fraction, window: float):
+def _level_curve_rows(phi, level: Fraction, window: float):
     """Sample y(x) on Phi(x, y) = level; two branches of a quadratic in y."""
-    e1, e2, c = float(eta1), float(eta2), float(level)
-    phi = BipartiteInvariant(PayoffData.from_matrix([[Fraction(1)]]), eta1, eta2)
+    e1, e2, c = float(phi.eta1), float(phi.eta2), float(level)
     rows = []
     tol = FIGURE_LEVEL_TOL * (1.0 + abs(c))
-    for x in np.linspace(-window, window, FIGURE_GRID):
-        x = float(x)
+    for x in _figure_grid(window):
         disc = (e2 * x) ** 2 + 4.0 * e2 * (x * x / e1 - c)
         if disc < 0.0:
             rows.append([_fmt(x), "nan", "nan"])
@@ -456,7 +477,7 @@ def _level_curve_rows(eta1: Fraction, eta2: Fraction, level: Fraction, window: f
         y_hi = 0.5 * (e2 * x + root)
         y_lo = 0.5 * (e2 * x - root)
         for y in (y_hi, y_lo):
-            err = abs(phi(np.array([x, y])) - c)
+            err = abs(phi((x, y)) - c)
             if err > tol:
                 raise ConmotError(
                     f"level-curve point ({x}, {y}) misses its level by {err:.3e}"
@@ -466,10 +487,12 @@ def _level_curve_rows(eta1: Fraction, eta2: Fraction, level: Fraction, window: f
 
 
 def cmd_figures(which: str, out_dir: Path) -> int:
+    from .exact import BipartiteInvariant, PayoffData
+
     recipe = FIGURE_RECIPES[which]
-    map_instance = _figure_map(which)
-    payoff = map_instance.payoff
-    e1, e2 = map_instance.step_sizes
+    payoff = PayoffData.from_matrix([[Fraction(1)]])
+    phi = BipartiteInvariant(payoff, recipe["eta1"], recipe["eta2"])
+    e1, e2 = phi.eta1, phi.eta2
     levels = []
     window = 1.5 * max(
         abs(float(v)) for init in recipe["initial_states"] for v in init
@@ -482,7 +505,7 @@ def cmd_figures(which: str, out_dir: Path) -> int:
         _write_csv(
             out_dir / f"{which}_levels_{i}.csv",
             ["x", "y_plus", "y_minus"],
-            _level_curve_rows(e1, e2, level, window),
+            _level_curve_rows(phi, level, window),
         )
 
     summary = {
@@ -519,12 +542,24 @@ def _failure_message(exc: ConmotError) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    # Every numerical failure is caught by a finiteness, chart or region check
-    # and reported as one error line; numpy's warnings would only add source
-    # text to stderr before it.
-    with np.errstate(all="ignore"):
-        return _run(args)
+    return _run(build_parser().parse_args(argv))
+
+
+def _run_config(args, out_dir: Path) -> int:
+    """Load the config and run the command on it."""
+    from .config import load_config
+
+    cfg = load_config(args.config)
+    if args.tolerance is not None:
+        cfg = dataclasses.replace(cfg, tolerance=args.tolerance)
+    if args.command == "simulate":
+        return cmd_simulate(cfg, out_dir)
+    if args.command == "invariant":
+        return cmd_invariant(cfg, out_dir)
+    if args.command == "classify":
+        return cmd_classify(cfg, out_dir)
+    seed = args.seed if args.seed is not None else cfg.seed
+    return cmd_scan(cfg, out_dir, seed)
 
 
 def _run(args) -> int:
@@ -540,17 +575,13 @@ def _run(args) -> int:
             return cmd_figures(args.which, out_dir)
         if args.config is None:
             raise ConfigError(f"the {args.command} command needs --config")
-        cfg = load_config(args.config)
-        if args.tolerance is not None:
-            cfg = dataclasses.replace(cfg, tolerance=args.tolerance)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir)
-        if args.command == "invariant":
-            return cmd_invariant(cfg, out_dir)
-        if args.command == "classify":
-            return cmd_classify(cfg, out_dir)
-        seed = args.seed if args.seed is not None else cfg.seed
-        return cmd_scan(cfg, out_dir, seed)
+        import numpy as np
+
+        # Every numerical failure is caught by a finiteness, chart or region
+        # check and reported as one error line; numpy's warnings would only
+        # add source text to stderr before it.
+        with np.errstate(all="ignore"):
+            return _run_config(args, out_dir)
     except ConfigError as exc:
         print(f"error: configuration: {exc}", file=sys.stderr)
         return 2

@@ -27,27 +27,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ChartViolation, ConfigError, ConmotError
-from .invariants import (
-    WeightFunction,
-    constant_weight,
-    coordinate_weight,
-    gaussian_bump_weight,
-)
-from .maps import (
-    MapInstance,
-    alternating_play,
-    gradient_descent,
-    mwu_exponential,
-    mwu_linear,
-    sphere_rgd,
-)
-from .objectives import ObjectiveSpec, PayoffData, bump, double_well, linear, quadratic
+from .maps import MapInstance, gradient_descent, mwu_exponential, mwu_linear, sphere_rgd
+from .objectives import ObjectiveSpec, bump, double_well, linear, quadratic
 from .rationals import as_fraction
 from .state import Chart, State
+
+if TYPE_CHECKING:
+    from .invariants import WeightFunction
 
 __all__ = ["RunConfig", "load_config", "build_weight", "exact_number", "chart_point"]
 
@@ -214,6 +205,9 @@ def _step_sizes(rates) -> tuple[Fraction, ...]:
 def _build_map(section: dict) -> MapInstance:
     kind = section["kind"]
     if kind == "alt_play":
+        from .exact import PayoffData
+        from .maps import alternating_play
+
         payoff_section = _require(section, "payoff", "map")
         rates = _require(section, "step_sizes", "map")
         if len(rates) != 2:
@@ -247,6 +241,10 @@ def _build_map(section: dict) -> MapInstance:
 def build_weight(section: dict | None, dimension: int) -> WeightFunction:
     """Weight function from an invariant.weight config section on a chart of
     the given dimension."""
+    # Imported here, so a config that builds no weight loads neither
+    # invariants nor the dynamics behind it.
+    from .invariants import constant_weight, coordinate_weight, gaussian_bump_weight
+
     if section is None:
         return constant_weight(1.0)
     kind = section["kind"]

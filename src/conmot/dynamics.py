@@ -24,7 +24,6 @@ from .state import Chart, State, renormalize, tangent_frame
 __all__ = [
     "InverseConfig",
     "Orbit",
-    "FixedPointSet",
     "inverse_step",
     "detect_fixed_point",
 ]
@@ -221,30 +220,3 @@ def detect_fixed_point(
     """Whether ||T(x) - x|| is within tolerance."""
     nxt, _ = step_with_defect(map_instance, x)
     return x.distance_to(nxt) <= tolerance
-
-
-@dataclass(frozen=True)
-class FixedPointSet:
-    """Points verified to move less than ``tolerance`` under a map."""
-
-    points: tuple[State, ...]
-    tolerance: float
-
-    @classmethod
-    def from_candidates(
-        cls,
-        map_instance: MapInstance,
-        candidates,
-        tolerance: float = FIXED_POINT_TOL,
-    ) -> "FixedPointSet":
-        kept = tuple(
-            s for s in candidates if detect_fixed_point(map_instance, s, tolerance)
-        )
-        return cls(points=kept, tolerance=tolerance)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def contains(self, x: State, slack: float = 0.0) -> bool:
-        tol = self.tolerance + slack
-        return any(x.distance_to(p) <= tol for p in self.points)

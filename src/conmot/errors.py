@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 __all__ = [
     "ConmotError",
     "ChartViolation",
@@ -37,15 +35,15 @@ class RegionError(ConmotError):
 class InversionError(ConmotError):
     """Newton inversion failed.
 
-    Carries the last iterate and residual norm so callers can report where the
-    solve gave up.
+    Carries the last iterate (a float64 array) and residual norm so callers
+    can report where the solve gave up.
     """
 
     def __init__(
         self,
         message: str,
         *,
-        last_iterate: np.ndarray | None = None,
+        last_iterate=None,
         residual: float | None = None,
     ) -> None:
         super().__init__(message)

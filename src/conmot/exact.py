@@ -13,6 +13,10 @@ is conserved iff num_t == num_0 * g^(2|t|), which M.T H M == g^2 H certifies
 for every orbit. ``advance`` and ``retreat`` only move the position; a read builds
 the state from the nearest built one, by one product per step or by binary
 powering of M for a long jump, and computes the quadratic once per position.
+
+The payoff, the engine and the closed-form quadratic run on Python integers
+and Fractions alone; numpy is imported only by the float pair-scan kernel at
+the end of the module (and by ``PayoffData.matrix``), when it is called.
 """
 
 from __future__ import annotations
@@ -21,10 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import ConmotError
-from .objectives import PayoffData
 from .rationals import as_fraction, ratio_to_float
 
 try:  # gmpy2 (the conmot[fast] extra) speeds up big integers; plain int is exact too
@@ -33,9 +34,93 @@ except ImportError:  # pragma: no cover
     mpz = int
 
 __all__ = [
-    "ExactAltOrbit", "ConservationAudit", "conservation_audit", "verify_conservation_identity",
-    "assemble_transition_matrix", "difference_log_stats",
+    "PayoffData", "ExactAltOrbit", "BipartiteInvariant", "ConservationAudit", "conservation_audit",
+    "verify_conservation_identity", "assemble_transition_matrix", "difference_log_stats",
 ]
+
+
+def _plain(v):
+    """v with lists, tuples and numpy arrays and scalars turned into nested
+    Python lists and numbers, as numpy reads them into an object array."""
+    if isinstance(v, (list, tuple)):
+        return [_plain(e) for e in v]
+    return v.tolist() if hasattr(v, "tolist") else v
+
+
+def _shape(nested) -> tuple[int, ...]:
+    """numpy's shape of a nested list as an object array: the leading levels
+    whose members are all lists of one length."""
+    shape, level = [], [nested]
+    while level and all(isinstance(v, list) for v in level) and len({len(v) for v in level}) == 1:
+        shape.append(len(level[0]))
+        level = [e for v in level for e in v]
+    return tuple(shape)
+
+
+class PayoffData:
+    """Block payoff matrices A^{ij} for a bipartite game.
+
+    Row agents i in [n] hold strategies of size k1, column agents j in [m]
+    hold strategies of size k2. The assembled matrix stacks the blocks and is
+    kept as exact Fractions (floats convert exactly); ``matrix`` is its
+    read-only float64 array, built on first read.
+    """
+
+    __slots__ = ("n", "m", "k1", "k2", "exact", "_matrix")
+
+    def __init__(self, blocks) -> None:
+        rows = list(blocks)
+        if not rows or not all(len(r) == len(rows[0]) for r in rows):
+            raise ValueError("payoff blocks must form a full n x m grid")
+        n, m = len(rows), len(rows[0])
+        first = _shape(_plain(rows[0][0]))
+        if len(first) != 2:
+            raise ValueError("each payoff block must be a 2-d matrix")
+        k1, k2 = first
+        exact_rows: list[list[Fraction]] = [[] for _ in range(n * k1)]
+        for i, row in enumerate(rows):
+            for j, block in enumerate(row):
+                block = _plain(block)
+                shape = _shape(block)
+                if shape != (k1, k2):
+                    raise ValueError(
+                        f"payoff block ({i},{j}) has shape {shape}, expected {(k1, k2)}"
+                    )
+                for a in range(k1):
+                    exact_rows[i * k1 + a].extend(as_fraction(v) for v in block[a])
+        self.n, self.m, self.k1, self.k2 = n, m, k1, k2
+        self.exact = tuple(tuple(r) for r in exact_rows)
+        self._matrix = None
+
+    @classmethod
+    def from_matrix(cls, matrix) -> "PayoffData":
+        """Whole matrix as the single block of a two-agent game."""
+        return cls([[matrix]])
+
+    @property
+    def matrix(self):
+        """The assembled matrix as a read-only float64 numpy array."""
+        if self._matrix is None:
+            import numpy as np
+
+            mat = np.array([[float(v) for v in r] for r in self.exact], dtype=float)
+            mat.setflags(write=False)
+            self._matrix = mat
+        return self._matrix
+
+    @property
+    def dimension_x(self) -> int:
+        return self.n * self.k1
+
+    @property
+    def dimension_y(self) -> int:
+        return self.m * self.k2
+
+    def block(self, i: int, j: int):
+        return self.matrix[i * self.k1 : (i + 1) * self.k1, j * self.k2 : (j + 1) * self.k2]
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"PayoffData(n={self.n}, m={self.m}, k1={self.k1}, k2={self.k2})"
 
 
 def _matvec(rows: list[list], v: list) -> list:
@@ -204,9 +289,9 @@ class ExactAltOrbit:
             p.quad = self._step.quadratic(p.coords)
         return (*p.quad, p.g2_pow)
 
-    def xy_float(self) -> np.ndarray:
+    def xy_float(self) -> tuple[float, ...]:
         p = self._here()
-        return np.array([ratio_to_float(v, p.scale) for v in p.coords])
+        return tuple(ratio_to_float(v, p.scale) for v in p.coords)
 
     def xy_fractions(self) -> list[Fraction]:
         p = self._here()
@@ -236,6 +321,33 @@ class ExactAltOrbit:
             return 0.0
         phi0 = Fraction(int(self._num0), int(self._phi_den0))
         return float(abs(self.phi_fraction() - phi0) / (1 + abs(phi0)))
+
+
+class BipartiteInvariant:
+    """Phi(X, Y) = |X|^2/eta1 - |Y|^2/eta2 + X.T A Y.
+
+    Callable on a State or any coordinate sequence. Evaluation reads the
+    integer form of the exact engine (``_IntegerStep``): the point is put
+    over one integer scale s (float64 inputs are exact binary rationals) and
+    Phi is one integer numerator over phi_den_unit * s^2, so a float read is
+    that quotient correctly rounded, the same float an exact orbit gives at
+    the same point.
+    """
+
+    def __init__(self, payoff: PayoffData, eta1, eta2) -> None:
+        self.payoff = payoff
+        self._step = _IntegerStep(payoff, eta1, eta2)
+        self.eta1, self.eta2 = self._step.eta
+
+    def _ratio(self, xy) -> tuple[int, int]:
+        coords, s = self._step.integer_state(getattr(xy, "coordinates", xy))
+        return self._step.quadratic(coords)[0], self._step.phi_den_unit * s * s
+
+    def exact(self, xy) -> Fraction:
+        return Fraction(*map(int, self._ratio(xy)))
+
+    def __call__(self, xy) -> float:
+        return ratio_to_float(*self._ratio(xy))
 
 
 def verify_conservation_identity(payoff: PayoffData, eta1, eta2) -> bool:
@@ -288,8 +400,10 @@ def conservation_audit(
     )
 
 
-def assemble_transition_matrix(payoff: PayoffData, eta1: float, eta2: float) -> np.ndarray:
+def assemble_transition_matrix(payoff: PayoffData, eta1: float, eta2: float):
     """Float64 one-step matrix M with (X', Y') = M (X, Y)."""
+    import numpy as np
+
     a = payoff.matrix
     dx, dy = payoff.dimension_x, payoff.dimension_y
     m = np.zeros((dx + dy, dx + dy))
@@ -310,17 +424,21 @@ def _tail_start(horizon: int) -> int:
 _WINDOW_CHUNK = 16
 
 
-def _pow2_normalised(a: np.ndarray, axes=None) -> tuple[np.ndarray, np.ndarray]:
+def _pow2_normalised(a, axes=None) -> tuple:
     """(a / 2^e, e) with e the binary exponent of max |a| over ``axes``
     (dropped from e's shape); dividing by a power of two is exact, so log2 of
     the scale is the integer e."""
+    import numpy as np
+
     _, e = np.frexp(np.max(np.abs(a), axis=axes, keepdims=True))
     return np.ldexp(a, -e), np.squeeze(e, axis=axes)
 
 
-def _normalised_power(m: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+def _normalised_power(m, k: int) -> tuple:
     """(p, e) with m^k == p * 2^e, by binary powering renormalised after
     every product; max |p| is in [1/2, 1) for k >= 1."""
+    import numpy as np
+
     power, e = np.eye(len(m)), 0
     base, base_e = _pow2_normalised(m)
     base_e = int(base_e)
@@ -338,9 +456,9 @@ def difference_log_stats(
     payoff: PayoffData,
     eta1: float,
     eta2: float,
-    diffs: np.ndarray,
+    diffs,
     horizon: int,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple:
     """Tail liminf/limsup of log2 ||M^t d|| for each difference vector.
 
     The dynamics is linear, so the distance between two orbits is exactly the
@@ -362,8 +480,11 @@ def difference_log_stats(
     rounding, in an invariant subspace that M stretches less than its
     dominant one (the kernel of A, a contracting eigenvector) reads as noise.
 
-    Returns (liminf_log2, limsup_log2), one entry per row of diffs.
+    Returns (liminf_log2, limsup_log2), float64 arrays with one entry per
+    row of diffs.
     """
+    import numpy as np
+
     diffs = np.atleast_2d(np.asarray(diffs, dtype=np.float64))
     if horizon < 1:
         raise ValueError("horizon must be >= 1")

@@ -1,11 +1,12 @@
 """Constants of motion and how to check them.
 
-Two constructions live here. The closed-form bipartite quadratic is conserved
-exactly by alternating play and is certified through the exact engine. The
-truncated series invariant works for the dissipative maps: it sums weighted
-one-step drops of the objective along the bi-infinite orbit, truncated
-symmetrically, and reports its own convergence diagnostics instead of
-pretending to be exact. The series at T^k x is the same sum with its index
+Two constructions. The closed-form bipartite quadratic
+(``exact.BipartiteInvariant``, re-exported here) is conserved exactly by
+alternating play and is certified through the exact engine. The truncated
+series invariant, built here, works for the dissipative maps: it sums
+weighted one-step drops of the objective along the bi-infinite orbit,
+truncated symmetrically, and reports its own convergence diagnostics instead
+of pretending to be exact. The series at T^k x is the same sum with its index
 shifted by k, so defect horizons and trajectory rows read their shifted sums
 from one orbit window around the starting point.
 """
@@ -14,20 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from .dynamics import Orbit
 from .errors import ConmotError, InversionError, RegionError, StepSizeError
-from .exact import _IntegerStep
+from .exact import BipartiteInvariant, PayoffData, _IntegerStep
 from .maps import MapInstance
-from .objectives import (
-    PayoffData,
-    validate_step_size_gd,
-    validate_step_size_manifold,
-)
+from .objectives import validate_step_size_gd, validate_step_size_manifold
 from .rationals import ratio_to_float
 from .state import State
 
@@ -37,7 +33,6 @@ __all__ = [
     "coordinate_weight",
     "gaussian_bump_weight",
     "BipartiteInvariant",
-    "bipartite_invariant",
     "InvariantReport",
     "series_invariant",
     "series_along_orbit",
@@ -84,38 +79,6 @@ def gaussian_bump_weight(center, width: float) -> WeightFunction:
         return math.exp(-float(d @ d) / two_w2)
 
     return WeightFunction(kind="gaussian-bump", func=bump)
-
-
-class BipartiteInvariant:
-    """Phi(X, Y) = |X|^2/eta1 - |Y|^2/eta2 + X.T A Y.
-
-    Callable on a State or a raw coordinate vector. Evaluation reads the
-    integer form of the exact engine (``exact._IntegerStep``): the point is
-    put over one integer scale s (float64 inputs are exact binary rationals)
-    and Phi is one integer numerator over phi_den_unit * s^2, so a float read
-    is that quotient correctly rounded, the same float an exact orbit gives
-    at the same point.
-    """
-
-    def __init__(self, payoff: PayoffData, eta1, eta2) -> None:
-        self.payoff = payoff
-        self._step = _IntegerStep(payoff, eta1, eta2)
-        self.eta1, self.eta2 = self._step.eta
-
-    def _ratio(self, xy) -> tuple[int, int]:
-        coords, s = self._step.integer_state(xy.coordinates if isinstance(xy, State) else xy)
-        return self._step.quadratic(coords)[0], self._step.phi_den_unit * s * s
-
-    def exact(self, xy) -> Fraction:
-        return Fraction(*map(int, self._ratio(xy)))
-
-    def __call__(self, xy) -> float:
-        return ratio_to_float(*self._ratio(xy))
-
-
-def bipartite_invariant(payoff: PayoffData, eta1, eta2, xy) -> float:
-    """One-shot evaluation of the conserved bipartite quadratic."""
-    return BipartiteInvariant(payoff, eta1, eta2)(xy)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import state as charts
 from .errors import ChartViolation, RegionError, StepSizeError
-from .objectives import ObjectiveSpec, PayoffData, region_contains
+from .exact import PayoffData
+from .objectives import ObjectiveSpec, region_contains
 from .rationals import as_fraction
 from .state import Chart, State, renormalize, validate_points
 

@@ -1,23 +1,23 @@
-"""Objective functions, payoff data, and step-size validation.
+"""Objective functions and step-size validation.
 
 The catalog deliberately stays small: a strongly convex bowl, a double well
 with two basins, a bounded bump, linear utilities, and the bilinear coupling
 used by the bipartite game dynamics. Each entry carries analytic gradient and
 Hessian callables plus, where meaningful, a uniform entrywise Hessian bound L
-over the declared working region.
+over the declared working region. ``PayoffData``, the bilinear coupling's
+input, lives in ``exact`` with the integer engine and is re-exported here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from . import state as charts
-from .rationals import as_fraction
+from .exact import PayoffData
 
 __all__ = [
     "Box",
@@ -127,61 +127,6 @@ class ObjectiveSpec:
     region: Box | Ball | None = None
     bounded: bool = False
     chart: charts.Chart | None = None
-
-
-class PayoffData:
-    """Block payoff matrices A^{ij} for a bipartite game.
-
-    Row agents i in [n] hold strategies of size k1, column agents j in [m]
-    hold strategies of size k2. The assembled matrix stacks the blocks and is
-    kept both as float64 and as exact Fractions (floats convert exactly).
-    """
-
-    __slots__ = ("n", "m", "k1", "k2", "matrix", "exact")
-
-    def __init__(self, blocks) -> None:
-        rows = list(blocks)
-        if not rows or not all(len(r) == len(rows[0]) for r in rows):
-            raise ValueError("payoff blocks must form a full n x m grid")
-        n, m = len(rows), len(rows[0])
-        first = np.asarray(rows[0][0], dtype=object)
-        if first.ndim != 2:
-            raise ValueError("each payoff block must be a 2-d matrix")
-        k1, k2 = first.shape
-        exact_rows: list[list[Fraction]] = [[] for _ in range(n * k1)]
-        for i, row in enumerate(rows):
-            for j, block in enumerate(row):
-                arr = np.asarray(block, dtype=object)
-                if arr.shape != (k1, k2):
-                    raise ValueError(
-                        f"payoff block ({i},{j}) has shape {arr.shape}, expected {(k1, k2)}"
-                    )
-                for a in range(k1):
-                    exact_rows[i * k1 + a].extend(as_fraction(v) for v in arr[a])
-        self.n, self.m, self.k1, self.k2 = n, m, k1, k2
-        self.exact = tuple(tuple(r) for r in exact_rows)
-        mat = np.array([[float(v) for v in r] for r in self.exact], dtype=float)
-        mat.setflags(write=False)
-        self.matrix = mat
-
-    @classmethod
-    def from_matrix(cls, matrix) -> "PayoffData":
-        """Whole matrix as the single block of a two-agent game."""
-        return cls([[matrix]])
-
-    @property
-    def dimension_x(self) -> int:
-        return self.n * self.k1
-
-    @property
-    def dimension_y(self) -> int:
-        return self.m * self.k2
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        return self.matrix[i * self.k1 : (i + 1) * self.k1, j * self.k2 : (j + 1) * self.k2]
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"PayoffData(n={self.n}, m={self.m}, k1={self.k1}, k2={self.k2})"
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conmot import dynamics, maps
-from conmot.cli import _jsonable, _write_json, main
+from conmot.cli import FIGURE_RECIPES, _figure_grid, _jsonable, _write_json, main
 from conmot.dynamics import Orbit
 from conmot.invariants import BipartiteInvariant, constant_weight, make_series_invariant
 from conmot.maps import gradient_descent
@@ -484,6 +484,16 @@ def test_figures_level_curves_lie_on_their_levels(tmp_path):
                 assert abs(phi(point) - level) <= 1e-9 * (1.0 + abs(level))
                 checked += 1
         assert checked > 100
+
+
+@pytest.mark.parametrize("window", [
+    *(1.5 * max(abs(v) for init in recipe["initial_states"] for v in init)
+      for recipe in FIGURE_RECIPES.values()),
+    1.0, 0.1, 1 / 3, 7.3, 1e-5, 12345.678,
+])
+def test_figures_grid_equals_linspace_bit_for_bit(window):
+    grid = np.array(_figure_grid(window))
+    assert grid.tobytes() == np.linspace(-window, window, 401).tobytes()
 
 
 def test_figures_needs_no_config(tmp_path):

@@ -237,7 +237,7 @@ def test_the_small_validator_knows_every_keyword_and_type_of_the_schema():
 
 
 def test_a_valid_config_loads_without_importing_jsonschema(tmp_path):
-    code = ("import sys, conmot.cli; conmot.cli.load_config(sys.argv[1]); "
+    code = ("import sys, conmot; conmot.load_config(sys.argv[1]); "
             "print('jsonschema' in sys.modules)")
     src = str(Path(conmot.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

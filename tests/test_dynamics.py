@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conmot import dynamics
 from conmot.dynamics import (
-    FixedPointSet,
     InverseConfig,
     Orbit,
     detect_fixed_point,
@@ -353,16 +352,6 @@ def test_detect_fixed_point_mwu_uniform_constant_gradient():
     m = mwu_exponential(linear([2.0, 2.0, 2.0]), 0.5, (3,))
     uniform = State([1 / 3, 1 / 3, 1 / 3], simplex_product(3))
     assert detect_fixed_point(m, uniform)
-
-
-def test_fixed_point_set_filters_candidates():
-    m = gradient_descent(double_well(1), 0.1)
-    candidates = [State([v], euclidean(1)) for v in (-1.0, -0.5, 0.0, 0.5, 1.0)]
-    fps = FixedPointSet.from_candidates(m, candidates)
-    assert len(fps) == 3
-    assert fps.contains(State([1.0], euclidean(1)))
-    assert not fps.contains(State([0.5], euclidean(1)))
-    assert fps.contains(State([0.5], euclidean(1)), slack=0.6)
 
 
 def test_inverse_step_rejects_chart_mismatch():

@@ -1,12 +1,22 @@
-"""No module of src/conmot imports a name it never reads.
+"""What the modules of src/conmot import, and what a process loads.
 
 A small stand-in for a linter's unused-import check: a module-level import
 (also one under a module-level try or if) whose name is never read in its
 module and is not listed in __all__ fails. __init__.py only re-exports, and
 from __future__ imports are directives, so both are exempt.
+
+The exact engine runs without numpy: errors, rationals and exact import it
+at module level nowhere, and fresh interpreters that run figures or a
+conservation audit never load it. ``import conmot`` loads no submodule; each
+exported name is imported on first access.
 """
 
 import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +71,71 @@ def test_the_check_finds_an_unused_import_and_spares_a_read_or_exported_one():
               "__all__ = ['loads']\n"
               "def f():\n    import sys\n    return m.pi\n")
     assert unused_imports(source) == ["line 2: os", "line 4: dumps", "line 6: mpz"]
+
+
+@pytest.mark.parametrize("name", ["errors.py", "rationals.py", "exact.py"])
+def test_the_exact_engine_modules_import_numpy_only_inside_functions(name):
+    tree = ast.parse((Path(conmot.__file__).parent / name).read_text())
+    imported = {(node.module or "") if isinstance(node, ast.ImportFrom) else alias.name
+                for node in _module_imports(tree.body) for alias in node.names}
+    assert not {m for m in imported if m.split(".")[0] == "numpy"}
+
+
+def test_every_exported_name_resolves_to_its_module_object():
+    for name in conmot.__all__:
+        if name == "__version__":
+            continue
+        module = importlib.import_module(f"conmot.{conmot._MODULE_OF[name]}")
+        assert getattr(conmot, name) is getattr(module, name), name
+    assert set(conmot.__all__) <= set(dir(conmot))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(conmot, "no_such_name")
+
+
+def _loaded(code: str, *argv: str) -> set[str]:
+    """The modules a fresh interpreter holds after running code with argv."""
+    src = str(Path(conmot.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code += "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code, *argv],
+                         env=env, capture_output=True, text=True, check=True)
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+CLI = "import sys; from conmot.cli import main; assert main(sys.argv[1:]) == 0"
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert not [m for m in _loaded("import conmot") if m.startswith("conmot.")]
+
+
+@pytest.mark.parametrize("which", ["fig1", "fig2"])
+def test_figures_run_without_numpy(tmp_path, which):
+    assert "numpy" not in _loaded(CLI, "figures", which, "--out", str(tmp_path))
+    assert (tmp_path / f"{which}_summary.json").is_file()
+
+
+def test_the_cli_module_and_a_conservation_audit_run_without_numpy():
+    code = ("import conmot.cli\n"
+            "from conmot import PayoffData, conservation_audit\n"
+            "audit = conservation_audit(PayoffData.from_matrix([[1]]), '0.1', '0.2', [60, -25], 400)\n"
+            "assert audit.conserved and audit.identity_verified")
+    assert "numpy" not in _loaded(code)
+
+
+def test_a_gd_config_loads_and_simulates_without_the_modules_it_does_not_run(tmp_path):
+    cfg = tmp_path / "gd.json"
+    cfg.write_text(json.dumps({
+        "map": {"kind": "gd", "objective": {"name": "double_well", "dimension": 1},
+                "step_size": 0.1},
+        "initial_states": [[0.5]],
+        "steps": {"forward": 20, "backward": 2},
+    }))
+    loaded = _loaded("import sys, conmot; conmot.load_config(sys.argv[1])", str(cfg))
+    assert not {"conmot.chaos", "conmot.dynamics", "conmot.invariants"} & loaded
+    loaded = _loaded(CLI, "--config", str(cfg), "--out", str(tmp_path / "out"), "simulate")
+    assert "conmot.chaos" not in loaded

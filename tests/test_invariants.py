@@ -12,7 +12,6 @@ from conmot.dynamics import Orbit
 from conmot.errors import ConmotError, RegionError, StepSizeError
 from conmot.invariants import (
     BipartiteInvariant,
-    bipartite_invariant,
     constant_weight,
     coordinate_weight,
     dphi_rank,
@@ -33,9 +32,9 @@ ONES = constant_weight()
 
 
 def test_bipartite_invariant_reference_values():
-    assert bipartite_invariant(PAY, "0.1", "0.2", [60.0, -25.0]) == 31375.0
-    assert bipartite_invariant(PAY, "0.05", "0.02", [-14.0, -5.0]) == 2740.0
-    assert bipartite_invariant(PAY, "0.1", "0.2", [0.0, 0.0]) == 0.0
+    assert BipartiteInvariant(PAY, "0.1", "0.2")([60.0, -25.0]) == 31375.0
+    assert BipartiteInvariant(PAY, "0.05", "0.02")([-14.0, -5.0]) == 2740.0
+    assert BipartiteInvariant(PAY, "0.1", "0.2")([0.0, 0.0]) == 0.0
 
 
 def test_bipartite_invariant_exact_arithmetic():

@@ -110,6 +110,25 @@ def test_payoff_rejects_ragged_blocks():
         PayoffData([[[[1, 2]]], [[[1, 2], [3, 4]]]])
 
 
+@pytest.mark.parametrize("blocks, message", [
+    ([[[[1, 2]]], [[[1, 2], [3, 4]]]], r"payoff block \(1,0\) has shape \(2, 2\), expected \(1, 2\)"),
+    ([[[[1, 2]], [[1, 2], [3]]]], r"payoff block \(0,1\) has shape \(2,\), expected \(1, 2\)"),
+    ([[[[1, 2], [3]]]], "each payoff block must be a 2-d matrix"),
+    ([[[[[1]]]]], "each payoff block must be a 2-d matrix"),
+    ([[[[1]]], []], "payoff blocks must form a full n x m grid"),
+])
+def test_payoff_errors_name_the_shape_numpy_gives_the_block(blocks, message):
+    with pytest.raises(ValueError, match=message):
+        PayoffData(blocks)
+
+
+def test_payoff_reads_numpy_blocks_exactly():
+    big = np.arange(6).reshape(2, 3) * (2**60 + 1)  # int64 entries beyond 2^53
+    p = PayoffData.from_matrix(big)
+    assert p.exact[1][2] == 5 * (2**60 + 1)
+    np.testing.assert_array_equal(p.matrix, big.astype(float))
+
+
 def test_gd_validator_quadratic_worked_example():
     v = validate_step_size_gd(quadratic(2), 0.9)
     assert v.accepted is True
