@@ -35,7 +35,7 @@ _EXPORTS = {
                    "gaussian_bump_weight", "InvariantReport", "series_invariant",
                    "series_along_orbit", "make_series_invariant", "invariance_defect",
                    "dphi_rank"),
-    "chaos": ("ChaosReport", "scrambled_pair_estimate", "ConfinementReport",
+    "chaos": ("ChaosReport", "batched_pair_reports", "ConfinementReport",
               "level_set_confinement", "OrbitSignature", "orbit_signature",
               "SameOrbitVerdict", "same_orbit"),
     "config": ("RunConfig", "load_config"),

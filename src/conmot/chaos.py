@@ -17,14 +17,14 @@ import numpy as np
 
 from .dynamics import FIXED_POINT_TOL, Orbit, detect_fixed_point
 from .errors import ChartViolation, ConmotError, InversionError, NumericsError, RegionError
-from .exact import _tail_start, difference_log_stats
+from .exact import BipartiteInvariant, _tail_start, difference_log_stats
 from .invariants import _certified_quadratic, invariance_defect
 from .maps import MapInstance, step, step_points
+from .rationals import ratio_to_float
 from .state import State
 
 __all__ = [
     "ChaosReport",
-    "scrambled_pair_estimate",
     "batched_pair_reports",
     "ConfinementReport",
     "level_set_confinement",
@@ -42,9 +42,16 @@ ESCAPE_FACTOR = 1e8
 
 
 def _relative_gap(phi, x: State, y: State) -> float:
-    """|phi(x) - phi(y)| / (1 + max |phi|): symmetric in the pair."""
+    """|phi(x) - phi(y)| / (1 + max |phi|): symmetric in the pair. For the
+    closed form it is one exact rational rounded once, finite (below 2) even
+    where phi(x) and phi(y) round to inf; a series uses its two floats."""
     if phi is None:
         return math.nan
+    if isinstance(phi, BipartiteInvariant):
+        (na, da), (nb, db) = phi._ratio(x), phi._ratio(y)
+        if abs(na) * db > abs(nb) * da:  # swapped so that |b| >= |a|; da, db > 0
+            (na, da), (nb, db) = (nb, db), (na, da)
+        return ratio_to_float(abs(nb * da - na * db), da * (db + abs(nb)))
     px, py = float(phi(x)), float(phi(y))
     return abs(px - py) / (1.0 + max(abs(px), abs(py)))
 
@@ -82,27 +89,6 @@ class ChaosReport:
     eps_low: float
     eps_high: float
     verdict: str
-
-
-def scrambled_pair_estimate(
-    map_instance: MapInstance,
-    x: State,
-    y: State,
-    horizon: int,
-    *,
-    eps_low: float = EPS_LOW,
-    eps_high: float = EPS_HIGH,
-    phi=None,
-) -> ChaosReport:
-    """Classify one pair by the tail behavior of its orbit distance.
-
-    A batch of one pair; see batched_pair_reports. The invariant gap is the
-    symmetric relative disagreement |phi(x) - phi(y)| / (1 + max(|phi(x)|,
-    |phi(y)|)) when phi is supplied.
-    """
-    return batched_pair_reports(
-        map_instance, [(x, y)], horizon, eps_low=eps_low, eps_high=eps_high, phi=phi
-    )[0]
 
 
 def _pair_step(map_instance: MapInstance, xy: np.ndarray, t: int) -> list[np.ndarray]:

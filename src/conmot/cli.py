@@ -10,18 +10,21 @@ seed: floats are written with repr and JSON keys are sorted.
 Exit codes: 0 success, 2 configuration problem, 3 numerical failure.
 
 At module level only the standard library, ``errors`` and ``rationals`` are
-imported; each command imports what it runs. ``figures`` runs on the exact
-engine alone and never loads numpy.
+imported; each command imports what it runs. ``figures``, ``simulate`` on
+alt_play and a closed-form ``invariant`` without a defect horizon run on the
+exact engine alone and never load numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
 import sys
 from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -60,23 +63,13 @@ def _add_global_flags(parser: argparse.ArgumentParser, *, in_subcommand: bool) -
     """The four global flags, accepted before or after the subcommand."""
     # Inside a subparser the defaults are suppressed so an omitted flag does
     # not overwrite a value parsed at the top level.
-    d = {"default": argparse.SUPPRESS} if in_subcommand else {}
-    parser.add_argument(
-        "--config", type=Path, help="path to a JSON run configuration",
-        **({"default": None} if not in_subcommand else d),
-    )
-    parser.add_argument(
-        "--out", type=Path, help="directory for output files",
-        **({"default": Path(".")} if not in_subcommand else d),
-    )
-    parser.add_argument(
-        "--seed", type=int, help="override the config seed",
-        **({"default": None} if not in_subcommand else d),
-    )
-    parser.add_argument(
-        "--tolerance", type=float, help="override the config tolerance",
-        **({"default": None} if not in_subcommand else d),
-    )
+    for flag, kind, default, help_text in (
+            ("--config", Path, None, "path to a JSON run configuration"),
+            ("--out", Path, Path("."), "directory for output files"),
+            ("--seed", int, None, "override the config seed"),
+            ("--tolerance", float, None, "override the config tolerance")):
+        parser.add_argument(flag, type=kind, help=help_text,
+                            default=argparse.SUPPRESS if in_subcommand else default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,8 +164,8 @@ def _exact_rows(payoff: PayoffData, eta1, eta2, init, n_forward: int, n_backward
     collected = []
     for t in range(1, n_backward + 1):
         orb.retreat()
-        collected.append((-t, orb.xy_float(), orb.payoff_value_float(), orb.phi_float(),
-                          orb.phi_defect_float()))
+        collected.append((-t, orb.xy_float(), orb.payoff_value_float(),
+                          *orb.phi_and_defect_float()))
     # States are canonical by position, so the same engine serves the forward rows.
     orb.advance(n_backward)
     level = orb.phi_fraction()
@@ -180,8 +173,7 @@ def _exact_rows(payoff: PayoffData, eta1, eta2, init, n_forward: int, n_backward
     rows.append((0, orb.xy_float(), orb.payoff_value_float(), orb.phi_float(), 0.0))
     for t in range(1, n_forward + 1):
         orb.advance()
-        rows.append((t, orb.xy_float(), orb.payoff_value_float(), orb.phi_float(),
-                     orb.phi_defect_float()))
+        rows.append((t, orb.xy_float(), orb.payoff_value_float(), *orb.phi_and_defect_float()))
     return rows, level
 
 
@@ -225,21 +217,20 @@ def _float_rows(cfg: RunConfig, index: int):
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
-    dimension = cfg.map.chart.dimension
-    if not cfg.initial_states:
+    if not cfg.initial_exact:
         raise ConfigError("simulate needs initial_states")
-    summary = {"map_kind": cfg.map.kind, "trajectories": []}
-    for i in range(len(cfg.initial_states)):
-        if cfg.map.kind == "alt_play":
-            raw_rows, _ = _exact_rows(cfg.map.payoff, *cfg.map.step_sizes,
-                                      cfg.initial_exact[i], cfg.n_forward, cfg.n_backward)
+    summary = {"map_kind": cfg.kind, "trajectories": []}
+    for i, exact_init in enumerate(cfg.initial_exact):
+        if cfg.kind == "alt_play":
+            raw_rows, _ = _exact_rows(cfg.payoff, *cfg.step_sizes, exact_init,
+                                      cfg.n_forward, cfg.n_backward)
             fp_fwd = fp_back = False
         else:
             raw_rows, ts = _float_rows(cfg, i)
             # A side cut short of what was asked stopped at a fixed point.
             fp_fwd, fp_back = ts[-1] < cfg.n_forward, -ts[0] < cfg.n_backward
         path = out_dir / f"{cfg.output_prefix}_trajectory_{i}.csv"
-        _write_csv(path, _csv_header(dimension), _csv_rows(raw_rows))
+        _write_csv(path, _csv_header(len(exact_init)), _csv_rows(raw_rows))
         defects = [d for *_rest, d in raw_rows if not math.isnan(d)]
         summary["trajectories"].append(
             {
@@ -253,7 +244,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
             }
         )
     _write_json(out_dir / f"{cfg.output_prefix}_summary.json", summary)
-    print(f"wrote {len(cfg.initial_states)} trajectories to {out_dir}")
+    print(f"wrote {len(cfg.initial_exact)} trajectories to {out_dir}")
     return 0
 
 
@@ -263,17 +254,16 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_invariant(cfg: RunConfig, out_dir: Path) -> int:
     from .exact import BipartiteInvariant
-    from .invariants import invariance_defect, series_invariant
 
     spec = cfg.invariant_spec
     if spec is None:
         raise ConfigError("the invariant command needs an invariant section")
-    if not cfg.initial_states:
+    if not cfg.initial_exact:
         raise ConfigError("the invariant command needs initial_states")
     results = []
+    horizon = int(spec.get("defect_horizon", 0))
     if spec["kind"] == "closed-form":
-        phi = BipartiteInvariant(cfg.map.payoff, *cfg.map.step_sizes)
-        horizon = int(spec.get("defect_horizon", 0))
+        phi = BipartiteInvariant(cfg.payoff, *cfg.step_sizes)
         for i, exact_init in enumerate(cfg.initial_exact):
             value = phi.exact(exact_init)
             entry = {
@@ -282,20 +272,23 @@ def cmd_invariant(cfg: RunConfig, out_dir: Path) -> int:
                 "value_exact": str(value),
             }
             if horizon > 0:
+                from .invariants import invariance_defect
+
                 entry["defect_horizon"] = horizon
                 entry["max_defect"] = invariance_defect(
                     phi, cfg.map, cfg.initial_states[i], horizon
                 )
             results.append(entry)
     else:
+        from .invariants import series_invariant
+
         weight, truncation = _series_spec(cfg)
-        horizon = int(spec.get("defect_horizon", 0))
         for i, state in enumerate(cfg.initial_states):
             report = series_invariant(
                 cfg.map, None, weight, state, truncation, defect_horizon=horizon
             )
             results.append({"initial_index": i, **dataclasses.asdict(report)})
-    payload = {"kind": spec["kind"], "map_kind": cfg.map.kind, "results": results}
+    payload = {"kind": spec["kind"], "map_kind": cfg.kind, "results": results}
     path = out_dir / f"{cfg.output_prefix}_invariant.json"
     _write_json(path, payload)
     print(f"wrote {path}")
@@ -310,8 +303,8 @@ def _classification_invariants(cfg: RunConfig):
     from .exact import BipartiteInvariant
     from .invariants import make_series_invariant
 
-    if cfg.map.kind == "alt_play":
-        return (BipartiteInvariant(cfg.map.payoff, *cfg.map.step_sizes),)
+    if cfg.kind == "alt_play":
+        return (BipartiteInvariant(cfg.payoff, *cfg.step_sizes),)
     series = _series_spec(cfg)
     if series is None:
         return ()
@@ -378,8 +371,8 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, seed: int | None) -> int:
     min_gap = float(spec.get("min_relative_gap", SCAN_MIN_RELATIVE_GAP))
 
     phi = None
-    if cfg.map.kind == "alt_play":
-        phi = BipartiteInvariant(cfg.map.payoff, *cfg.map.step_sizes)
+    if cfg.kind == "alt_play":
+        phi = BipartiteInvariant(cfg.payoff, *cfg.step_sizes)
 
     rng = np.random.default_rng(seed)
     kept, gaps = [], []
@@ -426,7 +419,7 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, seed: int | None) -> int:
             }
         )
     payload = {
-        "map_kind": cfg.map.kind,
+        "map_kind": cfg.kind,
         "seed": seed,
         "horizon": horizon,
         "eps_low": eps_low,
@@ -546,20 +539,29 @@ def main(argv=None) -> int:
 
 
 def _run_config(args, out_dir: Path) -> int:
-    """Load the config and run the command on it."""
+    """Load the config and run the command on it. Every numerical failure is
+    caught by a finiteness, chart or region check and reported as one error
+    line, so float code runs under np.errstate(all="ignore"): numpy's warnings
+    would only add noise. alt_play simulate and a closed-form invariant
+    without a defect horizon read only exact fields and never load numpy."""
     from .config import load_config
 
     cfg = load_config(args.config)
     if args.tolerance is not None:
         cfg = dataclasses.replace(cfg, tolerance=args.tolerance)
-    if args.command == "simulate":
-        return cmd_simulate(cfg, out_dir)
-    if args.command == "invariant":
-        return cmd_invariant(cfg, out_dir)
-    if args.command == "classify":
-        return cmd_classify(cfg, out_dir)
-    seed = args.seed if args.seed is not None else cfg.seed
-    return cmd_scan(cfg, out_dir, seed)
+    spec = cfg.invariant_spec or {}
+    closed_form = spec.get("kind") == "closed-form" and int(spec.get("defect_horizon", 0)) <= 0
+    exact = cfg.kind == "alt_play" and (
+        args.command == "simulate" or args.command == "invariant" and closed_form)
+    with contextlib.nullcontext() if exact else import_module("numpy").errstate(all="ignore"):
+        if args.command == "simulate":
+            return cmd_simulate(cfg, out_dir)
+        if args.command == "invariant":
+            return cmd_invariant(cfg, out_dir)
+        if args.command == "classify":
+            return cmd_classify(cfg, out_dir)
+        seed = args.seed if args.seed is not None else cfg.seed
+        return cmd_scan(cfg, out_dir, seed)
 
 
 def _run(args) -> int:
@@ -575,13 +577,7 @@ def _run(args) -> int:
             return cmd_figures(args.which, out_dir)
         if args.config is None:
             raise ConfigError(f"the {args.command} command needs --config")
-        import numpy as np
-
-        # Every numerical failure is caught by a finiteness, chart or region
-        # check and reported as one error line; numpy's warnings would only
-        # add source text to stderr before it.
-        with np.errstate(all="ignore"):
-            return _run_config(args, out_dir)
+        return _run_config(args, out_dir)
     except ConfigError as exc:
         print(f"error: configuration: {exc}", file=sys.stderr)
         return 2

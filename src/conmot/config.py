@@ -25,20 +25,20 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import ChartViolation, ConfigError, ConmotError
-from .maps import MapInstance, gradient_descent, mwu_exponential, mwu_linear, sphere_rgd
-from .objectives import ObjectiveSpec, bump, double_well, linear, quadratic
 from .rationals import as_fraction
-from .state import Chart, State
 
 if TYPE_CHECKING:
+    from .exact import PayoffData
     from .invariants import WeightFunction
+    from .maps import MapInstance
+    from .objectives import ObjectiveSpec
+    from .state import Chart, State
 
 __all__ = ["RunConfig", "load_config", "build_weight", "exact_number", "chart_point"]
 
@@ -48,10 +48,13 @@ DEFAULT_PREFIX = "run"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a CLI command needs, already constructed and validated."""
+    """Everything a CLI command needs, already validated. map and
+    initial_states are float views of the exact fields, built on first read;
+    load_config builds them at once for every kind but alt_play, whose exact
+    checks leave them nothing to reject, so its exact commands skip numpy."""
 
-    map: MapInstance
-    initial_states: tuple[State, ...]
+    kind: str
+    map_section: dict  # numbers read exactly
     initial_exact: tuple[tuple[Fraction, ...], ...]
     n_forward: int
     n_backward: int
@@ -61,6 +64,20 @@ class RunConfig:
     seed: int | None
     tolerance: float
     output_prefix: str
+    payoff: PayoffData | None = None  # alt_play only
+    step_sizes: tuple[Fraction, ...] = ()  # alt_play's (eta1, eta2)
+
+    @cached_property
+    def map(self) -> MapInstance:
+        from .maps import alternating_play
+
+        return (alternating_play(self.payoff, *self.step_sizes) if self.kind == "alt_play"
+                else _build_map(self.map_section))
+
+    @cached_property
+    def initial_states(self) -> tuple[State, ...]:
+        return tuple(chart_point(vals, self.map.chart, f"initial_states[{i}]")[1]
+                     for i, vals in enumerate(self.initial_exact))
 
 
 def _schema() -> dict:
@@ -155,21 +172,35 @@ def exact_number(value, json_path: str, *, positive: bool = False) -> Fraction:
     return out
 
 
+def _exact_point(values, dimension: int, json_path: str) -> tuple[Fraction, ...]:
+    """The exact values of one config point of the given length, or a
+    ConfigError naming json_path."""
+    vals = tuple(exact_number(v, f"{json_path}[{i}]") for i, v in enumerate(values))
+    if len(vals) != dimension:
+        raise ConfigError(f"{json_path} has length {len(vals)}, the chart needs "
+                          f"{dimension}", json_path=json_path)
+    return vals
+
+
 def chart_point(values, chart: Chart, json_path: str) -> tuple[tuple[Fraction, ...], State]:
     """The exact values of one config point and its State on the chart, or a
     ConfigError naming json_path."""
-    vals = tuple(exact_number(v, f"{json_path}[{i}]") for i, v in enumerate(values))
-    if len(vals) != chart.dimension:
-        raise ConfigError(f"{json_path} has length {len(vals)}, the chart needs "
-                          f"{chart.dimension}", json_path=json_path)
+    import numpy as np
+
+    from .state import State
+
+    vals = _exact_point(values, chart.dimension, json_path)
     try:
-        return vals, State(np.array([float(v) for v in vals]), chart)
+        with np.errstate(all="ignore"):  # a chart check rejects what overflows
+            return vals, State(np.array([float(v) for v in vals]), chart)
     except ChartViolation as exc:
         raise ConfigError(f"{json_path} is not a point of the {chart.kind} chart: {exc}",
                           json_path=json_path) from exc
 
 
 def _build_objective(section: dict) -> ObjectiveSpec:
+    from .objectives import bump, double_well, linear, quadratic
+
     name = section["name"]
     if name == "quadratic":
         return quadratic(section.get("dimension", 2))
@@ -182,9 +213,9 @@ def _build_objective(section: dict) -> ObjectiveSpec:
         raise ConfigError(
             "a linear objective needs coefficients", json_path="map.objective"
         )
-    return linear(np.array([
+    return linear([
         float(exact_number(c, f"map.objective.coefficients[{i}]")) for i, c in enumerate(coeffs)
-    ]))
+    ])
 
 
 def _require(section: dict, key: str, where: str):
@@ -202,40 +233,46 @@ def _step_sizes(rates) -> tuple[Fraction, ...]:
                  for i, v in enumerate(rates))
 
 
+def _alt_play(section: dict) -> tuple[PayoffData, tuple[Fraction, ...]]:
+    """The exact payoff and step sizes (eta1, eta2) of an alt_play map section."""
+    from .exact import PayoffData
+
+    payoff_section = _require(section, "payoff", "map")
+    rates = _require(section, "step_sizes", "map")
+    if len(rates) != 2:
+        raise ConfigError("map.step_sizes must hold exactly two step sizes for alt_play",
+                          json_path="map.step_sizes")
+    matrix = [[exact_number(v, f"map.payoff.matrix[{i}][{j}]") for j, v in enumerate(row)]
+              for i, row in enumerate(payoff_section["matrix"])]
+    widths = {len(row) for row in matrix}
+    if len(widths) != 1:
+        raise ConfigError("map.payoff.matrix rows must all have the same length",
+                          json_path="map.payoff.matrix")
+    return PayoffData.from_matrix(matrix), _step_sizes(rates)
+
+
 def _build_map(section: dict) -> MapInstance:
-    kind = section["kind"]
-    if kind == "alt_play":
-        from .exact import PayoffData
-        from .maps import alternating_play
+    """The map of a section of any kind but alt_play."""
+    from .maps import gradient_descent, mwu_exponential, mwu_linear, sphere_rgd
 
-        payoff_section = _require(section, "payoff", "map")
-        rates = _require(section, "step_sizes", "map")
-        if len(rates) != 2:
-            raise ConfigError(
-                "alt_play needs exactly two step sizes", json_path="map.step_sizes"
-            )
-        matrix = [[exact_number(v, f"map.payoff.matrix[{i}][{j}]") for j, v in enumerate(row)]
-                  for i, row in enumerate(payoff_section["matrix"])]
-        widths = {len(row) for row in matrix}
-        if len(widths) != 1:
-            raise ConfigError("payoff rows must all have the same length",
-                              json_path="map.payoff.matrix")
-        payoff = PayoffData.from_matrix(matrix)
-        return alternating_play(payoff, *_step_sizes(rates))
-
-    objective = _build_objective(_require(section, "objective", "map"))
-    if kind in ("mwu_exp", "mwu_lin"):
-        blocks = _require(section, "blocks", "map")
-        if "step_sizes" in section:
-            eps = _step_sizes(section["step_sizes"])
-        else:
-            eps = _step_size(section)
-        maker = mwu_exponential if kind == "mwu_exp" else mwu_linear
-        return maker(objective, eps, blocks)
-    eta = _step_size(section)
-    if kind == "gd":
-        return gradient_descent(objective, eta)
-    return sphere_rgd(objective, eta)
+    try:
+        objective = _build_objective(_require(section, "objective", "map"))
+        kind = section["kind"]
+        if kind in ("mwu_exp", "mwu_lin"):
+            blocks = _require(section, "blocks", "map")
+            eps = (_step_sizes(section["step_sizes"]) if "step_sizes" in section
+                   else _step_size(section))
+            maker = mwu_exponential if kind == "mwu_exp" else mwu_linear
+            return maker(objective, eps, blocks)
+        eta = _step_size(section)
+        if kind == "gd":
+            return gradient_descent(objective, eta)
+        return sphere_rgd(objective, eta)
+    except ConfigError:
+        raise
+    except ConmotError as exc:
+        # A map that cannot be built from its section is a config problem.
+        raise ConfigError(f"map: {exc}", json_path="map") from exc
 
 
 def build_weight(section: dict | None, dimension: int) -> WeightFunction:
@@ -305,15 +342,15 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"{where} has a decimal exponent outside the float64 range",
                           json_path=where)
 
-    try:
-        map_instance = _build_map(doc["map"])
-    except ConfigError:
-        raise
-    except ConmotError as exc:
-        # A map that cannot be built from its section is a config problem.
-        raise ConfigError(f"map: {exc}", json_path="map") from exc
-
-    points = [chart_point(row, map_instance.chart, f"initial_states[{idx}]")
+    section = doc["map"]
+    if section["kind"] == "alt_play":  # exact checks only: the views come on first read
+        map_instance, (payoff, step_sizes) = None, _alt_play(section)
+        dimension = payoff.dimension_x + payoff.dimension_y
+    else:
+        map_instance, payoff, step_sizes = _build_map(section), None, ()
+        dimension = map_instance.chart.dimension
+    points = [chart_point(row, map_instance.chart, f"initial_states[{idx}]") if map_instance
+              else (_exact_point(row, dimension, f"initial_states[{idx}]"), None)
               for idx, row in enumerate(doc.get("initial_states", []))]
     prefix = doc.get("output", {}).get("prefix", DEFAULT_PREFIX)
     if any(sep and sep in prefix for sep in ("/", os.sep, os.altsep, "\0")):
@@ -322,17 +359,15 @@ def load_config(path) -> RunConfig:
 
     steps = doc.get("steps", {})
     invariant_spec = doc.get("invariant")
-    if invariant_spec is not None and invariant_spec["kind"] == "closed-form":
-        if map_instance.kind != "alt_play":
-            raise ConfigError(
-                "the closed-form invariant only exists for alt_play",
-                json_path="invariant.kind",
-            )
+    closed_form = invariant_spec is not None and invariant_spec["kind"] == "closed-form"
+    if closed_form and section["kind"] != "alt_play":
+        raise ConfigError("the closed-form invariant only exists for alt_play",
+                          json_path="invariant.kind")
 
     tolerance = doc.get("tolerance", DEFAULT_TOLERANCE)
-    return RunConfig(
-        map=map_instance,
-        initial_states=tuple(state for _, state in points),
+    cfg = RunConfig(
+        kind=section["kind"],
+        map_section=section,
         initial_exact=tuple(vals for vals, _ in points),
         n_forward=int(steps.get("forward", 0)),
         n_backward=int(steps.get("backward", 0)),
@@ -342,4 +377,9 @@ def load_config(path) -> RunConfig:
         seed=doc.get("seed"),
         tolerance=float(tolerance),
         output_prefix=prefix,
+        payoff=payoff,
+        step_sizes=step_sizes,
     )
+    if map_instance is not None:  # cached_property reads the views from the instance dict
+        cfg.__dict__.update(map=map_instance, initial_states=tuple(s for _, s in points))
+    return cfg

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConmotError
-from .rationals import as_fraction, ratio_to_float
+from .rationals import as_float, as_fraction, ratio_to_float
 
 try:  # gmpy2 (the conmot[fast] extra) speeds up big integers; plain int is exact too
     from gmpy2 import mpz
@@ -244,6 +244,7 @@ class ExactAltOrbit:
         self._power = ((True, 1), self._step.m)  # the last M^k or M_inv^k used
         self._pos = 0
         self._num0 = self._quadratic()[0]
+        self._phi0_float = ratio_to_float(self._num0, self._phi_den0)
 
     @property
     def position(self) -> int:
@@ -302,8 +303,7 @@ class ExactAltOrbit:
         return Fraction(int(num), int(self._phi_den0 * g2_pow))
 
     def phi_float(self) -> float:
-        num, _, g2_pow = self._quadratic()
-        return ratio_to_float(num, self._phi_den0 * g2_pow)
+        return self.phi_and_defect_float()[0]
 
     def payoff_value_float(self) -> float:
         """Current bilinear value x.T A y as a float snapshot."""
@@ -317,10 +317,15 @@ class ExactAltOrbit:
 
     def phi_defect_float(self) -> float:
         """Relative drift |phi_t - phi_0| / (1 + |phi_0|); exactly 0 when conserved."""
+        return self.phi_and_defect_float()[1]
+
+    def phi_and_defect_float(self) -> tuple[float, float]:
+        """(phi_float(), phi_defect_float()) from one exact comparison: while it
+        holds, phi is the start level, whose correctly rounded float is kept."""
         if self.phi_matches_start():
-            return 0.0
-        phi0 = Fraction(int(self._num0), int(self._phi_den0))
-        return float(abs(self.phi_fraction() - phi0) / (1 + abs(phi0)))
+            return self._phi0_float, 0.0
+        phi, phi0 = self.phi_fraction(), Fraction(int(self._num0), int(self._phi_den0))
+        return as_float(phi), float(abs(phi - phi0) / (1 + abs(phi0)))
 
 
 class BipartiteInvariant:

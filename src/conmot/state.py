@@ -149,9 +149,6 @@ class State:
     def dimension(self) -> int:
         return self.chart.dimension
 
-    def replace_coordinates(self, coords: np.ndarray) -> "State":
-        return State(coords, self.chart)
-
     def distance_to(self, other: "State") -> float:
         return float(np.linalg.norm(self.coordinates - other.coordinates))
 

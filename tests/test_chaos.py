@@ -16,7 +16,6 @@ from conmot.chaos import (
     level_set_confinement,
     orbit_signature,
     same_orbit,
-    scrambled_pair_estimate,
 )
 from conmot.errors import ChartViolation, ConmotError, NumericsError, RegionError, StepSizeError
 from conmot.exact import difference_log_stats
@@ -50,38 +49,38 @@ def _bp(x, y):
 
 def test_identical_points_are_rejected():
     with pytest.raises(ValueError):
-        scrambled_pair_estimate(_alt(), _bp(1, 2), _bp(1, 2), 100)
+        batched_pair_reports(_alt(), [(_bp(1, 2), _bp(1, 2))], 100)
 
 
 def test_gd_contraction_pairs_converge():
     m = gradient_descent(quadratic(2), 0.5)
     x = State([1.0, 0.0], euclidean(2))
     y = State([0.0, 1.0], euclidean(2))
-    rep = scrambled_pair_estimate(m, x, y, 400)
+    rep = batched_pair_reports(m, [(x, y)], 400)[0]
     assert rep.verdict == "converging-pair"
     assert rep.limsup_estimate <= 1e-6
     assert rep.liminf_estimate <= rep.limsup_estimate
 
 
 def test_cross_level_alt_play_pair_is_never_a_scramble_candidate():
-    rep = scrambled_pair_estimate(
-        _alt(), _bp(60, -25), _bp(10, -50), 10_000, phi=_phi()
-    )
+    rep = batched_pair_reports(
+        _alt(), [(_bp(60, -25), _bp(10, -50))], 10_000, phi=_phi()
+    )[0]
     assert rep.verdict != "scramble-candidate"
     assert rep.liminf_estimate > 1e-6
     assert rep.invariant_gap > 0.0
 
 
 def test_separated_pairs_on_growing_orbits():
-    rep = scrambled_pair_estimate(_alt(), _bp(60, -25), _bp(60.5, -25), 2000)
+    rep = batched_pair_reports(_alt(), [(_bp(60, -25), _bp(60.5, -25))], 2000)[0]
     assert rep.verdict == "separated"
     assert rep.tail_start == 2000 - 400
 
 
 def test_estimate_is_symmetric_in_the_pair():
     x, y = _bp(60, -25), _bp(10, -50)
-    a = scrambled_pair_estimate(_alt(), x, y, 500, phi=_phi())
-    b = scrambled_pair_estimate(_alt(), y, x, 500, phi=_phi())
+    a = batched_pair_reports(_alt(), [(x, y)], 500, phi=_phi())[0]
+    b = batched_pair_reports(_alt(), [(y, x)], 500, phi=_phi())[0]
     assert a.liminf_estimate == b.liminf_estimate
     assert a.limsup_estimate == b.limsup_estimate
     assert a.invariant_gap == b.invariant_gap
@@ -92,7 +91,7 @@ def test_batched_reports_match_single_pair_calls():
     pairs = [(_bp(60, -25), _bp(10, -50)), (_bp(1, 1), _bp(2, -1))]
     batch = batched_pair_reports(_alt(), pairs, 300, phi=_phi())
     for (x, y), rep in zip(pairs, batch):
-        single = scrambled_pair_estimate(_alt(), x, y, 300, phi=_phi())
+        single = batched_pair_reports(_alt(), [(x, y)], 300, phi=_phi())[0]
         assert rep.verdict == single.verdict
         assert rep.liminf_estimate == pytest.approx(single.liminf_estimate, rel=1e-9)
         assert rep.limsup_estimate == pytest.approx(single.limsup_estimate, rel=1e-9)

@@ -6,6 +6,7 @@ here shells out, so failures carry normal tracebacks.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import warnings
@@ -668,10 +669,14 @@ def test_an_alt_play_scan_of_pairs_beyond_1e154_apart_separates_them(tmp_path):
     doc = dict(HYPERBOLIC, scan={"pairs": 3, "horizon": 200, "box_halfwidth": 1e160}, seed=5)
     cfg, out = write_config(tmp_path, doc), tmp_path / "o"
     assert main(["--config", str(cfg), "--out", str(out), "scan"]) == 0
-    payload = json.loads((out / "hyp_scan.json").read_text())
+    text = (out / "hyp_scan.json").read_text()
+    payload = json.loads(text)
     assert payload["verdict_counts"] == {"separated": 3}
     for report in payload["pair_reports"]:
         assert 1e150 < report["liminf_estimate"] <= report["limsup_estimate"] < math.inf
+        # Phi of these points overflows float64; the closed-form gap is exact.
+        assert 1.28 < report["invariant_gap"] < 1.47
+    assert "nan" not in text
 
 
 @dataclasses.dataclass
@@ -714,6 +719,19 @@ def test_a_numerical_failure_writes_only_its_error_line_to_stderr(tmp_path, caps
         "error: state lies outside the objective's declared region (step index 1)\n")
 
 
+def test_an_initial_state_that_overflows_its_chart_check_writes_only_its_error_line(
+        tmp_path, capsys):
+    """The sphere norm of this point overflows on its way to the chart check."""
+    cfg = write_config(tmp_path, {"map": SPHERE_3, "initial_states": [[1e300, 1e300, 1e300]]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "simulate"])
+    assert rc == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.startswith(
+        "error: configuration: initial_states[0] is not a point of the sphere chart")
+
+
 def test_a_closed_form_value_beyond_the_float_range_is_written_as_inf(tmp_path):
     doc = dict(HYPERBOLIC, initial_states=[[1e300, -1e300]], invariant={"kind": "closed-form"})
     cfg, out = write_config(tmp_path, doc), tmp_path / "o"
@@ -754,3 +772,41 @@ def test_trajectory_matches_library_arithmetic(tmp_path):
     assert float(rows[-1][1]) == x
     assert float(rows[-1][2]) == y
     assert float(rows[-1][3]) == orbit.payoff_value_float()
+
+
+# SHA-256 of every file that simulate and invariant write for a 1x1 and a 2x3
+# alt_play config, as written when load_config still built the float map and
+# states of every config: the exact commands must keep these bytes.
+PINNED_ALT_PLAY = {
+    "square": {"map": {"kind": "alt_play", "payoff": {"matrix": [[1]]},
+                       "step_sizes": ["1/10", "1/5"]},
+               "initial_states": [[60, -25], [-20, 2]],
+               "steps": {"forward": 200, "backward": 20},
+               "invariant": {"kind": "closed-form"}},
+    "rect": {"map": {"kind": "alt_play",
+                     "payoff": {"matrix": [["1/4", "-3/4", "5/4"], ["7/4", "-1/4", "3/4"]]},
+                     "step_sizes": ["1/10", "0.2"]},
+             "initial_states": [[1, -2, 3, -4, 5], ["1/3", 0.5, -1, "2.5", "1e200"]],
+             "steps": {"forward": 120, "backward": 30},
+             "invariant": {"kind": "closed-form", "defect_horizon": 0}},
+}
+PINNED_SHA256 = {
+    "rect_invariant.json": "314335b89ec7465b5e6e75ee119a8b062bc42d204c84a60dfdac5895b9a69f10",
+    "rect_summary.json": "b438ec0c2ea978c3631d190a8082dce6e7064a30ceaa4b21afad85ea993c27f8",
+    "rect_trajectory_0.csv": "777ebd1d3e417d3a398ec1ef84245c6547a2a59a154578594b4f099048e56a5e",
+    "rect_trajectory_1.csv": "8b3fcfdd7585605bad233d20d824589703ff4b1a4517dab0373dc401726707e0",
+    "square_invariant.json": "dded01cc8c2d5a5089291d6935eb9a5f55923dd5dca5a94602e8569fd18e8f04",
+    "square_summary.json": "6abcd795b76e1e81aacdb9fe794afeca2f1804468591789c163b15163a4793f1",
+    "square_trajectory_0.csv": "c5bb3c6788ea35324a583de19e5369e32b25f71193d2e1b8f6de68e368a7ce30",
+    "square_trajectory_1.csv": "9b140029ea7c6a0227448d61a27311f02c8f0fd9ebcff0a17522cb6e9b7f182e",
+}
+
+
+def test_exact_alt_play_outputs_keep_their_pinned_bytes(tmp_path):
+    out = tmp_path / "out"
+    for prefix, doc in PINNED_ALT_PLAY.items():
+        cfg = write_config(tmp_path, dict(doc, output={"prefix": prefix}), f"{prefix}.json")
+        for command in ("simulate", "invariant"):
+            assert main(["--config", str(cfg), "--out", str(out), command]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == PINNED_SHA256

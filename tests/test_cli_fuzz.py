@@ -18,13 +18,18 @@ import tempfile
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conmot.cli import FIGURE_RECIPES, main
-from conmot.config import _schema, _valid
+from conmot.config import _schema, _valid, load_config
+from conmot.errors import ConfigError
+from conmot.maps import alternating_play
+from conmot.state import State
 
 COMMANDS = ("simulate", "invariant", "classify", "scan")
+KINDS = ("gd", "mwu_exp", "mwu_lin", "alt_play", "rgd_sphere")
 
 
 def sometimes(usual, rare):
@@ -60,9 +65,9 @@ JSON = st.recursive(
 
 
 @st.composite
-def map_section(draw):
+def map_section(draw, kinds=KINDS):
     """A map section and the chart it acts on: (kind, dimension or blocks)."""
-    kind = draw(st.sampled_from(["gd", "mwu_exp", "mwu_lin", "alt_play", "rgd_sphere"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "alt_play":
         rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 3))
         matrix = [[draw(NUMBER) for _ in range(cols)] for _ in range(rows)]
@@ -110,9 +115,9 @@ def point(draw, chart):
 
 
 @st.composite
-def document(draw):
+def document(draw, kinds=KINDS):
     """A config that passes the schema, sections present at random."""
-    map_doc, chart = draw(map_section())
+    map_doc, chart = draw(map_section(kinds))
     dimension = chart[1] if chart[0] != "simplex" else sum(chart[1])
     doc = {"map": map_doc, "steps": {"forward": draw(SMALL), "backward": draw(SMALL)}}
     if draw(st.integers(0, 5)):
@@ -158,8 +163,8 @@ def _paths(node, prefix=()):
 
 
 @st.composite
-def mutated(draw):
-    doc = draw(document())
+def mutated(draw, kinds=KINDS):
+    doc = draw(document(kinds))
     for _ in range(draw(st.integers(1, 2))):
         paths = list(_paths(doc))
         if not paths:
@@ -179,6 +184,7 @@ def mutated(draw):
 
 
 DOCUMENTS = st.one_of(document(), document(), mutated())
+ALT_PLAY_DOCUMENTS = st.one_of(document(("alt_play",)), mutated(("alt_play",)))
 FLAGS = st.lists(
     st.one_of(
         sometimes(st.integers(0, 2**32), st.integers(-3, 3)).map(lambda v: f"--seed={v}"),
@@ -235,3 +241,40 @@ def test_the_small_validator_agrees_with_jsonschema(doc):
     ours = _valid(plain, schema)
     assert theirs or not ours, "accepted a document jsonschema rejects"
     assert ours == theirs
+
+
+ALT = {"kind": "alt_play", "payoff": {"matrix": [[1, "1/2", -2]]}, "step_sizes": ["1/10", "1/5"]}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=ALT_PLAY_DOCUMENTS)
+@example(doc={"map": ALT, "initial_states": [[1, 2]]})
+@example(doc={"map": dict(ALT, step_sizes=["0", "1/5"]), "initial_states": [[1, 2, 3, 4]]})
+@example(doc={"map": dict(ALT, step_sizes=["1/10", "-1/5"])})
+@example(doc={"map": dict(ALT, payoff={"matrix": [["1e400", 1, 1]]})})
+@example(doc={"map": ALT, "initial_states": [[1, "9" * 400, 3, 4]]})
+def test_an_accepted_alt_play_config_builds_its_float_views(doc):
+    """An alt_play config is checked in exact arithmetic only, and its float
+    map and states are built on first read: whatever load_config accepts,
+    they must not reject. What it rejects is exit 2 with its JSON path."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(doc))
+        try:
+            cfg = load_config(config)
+        except ConfigError as exc:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(["--config", str(config), "--out", str(Path(tmp) / "out"), "simulate"])
+            assert rc == 2
+            assert exc.json_path is not None and exc.json_path in err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            return
+    m = cfg.map
+    assert m == alternating_play(cfg.payoff, *cfg.step_sizes)
+    assert m.payoff.matrix.shape == (m.chart.blocks[0], m.chart.blocks[1])
+    assert len(cfg.initial_states) == len(cfg.initial_exact)
+    for state, vals in zip(cfg.initial_states, cfg.initial_exact):
+        expected = State(np.array([float(v) for v in vals]), m.chart)
+        assert state.chart == expected.chart
+        assert state.coordinates.tobytes() == expected.coordinates.tobytes()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conmot import exact
+from conmot.chaos import _relative_gap
 from conmot.errors import ConmotError
 from conmot.exact import (
     ExactAltOrbit,
@@ -284,6 +285,50 @@ def test_mixed_walks_hold_the_integers_of_their_position(game, moves):
     assert np.array(walker.xy_float()).tobytes() == np.array(direct.xy_float()).tobytes()
     assert walker.phi_float() == direct.phi_float()
     assert walker.phi_matches_start()
+
+
+@settings(max_examples=25, deadline=None)
+@given(dyadic_orbits(), st.lists(st.integers(-40, 40), min_size=1, max_size=8))
+def test_phi_reads_its_exact_value_correctly_rounded_at_every_position(game, moves):
+    """A conserved phi reads as the start level's float, computed once; that
+    is float(phi_fraction()) bit for bit wherever the walk goes."""
+    orb = ExactAltOrbit(*game)
+    for move in [0, *moves]:
+        _move(orb, move)
+        exact_phi = float(orb.phi_fraction()).hex()
+        assert orb.phi_float().hex() == exact_phi
+        assert [v.hex() for v in orb.phi_and_defect_float()] == [exact_phi, (0.0).hex()]
+        assert orb.phi_defect_float() == 0.0
+
+
+def test_phi_reads_the_same_floats_without_the_start_level_shortcut(monkeypatch):
+    orb = ExactAltOrbit(PAY, Fraction(1, 20), Fraction(1, 50), [-14, -5])
+    fast = []
+    for _ in range(30):
+        orb.advance(7)
+        fast.append(orb.phi_and_defect_float())
+    monkeypatch.setattr(ExactAltOrbit, "phi_matches_start", lambda self: False)
+    orb.retreat(30 * 7)
+    for expected in fast:
+        orb.advance(7)
+        assert orb.phi_and_defect_float() == expected == (2740.0, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dyadic_orbits(), st.data())
+def test_the_closed_form_gap_is_its_exact_rational_rounded_once(game, data):
+    """Exact, symmetric and never nan for finite points, levels beyond the
+    float range included."""
+    payoff, e1, e2, xy = game
+    phi = BipartiteInvariant(payoff, e1, e2)
+    point = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                     min_size=len(xy), max_size=len(xy))
+    x, y = data.draw(point), data.draw(point)
+    a, b = phi.exact(x), phi.exact(y)
+    gap = _relative_gap(phi, x, y)
+    assert gap.hex() == float(abs(a - b) / (1 + max(abs(a), abs(b)))).hex()
+    assert _relative_gap(phi, y, x).hex() == gap.hex()
+    assert 0.0 <= gap < 2.0
 
 
 @settings(max_examples=25, deadline=None)

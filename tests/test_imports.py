@@ -5,10 +5,13 @@ A small stand-in for a linter's unused-import check: a module-level import
 module and is not listed in __all__ fails. __init__.py only re-exports, and
 from __future__ imports are directives, so both are exempt.
 
-The exact engine runs without numpy: errors, rationals and exact import it
-at module level nowhere, and fresh interpreters that run figures or a
-conservation audit never load it. ``import conmot`` loads no submodule; each
-exported name is imported on first access.
+The exact engine runs without numpy: errors, rationals, exact and config
+import it at module level nowhere. One table of fresh interpreters checks
+what each process leaves out of sys.modules: ``import conmot`` loads no
+submodule (each exported name is imported on first access); figures, a
+conservation audit, an alt_play load_config, alt_play simulate and a
+closed-form invariant without a horizon load no numpy and no float module;
+a gd load or simulate loads no module it does not run.
 """
 
 import ast
@@ -73,7 +76,7 @@ def test_the_check_finds_an_unused_import_and_spares_a_read_or_exported_one():
     assert unused_imports(source) == ["line 2: os", "line 4: dumps", "line 6: mpz"]
 
 
-@pytest.mark.parametrize("name", ["errors.py", "rationals.py", "exact.py"])
+@pytest.mark.parametrize("name", ["errors.py", "rationals.py", "exact.py", "config.py"])
 def test_the_exact_engine_modules_import_numpy_only_inside_functions(name):
     tree = ast.parse((Path(conmot.__file__).parent / name).read_text())
     imported = {(node.module or "") if isinstance(node, ast.ImportFrom) else alias.name
@@ -107,35 +110,58 @@ def _loaded(code: str, *argv: str) -> set[str]:
 
 
 CLI = "import sys; from conmot.cli import main; assert main(sys.argv[1:]) == 0"
+LOAD = "import sys, conmot; conmot.load_config(sys.argv[1])"
+AUDIT = ("import conmot.cli\n"
+         "from conmot import PayoffData, conservation_audit\n"
+         "audit = conservation_audit(PayoffData.from_matrix([[1]]), '0.1', '0.2', [60, -25], 400)\n"
+         "assert audit.conserved and audit.identity_verified")
+RUN = ["--config", "{config}", "--out", "{out}"]
+
+GD = {"map": {"kind": "gd", "objective": {"name": "double_well", "dimension": 1},
+              "step_size": 0.1},
+      "initial_states": [[0.5]], "steps": {"forward": 20, "backward": 2}}
+SQUARE = {"map": {"kind": "alt_play", "payoff": {"matrix": [[1]]}, "step_sizes": ["1/10", "1/5"]},
+          "initial_states": [[60, -25]], "steps": {"forward": 40, "backward": 5},
+          "invariant": {"kind": "closed-form"}}
+RECT = {"map": {"kind": "alt_play", "payoff": {"matrix": [["1/4", -1, 2], [3, "-1/2", 1]]},
+                "step_sizes": ["1/10", "1/5"]},
+        "initial_states": [[1, -2, 3, -4, 5]], "steps": {"forward": 40, "backward": 5}}
+# What the exact alt_play commands never load.
+FLOAT_STACK = {"numpy", "conmot.maps", "conmot.objectives", "conmot.state", "conmot.dynamics",
+               "conmot.invariants", "conmot.chaos"}
+
+# name: (code, config, argv, modules that must stay out of sys.modules)
+GUARDS = {
+    "import-conmot": ("import conmot", None, [], {f"conmot.{p.stem}" for p in MODULES}),
+    "figures-fig1": (CLI, None, [*RUN[2:], "figures", "fig1"], {"numpy"}),
+    "figures-fig2": (CLI, None, [*RUN[2:], "figures", "fig2"], {"numpy"}),
+    "cli-module-and-audit": (AUDIT, None, [], {"numpy"}),
+    "gd-load": (LOAD, GD, ["{config}"], {"conmot.chaos", "conmot.dynamics", "conmot.invariants"}),
+    "gd-simulate": (CLI, GD, [*RUN, "simulate"], {"conmot.chaos"}),
+    "alt_play-load": (LOAD, SQUARE, ["{config}"], FLOAT_STACK),
+    "alt_play-simulate-1x1": (CLI, SQUARE, [*RUN, "simulate"], FLOAT_STACK),
+    "alt_play-simulate-2x3": (CLI, RECT, [*RUN, "simulate"], FLOAT_STACK),
+    "alt_play-closed-form-invariant": (CLI, SQUARE, [*RUN, "invariant"], FLOAT_STACK),
+}
 
 
-def test_importing_the_package_loads_no_submodule():
-    assert not [m for m in _loaded("import conmot") if m.startswith("conmot.")]
+@pytest.mark.parametrize("name", GUARDS)
+def test_a_process_loads_only_what_it_runs(tmp_path, name):
+    code, doc, argv, absent = GUARDS[name]
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    if doc is not None:
+        config.write_text(json.dumps(doc))
+    loaded = _loaded(code, *(a.format(config=config, out=out) for a in argv))
+    assert not absent & loaded
+    if code == CLI:
+        assert any(out.iterdir())
 
 
-@pytest.mark.parametrize("which", ["fig1", "fig2"])
-def test_figures_run_without_numpy(tmp_path, which):
-    assert "numpy" not in _loaded(CLI, "figures", which, "--out", str(tmp_path))
-    assert (tmp_path / f"{which}_summary.json").is_file()
-
-
-def test_the_cli_module_and_a_conservation_audit_run_without_numpy():
-    code = ("import conmot.cli\n"
-            "from conmot import PayoffData, conservation_audit\n"
-            "audit = conservation_audit(PayoffData.from_matrix([[1]]), '0.1', '0.2', [60, -25], 400)\n"
-            "assert audit.conserved and audit.identity_verified")
-    assert "numpy" not in _loaded(code)
-
-
-def test_a_gd_config_loads_and_simulates_without_the_modules_it_does_not_run(tmp_path):
-    cfg = tmp_path / "gd.json"
-    cfg.write_text(json.dumps({
-        "map": {"kind": "gd", "objective": {"name": "double_well", "dimension": 1},
-                "step_size": 0.1},
-        "initial_states": [[0.5]],
-        "steps": {"forward": 20, "backward": 2},
-    }))
-    loaded = _loaded("import sys, conmot; conmot.load_config(sys.argv[1])", str(cfg))
-    assert not {"conmot.chaos", "conmot.dynamics", "conmot.invariants"} & loaded
-    loaded = _loaded(CLI, "--config", str(cfg), "--out", str(tmp_path / "out"), "simulate")
-    assert "conmot.chaos" not in loaded
+def test_the_guards_see_a_float_command_load_numpy(tmp_path):
+    """A closed-form invariant with a defect horizon reads the float map and
+    states, so the same check sees numpy and the float modules load."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(SQUARE, invariant={"kind": "closed-form",
+                                                         "defect_horizon": 5})))
+    argv = [a.format(config=config, out=tmp_path / "out") for a in RUN]
+    assert FLOAT_STACK - {"conmot.chaos"} <= _loaded(CLI, *argv, "invariant")
