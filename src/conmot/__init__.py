@@ -29,15 +29,13 @@ _EXPORTS = {
              "alternating_play", "sphere_rgd", "step", "step_with_defect", "descent_check"),
     "dynamics": ("InverseConfig", "Orbit", "inverse_step", "detect_fixed_point"),
     "exact": ("PayoffData", "ExactAltOrbit", "BipartiteInvariant", "ConservationAudit",
-              "conservation_audit", "verify_conservation_identity",
-              "assemble_transition_matrix", "difference_log_stats"),
+              "conservation_audit", "verify_conservation_identity", "difference_log_stats"),
     "invariants": ("WeightFunction", "constant_weight", "coordinate_weight",
                    "gaussian_bump_weight", "InvariantReport", "series_invariant",
                    "series_along_orbit", "make_series_invariant", "invariance_defect",
                    "dphi_rank"),
     "chaos": ("ChaosReport", "batched_pair_reports", "ConfinementReport",
-              "level_set_confinement", "OrbitSignature", "orbit_signature",
-              "SameOrbitVerdict", "same_orbit"),
+              "level_set_confinement", "SameOrbitVerdict", "same_orbit"),
     "config": ("RunConfig", "load_config"),
     "errors": ("ConmotError", "ChartViolation", "StepSizeError", "RegionError",
                "InversionError", "NumericsError", "ConfigError"),

@@ -28,8 +28,6 @@ __all__ = [
     "batched_pair_reports",
     "ConfinementReport",
     "level_set_confinement",
-    "OrbitSignature",
-    "orbit_signature",
     "SameOrbitVerdict",
     "same_orbit",
 ]
@@ -177,7 +175,7 @@ def batched_pair_reports(
             raise ValueError("the two points of a pair must differ")
     tail_start = _tail_start(horizon)
     if map_instance.kind == "alt_play":
-        e1, e2 = map_instance.float_step_sizes
+        e1, e2 = map_instance.step_sizes
         diffs = np.stack([x.coordinates - y.coordinates for x, y in pairs])
         lo, hi = difference_log_stats(map_instance.payoff, e1, e2, diffs, horizon)
         low, high, scale = math.log2(eps_low), math.log2(eps_high), _exp2_safe
@@ -277,28 +275,6 @@ def level_set_confinement(
 
 
 @dataclass(frozen=True)
-class OrbitSignature:
-    """Invariant values at a point; constant along the point's orbit."""
-
-    values: tuple[float, ...]
-
-    def gap_to(self, other: "OrbitSignature") -> float:
-        if len(self.values) != len(other.values):
-            raise ValueError("signatures must have the same length")
-        if not self.values:
-            return 0.0
-        return max(
-            abs(a - b) / (1.0 + abs(a)) for a, b in zip(self.values, other.values)
-        )
-
-
-def orbit_signature(map_instance: MapInstance, x: State, phis) -> OrbitSignature:
-    if x.chart != map_instance.chart:
-        raise ChartViolation("state chart does not match map chart")
-    return OrbitSignature(values=tuple(float(phi(x)) for phi in phis))
-
-
-@dataclass(frozen=True)
 class SameOrbitVerdict:
     """Answer to 'do x and y lie on one orbit?' with the evidence found."""
 
@@ -320,17 +296,17 @@ def same_orbit(
 ) -> SameOrbitVerdict:
     """Decide orbit membership by invariants first, then bidirectional search.
 
-    Any invariant disagreeing beyond the relative tolerance settles the
-    question negatively without iterating. Otherwise the orbit of x is walked
-    up to max_iterations steps each way looking for y within tolerance. An
-    exhausted or escape-guarded search returns inconclusive: absence within a
-    finite window proves nothing.
+    Any invariant whose relative gap (the scan's symmetric _relative_gap)
+    exceeds the tolerance settles the question negatively without iterating.
+    Otherwise the orbit of x is walked up to max_iterations steps each way
+    looking for y within tolerance. An exhausted or escape-guarded search
+    returns inconclusive: absence within a finite window proves nothing.
     """
     if max_iterations < 0:
         raise ValueError("max_iterations must be nonnegative")
-    sig_x = orbit_signature(map_instance, x, phis)
-    sig_y = orbit_signature(map_instance, y, phis)
-    gap = sig_x.gap_to(sig_y)
+    if x.chart != map_instance.chart or y.chart != map_instance.chart:
+        raise ChartViolation("state chart does not match map chart")
+    gap = max((_relative_gap(phi, x, y) for phi in phis), default=0.0)
     if gap > tolerance:
         return SameOrbitVerdict(
             answer="no",

@@ -549,10 +549,10 @@ def _run_config(args, out_dir: Path) -> int:
     cfg = load_config(args.config)
     if args.tolerance is not None:
         cfg = dataclasses.replace(cfg, tolerance=args.tolerance)
-    spec = cfg.invariant_spec or {}
-    closed_form = spec.get("kind") == "closed-form" and int(spec.get("defect_horizon", 0)) <= 0
+    # An alt_play invariant section is always closed-form.
+    horizon = int((cfg.invariant_spec or {}).get("defect_horizon", 0))
     exact = cfg.kind == "alt_play" and (
-        args.command == "simulate" or args.command == "invariant" and closed_form)
+        args.command == "simulate" or args.command == "invariant" and horizon <= 0)
     with contextlib.nullcontext() if exact else import_module("numpy").errstate(all="ignore"):
         if args.command == "simulate":
             return cmd_simulate(cfg, out_dir)

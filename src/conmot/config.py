@@ -210,9 +210,8 @@ def _build_objective(section: dict) -> ObjectiveSpec:
         return bump(section.get("dimension", 2))
     coeffs = section.get("coefficients")
     if coeffs is None:
-        raise ConfigError(
-            "a linear objective needs coefficients", json_path="map.objective"
-        )
+        raise ConfigError("map.objective: a linear objective needs coefficients",
+                          json_path="map.objective")
     return linear([
         float(exact_number(c, f"map.objective.coefficients[{i}]")) for i, c in enumerate(coeffs)
     ])
@@ -289,14 +288,14 @@ def build_weight(section: dict | None, dimension: int) -> WeightFunction:
         return constant_weight(float(section.get("value", 1.0)))
     if kind == "coordinate":
         if "index" not in section:
-            raise ConfigError("coordinate weight needs an index",
+            raise ConfigError("invariant.weight: a coordinate weight needs an index",
                               json_path="invariant.weight")
         if section["index"] >= dimension:
             raise ConfigError(f"invariant.weight.index must be below the chart dimension "
                               f"{dimension}", json_path="invariant.weight.index")
         return coordinate_weight(section["index"])
     if "center" not in section or "width" not in section:
-        raise ConfigError("gaussian-bump weight needs center and width",
+        raise ConfigError("invariant.weight: a gaussian-bump weight needs center and width",
                           json_path="invariant.weight")
     center = [float(v) for v in section["center"]]
     if len(center) != dimension:
@@ -359,9 +358,11 @@ def load_config(path) -> RunConfig:
 
     steps = doc.get("steps", {})
     invariant_spec = doc.get("invariant")
-    closed_form = invariant_spec is not None and invariant_spec["kind"] == "closed-form"
-    if closed_form and section["kind"] != "alt_play":
-        raise ConfigError("the closed-form invariant only exists for alt_play",
+    if invariant_spec is not None and (
+            (invariant_spec["kind"] == "closed-form") != (section["kind"] == "alt_play")):
+        raise ConfigError("invariant.kind must be closed-form for alt_play"
+                          if section["kind"] == "alt_play"
+                          else "the closed-form invariant only exists for alt_play",
                           json_path="invariant.kind")
 
     tolerance = doc.get("tolerance", DEFAULT_TOLERANCE)

@@ -2,12 +2,12 @@
 
 Every map in the package is invertible on its working region, so orbits extend
 in both directions. Forward steps are the cheap direction; backward steps are
-closed-form for alternating play and one damped Newton loop for the rest. The
-loop solves in the coordinates of the chart's tangent frame at each iterate,
-with the analytic Jacobian of the step rule (the chain rule through the
-objective's Hessian); only an objective without a Hessian falls back to finite
-differences along the frame. An inverse that leaves the declared region or the
-simplex interior raises rather than silently projecting.
+one product with M_inv/g for alternating play and one damped Newton loop for
+the rest. The loop solves in the coordinates of the chart's tangent frame at
+each iterate, with the analytic Jacobian of the step rule (the chain rule
+through the objective's Hessian); only an objective without a Hessian falls
+back to finite differences along the frame. An inverse that leaves the
+declared region or the simplex interior raises rather than silently projecting.
 """
 
 from __future__ import annotations
@@ -116,33 +116,21 @@ def _newton(map_instance: MapInstance, target: np.ndarray, cfg: InverseConfig) -
     )
 
 
-def _invert_alt_play(map_instance: MapInstance, target: np.ndarray) -> np.ndarray:
-    # Exact closed form: undo the Y half-step first, then the X half-step.
-    payoff = map_instance.payoff
-    eta1, eta2 = map_instance.float_step_sizes
-    dx = payoff.dimension_x
-    a = payoff.matrix
-    x1, y1 = target[:dx], target[dx:]
-    y0 = y1 - eta2 * (a.T @ x1)
-    x0 = x1 - eta1 * (a @ y0)
-    return np.concatenate([x0, y0])
-
-
 def inverse_step(
     map_instance: MapInstance, x: State, cfg: InverseConfig | None = None
 ) -> State:
     """T^{-1}(x): the unique preimage on the working region.
 
-    Alternating play inverts in closed form; the other kinds run damped Newton
-    to cfg.tolerance on the forward residual. Raises InversionError when the
-    solve stalls and RegionError when the preimage leaves a declared region
+    Alternating play is one product with M_inv/g; the other kinds run damped
+    Newton to cfg.tolerance on the forward residual. Raises InversionError when
+    the solve stalls and RegionError when the preimage leaves a declared region
     and the region's nearest point does not step to x within cfg.tolerance.
     """
     cfg = cfg or _DEFAULT_CFG
     if x.chart != map_instance.chart:
         raise ChartViolation("state chart does not match map chart")
     if map_instance.kind == "alt_play":
-        prev = _invert_alt_play(map_instance, x.coordinates)
+        prev = map_instance.alt_play_matrices[1] @ x.coordinates
     else:
         prev = _newton(map_instance, x.coordinates, cfg)
     region = map_instance.objective.region if map_instance.kind == "gd" else None

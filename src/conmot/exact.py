@@ -15,8 +15,9 @@ the state from the nearest built one, by one product per step or by binary
 powering of M for a long jump, and computes the quadratic once per position.
 
 The payoff, the engine and the closed-form quadratic run on Python integers
-and Fractions alone; numpy is imported only by the float pair-scan kernel at
-the end of the module (and by ``PayoffData.matrix``), when it is called.
+and Fractions alone; numpy is imported only by the float reads of M and
+M_inv, the pair-scan kernel at the end of the module and
+``PayoffData.matrix``, when they are called.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ except ImportError:  # pragma: no cover
 
 __all__ = [
     "PayoffData", "ExactAltOrbit", "BipartiteInvariant", "ConservationAudit", "conservation_audit",
-    "verify_conservation_identity", "assemble_transition_matrix", "difference_log_stats",
+    "verify_conservation_identity", "difference_log_stats",
 ]
 
 
@@ -208,6 +209,17 @@ class _IntegerStep:
         n = range(len(self.m))
         inverts = _matmul(self.m, self.m_inv) == [[g2 * (i == j) for j in n] for i in n]
         return conserves and inverts
+
+    def float_matrices(self) -> tuple:
+        """(M / g, M_inv / g) as read-only float64 arrays, each entry its
+        integer over g correctly rounded once: the float step and its inverse."""
+        import numpy as np
+
+        out = tuple(np.array([[ratio_to_float(v, self.g) for v in row] for row in m])
+                    for m in (self.m, self.m_inv))
+        for m in out:
+            m.setflags(write=False)
+        return out
 
 
 @dataclass(slots=True)
@@ -405,20 +417,6 @@ def conservation_audit(
     )
 
 
-def assemble_transition_matrix(payoff: PayoffData, eta1: float, eta2: float):
-    """Float64 one-step matrix M with (X', Y') = M (X, Y)."""
-    import numpy as np
-
-    a = payoff.matrix
-    dx, dy = payoff.dimension_x, payoff.dimension_y
-    m = np.zeros((dx + dy, dx + dy))
-    m[:dx, :dx] = np.eye(dx)
-    m[:dx, dx:] = eta1 * a
-    m[dx:, :dx] = eta2 * a.T
-    m[dx:, dx:] = np.eye(dy) + eta1 * eta2 * (a.T @ a)
-    return m
-
-
 def _tail_start(horizon: int) -> int:
     """Pair-orbit tails are the steps t > _tail_start(horizon): the last
     max(1, horizon // 5) steps of the horizon."""
@@ -459,14 +457,16 @@ def _normalised_power(m, k: int) -> tuple:
 
 def difference_log_stats(
     payoff: PayoffData,
-    eta1: float,
-    eta2: float,
+    eta1,
+    eta2,
     diffs,
     horizon: int,
 ) -> tuple:
     """Tail liminf/limsup of log2 ||M^t d|| for each difference vector.
 
-    The dynamics is linear, so the distance between two orbits is exactly the
+    M is the float alternating-play step M/g of ``_IntegerStep``, the matrix
+    that ``step`` multiplies by, for the exact step sizes eta1 and eta2. The
+    dynamics is linear, so the distance between two orbits is exactly the
     norm of the evolved difference. The tail window is the last
     max(1, horizon // 5) steps, and only it is evaluated:
 
@@ -495,7 +495,7 @@ def difference_log_stats(
         raise ValueError("horizon must be >= 1")
     if np.any(np.max(np.abs(diffs), axis=1) == 0.0):
         raise ValueError("difference vectors must be nonzero")
-    m = assemble_transition_matrix(payoff, eta1, eta2)
+    m = _IntegerStep(payoff, eta1, eta2).float_matrices()[0]
     tail_start = _tail_start(horizon)
     u, row_e = _pow2_normalised(diffs, axes=1)
     jump, jump_e = _normalised_power(m, tail_start + 1)

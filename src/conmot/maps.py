@@ -7,7 +7,8 @@ Five kinds are supported, each a map T on its chart:
 - ``mwu_lin``: the linearized variant; agrees with mwu_exp to O(eps^2).
 - ``alt_play``: alternating bipartite play. The X update runs first and the
   Y update sees the already-updated X; that sequencing is what makes the
-  closed-form invariant exact.
+  closed-form invariant exact. The float step is one product with M/g, the
+  exact engine's integer step over its scale, each entry rounded once.
 - ``rgd_sphere``: projected gradient plus normalization retraction on the
   unit sphere.
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import state as charts
 from .errors import ChartViolation, RegionError, StepSizeError
-from .exact import PayoffData
+from .exact import PayoffData, _IntegerStep
 from .objectives import ObjectiveSpec, region_contains
 from .rationals import as_fraction
 from .state import Chart, State, renormalize, validate_points
@@ -42,7 +43,6 @@ __all__ = [
     "gd_step",
     "mwu_exp_step",
     "mwu_lin_step",
-    "alt_play_step",
     "rgd_sphere_step",
     "step",
     "step_points",
@@ -79,6 +79,12 @@ class MapInstance:
     @cached_property
     def float_step_sizes(self) -> tuple[float, ...]:
         return tuple(float(s) for s in self.step_sizes)
+
+    @cached_property
+    def alt_play_matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """alt_play's float step M/g and inverse M_inv/g, read from the
+        certified integer matrices of the exact engine."""
+        return _IntegerStep(self.payoff, *self.step_sizes).float_matrices()
 
 
 def gradient_descent(objective: ObjectiveSpec, eta) -> MapInstance:
@@ -198,15 +204,6 @@ def mwu_lin_step(
     return out
 
 
-def alt_play_step(payoff: PayoffData, eta1: float, eta2: float, xy: np.ndarray) -> np.ndarray:
-    """One round of alternating play. X moves first; Y responds to the new X."""
-    dx = payoff.dimension_x
-    a = payoff.matrix
-    x1 = xy[..., :dx] + eta1 * (a @ xy[..., dx:, None])[..., 0]
-    y1 = xy[..., dx:] + eta2 * (a.T @ x1[..., None])[..., 0]
-    return np.concatenate([x1, y1], axis=-1)
-
-
 def rgd_sphere_step(objective: ObjectiveSpec, eta: float, x: np.ndarray) -> np.ndarray:
     """Project the gradient to the tangent space, step, retract by normalizing."""
     g = objective.gradient(x)
@@ -280,7 +277,7 @@ def _raw_step(map_instance: MapInstance, coords: np.ndarray) -> np.ndarray:
     if kind == "mwu_lin":
         return mwu_lin_step(map_instance.objective, rates, map_instance.chart.blocks, coords)
     if kind == "alt_play":
-        return alt_play_step(map_instance.payoff, rates[0], rates[1], coords)
+        return (map_instance.alt_play_matrices[0] @ coords[..., None])[..., 0]
     return rgd_sphere_step(map_instance.objective, rates[0], coords)
 
 

@@ -14,7 +14,6 @@ from conmot.chaos import (
     _exp2_safe,
     batched_pair_reports,
     level_set_confinement,
-    orbit_signature,
     same_orbit,
 )
 from conmot.errors import ChartViolation, ConmotError, NumericsError, RegionError, StepSizeError
@@ -162,12 +161,29 @@ def test_confinement_reuses_precomputed_reports():
 def test_orbit_signature_gap():
     m = _alt()
     phi = _phi()
-    sig_x = orbit_signature(m, _bp(60, -25), (phi,))
-    sig_y = orbit_signature(m, _bp(-20, 2), (phi,))
-    assert sig_x.values == (31375.0,)
-    assert sig_y.values == (3940.0,)
-    assert sig_x.gap_to(sig_y) > 0.5
-    assert sig_x.gap_to(sig_x) == 0.0
+    x, y = _bp(60, -25), _bp(-20, 2)
+    assert (phi(x), phi(y)) == (31375.0, 3940.0)
+    v = same_orbit(m, x, y, 50, 1e-9, phis=(phi,))
+    assert (v.answer, v.search_mode) == ("no", "invariant-filter")
+    assert v.invariant_gap > 0.5
+    assert same_orbit(m, x, x, 50, 1e-9, phis=(phi,)).invariant_gap == 0.0
+
+
+def test_same_orbit_gap_is_symmetric():
+    """The gap divides by 1 + max |phi|, whichever point is x."""
+    m, phis = _alt(), (_phi(),)
+    x, y = _bp(60, -25), _bp(-20, 2)
+    forward = same_orbit(m, x, y, 50, 1e-9, phis=phis).invariant_gap
+    assert same_orbit(m, y, x, 50, 1e-9, phis=phis).invariant_gap == forward
+    assert forward == pytest.approx((31375 - 3940) / 31376, rel=1e-15)
+
+
+@pytest.mark.parametrize("off", [0, 1])
+def test_same_orbit_rejects_a_point_off_the_map_chart(off):
+    pair = [_bp(1, 2), _bp(3, 4)]
+    pair[off] = State([1.0, 2.0], euclidean(2))
+    with pytest.raises(ChartViolation, match="^state chart does not match map chart$"):
+        same_orbit(_alt(), *pair, 10, 1e-9, phis=(_phi(),))
 
 
 def test_same_orbit_finds_a_forward_image():

@@ -315,6 +315,9 @@ def test_classify_unparsable_coordinate_is_exit_two_with_path(tmp_path, capsys):
     [
         ({"kind": "coordinate", "index": 3}, "invariant.weight.index"),
         ({"kind": "gaussian-bump", "center": [0, 1], "width": 1.0}, "invariant.weight.center"),
+        ({"kind": "coordinate"}, "invariant.weight"),
+        ({"kind": "gaussian-bump", "width": 1.0}, "invariant.weight"),
+        ({"kind": "gaussian-bump", "center": [0]}, "invariant.weight"),
     ],
 )
 def test_weight_that_does_not_fit_the_chart_is_exit_two_with_path(
@@ -334,6 +337,27 @@ def test_weight_that_does_not_fit_the_chart_is_exit_two_with_path(
     err = capsys.readouterr().err
     assert err.startswith("error: configuration:")
     assert path in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["simulate", "invariant", "classify", "scan"])
+@pytest.mark.parametrize("doc, message", [
+    (dict(HYPERBOLIC, invariant={"kind": "series", "truncation": 8},
+          classify={"x": [60, -25], "y": [-20, 2]}),
+     "invariant.kind must be closed-form for alt_play"),
+    ({"map": {"kind": "gd", "objective": {"name": "double_well", "dimension": 1},
+              "step_size": "0.1"},
+      "initial_states": [[0.5]], "invariant": {"kind": "closed-form"},
+      "classify": {"x": [0.5], "y": [-0.5]}},
+     "the closed-form invariant only exists for alt_play"),
+])
+def test_an_invariant_of_the_other_map_kind_is_exit_two(tmp_path, capsys, command, doc, message):
+    """closed-form is the invariant of alt_play and of nothing else; a
+    mismatch either way stops every command before it writes a file."""
+    cfg = write_config(tmp_path, dict(doc, seed=3, scan={"pairs": 2, "horizon": 10}))
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), command]) == 2
+    assert capsys.readouterr().err == f"error: configuration: {message}\n"
     assert not any(out.iterdir())
 
 
@@ -776,25 +800,33 @@ def test_trajectory_matches_library_arithmetic(tmp_path):
 
 # SHA-256 of every file that simulate and invariant write for a 1x1 and a 2x3
 # alt_play config, as written when load_config still built the float map and
-# states of every config: the exact commands must keep these bytes.
+# states of every config: the exact commands must keep these bytes. The scan
+# and classify files were written when the float step was still two shears
+# and the scan matrix was assembled from float products.
 PINNED_ALT_PLAY = {
-    "square": {"map": {"kind": "alt_play", "payoff": {"matrix": [[1]]},
-                       "step_sizes": ["1/10", "1/5"]},
-               "initial_states": [[60, -25], [-20, 2]],
-               "steps": {"forward": 200, "backward": 20},
-               "invariant": {"kind": "closed-form"}},
-    "rect": {"map": {"kind": "alt_play",
-                     "payoff": {"matrix": [["1/4", "-3/4", "5/4"], ["7/4", "-1/4", "3/4"]]},
-                     "step_sizes": ["1/10", "0.2"]},
-             "initial_states": [[1, -2, 3, -4, 5], ["1/3", 0.5, -1, "2.5", "1e200"]],
-             "steps": {"forward": 120, "backward": 30},
-             "invariant": {"kind": "closed-form", "defect_horizon": 0}},
+    "square": (("simulate", "invariant"),
+               {"map": HYPERBOLIC["map"], "initial_states": [[60, -25], [-20, 2]],
+                "steps": {"forward": 200, "backward": 20},
+                "invariant": {"kind": "closed-form"}}),
+    "rect": (("simulate", "invariant"),
+             {"map": {"kind": "alt_play",
+                      "payoff": {"matrix": [["1/4", "-3/4", "5/4"], ["7/4", "-1/4", "3/4"]]},
+                      "step_sizes": ["1/10", "0.2"]},
+              "initial_states": [[1, -2, 3, -4, 5], ["1/3", 0.5, -1, "2.5", "1e200"]],
+              "steps": {"forward": 120, "backward": 30},
+              "invariant": {"kind": "closed-form", "defect_horizon": 0}}),
+    "scan1": (("scan",), {"map": HYPERBOLIC["map"], "seed": 101,
+                          "scan": {"pairs": 100, "horizon": 1000, "box_halfwidth": 20}}),
+    "classify1": (("classify",), {"map": HYPERBOLIC["map"],
+                                  "classify": {"x": [60, -25], "y": [-20, 2]}}),
 }
 PINNED_SHA256 = {
+    "classify1_classify.json": "29c4df1aec70d22952cce3c5fba6b2123e4305d66fe02551651157f89a0c7151",
     "rect_invariant.json": "314335b89ec7465b5e6e75ee119a8b062bc42d204c84a60dfdac5895b9a69f10",
     "rect_summary.json": "b438ec0c2ea978c3631d190a8082dce6e7064a30ceaa4b21afad85ea993c27f8",
     "rect_trajectory_0.csv": "777ebd1d3e417d3a398ec1ef84245c6547a2a59a154578594b4f099048e56a5e",
     "rect_trajectory_1.csv": "8b3fcfdd7585605bad233d20d824589703ff4b1a4517dab0373dc401726707e0",
+    "scan1_scan.json": "e1152cfc49fd84b1af55f16defd06e2ac34392a6ba70131af76d7627c6f57ea7",
     "square_invariant.json": "dded01cc8c2d5a5089291d6935eb9a5f55923dd5dca5a94602e8569fd18e8f04",
     "square_summary.json": "6abcd795b76e1e81aacdb9fe794afeca2f1804468591789c163b15163a4793f1",
     "square_trajectory_0.csv": "c5bb3c6788ea35324a583de19e5369e32b25f71193d2e1b8f6de68e368a7ce30",
@@ -804,9 +836,9 @@ PINNED_SHA256 = {
 
 def test_exact_alt_play_outputs_keep_their_pinned_bytes(tmp_path):
     out = tmp_path / "out"
-    for prefix, doc in PINNED_ALT_PLAY.items():
+    for prefix, (commands, doc) in PINNED_ALT_PLAY.items():
         cfg = write_config(tmp_path, dict(doc, output={"prefix": prefix}), f"{prefix}.json")
-        for command in ("simulate", "invariant"):
+        for command in commands:
             assert main(["--config", str(cfg), "--out", str(out), command]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == PINNED_SHA256

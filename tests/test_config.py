@@ -99,6 +99,7 @@ MWU_2x2 = {"kind": "mwu_exp", "objective": {"name": "quadratic", "dimension": 4}
     ({"map": dict(GD_LINEAR, step_size="0")}, "map.step_size"),
     ({"map": dict(GD_LINEAR, objective={"name": "linear", "coefficients": ["x"]})},
      "map.objective.coefficients[0]"),
+    ({"map": dict(GD_LINEAR, objective={"name": "linear"})}, "map.objective"),
     ({"map": dict(MWU_2x2, step_sizes=[0.1, "-1"])}, "map.step_sizes[1]"),
     ({"map": dict(MWU_2x2, step_sizes=[0.1])}, "map"),
     (dict(BASE, initial_states=[["1e99999999", 0]]), "initial_states[0][0]"),

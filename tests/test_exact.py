@@ -10,10 +10,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conmot import exact
 from conmot.chaos import _relative_gap
+from conmot.dynamics import inverse_step
 from conmot.errors import ConmotError
 from conmot.exact import (
     ExactAltOrbit,
-    assemble_transition_matrix,
     conservation_audit,
     difference_log_stats,
     verify_conservation_identity,
@@ -21,6 +21,7 @@ from conmot.exact import (
 from conmot.invariants import BipartiteInvariant, invariance_defect
 from conmot.maps import alternating_play, step
 from conmot.objectives import PayoffData
+from conmot.rationals import ratio_to_float
 from conmot.state import State, bipartite_pair
 
 
@@ -97,7 +98,7 @@ def test_conservation_audit_reports_exact_zero_defect():
 
 
 def test_transition_matrix_matches_the_map_and_has_unit_determinant():
-    m = assemble_transition_matrix(PAY, 0.1, 0.2)
+    m, _ = alternating_play(PAY, *ETA).alt_play_matrices
     s = np.array([60.0, -25.0])
     np.testing.assert_allclose(m @ s, [57.5, -13.5])
     # Two shear half-steps compose to a volume-preserving map.
@@ -108,7 +109,7 @@ def test_difference_log_stats_match_direct_float_orbits_at_short_horizon():
     rng = np.random.default_rng(5)
     diffs = rng.normal(size=(3, 2))
     lo, hi = difference_log_stats(PAY, *ETA, diffs, horizon=10)
-    m = assemble_transition_matrix(PAY, 0.1, 0.2)
+    m, _ = alternating_play(PAY, *ETA).alt_play_matrices
     for row in range(3):
         d = diffs[row].copy()
         norms = []
@@ -118,6 +119,21 @@ def test_difference_log_stats_match_direct_float_orbits_at_short_horizon():
         tail = np.log2(norms[-2:])  # last max(1, 10 // 5) steps
         assert lo[row] == pytest.approx(tail.min(), rel=1e-9)
         assert hi[row] == pytest.approx(tail.max(), rel=1e-9)
+
+
+RECT = PayoffData.from_matrix([[Fraction(n, 4) for n in row] for row in ((1, -3, 5), (7, -1, 3))])
+
+
+def test_the_float_step_and_its_inverse_are_the_integer_matrices_rounded_once():
+    """On the basis vectors, step and inverse_step read the columns of M/g and
+    M_inv/g, each entry its exact quotient correctly rounded."""
+    m = alternating_play(RECT, *ETA)
+    integer = exact._IntegerStep(RECT, *ETA)
+    for matrix, move in ((integer.m, step), (integer.m_inv, inverse_step)):
+        for j, e in enumerate(np.eye(5)):
+            got = move(m, State(e, m.chart)).coordinates
+            want = np.array([ratio_to_float(row[j], integer.g) for row in matrix])
+            assert got.tobytes() == want.tobytes()
 
 
 def test_difference_log_stats_reject_degenerate_input():
@@ -244,6 +260,20 @@ def _move(orb, n):
         orb.advance(n)
     else:
         orb.retreat(-n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(dyadic_orbits())
+def test_one_float_step_each_way_is_the_exact_orbit_read_once(game):
+    """On dyadic games every float product and sum is exact, so one float step
+    and one float inverse step are the exact orbit moved by one, read once."""
+    payoff, e1, e2, xy = game
+    m = alternating_play(payoff, e1, e2)
+    x = State(np.array([float(v) for v in xy]), m.chart)
+    orb = ExactAltOrbit(*game)
+    for move, position in ((step, 1), (inverse_step, -1)):
+        _move(orb, position - orb.position)
+        assert move(m, x).coordinates.tobytes() == np.array(orb.xy_float()).tobytes()
 
 
 @settings(max_examples=25, deadline=None)
