@@ -17,8 +17,8 @@ import numpy as np
 
 from .dynamics import FIXED_POINT_TOL, Orbit, detect_fixed_point
 from .errors import ChartViolation, ConmotError, InversionError, NumericsError, RegionError
-from .exact import BipartiteInvariant, _tail_start, difference_log_stats
-from .invariants import _certified_quadratic, invariance_defect
+from .exact import BipartiteInvariant, _tail_start, certified_quadratic, difference_log_stats
+from .invariants import invariance_defect
 from .maps import MapInstance, step, step_points
 from .rationals import ratio_to_float
 from .state import State
@@ -236,7 +236,7 @@ def level_set_confinement(
     if reports is not None and len(reports) != len(pairs):
         raise ValueError("reports must match pairs one to one")
     continuity_caveat = map_instance.kind in ("gd", "mwu_exp", "mwu_lin")
-    if not _certified_quadratic(phi, map_instance):
+    if not certified_quadratic(phi, map_instance):
         probe_horizon = min(horizon, 50)
         for x, _ in pairs[:3]:
             defect = invariance_defect(phi, map_instance, x, probe_horizon)

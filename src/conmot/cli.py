@@ -11,8 +11,9 @@ Exit codes: 0 success, 2 configuration problem, 3 numerical failure.
 
 At module level only the standard library, ``errors`` and ``rationals`` are
 imported; each command imports what it runs. ``figures``, ``simulate`` on
-alt_play and a closed-form ``invariant`` without a defect horizon run on the
-exact engine alone and never load numpy.
+alt_play and a closed-form ``invariant`` run on the exact engine alone and
+never load numpy. ``figures`` and alt_play ``simulate`` read their rows on
+every usable CPU, in forked children that end before the command returns.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import marshal
 import math
+import os
 import sys
 from fractions import Fraction
 from importlib import import_module
@@ -155,26 +158,133 @@ def _csv_header(dimension: int) -> list[str]:
 # simulate
 
 
-def _exact_rows(payoff: PayoffData, eta1, eta2, init, n_forward: int, n_backward: int):
-    """Rows (t, xy, f, phi, defect) for t in [-n_backward, n_forward] of one
-    exact orbit, read one step at a time, and the orbit's exact level."""
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _share_times(n_forward: int, n_backward: int, share: int, shares: int) -> list[int]:
+    """The t in [-n_backward, n_forward] with t % shares == share, in walking
+    order: outward from t = 0 on each side, so each move is one product with
+    the engine's cached M^shares or M_inv^shares and never a division."""
+    ts = [t for t in range(-n_backward, n_forward + 1) if t % shares == share]
+    return [t for t in reversed(ts) if t < 0] + [t for t in ts if t >= 0]
+
+
+def _read_share(orbits, n_forward: int, n_backward: int, share: int, shares: int) -> list:
+    """Rows (t, xy, f, phi, defect) of every orbit at the times of one share.
+    Every row checks phi against the start level in exact integers; at t = 0
+    the check returns (phi_0, 0.0)."""
+    times = _share_times(n_forward, n_backward, share, shares)
+    out = []
+    for orb in orbits:
+        rows = []
+        for t in times:
+            orb.advance(t - orb.position)
+            rows.append((t, orb.xy_float(), orb.payoff_value_float(), *orb.phi_and_defect_float()))
+        out.append(rows)
+    return out
+
+
+def _fork_share(orbits, n_forward: int, n_backward: int, share: int, shares: int):
+    """(pid, read end of its pipe) of a child that reads one share, or None
+    when no pipe or process can be made. The child sends its rows with
+    marshal, which round-trips floats bit for bit, and ends in os._exit:
+    it never returns into the caller, whatever its share raised."""
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            payload = marshal.dumps(_read_share(orbits, n_forward, n_backward, share, shares))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _received_share(payload: bytes, status: int, n_orbits: int, times: list[int]):
+    """A child's rows, or None if it exited non-zero or its payload is short
+    or does not hold one row per time of its share for every orbit."""
+    if os.waitstatus_to_exitcode(status) != 0:
+        return None
+    try:
+        part = marshal.loads(payload)
+    except (EOFError, ValueError, TypeError):
+        return None
+    if len(part) != n_orbits or any([row[0] for row in rows] != times for rows in part):
+        return None
+    return part
+
+
+def _exact_orbits(payoff: PayoffData, eta1, eta2, inits, n_forward: int, n_backward: int):
+    """Rows (t, xy, f, phi, defect) for t in [-n_backward, n_forward] of the
+    exact orbit of each initial state, and the exact level of each orbit.
+
+    The rows are read in P strided shares, P the usable CPUs capped at the
+    rows of one orbit: share j reads the rows t = j (mod P) of every orbit.
+    Share 0 is read here and shares 1..P-1 in forked children; a share whose
+    child could not start or did not deliver is read here too. The integers
+    at a position do not depend on the walk that reached it, so the rows are
+    the same bytes for every P. The command line runs one thread, so a fork
+    copies no lock held by another."""
     from .exact import ExactAltOrbit
 
-    orb = ExactAltOrbit(payoff, eta1, eta2, init)
-    collected = []
-    for t in range(1, n_backward + 1):
-        orb.retreat()
-        collected.append((-t, orb.xy_float(), orb.payoff_value_float(),
-                          *orb.phi_and_defect_float()))
-    # States are canonical by position, so the same engine serves the forward rows.
-    orb.advance(n_backward)
-    level = orb.phi_fraction()
-    rows = collected[::-1]
-    rows.append((0, orb.xy_float(), orb.payoff_value_float(), orb.phi_float(), 0.0))
-    for t in range(1, n_forward + 1):
-        orb.advance()
-        rows.append((t, orb.xy_float(), orb.payoff_value_float(), *orb.phi_and_defect_float()))
-    return rows, level
+    orbits = [ExactAltOrbit(payoff, eta1, eta2, init) for init in inits]
+    levels = [orb.phi_fraction() for orb in orbits]
+    n_rows = n_forward + n_backward + 1
+    shares = min(_usable_cpus() if hasattr(os, "fork") else 1, n_rows)
+    workers = {}
+    try:
+        for share in range(1, shares):
+            worker = _fork_share(orbits, n_forward, n_backward, share, shares)
+            if worker is not None:
+                workers[share] = worker
+        parts = [_read_share(orbits, n_forward, n_backward, 0, shares)]
+        for share in range(1, shares):
+            part = None
+            if share in workers:
+                pid, pipe = workers[share]
+                # Drain before the wait: a payload larger than the pipe's
+                # buffer leaves the child blocked in its write until read.
+                payload = pipe.read()
+                pipe.close()
+                _, status = os.waitpid(pid, 0)
+                del workers[share]
+                part = _received_share(payload, status, len(orbits),
+                                       _share_times(n_forward, n_backward, share, shares))
+            if part is None:
+                part = _read_share(orbits, n_forward, n_backward, share, shares)
+            parts.append(part)
+    finally:
+        if workers:  # left only when this process raised: its rows are not needed
+            import signal
+
+            for pid, pipe in workers.values():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    rows = [[None] * n_rows for _ in orbits]
+    for part in parts:
+        for merged, share_rows in zip(rows, part):
+            for row in share_rows:
+                merged[row[0] + n_backward] = row
+    return rows, levels
 
 
 def _csv_rows(rows) -> list[list[str]]:
@@ -220,10 +330,13 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     if not cfg.initial_exact:
         raise ConfigError("simulate needs initial_states")
     summary = {"map_kind": cfg.kind, "trajectories": []}
-    for i, exact_init in enumerate(cfg.initial_exact):
-        if cfg.kind == "alt_play":
-            raw_rows, _ = _exact_rows(cfg.payoff, *cfg.step_sizes, exact_init,
+    exact_rows = None
+    if cfg.kind == "alt_play":
+        exact_rows, _ = _exact_orbits(cfg.payoff, *cfg.step_sizes, cfg.initial_exact,
                                       cfg.n_forward, cfg.n_backward)
+    for i, exact_init in enumerate(cfg.initial_exact):
+        if exact_rows is not None:
+            raw_rows = exact_rows[i]
             fp_fwd = fp_back = False
         else:
             raw_rows, ts = _float_rows(cfg, i)
@@ -253,7 +366,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_invariant(cfg: RunConfig, out_dir: Path) -> int:
-    from .exact import BipartiteInvariant
+    from .exact import BipartiteInvariant, certified_quadratic
 
     spec = cfg.invariant_spec
     if spec is None:
@@ -264,6 +377,10 @@ def cmd_invariant(cfg: RunConfig, out_dir: Path) -> int:
     horizon = int(spec.get("defect_horizon", 0))
     if spec["kind"] == "closed-form":
         phi = BipartiteInvariant(cfg.payoff, *cfg.step_sizes)
+        # A closed-form section belongs to an alt_play config, whose exact
+        # certificate makes the defect 0.0 at every horizon of every orbit.
+        if horizon > 0 and not certified_quadratic(phi, cfg):
+            raise ConmotError("the exact conservation certificate failed")
         for i, exact_init in enumerate(cfg.initial_exact):
             value = phi.exact(exact_init)
             entry = {
@@ -272,12 +389,8 @@ def cmd_invariant(cfg: RunConfig, out_dir: Path) -> int:
                 "value_exact": str(value),
             }
             if horizon > 0:
-                from .invariants import invariance_defect
-
                 entry["defect_horizon"] = horizon
-                entry["max_defect"] = invariance_defect(
-                    phi, cfg.map, cfg.initial_states[i], horizon
-                )
+                entry["max_defect"] = 0.0
             results.append(entry)
     else:
         from .invariants import series_invariant
@@ -486,14 +599,12 @@ def cmd_figures(which: str, out_dir: Path) -> int:
     payoff = PayoffData.from_matrix([[Fraction(1)]])
     phi = BipartiteInvariant(payoff, recipe["eta1"], recipe["eta2"])
     e1, e2 = phi.eta1, phi.eta2
-    levels = []
     window = 1.5 * max(
         abs(float(v)) for init in recipe["initial_states"] for v in init
     )
-    for i, init in enumerate(recipe["initial_states"]):
-        rows, level = _exact_rows(payoff, e1, e2, [Fraction(v) for v in init],
-                                  FIGURE_FORWARD, FIGURE_BACKWARD)
-        levels.append(level)
+    inits = [[Fraction(v) for v in init] for init in recipe["initial_states"]]
+    orbits, levels = _exact_orbits(payoff, e1, e2, inits, FIGURE_FORWARD, FIGURE_BACKWARD)
+    for i, (rows, level) in enumerate(zip(orbits, levels)):
         _write_csv(out_dir / f"{which}_orbit_{i}.csv", _csv_header(2), _csv_rows(rows))
         _write_csv(
             out_dir / f"{which}_levels_{i}.csv",
@@ -542,17 +653,15 @@ def _run_config(args, out_dir: Path) -> int:
     """Load the config and run the command on it. Every numerical failure is
     caught by a finiteness, chart or region check and reported as one error
     line, so float code runs under np.errstate(all="ignore"): numpy's warnings
-    would only add noise. alt_play simulate and a closed-form invariant
-    without a defect horizon read only exact fields and never load numpy."""
+    would only add noise. alt_play simulate and invariant (its invariant
+    section is always closed-form) read only exact fields and never load
+    numpy."""
     from .config import load_config
 
     cfg = load_config(args.config)
     if args.tolerance is not None:
         cfg = dataclasses.replace(cfg, tolerance=args.tolerance)
-    # An alt_play invariant section is always closed-form.
-    horizon = int((cfg.invariant_spec or {}).get("defect_horizon", 0))
-    exact = cfg.kind == "alt_play" and (
-        args.command == "simulate" or args.command == "invariant" and horizon <= 0)
+    exact = cfg.kind == "alt_play" and args.command in ("simulate", "invariant")
     with contextlib.nullcontext() if exact else import_module("numpy").errstate(all="ignore"):
         if args.command == "simulate":
             return cmd_simulate(cfg, out_dir)

@@ -367,6 +367,23 @@ class BipartiteInvariant:
         return ratio_to_float(*self._ratio(xy))
 
 
+def certified_quadratic(phi, instance) -> bool | None:
+    """None when phi is not the closed-form quadratic of the alternating-play
+    instance; otherwise whether its exact conservation certificate holds.
+
+    ``instance`` is a MapInstance or a RunConfig: only their exact fields
+    kind, payoff and step_sizes are read, so no float map is built.
+    """
+    if not (
+        isinstance(phi, BipartiteInvariant)
+        and instance.kind == "alt_play"
+        and phi.payoff.exact == instance.payoff.exact
+        and (phi.eta1, phi.eta2) == instance.step_sizes
+    ):
+        return None
+    return phi._step.certified()
+
+
 def verify_conservation_identity(payoff: PayoffData, eta1, eta2) -> bool:
     """Exact certificate for the integer step matrix M that ExactAltOrbit runs.
 

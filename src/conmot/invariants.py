@@ -21,7 +21,7 @@ import numpy as np
 
 from .dynamics import Orbit
 from .errors import ConmotError, InversionError, RegionError, StepSizeError
-from .exact import BipartiteInvariant, PayoffData, _IntegerStep
+from .exact import BipartiteInvariant, PayoffData, _IntegerStep, certified_quadratic
 from .maps import MapInstance
 from .objectives import validate_step_size_gd, validate_step_size_manifold
 from .rationals import ratio_to_float
@@ -314,19 +314,6 @@ def make_series_invariant(
     return evaluate
 
 
-def _certified_quadratic(phi, map_instance: MapInstance) -> bool | None:
-    """None when phi is not the closed-form quadratic of this alternating-play
-    instance; otherwise whether its exact conservation certificate holds."""
-    if not (
-        isinstance(phi, BipartiteInvariant)
-        and map_instance.kind == "alt_play"
-        and phi.payoff.exact == map_instance.payoff.exact
-        and (phi.eta1, phi.eta2) == map_instance.step_sizes
-    ):
-        return None
-    return phi._step.certified()
-
-
 def invariance_defect(
     phi,
     map_instance: MapInstance,
@@ -343,7 +330,7 @@ def invariance_defect(
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    certified = _certified_quadratic(phi, map_instance)
+    certified = certified_quadratic(phi, map_instance)
     if certified is not None:
         if not certified:
             raise ConmotError("the exact conservation certificate failed")

@@ -10,8 +10,10 @@ import it at module level nowhere. One table of fresh interpreters checks
 what each process leaves out of sys.modules: ``import conmot`` loads no
 submodule (each exported name is imported on first access); figures, a
 conservation audit, an alt_play load_config, alt_play simulate and a
-closed-form invariant without a horizon load no numpy and no float module;
-a gd load or simulate loads no module it does not run.
+closed-form invariant, with or without a defect horizon, load no numpy and
+no float module; figures and alt_play simulate, which fork row readers,
+load no process pool and no pickle; a gd load or simulate loads no module
+it does not run.
 """
 
 import ast
@@ -129,19 +131,25 @@ RECT = {"map": {"kind": "alt_play", "payoff": {"matrix": [["1/4", -1, 2], [3, "-
 # What the exact alt_play commands never load.
 FLOAT_STACK = {"numpy", "conmot.maps", "conmot.objectives", "conmot.state", "conmot.dynamics",
                "conmot.invariants", "conmot.chaos"}
+# What the commands that fork row readers never load: the workers are plain
+# os.fork children that send marshal bytes through a pipe.
+POOLS = {"multiprocessing", "concurrent.futures", "pickle"}
 
 # name: (code, config, argv, modules that must stay out of sys.modules)
 GUARDS = {
     "import-conmot": ("import conmot", None, [], {f"conmot.{p.stem}" for p in MODULES}),
-    "figures-fig1": (CLI, None, [*RUN[2:], "figures", "fig1"], {"numpy"}),
-    "figures-fig2": (CLI, None, [*RUN[2:], "figures", "fig2"], {"numpy"}),
+    "figures-fig1": (CLI, None, [*RUN[2:], "figures", "fig1"], {"numpy"} | POOLS),
+    "figures-fig2": (CLI, None, [*RUN[2:], "figures", "fig2"], {"numpy"} | POOLS),
     "cli-module-and-audit": (AUDIT, None, [], {"numpy"}),
     "gd-load": (LOAD, GD, ["{config}"], {"conmot.chaos", "conmot.dynamics", "conmot.invariants"}),
     "gd-simulate": (CLI, GD, [*RUN, "simulate"], {"conmot.chaos"}),
     "alt_play-load": (LOAD, SQUARE, ["{config}"], FLOAT_STACK),
-    "alt_play-simulate-1x1": (CLI, SQUARE, [*RUN, "simulate"], FLOAT_STACK),
-    "alt_play-simulate-2x3": (CLI, RECT, [*RUN, "simulate"], FLOAT_STACK),
+    "alt_play-simulate-1x1": (CLI, SQUARE, [*RUN, "simulate"], FLOAT_STACK | POOLS),
+    "alt_play-simulate-2x3": (CLI, RECT, [*RUN, "simulate"], FLOAT_STACK | POOLS),
     "alt_play-closed-form-invariant": (CLI, SQUARE, [*RUN, "invariant"], FLOAT_STACK),
+    "alt_play-closed-form-invariant-with-horizon": (
+        CLI, dict(SQUARE, invariant={"kind": "closed-form", "defect_horizon": 5}),
+        [*RUN, "invariant"], FLOAT_STACK),
 }
 
 
@@ -158,10 +166,9 @@ def test_a_process_loads_only_what_it_runs(tmp_path, name):
 
 
 def test_the_guards_see_a_float_command_load_numpy(tmp_path):
-    """A closed-form invariant with a defect horizon reads the float map and
-    states, so the same check sees numpy and the float modules load."""
+    """gd simulate reads the float map, states and series rows, so the same
+    check sees numpy and the float modules load."""
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(dict(SQUARE, invariant={"kind": "closed-form",
-                                                         "defect_horizon": 5})))
+    config.write_text(json.dumps(GD))
     argv = [a.format(config=config, out=tmp_path / "out") for a in RUN]
-    assert FLOAT_STACK - {"conmot.chaos"} <= _loaded(CLI, *argv, "invariant")
+    assert FLOAT_STACK - {"conmot.chaos"} <= _loaded(CLI, *argv, "simulate")
