@@ -22,12 +22,11 @@ _EXPORTS = {
     "state": ("Chart", "State", "euclidean", "simplex_product", "sphere", "bipartite_pair",
               "renormalize", "sample_chart"),
     "objectives": ("ObjectiveSpec", "Box", "Ball", "StepSizeVerdict", "quadratic",
-                   "double_well", "bump", "linear", "bilinear", "estimate_hessian_entry_bound",
-                   "estimate_pullback_lipschitz", "validate_step_size_gd",
+                   "double_well", "bump", "linear", "bilinear", "validate_step_size_gd",
                    "validate_step_size_manifold"),
     "maps": ("MAP_KINDS", "MapInstance", "gradient_descent", "mwu_exponential", "mwu_linear",
              "alternating_play", "sphere_rgd", "step", "step_with_defect", "descent_check"),
-    "dynamics": ("InverseConfig", "Orbit", "inverse_step", "detect_fixed_point"),
+    "dynamics": ("Orbit", "inverse_step", "detect_fixed_point"),
     "exact": ("PayoffData", "ExactAltOrbit", "BipartiteInvariant", "ConservationAudit",
               "conservation_audit", "verify_conservation_identity", "difference_log_stats"),
     "invariants": ("WeightFunction", "constant_weight", "coordinate_weight",

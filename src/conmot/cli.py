@@ -13,7 +13,8 @@ At module level only the standard library, ``errors`` and ``rationals`` are
 imported; each command imports what it runs. ``figures``, ``simulate`` on
 alt_play and a closed-form ``invariant`` run on the exact engine alone and
 never load numpy. ``figures`` and alt_play ``simulate`` read their rows on
-every usable CPU, in forked children that end before the command returns.
+every usable CPU, in forked children that end before the command returns,
+when the process runs a single OS thread.
 """
 
 from __future__ import annotations
@@ -116,14 +117,6 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    np = sys.modules.get("numpy")  # only a process that imported numpy holds its values
-    if np is not None:
-        if isinstance(obj, np.ndarray):
-            return [_jsonable(float(v)) for v in obj]
-        if isinstance(obj, np.floating):
-            obj = float(obj)
-        elif isinstance(obj, np.integer):
-            return int(obj)
     if isinstance(obj, float):
         v = float(obj)
         if math.isnan(v):
@@ -164,6 +157,17 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _os_threads() -> int:
+    """The OS threads of this process; where /proc is absent, the Python
+    threads, which miss any a C library started."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        import threading
+
+        return threading.active_count()
 
 
 def _share_times(n_forward: int, n_backward: int, share: int, shares: int) -> list[int]:
@@ -241,14 +245,15 @@ def _exact_orbits(payoff: PayoffData, eta1, eta2, inits, n_forward: int, n_backw
     Share 0 is read here and shares 1..P-1 in forked children; a share whose
     child could not start or did not deliver is read here too. The integers
     at a position do not depend on the walk that reached it, so the rows are
-    the same bytes for every P. The command line runs one thread, so a fork
-    copies no lock held by another."""
+    the same bytes for every P. Only a process of one OS thread forks, so a
+    fork copies no lock held by another thread; any other reads P = 1 here."""
     from .exact import ExactAltOrbit
 
     orbits = [ExactAltOrbit(payoff, eta1, eta2, init) for init in inits]
     levels = [orb.phi_fraction() for orb in orbits]
     n_rows = n_forward + n_backward + 1
-    shares = min(_usable_cpus() if hasattr(os, "fork") else 1, n_rows)
+    forks = hasattr(os, "fork") and _os_threads() == 1
+    shares = min(_usable_cpus() if forks else 1, n_rows)
     workers = {}
     try:
         for share in range(1, shares):

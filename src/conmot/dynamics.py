@@ -6,13 +6,13 @@ one product with M_inv/g for alternating play and one damped Newton loop for
 the rest. The loop solves in the coordinates of the chart's tangent frame at
 each iterate, with the analytic Jacobian of the step rule (the chain rule
 through the objective's Hessian); only an objective without a Hessian falls
-back to finite differences along the frame. An inverse that leaves the
-declared region or the simplex interior raises rather than silently projecting.
+back to finite differences along the frame. Its tolerance and iteration cap
+are the module constants NEWTON_TOLERANCE and NEWTON_MAX_ITERATIONS; a call
+takes no settings. An inverse that leaves the declared region or the simplex
+interior raises rather than silently projecting.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .objectives import nearest_region_point, region_contains
 from .state import Chart, State, renormalize, tangent_frame
 
 __all__ = [
-    "InverseConfig",
     "Orbit",
     "inverse_step",
     "detect_fixed_point",
@@ -31,16 +30,10 @@ __all__ = [
 # Default tolerance for calling a point fixed: ||T(x) - x|| <= this.
 FIXED_POINT_TOL = 1e-10
 
-
-@dataclass(frozen=True)
-class InverseConfig:
-    """Newton settings for backward steps."""
-
-    tolerance: float = 1e-12
-    max_iterations: int = 60
-
-
-_DEFAULT_CFG = InverseConfig()
+# Newton stops once the forward residual norm is within NEWTON_TOLERANCE, and
+# fails after NEWTON_MAX_ITERATIONS steps.
+NEWTON_TOLERANCE = 1e-12
+NEWTON_MAX_ITERATIONS = 60
 
 # Forward-difference step for the Jacobian of an objective without a Hessian.
 FD_STEP = 1e-7
@@ -59,7 +52,7 @@ def _retract(chart: Chart, y: np.ndarray) -> np.ndarray | None:
     return None if np.any(y <= 0.0) else renormalize(y, chart)[0]
 
 
-def _newton(map_instance: MapInstance, target: np.ndarray, cfg: InverseConfig) -> np.ndarray:
+def _newton(map_instance: MapInstance, target: np.ndarray) -> np.ndarray:
     """Damped Newton on T(y) = target in the tangent-frame coordinates at y.
 
     The Jacobian comes from step_jacobian, or from forward differences along
@@ -82,8 +75,8 @@ def _newton(map_instance: MapInstance, target: np.ndarray, cfg: InverseConfig) -
     y = rgd_sphere_step(obj, -eta, target) if kind == "rgd_sphere" else target.copy()
     r = residual(y)
     rn = _norm(r)
-    for _ in range(cfg.max_iterations):
-        if rn <= cfg.tolerance:
+    for _ in range(NEWTON_MAX_ITERATIONS):
+        if rn <= NEWTON_TOLERANCE:
             return y
         frame = tangent_frame(chart, y)
         jac = step_jacobian(map_instance, y)
@@ -110,36 +103,35 @@ def _newton(map_instance: MapInstance, target: np.ndarray, cfg: InverseConfig) -
                 "stalled in the line search")
             raise InversionError(f"{name} inversion {stall}", last_iterate=y, residual=rn)
     raise InversionError(
-        f"{name} inversion did not reach {cfg.tolerance:.1e} in {cfg.max_iterations} iterations",
+        f"{name} inversion did not reach {NEWTON_TOLERANCE:.1e} in {NEWTON_MAX_ITERATIONS} "
+        "iterations",
         last_iterate=y,
         residual=rn,
     )
 
 
-def inverse_step(
-    map_instance: MapInstance, x: State, cfg: InverseConfig | None = None
-) -> State:
+def inverse_step(map_instance: MapInstance, x: State) -> State:
     """T^{-1}(x): the unique preimage on the working region.
 
     Alternating play is one product with M_inv/g; the other kinds run damped
-    Newton to cfg.tolerance on the forward residual. Raises InversionError when
-    the solve stalls and RegionError when the preimage leaves a declared region
-    and the region's nearest point does not step to x within cfg.tolerance.
+    Newton to NEWTON_TOLERANCE on the forward residual. Raises InversionError
+    when the solve stalls and RegionError when the preimage leaves a declared
+    region and the region's nearest point does not step to x within
+    NEWTON_TOLERANCE.
     """
-    cfg = cfg or _DEFAULT_CFG
     if x.chart != map_instance.chart:
         raise ChartViolation("state chart does not match map chart")
     if map_instance.kind == "alt_play":
         prev = map_instance.alt_play_matrices[1] @ x.coordinates
     else:
-        prev = _newton(map_instance, x.coordinates, cfg)
+        prev = _newton(map_instance, x.coordinates)
     region = map_instance.objective.region if map_instance.kind == "gd" else None
     if not region_contains(region, prev):
         # A start on the boundary can converge a rounding past it: take the
         # nearest region point when it still steps to x within the tolerance.
         prev = nearest_region_point(region, prev)
         if not (region_contains(region, prev)
-                and _norm(_raw_step(map_instance, prev) - x.coordinates) <= cfg.tolerance):
+                and _norm(_raw_step(map_instance, prev) - x.coordinates) <= NEWTON_TOLERANCE):
             raise RegionError("backward step left the objective's declared region")
     prev, _ = renormalize(prev, map_instance.chart)
     return State(prev, map_instance.chart)

@@ -108,33 +108,23 @@ def _series_preconditions(map_instance: MapInstance, objective) -> list[str]:
             "quadratic instead"
         )
     obj = map_instance.objective
-    if kind == "gd":
-        if not objective.bounded and objective.region is None:
-            raise ConmotError(
-                "gradient descent needs a bounded objective or a declared "
-                "region for the series invariant"
-            )
-        verdict = validate_step_size_gd(obj, map_instance.step_sizes[0])
+    if kind == "gd" and not objective.bounded and objective.region is None:
+        raise ConmotError(
+            "gradient descent needs a bounded objective or a declared "
+            "region for the series invariant"
+        )
+    if kind in ("gd", "rgd_sphere"):
+        eta = map_instance.step_sizes[0]
+        if kind == "gd":
+            verdict, bound = validate_step_size_gd(obj, eta), "contraction"
+        else:
+            verdict, bound = validate_step_size_manifold(obj, eta), "manifold"
         if verdict.accepted is False:
-            raise StepSizeError(
-                f"step size {float(map_instance.step_sizes[0])} fails the "
-                f"contraction bound {verdict.bound}"
-            )
+            raise StepSizeError(f"step size {float(eta)} fails the {bound} bound {verdict.bound}")
         if verdict.accepted is None:
             notes.append("step size could not be verified against a curvature bound")
-    elif kind == "rgd_sphere":
-        verdict = validate_step_size_manifold(obj, map_instance.step_sizes[0])
-        if verdict.accepted is False:
-            raise StepSizeError(
-                f"step size {float(map_instance.step_sizes[0])} fails the "
-                f"manifold bound {verdict.bound}"
-            )
-        if verdict.accepted is None:
-            notes.append("step size could not be verified against a curvature bound")
-    else:
-        # mwu variants: the chart is compact; the payoff is bounded on it.
-        if map_instance.objective is None:
-            raise ConmotError("mwu series invariant needs the game objective")
+    elif obj is None:  # mwu variants: the chart is compact; the payoff is bounded on it
+        raise ConmotError("mwu series invariant needs the game objective")
     return notes
 
 

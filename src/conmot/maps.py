@@ -41,8 +41,7 @@ __all__ = [
     "alternating_play",
     "sphere_rgd",
     "gd_step",
-    "mwu_exp_step",
-    "mwu_lin_step",
+    "mwu_step",
     "rgd_sphere_step",
     "step",
     "step_points",
@@ -149,58 +148,39 @@ def gd_step(objective: ObjectiveSpec, eta: float, x: np.ndarray) -> np.ndarray:
     return x - eta * objective.gradient(x)
 
 
-def mwu_exp_step(
-    objective: ObjectiveSpec, eps: tuple[float, ...], blocks: tuple[int, ...], x: np.ndarray
-) -> np.ndarray:
-    """Blockwise x_ij <- x_ij exp(-eps_i g_ij) / sum_s x_is exp(-eps_i g_is).
+def _mwu_factor(kind: str, eps: float, g: np.ndarray) -> np.ndarray:
+    """The per-coordinate factor a(g) of one simplex block: exp(-eps g) for
+    mwu_exp, shifted by the block minimum of g, which cancels in the ratio
+    and prevents overflow; 1 - eps g for mwu_lin."""
+    if kind == "mwu_exp":
+        return np.exp(-eps * (g - g.min(-1, keepdims=True)))
+    return 1.0 - eps * g
 
-    Zero coordinates keep zero weight, so simplex faces are preserved. The
-    exponent is shifted by the block minimum of g, which cancels in the ratio
-    and prevents overflow.
+
+def mwu_step(map_instance: MapInstance, x: np.ndarray) -> np.ndarray:
+    """Blockwise x_ij <- x_ij a(g_ij) / sum_s x_is a(g_is) with block i's rate.
+
+    Zero coordinates keep zero weight, so simplex faces are preserved. Every
+    mwu_lin factor on the support must stay positive; a non-positive factor
+    means the step size is too large for this orbit and raises StepSizeError
+    rather than leaving the simplex.
     """
-    g = objective.gradient(x)
+    kind = map_instance.kind
+    g = map_instance.objective.gradient(x)
     out = np.empty_like(x, dtype=float)
-    start = 0
-    for bi, size in enumerate(blocks):
-        sl = slice(start, start + size)
-        xb, gb = x[..., sl], g[..., sl]
-        w = xb * np.exp(-eps[bi] * (gb - gb.min(-1, keepdims=True)))
-        s = w.sum(-1, keepdims=True)
-        if s.min() <= 0.0:
-            raise ChartViolation("a whole simplex block lost all mass in the mwu_exp update")
-        np.divide(w, s, out=out[..., sl])
-        start += size
-    return out
-
-
-def mwu_lin_step(
-    objective: ObjectiveSpec, eps: tuple[float, ...], blocks: tuple[int, ...], x: np.ndarray
-) -> np.ndarray:
-    """Blockwise x_ij <- x_ij (1 - eps_i g_ij) / (1 - eps_i <x_i, g_i>).
-
-    Every multiplicative factor on the support must stay positive; a
-    non-positive factor means the step size is too large for this orbit and
-    raises StepSizeError rather than leaving the simplex.
-    """
-    g = objective.gradient(x)
-    out = np.empty_like(x, dtype=float)
-    start = 0
-    for bi, size in enumerate(blocks):
-        sl = slice(start, start + size)
-        xb, gb = x[..., sl], g[..., sl]
-        factors = 1.0 - eps[bi] * gb
-        support = xb > 0
-        if (factors[support] <= 0.0).any():
+    for sl, eps in zip(map_instance.chart.block_slices(), map_instance.float_step_sizes):
+        xb = x[..., sl]
+        factors = _mwu_factor(kind, eps, g[..., sl])
+        if kind == "mwu_lin" and (factors[xb > 0] <= 0.0).any():
             raise StepSizeError(
-                f"mwu_lin factor {factors[support].min():.6g} is not positive; "
+                f"mwu_lin factor {factors[xb > 0].min():.6g} is not positive; "
                 "reduce the learning rate"
             )
         w = xb * factors
         s = w.sum(-1, keepdims=True)
         if s.min() <= 0.0:
-            raise ChartViolation("a whole simplex block lost all mass in the mwu_lin update")
+            raise ChartViolation(f"a whole simplex block lost all mass in the {kind} update")
         np.divide(w, s, out=out[..., sl])
-        start += size
     return out
 
 
@@ -247,12 +227,9 @@ def step_jacobian(map_instance: MapInstance, y: np.ndarray) -> np.ndarray | None
         return (eye - np.outer(z, z) / (n * n)) @ dz / n
     jac = np.empty((len(y), len(y)))
     for sl, eps in zip(map_instance.chart.block_slices(), rates):
-        yb, gb = y[sl], g[sl]
-        if map_instance.kind == "mwu_exp":
-            a = np.exp(-eps * (gb - gb.min()))
-            da = -eps * a
-        else:
-            a, da = 1.0 - eps * gb, -eps
+        yb = y[sl]
+        a = _mwu_factor(map_instance.kind, eps, g[sl])
+        da = -eps * a if map_instance.kind == "mwu_exp" else -eps
         dw = (yb * da)[:, None] * h[sl]
         dw[:, sl] += np.diag(a)
         s = yb @ a
@@ -272,10 +249,8 @@ def _raw_step(map_instance: MapInstance, coords: np.ndarray) -> np.ndarray:
         if obj.region is not None and not region_contains(obj.region, coords).all():
             raise RegionError("state lies outside the objective's declared region")
         return gd_step(obj, rates[0], coords)
-    if kind == "mwu_exp":
-        return mwu_exp_step(map_instance.objective, rates, map_instance.chart.blocks, coords)
-    if kind == "mwu_lin":
-        return mwu_lin_step(map_instance.objective, rates, map_instance.chart.blocks, coords)
+    if kind in ("mwu_exp", "mwu_lin"):
+        return mwu_step(map_instance, coords)
     if kind == "alt_play":
         return (map_instance.alt_play_matrices[0] @ coords[..., None])[..., 0]
     return rgd_sphere_step(map_instance.objective, rates[0], coords)

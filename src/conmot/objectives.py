@@ -6,6 +6,10 @@ used by the bipartite game dynamics. Each entry carries analytic gradient and
 Hessian callables plus, where meaningful, a uniform entrywise Hessian bound L
 over the declared working region. ``PayoffData``, the bilinear coupling's
 input, lives in ``exact`` with the integer engine and is re-exported here.
+
+The step-size validators compare a step size with a bound derived from a
+declared curvature bound only: a missing bound gives an unverifiable verdict,
+and no bound is ever estimated by sampling.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ __all__ = [
     "Ball",
     "region_contains",
     "nearest_region_point",
-    "sample_region",
     "ObjectiveSpec",
     "PayoffData",
     "StepSizeVerdict",
@@ -33,15 +36,9 @@ __all__ = [
     "bump",
     "linear",
     "bilinear",
-    "estimate_hessian_entry_bound",
-    "estimate_pullback_lipschitz",
     "validate_step_size_gd",
     "validate_step_size_manifold",
 ]
-
-# Safety factor applied to sampled curvature estimates.
-ESTIMATE_SAFETY = 1.25
-
 
 @dataclass(frozen=True)
 class Box:
@@ -89,21 +86,6 @@ def nearest_region_point(region: Box | Ball, x: np.ndarray) -> np.ndarray:
     center = np.asarray(region.center)
     norm = float(np.linalg.norm(x - center))
     return x if norm <= region.radius else center + (x - center) * (region.radius / norm)
-
-
-def sample_region(region: Box | Ball | None, rng: np.random.Generator, dimension: int) -> np.ndarray:
-    """Uniform draw from a box, a ball, or (absent region) a scaled normal."""
-    if isinstance(region, Box):
-        lo = np.asarray(region.lower)
-        hi = np.asarray(region.upper)
-        return rng.uniform(lo, hi)
-    if isinstance(region, Ball):
-        d = len(region.center)
-        v = rng.normal(size=d)
-        v /= np.linalg.norm(v)
-        r = region.radius * rng.uniform() ** (1.0 / d)
-        return np.asarray(region.center) + r * v
-    return 2.0 * rng.normal(size=dimension)
 
 
 @dataclass(frozen=True)
@@ -250,10 +232,8 @@ class StepSizeVerdict:
     """Outcome of a step-size check.
 
     accepted is True/False for a definite verdict and None when the check was
-    unverifiable (no curvature bound available and estimation not requested).
-    bound is the strict upper limit the step size was compared against, and
-    margin = bound - step_size. estimated marks sampled rather than certified
-    curvature bounds.
+    unverifiable (no curvature bound declared). bound is the strict upper
+    limit the step size was compared against, and margin = bound - step_size.
     """
 
     accepted: bool | None
@@ -261,165 +241,49 @@ class StepSizeVerdict:
     bound: float | None
     margin: float | None
     curvature_bound: float | None
-    estimated: bool
     detail: str
 
 
-def estimate_hessian_entry_bound(
-    objective: ObjectiveSpec,
-    rng: np.random.Generator,
-    samples: int = 256,
-    fd_step: float = 1e-4,
-) -> float:
-    """Sampled entrywise Hessian bound, times a 1.25 safety factor.
-
-    Uses the analytic Hessian when present; otherwise central second
-    differences of evaluate on random coordinate pairs.
-    """
-    worst = 0.0
-    d = objective.dimension
-    for _ in range(samples):
-        x = sample_region(objective.region, rng, d)
-        if objective.hessian is not None:
-            worst = max(worst, float(np.max(np.abs(objective.hessian(x)))))
-            continue
-        i = int(rng.integers(d))
-        j = int(rng.integers(d))
-        ei = np.zeros(d)
-        ej = np.zeros(d)
-        ei[i] = fd_step
-        ej[j] = fd_step
-        f = objective.evaluate
-        second = (f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)) / (
-            4.0 * fd_step * fd_step
-        )
-        worst = max(worst, abs(second))
-    return ESTIMATE_SAFETY * worst
-
-
-def estimate_pullback_lipschitz(
-    objective: ObjectiveSpec,
-    rng: np.random.Generator,
-    samples: int = 128,
-    fd_step: float = 1e-5,
-) -> float:
-    """Sampled Lipschitz bound for gradients of the sphere pullbacks f(Retr_x(s)).
-
-    For each sampled base point the tangent Hessian of the pullback at 0 is
-    approximated by finite differences in an orthonormal tangent frame; its
-    spectral norm bounds the local gradient Lipschitz constant. The maximum
-    over samples is inflated by the 1.25 safety factor.
-    """
-    d = objective.dimension
-    worst = 0.0
-    for _ in range(samples):
-        x = rng.normal(size=d)
-        x /= np.linalg.norm(x)
-        u = charts.tangent_frame(charts.sphere(d), x)
-
-        def pullback(s_coeffs: np.ndarray) -> float:
-            z = x + u @ s_coeffs
-            return objective.evaluate(z / np.linalg.norm(z))
-
-        k = d - 1
-        hess = np.empty((k, k))
-        for a in range(k):
-            for b in range(a, k):
-                ea = np.zeros(k)
-                eb = np.zeros(k)
-                ea[a] = fd_step
-                eb[b] = fd_step
-                val = (
-                    pullback(ea + eb) - pullback(ea - eb) - pullback(-ea + eb) + pullback(-ea - eb)
-                ) / (4.0 * fd_step * fd_step)
-                hess[a, b] = hess[b, a] = val
-        worst = max(worst, float(np.linalg.norm(hess, 2)) if k else 0.0)
-    return ESTIMATE_SAFETY * worst
-
-
-def validate_step_size_gd(
-    objective: ObjectiveSpec,
-    step_size,
-    *,
-    rng: np.random.Generator | None = None,
-    samples: int = 256,
-) -> StepSizeVerdict:
-    """Accept a gradient-descent step size iff eta < 2 / (d * L), strictly.
-
-    d is the ambient dimension and L the uniform entrywise Hessian bound. When
-    the objective declares no bound, pass an rng to estimate one by sampling
-    (the verdict is then marked estimated); with no rng the verdict is
-    unverifiable (accepted=None), which is distinct from a rejection.
-    """
+def _verdict(step_size, curvature: float | None, bound_of, rule: str, absent: str,
+             flat: str) -> StepSizeVerdict:
+    """The verdict on step_size against the strict limit bound_of(curvature):
+    unverifiable without a curvature bound, and every positive step passes a
+    flat one."""
     eta = float(step_size)
     if eta <= 0.0:
-        return StepSizeVerdict(False, eta, None, None, None, False, "step size must be positive")
-    curvature = objective.hessian_entry_bound
-    estimated = False
+        return StepSizeVerdict(False, eta, None, None, None, "step size must be positive")
     if curvature is None:
-        if rng is None:
-            return StepSizeVerdict(
-                None, eta, None, None, None, False,
-                "no curvature bound declared and estimation not requested",
-            )
-        curvature = estimate_hessian_entry_bound(objective, rng, samples=samples)
-        estimated = True
+        return StepSizeVerdict(None, eta, None, None, None, f"no {absent}")
     if curvature == 0.0:
-        return StepSizeVerdict(
-            True, eta, math.inf, math.inf, 0.0, estimated, "flat objective, every step size passes"
-        )
-    bound = 2.0 / (objective.dimension * curvature)
+        return StepSizeVerdict(True, eta, math.inf, math.inf, 0.0,
+                               f"flat {flat}, every step size passes")
+    bound = bound_of(curvature)
     accepted = eta < bound
-    return StepSizeVerdict(
-        accepted,
-        eta,
-        bound,
-        bound - eta,
-        curvature,
-        estimated,
-        "eta < 2/(d*L) holds" if accepted else "eta >= 2/(d*L)",
-    )
+    return StepSizeVerdict(accepted, eta, bound, bound - eta, curvature,
+                           f"eta < {rule} holds" if accepted else f"eta >= {rule}")
+
+
+def validate_step_size_gd(objective: ObjectiveSpec, step_size) -> StepSizeVerdict:
+    """Accept a gradient-descent step size iff eta < 2 / (d * L), strictly.
+
+    d is the ambient dimension and L the objective's declared uniform
+    entrywise Hessian bound; without one the verdict is unverifiable
+    (accepted=None), which is distinct from a rejection.
+    """
+    return _verdict(step_size, objective.hessian_entry_bound,
+                    lambda L: 2.0 / (objective.dimension * L), "2/(d*L)",
+                    "curvature bound declared", "objective")
 
 
 def validate_step_size_manifold(
-    objective: ObjectiveSpec,
-    step_size,
-    lipschitz_bound: float | None = None,
-    *,
-    rng: np.random.Generator | None = None,
-    samples: int = 128,
+    objective: ObjectiveSpec, step_size, lipschitz_bound: float | None = None
 ) -> StepSizeVerdict:
     """Accept a sphere-retraction step size iff eta < 1 / L, strictly.
 
-    L bounds the gradient Lipschitz constants of the retraction pullbacks.
-    Supply it, or pass an rng to estimate it by sampling.
+    L bounds the gradient Lipschitz constants of the retraction pullbacks;
+    without it the verdict is unverifiable (accepted=None).
     """
-    eta = float(step_size)
-    if eta <= 0.0:
-        return StepSizeVerdict(False, eta, None, None, None, False, "step size must be positive")
-    estimated = False
-    if lipschitz_bound is None:
-        if rng is None:
-            return StepSizeVerdict(
-                None, eta, None, None, None, False,
-                "no pullback Lipschitz bound supplied and estimation not requested",
-            )
-        lipschitz_bound = estimate_pullback_lipschitz(objective, rng, samples=samples)
-        estimated = True
-    if lipschitz_bound < 0:
+    if lipschitz_bound is not None and lipschitz_bound < 0 and float(step_size) > 0.0:
         raise ValueError("lipschitz_bound must be nonnegative")
-    if lipschitz_bound == 0.0:
-        return StepSizeVerdict(
-            True, eta, math.inf, math.inf, 0.0, estimated, "flat pullbacks, every step size passes"
-        )
-    bound = 1.0 / lipschitz_bound
-    accepted = eta < bound
-    return StepSizeVerdict(
-        accepted,
-        eta,
-        bound,
-        bound - eta,
-        lipschitz_bound,
-        estimated,
-        "eta < 1/L holds" if accepted else "eta >= 1/L",
-    )
+    return _verdict(step_size, lipschitz_bound, lambda L: 1.0 / L, "1/L",
+                    "pullback Lipschitz bound supplied", "pullbacks")

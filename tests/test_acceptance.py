@@ -41,10 +41,10 @@ from conmot.objectives import (
     double_well,
     linear,
     quadratic,
-    sample_region,
     validate_step_size_gd,
 )
 from conmot.state import State, sample_chart, simplex_product
+from region_sampling import sample_region
 
 
 def _random_dyadic_instance(rng: random.Random):

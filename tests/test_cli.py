@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conmot import dynamics, maps
+from conmot import cli, dynamics, maps
 from conmot.cli import FIGURE_RECIPES, _figure_grid, _jsonable, _write_json, main
 from conmot.dynamics import Orbit
 from conmot.invariants import BipartiteInvariant, constant_weight, make_series_invariant
@@ -706,7 +706,7 @@ def test_an_alt_play_scan_of_pairs_beyond_1e154_apart_separates_them(tmp_path):
 @dataclasses.dataclass
 class _Inner:
     ratio: Fraction
-    values: np.ndarray
+    values: list
 
 
 @dataclasses.dataclass
@@ -717,14 +717,69 @@ class _Outer:
 
 def test_json_outputs_are_the_bytes_of_the_whole_document(tmp_path):
     payload = {
-        "b": _Outer(_Inner(Fraction(-3, 7), np.array([1.5, np.nan, -np.inf])),
-                    (math.inf, -math.inf, math.nan, np.float64(2.5), np.int64(7))),
-        "a": [{"z": 1, "y": [None, True, "text"]}, np.array([0.1])],
+        "b": _Outer(_Inner(Fraction(-3, 7), [1.5, math.nan, -math.inf]),
+                    (math.inf, -math.inf, math.nan, 2.5, 7)),
+        "a": [{"z": 1, "y": [None, True, "text"]}, [0.1]],
     }
     path = tmp_path / "doc.json"
     _write_json(path, payload)
     expected = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
     assert path.read_bytes() == expected.encode()
+
+
+# One config per map kind with every section a command reads.
+_SECTIONS = {"steps": {"forward": 4, "backward": 2}, "scan": {"pairs": 2, "horizon": 6},
+             "seed": 5}
+JSON_CONTRACT_DOCS = {
+    "gd": {"map": {"kind": "gd", "objective": {"name": "double_well", "dimension": 1},
+                   "step_size": "0.1"},
+           "initial_states": [["0.5"]], "classify": {"x": ["0.5"], "y": ["0.45"]}},
+    "mwu_exp": {"map": SIMPLEX_3, "initial_states": [["0.5", "0.3", "0.2"]],
+                "classify": {"x": ["0.5", "0.3", "0.2"], "y": ["0.2", "0.3", "0.5"]}},
+    "mwu_lin": {"map": dict(SIMPLEX_3, kind="mwu_lin"), "initial_states": [["0.5", "0.3", "0.2"]],
+                "classify": {"x": ["0.5", "0.3", "0.2"], "y": ["0.2", "0.3", "0.5"]}},
+    "alt_play": {"map": HYPERBOLIC["map"], "initial_states": [[60, -25]],
+                 "classify": {"x": [60, -25], "y": ["57.5", "-13.5"]},
+                 "invariant": {"kind": "closed-form", "defect_horizon": 3}},
+    "rgd_sphere": {"map": SPHERE_3, "initial_states": [["0.6", "0.8", "0"]],
+                   "classify": {"x": ["0.6", "0.8", "0"], "y": ["0", "0.6", "0.8"]}},
+}
+
+
+def _json_leaves(node):
+    if dataclasses.is_dataclass(node):
+        node = dataclasses.asdict(node)
+    if isinstance(node, dict):
+        assert all(isinstance(key, str) for key in node)
+        node = list(node.values())
+    if isinstance(node, (list, tuple)):
+        for item in node:
+            yield from _json_leaves(item)
+    else:
+        yield node
+
+
+@pytest.mark.parametrize("kind", sorted(JSON_CONTRACT_DOCS))
+def test_every_command_hands_the_json_writer_python_values_only(tmp_path, monkeypatch, kind):
+    """Each JSON document a command writes holds None, bool, int, str,
+    Fraction or float leaves: json.dump takes no numpy value."""
+    payloads = []
+    monkeypatch.setattr(cli, "_write_json",
+                        lambda path, payload: payloads.append(payload) or _write_json(path, payload))
+    doc = dict(_SECTIONS, **JSON_CONTRACT_DOCS[kind])
+    doc.setdefault("invariant", {"kind": "series", "truncation": 6, "defect_horizon": 2})
+    cfg = write_config(tmp_path, doc)
+    commands = [[command] for command in ("simulate", "invariant", "classify", "scan")]
+    if kind == "alt_play":
+        commands += [["figures", which] for which in sorted(FIGURE_RECIPES)]
+    for argv in commands:
+        written = len(payloads)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / argv[-1]), *argv]) == 0
+        assert len(payloads) > written, argv
+    for payload in payloads:
+        for leaf in _json_leaves(payload):
+            assert leaf is None or type(leaf) in (bool, int, str, Fraction) or (
+                isinstance(leaf, float)), type(leaf)
 
 
 def test_a_numerical_failure_writes_only_its_error_line_to_stderr(tmp_path, capsys):

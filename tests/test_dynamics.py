@@ -8,12 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conmot import dynamics
-from conmot.dynamics import (
-    InverseConfig,
-    Orbit,
-    detect_fixed_point,
-    inverse_step,
-)
+from conmot.dynamics import Orbit, detect_fixed_point, inverse_step
 from conmot.errors import InversionError, RegionError, StepSizeError
 from conmot.maps import (
     alternating_play,
@@ -181,13 +176,13 @@ INVERSION_FAILURES = {
 @pytest.mark.parametrize("kind", sorted(INVERSION_FAILURES))
 def test_inversion_error_carries_diagnostics(kind, monkeypatch):
     m, x, name = INVERSION_FAILURES[kind]
+    monkeypatch.setattr(dynamics, "NEWTON_MAX_ITERATIONS", 0)
     with pytest.raises(InversionError) as err:
-        inverse_step(m, x, InverseConfig(max_iterations=0))
+        inverse_step(m, x)
     assert str(err.value) == f"{name} inversion did not reach 1.0e-12 in 0 iterations"
     assert err.value.last_iterate.shape == x.coordinates.shape
     assert err.value.residual > 1e-12
     # An orbit attaches the index of the backward step that failed.
-    monkeypatch.setattr(dynamics, "_DEFAULT_CFG", InverseConfig(max_iterations=0))
     with pytest.raises(InversionError) as err:
         Orbit(m, x).segment(0, 3)
     assert err.value.step_index == -1

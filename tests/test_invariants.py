@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conmot import dynamics, invariants
 from conmot.dynamics import Orbit
@@ -23,6 +23,7 @@ from conmot.invariants import (
 from conmot.maps import alternating_play, gradient_descent, mwu_exponential, sphere_rgd, step
 from conmot.objectives import Box, ObjectiveSpec, PayoffData, double_well, linear, quadratic
 from conmot.state import State, bipartite_pair, euclidean, simplex_product, sphere
+from test_dynamics import roundtrip_cases
 
 PAY = PayoffData.from_matrix([[1]])
 
@@ -317,6 +318,35 @@ def test_windowed_defects_match_a_fresh_series_at_every_shift(case):
         want.append(abs(fresh(walker) - rep.value))
     assert len(rep.per_step_defect) == horizon
     assert_same_up_to_rounding(rep.per_step_defect, want)
+
+
+@st.composite
+def shift_cases(draw):
+    """A roundtrip case whose series is defined (gd needs a bounded objective
+    or a declared region), a weight that fits its chart, and a depth."""
+    m, x = draw(roundtrip_cases())
+    obj = m.objective
+    assume(m.kind != "gd" or obj.bounded or obj.region is not None)
+    d = obj.dimension
+    weight = draw(st.sampled_from([
+        constant_weight(draw(st.floats(-2.0, 2.0))),
+        coordinate_weight(draw(st.integers(0, d - 1))),
+        gaussian_bump_weight(draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)),
+                             draw(st.floats(0.1, 3.0))),
+    ]))
+    return m, x, weight, draw(st.integers(0, 12))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shift_cases())
+def test_the_series_at_the_next_state_is_the_series_shifted_by_one(case):
+    """The law behind SHIFT_CASES on drawn maps of every float kind: the sum
+    at T x, read from x's orbit window one index on, equals a fresh series at
+    T x, to the same bar."""
+    m, x, weight, truncation = case
+    shifted = invariants.series_along_orbit(Orbit(m, x), None, weight, truncation, [1])
+    fresh = series_invariant(m, None, weight, step(m, x), truncation).value
+    assert_same_up_to_rounding(shifted, [fresh])
 
 
 @pytest.mark.parametrize("horizon", [0, 50])

@@ -10,14 +10,13 @@ from conmot.objectives import (
     bilinear,
     bump,
     double_well,
-    estimate_hessian_entry_bound,
     linear,
     quadratic,
     region_contains,
-    sample_region,
     validate_step_size_gd,
     validate_step_size_manifold,
 )
+from region_sampling import sample_region
 
 CATALOG = [quadratic(2), double_well(2), bump(2), linear([1.0, -2.0])]
 
@@ -159,33 +158,27 @@ def test_gd_validator_unverifiable_is_not_a_rejection():
     )
     v = validate_step_size_gd(blind, 0.5)
     assert v.accepted is None
-    assert "not requested" in v.detail
-    # With an rng the bound is estimated by sampling and marked as such.
-    v2 = validate_step_size_gd(blind, 0.5, rng=np.random.default_rng(0))
-    assert v2.accepted in (True, False)
-    assert v2.estimated is True
-    assert v2.curvature_bound is not None
+    assert v.detail == "no curvature bound declared"
+    assert (v.bound, v.margin, v.curvature_bound) == (None, None, None)
 
 
 def test_manifold_validator_boundary_cases():
     obj = bump(3)
     assert validate_step_size_manifold(obj, 0.4, 2.0).accepted is True
     assert validate_step_size_manifold(obj, 0.5, 2.0).accepted is False
-    v = validate_step_size_manifold(obj, 0.1, rng=np.random.default_rng(1))
-    assert v.estimated is True
-    assert v.curvature_bound is not None
+    v = validate_step_size_manifold(obj, 0.1)
+    assert v.accepted is None
+    assert v.detail == "no pullback Lipschitz bound supplied"
+    flat = validate_step_size_manifold(obj, 100.0, 0.0)
+    assert (flat.accepted, flat.bound, flat.detail) == (
+        True, np.inf, "flat pullbacks, every step size passes")
+    with pytest.raises(ValueError, match="lipschitz_bound must be nonnegative"):
+        validate_step_size_manifold(obj, 0.1, -1.0)
 
 
 def test_nonpositive_step_sizes_are_rejected_outright():
     assert validate_step_size_gd(quadratic(1), 0.0).accepted is False
     assert validate_step_size_manifold(bump(2), -0.1, 1.0).accepted is False
-
-
-def test_sampled_curvature_estimate_dominates_true_bound_for_quadratic():
-    """f = ||x||^2/2 has Hessian I everywhere, so the sampled bound must
-    come back at least 1 (it carries a safety factor on top)."""
-    est = estimate_hessian_entry_bound(quadratic(3), np.random.default_rng(2))
-    assert est >= 1.0
 
 
 def test_bilinear_objective_evaluates_the_pairing():

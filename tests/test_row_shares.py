@@ -5,7 +5,9 @@ share j holding the times t = j (mod P), reads share 0 in its own process and
 the others in forked children. These tests show that the split changes no
 bit of any row, and that a worker that cannot start, fails, sends a short
 payload or outlives an error never changes the output, the exit code or the
-set of running processes. No test fakes more than 3 CPUs.
+set of running processes. Only a process of one OS thread forks: a test that
+fakes CPUs fakes that thread count too, since the test runner's imports start
+threads of their own. No test fakes more than 3 CPUs.
 """
 
 import hashlib
@@ -13,6 +15,9 @@ import json
 import marshal
 import os
 import signal
+import subprocess
+import sys
+import threading
 import types
 from fractions import Fraction
 from unittest import mock
@@ -41,9 +46,12 @@ def _bits(rows):
              for t, xy, f, phi, defect in orbit] for orbit in rows]
 
 
-def _fake_cpus(monkeypatch, n: int) -> None:
+def _fake_cpus(monkeypatch, n: int, threads: int | None = 1) -> None:
+    """n usable CPUs and, unless threads is None, that many OS threads."""
     assert n <= 3
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    if threads is not None:
+        monkeypatch.setattr(cli, "_os_threads", lambda: threads)
 
 
 def _simulate(tmp_path, name: str) -> tuple[int, dict]:
@@ -114,6 +122,45 @@ def test_one_usable_cpu_never_forks(tmp_path, monkeypatch, one_cpu_bytes, capsys
     assert _simulate(tmp_path, "again") == (0, one_cpu_bytes)
     assert main(["--out", str(tmp_path / "fig"), "figures", "fig1"]) == 0
     assert "fig1: levels 31375, 3940, -12000" in capsys.readouterr().out
+
+
+def test_a_process_with_a_second_thread_reads_every_row_here(
+        tmp_path, monkeypatch, one_cpu_bytes):
+    _fake_cpus(monkeypatch, 3, threads=None)
+    monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")))
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert cli._os_threads() >= 2
+        assert _simulate(tmp_path, "threaded") == (0, one_cpu_bytes)
+    finally:
+        release.set()
+        thread.join()
+
+
+# figures fig1 in a fresh interpreter with two usable CPUs: the number of
+# forks, and whether numpy was loaded.
+FRESH_FIGURES = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+real_fork, forks = os.fork, []
+os.fork = lambda: forks.append(1) or real_fork()
+from conmot.cli import main
+assert main(["--out", sys.argv[1], "figures", "fig1"]) == 0
+print(len(forks), "numpy" in sys.modules)
+"""
+
+
+def test_a_fresh_command_line_process_forks_its_row_readers(tmp_path):
+    """The command line never loads numpy, so it runs one OS thread and the
+    figures rows are read in a forked child as well as here."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", FRESH_FIGURES, str(tmp_path / "fig")],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "1 False"
 
 
 @pytest.mark.parametrize("call", ["fork", "pipe"])
