@@ -41,7 +41,7 @@ ESCAPE_FACTOR = 1e8
 
 def _relative_gap(phi, x: State, y: State) -> float:
     """|phi(x) - phi(y)| / (1 + max |phi|): symmetric in the pair. For the
-    closed form it is one exact rational rounded once, finite (below 2) even
+    closed form it is one exact rational rounded once, at most 2 even
     where phi(x) and phi(y) round to inf; a series uses its two floats."""
     if phi is None:
         return math.nan
@@ -89,15 +89,14 @@ class ChaosReport:
     verdict: str
 
 
-def _pair_step(map_instance: MapInstance, xy: np.ndarray, t: int) -> list[np.ndarray]:
-    """One pair stepped as two States; a chart failure is a NumericsError at t,
-    and any other failure keeps its type and gets step index t."""
+def _pair_step(map_instance: MapInstance, xy: list[np.ndarray], t: int) -> list[np.ndarray]:
+    """One pair stepped as two States; a chart failure becomes a NumericsError,
+    and every failure gets step index t."""
     try:
-        return [step(map_instance, State(v, map_instance.chart)).coordinates for v in xy]
-    except ChartViolation as exc:
-        raise NumericsError(
-            f"pair orbit left float range at step {t}: {exc}", step_index=t
-        ) from exc
+        try:
+            return [step(map_instance, State(v, map_instance.chart)).coordinates for v in xy]
+        except ChartViolation as exc:
+            raise NumericsError(f"pair orbit left float range at step {t}: {exc}") from exc
     except ConmotError as exc:
         exc.step_index = t
         raise
@@ -109,37 +108,26 @@ def _pair_distance_extremes(
     """Min and max of |T^t x - T^t y| over the tail t > tail_start, per pair.
 
     All points advance together as one (2, B, d) array, one step_points call
-    per time index. A call that fails for some point is redone pair by pair:
-    the lowest failing pair keeps its error and leaves the batch with every
-    pair after it, while the pairs before it go on (one of them may fail
-    later). Once the batch is done the kept error is raised, which is what
-    stepping the pairs one after another raises first.
+    per time index. If a call fails, the pairs are replayed one after another
+    from t = 1, each through _pair_step, and the first error met is raised:
+    what stepping the pairs one at a time raises first.
     """
     z = np.array([[x.coordinates for x, _ in pairs], [y.coordinates for _, y in pairs]])
     lo, hi = np.full(len(pairs), math.inf), np.full(len(pairs), -math.inf)
-    failure = None
     for t in range(1, horizon + 1):
         try:
             z = step_points(map_instance, z)
         except ConmotError:
-            stepped = []
-            for xy in z.swapaxes(0, 1):
-                try:
-                    stepped.append(_pair_step(map_instance, xy, t))
-                except ConmotError as exc:
-                    failure = exc
-                    break
-            if not stepped:
-                break
-            z = np.array([[x for x, _ in stepped], [y for _, y in stepped]])
+            for x, y in pairs:  # the first pair that fails raises its own error
+                xy = [x.coordinates, y.coordinates]
+                for s in range(1, horizon + 1):
+                    xy = _pair_step(map_instance, xy, s)
+            raise
         if t > tail_start:
-            k = z.shape[1]
             diff = z[0] - z[1]
             dist = np.sqrt(np.vecdot(diff, diff))
-            np.minimum(lo[:k], dist, out=lo[:k])
-            np.maximum(hi[:k], dist, out=hi[:k])
-    if failure is not None:
-        raise failure
+            np.minimum(lo, dist, out=lo)
+            np.maximum(hi, dist, out=hi)
     return lo, hi
 
 

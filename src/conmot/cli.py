@@ -299,6 +299,12 @@ def _csv_rows(rows) -> list[list[str]]:
     ]
 
 
+def _max_defect(rows):
+    """The largest defect among the rows whose defect is a number, else "nan"."""
+    defects = [d for *_rest, d in rows if not math.isnan(d)]
+    return max(defects) if defects else "nan"
+
+
 def _series_spec(cfg: RunConfig):
     """(weight, truncation) of a series invariant section, or None."""
     from .config import build_weight
@@ -349,14 +355,13 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
             fp_fwd, fp_back = ts[-1] < cfg.n_forward, -ts[0] < cfg.n_backward
         path = out_dir / f"{cfg.output_prefix}_trajectory_{i}.csv"
         _write_csv(path, _csv_header(len(exact_init)), _csv_rows(raw_rows))
-        defects = [d for *_rest, d in raw_rows if not math.isnan(d)]
         summary["trajectories"].append(
             {
                 "initial_index": i,
                 "file": path.name,
                 "rows": len(raw_rows),
                 "final_state": [float(v) for v in raw_rows[-1][1]],
-                "max_defect": max(defects) if defects else "nan",
+                "max_defect": _max_defect(raw_rows),
                 "fixed_point_forward": fp_fwd,
                 "fixed_point_backward": fp_back,
             }
@@ -371,7 +376,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_invariant(cfg: RunConfig, out_dir: Path) -> int:
-    from .exact import BipartiteInvariant, certified_quadratic
+    from .exact import BipartiteInvariant
 
     spec = cfg.invariant_spec
     if spec is None:
@@ -381,11 +386,9 @@ def cmd_invariant(cfg: RunConfig, out_dir: Path) -> int:
     results = []
     horizon = int(spec.get("defect_horizon", 0))
     if spec["kind"] == "closed-form":
+        # A closed-form section belongs to an alt_play config; phi is built
+        # on its certified step, so the defect is 0.0 at every horizon.
         phi = BipartiteInvariant(cfg.payoff, *cfg.step_sizes)
-        # A closed-form section belongs to an alt_play config, whose exact
-        # certificate makes the defect 0.0 at every horizon of every orbit.
-        if horizon > 0 and not certified_quadratic(phi, cfg):
-            raise ConmotError("the exact conservation certificate failed")
         for i, exact_init in enumerate(cfg.initial_exact):
             value = phi.exact(exact_init)
             entry = {
@@ -629,9 +632,9 @@ def cmd_figures(which: str, out_dir: Path) -> int:
                 "initial_state": [float(v) for v in init],
                 "level": float(level),
                 "level_exact": str(level),
-                "max_defect": 0.0,
+                "max_defect": _max_defect(rows),
             }
-            for init, level in zip(recipe["initial_states"], levels)
+            for init, level, rows in zip(recipe["initial_states"], levels, orbits)
         ],
     }
     _write_json(out_dir / f"{which}_summary.json", summary)

@@ -15,7 +15,7 @@ __all__ = [
 
 class ConmotError(Exception):
     """Base class for all errors raised by conmot. step_index is the signed
-    index of the orbit step that failed, set by dynamics.Orbit; else None."""
+    index of the orbit step that failed, set by Orbit and the pair scan; else None."""
 
     step_index: int | None = None
 
@@ -53,10 +53,6 @@ class InversionError(ConmotError):
 
 class NumericsError(ConmotError):
     """A computation produced non-finite values or otherwise broke down."""
-
-    def __init__(self, message: str, *, step_index: int | None = None) -> None:
-        super().__init__(message)
-        self.step_index = step_index
 
 
 class ConfigError(ConmotError):

@@ -222,6 +222,14 @@ class _IntegerStep:
         return out
 
 
+def _certified_step(payoff: PayoffData, eta1, eta2) -> _IntegerStep:
+    """The integer step of this instance; a failed exact certificate raises here."""
+    step = _IntegerStep(payoff, eta1, eta2)
+    if not step.certified():
+        raise ConmotError("the exact conservation certificate failed")
+    return step
+
+
 @dataclass(slots=True)
 class _Point:
     """The integer state at one position: coords / scale, scale = s_0 * g^|pos|."""
@@ -244,11 +252,9 @@ class ExactAltOrbit:
 
     def __init__(self, payoff: PayoffData, eta1, eta2, xy0) -> None:
         self.payoff = payoff
-        self._step = _IntegerStep(payoff, eta1, eta2)
+        self._step = _certified_step(payoff, eta1, eta2)
         self.eta1, self.eta2 = self._step.eta
         coords, s0 = self._step.integer_state(xy0)
-        if not self._step.certified():
-            raise ConmotError("the integer step matrix failed its exact certificate")
         self._dx = self._step.dx
         self._phi_den0 = self._step.phi_den_unit * s0 * s0
         self._payoff_den0 = self._step.d * s0 * s0
@@ -314,9 +320,6 @@ class ExactAltOrbit:
         num, _, g2_pow = self._quadratic()
         return Fraction(int(num), int(self._phi_den0 * g2_pow))
 
-    def phi_float(self) -> float:
-        return self.phi_and_defect_float()[0]
-
     def payoff_value_float(self) -> float:
         """Current bilinear value x.T A y as a float snapshot."""
         _, cross, g2_pow = self._quadratic()
@@ -327,13 +330,9 @@ class ExactAltOrbit:
         num, _, g2_pow = self._quadratic()
         return num == self._num0 * g2_pow
 
-    def phi_defect_float(self) -> float:
-        """Relative drift |phi_t - phi_0| / (1 + |phi_0|); exactly 0 when conserved."""
-        return self.phi_and_defect_float()[1]
-
     def phi_and_defect_float(self) -> tuple[float, float]:
-        """(phi_float(), phi_defect_float()) from one exact comparison: while it
-        holds, phi is the start level, whose correctly rounded float is kept."""
+        """(phi, drift |phi_t - phi_0| / (1 + |phi_0|)) as floats from one exact
+        comparison: while it holds, phi is the start level's kept float and 0.0."""
         if self.phi_matches_start():
             return self._phi0_float, 0.0
         phi, phi0 = self.phi_fraction(), Fraction(int(self._num0), int(self._phi_den0))
@@ -344,7 +343,7 @@ class BipartiteInvariant:
     """Phi(X, Y) = |X|^2/eta1 - |Y|^2/eta2 + X.T A Y.
 
     Callable on a State or any coordinate sequence. Evaluation reads the
-    integer form of the exact engine (``_IntegerStep``): the point is put
+    integer form of the exact engine (``_certified_step``): the point is put
     over one integer scale s (float64 inputs are exact binary rationals) and
     Phi is one integer numerator over phi_den_unit * s^2, so a float read is
     that quotient correctly rounded, the same float an exact orbit gives at
@@ -353,7 +352,7 @@ class BipartiteInvariant:
 
     def __init__(self, payoff: PayoffData, eta1, eta2) -> None:
         self.payoff = payoff
-        self._step = _IntegerStep(payoff, eta1, eta2)
+        self._step = _certified_step(payoff, eta1, eta2)
         self.eta1, self.eta2 = self._step.eta
 
     def _ratio(self, xy) -> tuple[int, int]:
@@ -367,21 +366,16 @@ class BipartiteInvariant:
         return ratio_to_float(*self._ratio(xy))
 
 
-def certified_quadratic(phi, instance) -> bool | None:
-    """None when phi is not the closed-form quadratic of the alternating-play
-    instance; otherwise whether its exact conservation certificate holds.
-
-    ``instance`` is a MapInstance or a RunConfig: only their exact fields
-    kind, payoff and step_sizes are read, so no float map is built.
-    """
-    if not (
+def certified_quadratic(phi, map_instance) -> bool:
+    """Whether phi is the closed form of this alternating-play map. A
+    BipartiteInvariant is built only on a certified step, so such a phi is
+    conserved exactly along every orbit of the map."""
+    return (
         isinstance(phi, BipartiteInvariant)
-        and instance.kind == "alt_play"
-        and phi.payoff.exact == instance.payoff.exact
-        and (phi.eta1, phi.eta2) == instance.step_sizes
-    ):
-        return None
-    return phi._step.certified()
+        and map_instance.kind == "alt_play"
+        and phi.payoff.exact == map_instance.payoff.exact
+        and (phi.eta1, phi.eta2) == map_instance.step_sizes
+    )
 
 
 def verify_conservation_identity(payoff: PayoffData, eta1, eta2) -> bool:
@@ -390,7 +384,8 @@ def verify_conservation_identity(payoff: PayoffData, eta1, eta2) -> bool:
     No division happens. True means M.T H M == g^2 H, so the quadratic is
     constant along every orbit of this instance with zero defect, and
     M M_inv == g^2 I, so backward steps and moves toward t = 0 are exact.
-    Step sizes that are not positive raise ConmotError.
+    Step sizes that are not positive raise ConmotError. A failed certificate
+    is False here, where every other reader of the step refuses it.
     """
     return _IntegerStep(payoff, eta1, eta2).certified()
 
@@ -424,7 +419,7 @@ def conservation_audit(
     for k in checkpoints:
         orbit_exact.advance(min(k, steps) - orbit_exact.position)
         if not orbit_exact.phi_matches_start():
-            defects.append(orbit_exact.phi_defect_float())
+            defects.append(orbit_exact.phi_and_defect_float()[1])
     return ConservationAudit(
         identity_verified=identity,
         steps=steps,
@@ -512,7 +507,7 @@ def difference_log_stats(
         raise ValueError("horizon must be >= 1")
     if np.any(np.max(np.abs(diffs), axis=1) == 0.0):
         raise ValueError("difference vectors must be nonzero")
-    m = _IntegerStep(payoff, eta1, eta2).float_matrices()[0]
+    m = _certified_step(payoff, eta1, eta2).float_matrices()[0]
     tail_start = _tail_start(horizon)
     u, row_e = _pow2_normalised(diffs, axes=1)
     jump, jump_e = _normalised_power(m, tail_start + 1)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dynamics import Orbit
 from .errors import ConmotError, InversionError, RegionError, StepSizeError
-from .exact import BipartiteInvariant, PayoffData, _IntegerStep, certified_quadratic
+from .exact import BipartiteInvariant, PayoffData, _certified_step, certified_quadratic
 from .maps import MapInstance
 from .objectives import validate_step_size_gd, validate_step_size_manifold
 from .rationals import ratio_to_float
@@ -118,7 +118,7 @@ def _series_preconditions(map_instance: MapInstance, objective) -> list[str]:
         if kind == "gd":
             verdict, bound = validate_step_size_gd(obj, eta), "contraction"
         else:
-            verdict, bound = validate_step_size_manifold(obj, eta), "manifold"
+            verdict, bound = validate_step_size_manifold(eta), "manifold"
         if verdict.accepted is False:
             raise StepSizeError(f"step size {float(eta)} fails the {bound} bound {verdict.bound}")
         if verdict.accepted is None:
@@ -312,18 +312,14 @@ def invariance_defect(
 ) -> float:
     """max over k in [1, horizon] of |phi(T^k x) - phi(x)| / (1 + |phi(x)|).
 
-    When phi is the closed-form bipartite quadratic of this exact
-    alternating-play instance the defect is certified in integer arithmetic
-    and is exactly 0.0; a failed certificate is a bug and raises ConmotError.
-    Otherwise the orbit is iterated in float64 and the drift is measured
-    numerically.
+    When phi is the closed-form bipartite quadratic of this alternating-play
+    map the defect is exactly 0.0: phi was built on the certified integer
+    step, which conserves it along every orbit. Otherwise the orbit is
+    iterated in float64 and the drift is measured numerically.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    certified = certified_quadratic(phi, map_instance)
-    if certified is not None:
-        if not certified:
-            raise ConmotError("the exact conservation certificate failed")
+    if certified_quadratic(phi, map_instance):
         return 0.0
     base = float(phi(state))
     if math.isnan(base):
@@ -341,13 +337,13 @@ def dphi_rank(payoff: PayoffData, eta1, eta2) -> tuple[np.ndarray, int]:
 
     Phi is the quadratic form z -> z.T H z / 2 with H = [[2/eta1 I, A],
     [A.T, -2/eta2 I]], so its differential at z is H z and the rank of H
-    counts independent directions of variation. H is the exact engine's
-    integer form over phi_den_unit, each entry correctly rounded. It is
-    nonsingular for positive step sizes, hence the rank equals the full
+    counts independent directions of variation. H is the certified integer
+    form of the exact engine over phi_den_unit, each entry correctly rounded.
+    It is nonsingular for positive step sizes, hence the rank equals the full
     bipartite dimension; singular values below DPHI_RANK_RTOL times the
     largest do not count.
     """
-    step = _IntegerStep(payoff, eta1, eta2)
+    step = _certified_step(payoff, eta1, eta2)
     h = np.array([[ratio_to_float(v, step.phi_den_unit) for v in row] for row in step.h])
     sv = np.linalg.svd(h, compute_uv=False)
     rank = int(np.sum(sv > DPHI_RANK_RTOL * sv[0]))

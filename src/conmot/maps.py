@@ -27,7 +27,7 @@ import numpy as np
 
 from . import state as charts
 from .errors import ChartViolation, RegionError, StepSizeError
-from .exact import PayoffData, _IntegerStep
+from .exact import PayoffData, _certified_step
 from .objectives import ObjectiveSpec, region_contains
 from .rationals import as_fraction
 from .state import Chart, State, renormalize, validate_points
@@ -83,7 +83,7 @@ class MapInstance:
     def alt_play_matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """alt_play's float step M/g and inverse M_inv/g, read from the
         certified integer matrices of the exact engine."""
-        return _IntegerStep(self.payoff, *self.step_sizes).float_matrices()
+        return _certified_step(self.payoff, *self.step_sizes).float_matrices()
 
 
 def gradient_descent(objective: ObjectiveSpec, eta) -> MapInstance:

@@ -276,7 +276,7 @@ def validate_step_size_gd(objective: ObjectiveSpec, step_size) -> StepSizeVerdic
 
 
 def validate_step_size_manifold(
-    objective: ObjectiveSpec, step_size, lipschitz_bound: float | None = None
+    step_size, lipschitz_bound: float | None = None
 ) -> StepSizeVerdict:
     """Accept a sphere-retraction step size iff eta < 1 / L, strictly.
 

@@ -91,7 +91,7 @@ def test_named_levels_are_exact_and_hold_for_ten_thousand_steps():
             for _ in range(10_000):
                 orb.advance()
             assert orb.phi_matches_start()
-            defect = orb.phi_defect_float()
+            defect = orb.phi_and_defect_float()[1]
             assert defect == 0.0
             assert defect <= 1e-6
     elapsed = time.perf_counter() - start

@@ -273,9 +273,9 @@ def _reference_reports(m, pairs, horizon, eps_low=EPS_LOW, eps_high=EPS_HIGH):
                 wx = step(m, wx)
                 wy = step(m, wy)
             except ChartViolation as exc:
-                raise NumericsError(
-                    f"pair orbit left float range at step {t}: {exc}", step_index=t
-                ) from exc
+                error = NumericsError(f"pair orbit left float range at step {t}: {exc}")
+                error.step_index = t
+                raise error from exc
             except ConmotError as exc:
                 exc.step_index = t
                 raise

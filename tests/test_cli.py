@@ -858,6 +858,8 @@ def test_trajectory_matches_library_arithmetic(tmp_path):
 # states of every config: the exact commands must keep these bytes. The scan
 # and classify files were written when the float step was still two shears
 # and the scan matrix was assembled from float products.
+# The figures files of fig1 and fig2 were pinned before BipartiteInvariant
+# read its integer step through the certificate rule.
 PINNED_ALT_PLAY = {
     "square": (("simulate", "invariant"),
                {"map": HYPERBOLIC["map"], "initial_states": [[60, -25], [-20, 2]],
@@ -876,6 +878,20 @@ PINNED_ALT_PLAY = {
                                   "classify": {"x": [60, -25], "y": [-20, 2]}}),
 }
 PINNED_SHA256 = {
+    "fig1_levels_0.csv": "e72928486fb6a98dcadfd182130433729e9b3fdaa441563bb28db7c71d27be11",
+    "fig1_levels_1.csv": "90f15fcc012a83d83d40737bd5c3dcd332faa140745bbcb9a132ff847f49c39e",
+    "fig1_levels_2.csv": "433317438b1341dcf2493f31fe81fb31d0178e7a0733cbf7d08a94c2256fd664",
+    "fig1_orbit_0.csv": "f86c59ab4ee5fbcd54c72bf755108af72e357dbb056540f28fb5f44d0616abf6",
+    "fig1_orbit_1.csv": "49203c510376f0f33a86b95e5a4c2d6d824604afc3b528c807de1e94144d51dd",
+    "fig1_orbit_2.csv": "250389c4a00e8c0d6655bba23cecfc7fa5f8b4f43fae20b695a81acd14443c98",
+    "fig1_summary.json": "e1d0e82ebf6c8e033af00031ff8b6d84c7c801bacf748488afe08b7d41652520",
+    "fig2_levels_0.csv": "8f829f6556d9b1b252c0e3748694c4863b86cb428020c561f25fabf55a322a0f",
+    "fig2_levels_1.csv": "b2dbc80f3ac1daca89b4562e0ed39136e297d70c65bf7ec0fcded7d4f0dede2e",
+    "fig2_levels_2.csv": "22b89ef8aff8df5110cdcd5f50c49463b90e3ed328108812be721394ba775fa3",
+    "fig2_orbit_0.csv": "d09e5f844ad82349a977a5f0fb4cf2e01162158deb02d77e1f7b326b6d610011",
+    "fig2_orbit_1.csv": "6aeb4a8d998e7d3e9a148eccf63417f86defed45f6764b7e6e2bd0245eb4717b",
+    "fig2_orbit_2.csv": "5ec1b625e618b0cb96021d00b9e8159fd4b6ea26ea13d8439a38f7668804175b",
+    "fig2_summary.json": "20264e67e9c04de2710452d9bfe5a89fba4c9a1aed6657f238890b2a3f21bdc9",
     "classify1_classify.json": "29c4df1aec70d22952cce3c5fba6b2123e4305d66fe02551651157f89a0c7151",
     "rect_invariant.json": "314335b89ec7465b5e6e75ee119a8b062bc42d204c84a60dfdac5895b9a69f10",
     "rect_summary.json": "b438ec0c2ea978c3631d190a8082dce6e7064a30ceaa4b21afad85ea993c27f8",
@@ -895,5 +911,7 @@ def test_exact_alt_play_outputs_keep_their_pinned_bytes(tmp_path):
         cfg = write_config(tmp_path, dict(doc, output={"prefix": prefix}), f"{prefix}.json")
         for command in commands:
             assert main(["--config", str(cfg), "--out", str(out), command]) == 0
+    for which in FIGURE_RECIPES:
+        assert main(["figures", which, "--out", str(out)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == PINNED_SHA256

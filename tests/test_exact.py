@@ -1,5 +1,6 @@
 """Exact integer-scaled alternating-play engine and its conservation proofs."""
 
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conmot import exact
 from conmot.chaos import _relative_gap
+from conmot.cli import main
 from conmot.dynamics import inverse_step
 from conmot.errors import ConmotError
 from conmot.exact import (
@@ -18,7 +20,7 @@ from conmot.exact import (
     difference_log_stats,
     verify_conservation_identity,
 )
-from conmot.invariants import BipartiteInvariant, invariance_defect
+from conmot.invariants import BipartiteInvariant, dphi_rank
 from conmot.maps import alternating_play, step
 from conmot.objectives import PayoffData
 from conmot.rationals import ratio_to_float
@@ -75,7 +77,7 @@ def test_invariant_value_is_exactly_conserved_over_long_runs():
     ex.advance(500)
     assert ex.phi_matches_start()
     assert ex.phi_fraction() == 31375
-    assert ex.phi_defect_float() == 0.0
+    assert ex.phi_and_defect_float()[1] == 0.0
     # The coordinates themselves have grown far past float precision.
     assert max(abs(v) for v in ex.xy_float()) > 1e30
 
@@ -313,7 +315,7 @@ def test_mixed_walks_hold_the_integers_of_their_position(game, moves):
     _move(direct, walker.position)
     assert _integers(walker) == _integers(direct)
     assert np.array(walker.xy_float()).tobytes() == np.array(direct.xy_float()).tobytes()
-    assert walker.phi_float() == direct.phi_float()
+    assert walker.phi_and_defect_float() == direct.phi_and_defect_float()
     assert walker.phi_matches_start()
 
 
@@ -326,9 +328,9 @@ def test_phi_reads_its_exact_value_correctly_rounded_at_every_position(game, mov
     for move in [0, *moves]:
         _move(orb, move)
         exact_phi = float(orb.phi_fraction()).hex()
-        assert orb.phi_float().hex() == exact_phi
+        assert orb.phi_and_defect_float()[0].hex() == exact_phi
         assert [v.hex() for v in orb.phi_and_defect_float()] == [exact_phi, (0.0).hex()]
-        assert orb.phi_defect_float() == 0.0
+        assert orb.phi_and_defect_float()[1] == 0.0
 
 
 def test_phi_reads_the_same_floats_without_the_start_level_shortcut(monkeypatch):
@@ -358,7 +360,19 @@ def test_the_closed_form_gap_is_its_exact_rational_rounded_once(game, data):
     gap = _relative_gap(phi, x, y)
     assert gap.hex() == float(abs(a - b) / (1 + max(abs(a), abs(b)))).hex()
     assert _relative_gap(phi, y, x).hex() == gap.hex()
-    assert 0.0 <= gap < 2.0
+    assert 0.0 <= gap <= 2.0
+
+
+def test_the_closed_form_gap_of_opposite_levels_past_2_53_is_two():
+    """Levels -+1.8014400342529364e16: the exact gap is below 2 and rounds to
+    2.0, so 2.0 is the correctly rounded gap, not an overflow."""
+    phi = BipartiteInvariant(PAY, Fraction(3, 256), Fraction(3, 256))
+    x, y = (0.0, 14529496.0), (14529496.0, 0.0)
+    a, b = phi.exact(x), phi.exact(y)
+    assert float(a) == -float(b) == -1.8014400342529364e16
+    exact_gap = abs(a - b) / (1 + max(abs(a), abs(b)))
+    assert exact_gap < 2
+    assert _relative_gap(phi, x, y) == 2.0 == float(exact_gap)
 
 
 @settings(max_examples=25, deadline=None)
@@ -385,20 +399,36 @@ def test_engine_steps_with_the_certified_matrix(game):
     assert fwd.xy_fractions() == x_new + y_new
 
 
-def test_a_failed_certificate_raises(monkeypatch):
+def test_a_failed_certificate_raises(monkeypatch, tmp_path, capsys):
+    """Every reader of the integer step refuses a failed certificate with one
+    message; verify_conservation_identity alone answers False."""
     monkeypatch.setattr(exact._IntegerStep, "certified", lambda self: False)
-    with pytest.raises(ConmotError):
-        ExactAltOrbit(PAY, *ETA, (60, -25))
-    phi = BipartiteInvariant(PAY, *ETA)
-    start = State([60.0, -25.0], bipartite_pair(1, 1))
-    with pytest.raises(ConmotError):
-        invariance_defect(phi, alternating_play(PAY, *ETA), start, 5)
+    message = "the exact conservation certificate failed"
+    readers = [
+        lambda: ExactAltOrbit(PAY, *ETA, (60, -25)),
+        lambda: BipartiteInvariant(PAY, *ETA),
+        lambda: alternating_play(PAY, *ETA).alt_play_matrices,
+        lambda: difference_log_stats(PAY, *ETA, [[1.0, 0.0]], 10),
+        lambda: dphi_rank(PAY, *ETA),
+    ]
+    for read in readers:
+        with pytest.raises(ConmotError, match=f"^{message}$"):
+            read()
+    assert verify_conservation_identity(PAY, *ETA) is False
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "map": {"kind": "alt_play", "payoff": {"matrix": [[1]]}, "step_sizes": ["1/10", "1/5"]},
+        "initial_states": [[60, -25]],
+        "invariant": {"kind": "closed-form"},
+    }))
+    assert main(["--config", str(config), "--out", str(tmp_path / "out"), "invariant"]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_the_orbit_and_the_closed_form_read_the_same_float_at_the_start():
     # A start where a 64-bit leading-window quotient rounded Phi one ulp off.
     x0 = [-11.439523619558951, 18.975829069034646]
-    orbit_phi = ExactAltOrbit(PAY, *ETA, x0).phi_float()
+    orbit_phi = ExactAltOrbit(PAY, *ETA, x0).phi_and_defect_float()[0]
     assert orbit_phi == BipartiteInvariant(PAY, *ETA)(x0) == -708.8578826975653
 
 

@@ -78,6 +78,40 @@ def test_the_check_finds_an_unused_import_and_spares_a_read_or_exported_one():
     assert unused_imports(source) == ["line 2: os", "line 4: dumps", "line 6: mpz"]
 
 
+def calls_by_function(source: str, callee: str) -> list[str]:
+    """The innermost enclosing function of each call of callee, by plain
+    name or as an attribute; "<module>" outside any function."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", getattr(func, "attr", None)) == callee:
+                    found.append(scope)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_integer_step_is_built_only_where_its_certificate_is_decided():
+    """Every reader of M, M_inv or H gets the step from _certified_step, which
+    refuses a failed certificate; verify_conservation_identity is the one
+    read that answers a bool instead."""
+    callers = sorted(f"{path.name}:{scope}" for path in MODULES
+                     for scope in calls_by_function(path.read_text(), "_IntegerStep"))
+    assert callers == ["exact.py:_certified_step", "exact.py:verify_conservation_identity"]
+
+
+def test_the_call_check_finds_every_caller():
+    source = ("x = _IntegerStep(1)\n"
+              "class C:\n    def m(self):\n        return exact._IntegerStep(2)\n"
+              "def f():\n    def g():\n        return _IntegerStep(3)\n    return other(4)\n")
+    assert calls_by_function(source, "_IntegerStep") == ["<module>", "m", "g"]
+
+
 @pytest.mark.parametrize("name", ["errors.py", "rationals.py", "exact.py", "config.py"])
 def test_the_exact_engine_modules_import_numpy_only_inside_functions(name):
     tree = ast.parse((Path(conmot.__file__).parent / name).read_text())

@@ -163,22 +163,21 @@ def test_gd_validator_unverifiable_is_not_a_rejection():
 
 
 def test_manifold_validator_boundary_cases():
-    obj = bump(3)
-    assert validate_step_size_manifold(obj, 0.4, 2.0).accepted is True
-    assert validate_step_size_manifold(obj, 0.5, 2.0).accepted is False
-    v = validate_step_size_manifold(obj, 0.1)
+    assert validate_step_size_manifold(0.4, 2.0).accepted is True
+    assert validate_step_size_manifold(0.5, 2.0).accepted is False
+    v = validate_step_size_manifold(0.1)
     assert v.accepted is None
     assert v.detail == "no pullback Lipschitz bound supplied"
-    flat = validate_step_size_manifold(obj, 100.0, 0.0)
+    flat = validate_step_size_manifold(100.0, 0.0)
     assert (flat.accepted, flat.bound, flat.detail) == (
         True, np.inf, "flat pullbacks, every step size passes")
     with pytest.raises(ValueError, match="lipschitz_bound must be nonnegative"):
-        validate_step_size_manifold(obj, 0.1, -1.0)
+        validate_step_size_manifold(0.1, -1.0)
 
 
 def test_nonpositive_step_sizes_are_rejected_outright():
     assert validate_step_size_gd(quadratic(1), 0.0).accepted is False
-    assert validate_step_size_manifold(bump(2), -0.1, 1.0).accepted is False
+    assert validate_step_size_manifold(-0.1, 1.0).accepted is False
 
 
 def test_bilinear_objective_evaluates_the_pairing():
