@@ -25,8 +25,10 @@ from .state import State
 
 __all__ = [
     "ChaosReport",
+    "pair_statistics",
     "batched_pair_reports",
     "ConfinementReport",
+    "confinement_tally",
     "level_set_confinement",
     "SameOrbitVerdict",
     "same_orbit",
@@ -35,14 +37,15 @@ __all__ = [
 EPS_LOW = 1e-6
 EPS_HIGH = 1e-3
 CONFINEMENT_PRECONDITION_TOL = 1e-9
+CONTINUITY_CAVEAT_KINDS = ("gd", "mwu_exp", "mwu_lin")
 # Norm ratio beyond which a diverging orbit cannot swing back to the target.
 ESCAPE_FACTOR = 1e8
 
 
-def _relative_gap(phi, x: State, y: State) -> float:
-    """|phi(x) - phi(y)| / (1 + max |phi|): symmetric in the pair. For the
-    closed form it is one exact rational rounded once, at most 2 even
-    where phi(x) and phi(y) round to inf; a series uses its two floats."""
+def _relative_gap(phi, x, y) -> float:
+    """|phi(x) - phi(y)| / (1 + max |phi|): symmetric in the pair. For the closed
+    form, on States or coordinate rows, it is one exact rational rounded once,
+    at most 2 even where phi(x) and phi(y) round to inf; a series uses its two floats."""
     if phi is None:
         return math.nan
     if isinstance(phi, BipartiteInvariant):
@@ -103,23 +106,22 @@ def _pair_step(map_instance: MapInstance, xy: list[np.ndarray], t: int) -> list[
 
 
 def _pair_distance_extremes(
-    map_instance: MapInstance, pairs: list, horizon: int, tail_start: int
+    map_instance: MapInstance, z: np.ndarray, horizon: int, tail_start: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Min and max of |T^t x - T^t y| over the tail t > tail_start, per pair.
+    """Min and max of |T^t x - T^t y| over the tail t > tail_start, per pair
+    of z, all points advanced together by one step_points call per time index.
 
-    All points advance together as one (2, B, d) array, one step_points call
-    per time index. If a call fails, the pairs are replayed one after another
-    from t = 1, each through _pair_step, and the first error met is raised:
-    what stepping the pairs one at a time raises first.
+    If a call fails, the pairs are replayed one after another from their rows
+    of z, each through _pair_step from t = 1, and the first error met is
+    raised: what stepping the pairs one at a time raises first.
     """
-    z = np.array([[x.coordinates for x, _ in pairs], [y.coordinates for _, y in pairs]])
-    lo, hi = np.full(len(pairs), math.inf), np.full(len(pairs), -math.inf)
+    start = z
+    lo, hi = np.full(z.shape[1], math.inf), np.full(z.shape[1], -math.inf)
     for t in range(1, horizon + 1):
         try:
             z = step_points(map_instance, z)
         except ConmotError:
-            for x, y in pairs:  # the first pair that fails raises its own error
-                xy = [x.coordinates, y.coordinates]
+            for xy in start.swapaxes(0, 1):  # the first pair that fails raises its own error
                 for s in range(1, horizon + 1):
                     xy = _pair_step(map_instance, xy, s)
             raise
@@ -131,6 +133,40 @@ def _pair_distance_extremes(
     return lo, hi
 
 
+def pair_statistics(
+    map_instance: MapInstance,
+    z: np.ndarray,
+    horizon: int,
+    *,
+    eps_low: float = EPS_LOW,
+    eps_high: float = EPS_HIGH,
+) -> tuple[list, list, list]:
+    """Tail liminf estimates, limsup estimates and verdicts, as three lists,
+    of the pairs (z[0, b], z[1, b]) of a (2, B, d) array of chart rows.
+
+    Alternating play is linear, so a pair distance is its evolved difference
+    vector, read in log space over the tail window alone, at any horizon (see
+    difference_log_stats). The other kinds advance every point together, one
+    vectorised step per time index; each pair's numbers equal those of
+    stepping its two States alone, bit for bit, and a failing step raises
+    what that one-pair loop raises.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    if np.any(np.all(z[0] == z[1], axis=-1)):
+        raise ValueError("the two points of a pair must differ")
+    if map_instance.kind == "alt_play":
+        e1, e2 = map_instance.step_sizes
+        lo, hi = difference_log_stats(map_instance.payoff, e1, e2, z[0] - z[1], horizon)
+        low, high, scale = math.log2(eps_low), math.log2(eps_high), _exp2_safe
+    else:
+        lo, hi = _pair_distance_extremes(map_instance, z, horizon, _tail_start(horizon))
+        low, high, scale = eps_low, eps_high, float
+    lo, hi = lo.tolist(), hi.tolist()
+    return ([scale(v) for v in lo], [scale(v) for v in hi],
+            [_verdict(a, b, low, high) for a, b in zip(lo, hi)])
+
+
 def batched_pair_reports(
     map_instance: MapInstance,
     pairs,
@@ -140,44 +176,25 @@ def batched_pair_reports(
     eps_high: float = EPS_HIGH,
     phi=None,
 ) -> list[ChaosReport]:
-    """Scrambled-pair reports for many pairs, all advanced at once.
-
-    Alternating play is linear, so every pair distance is its evolved
-    difference vector: the batch jumps to the tail window by one product with
-    a power of the step matrix, and the window is read in chunks of batched
-    products with consecutive powers, in log space to any horizon (see
-    difference_log_stats). The other kinds stack
-    every x and y into one array and take one vectorised step per time index;
-    each pair's numbers equal those of stepping its two States alone, bit for
-    bit, and a failing step raises what that one-pair loop raises.
-    """
+    """Scrambled-pair reports for many pairs of States, all advanced at once
+    as one (2, B, d) array by pair_statistics."""
     pairs = list(pairs)
     if not pairs:
         return []
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
     for x, y in pairs:
         if x.chart != map_instance.chart or y.chart != map_instance.chart:
             raise ChartViolation("pair charts must match the map chart")
-        if np.array_equal(x.coordinates, y.coordinates):
-            raise ValueError("the two points of a pair must differ")
+    z = np.array([[x.coordinates for x, _ in pairs], [y.coordinates for _, y in pairs]])
+    stats = pair_statistics(map_instance, z, horizon, eps_low=eps_low, eps_high=eps_high)
     tail_start = _tail_start(horizon)
-    if map_instance.kind == "alt_play":
-        e1, e2 = map_instance.step_sizes
-        diffs = np.stack([x.coordinates - y.coordinates for x, y in pairs])
-        lo, hi = difference_log_stats(map_instance.payoff, e1, e2, diffs, horizon)
-        low, high, scale = math.log2(eps_low), math.log2(eps_high), _exp2_safe
-    else:
-        lo, hi = _pair_distance_extremes(map_instance, pairs, horizon, tail_start)
-        low, high, scale = eps_low, eps_high, float
     return [
         ChaosReport(
             x=x, y=y, horizon=horizon, tail_start=tail_start,
-            liminf_estimate=scale(float(lim_lo)), limsup_estimate=scale(float(lim_hi)),
+            liminf_estimate=lim_lo, limsup_estimate=lim_hi,
             invariant_gap=_relative_gap(phi, x, y), eps_low=eps_low, eps_high=eps_high,
-            verdict=_verdict(float(lim_lo), float(lim_hi), low, high),
+            verdict=verdict,
         )
-        for (x, y), lim_lo, lim_hi in zip(pairs, lo, hi)
+        for (x, y), lim_lo, lim_hi, verdict in zip(pairs, *stats)
     ]
 
 
@@ -223,7 +240,6 @@ def level_set_confinement(
     pairs = list(pairs)
     if reports is not None and len(reports) != len(pairs):
         raise ValueError("reports must match pairs one to one")
-    continuity_caveat = map_instance.kind in ("gd", "mwu_exp", "mwu_lin")
     if not certified_quadratic(phi, map_instance):
         probe_horizon = min(horizon, 50)
         for x, _ in pairs[:3]:
@@ -239,26 +255,35 @@ def level_set_confinement(
                     checked_pairs=0,
                     verdict_counts={},
                     refutations=(),
-                    continuity_caveat=continuity_caveat,
+                    continuity_caveat=map_instance.kind in CONTINUITY_CAVEAT_KINDS,
                 )
 
     if reports is None:
         reports = batched_pair_reports(
             map_instance, pairs, horizon, eps_low=eps_low, eps_high=eps_high, phi=phi
         )
+    verdicts, gaps = [r.verdict for r in reports], [r.invariant_gap for r in reports]
+    return confinement_tally(map_instance, verdicts, gaps, tolerance)
+
+
+def confinement_tally(map_instance: MapInstance, verdicts, gaps, tolerance) -> ConfinementReport:
+    """The completed confinement report of pairs with these verdicts and
+    invariant gaps, in pair order: the verdict counts, and a refutation (pair
+    index, gap) for each scramble-candidate whose gap exceeds ``tolerance``.
+    The caller has discharged the precondition."""
     counts: dict[str, int] = {}
     refutations = []
-    for idx, report in enumerate(reports):
-        counts[report.verdict] = counts.get(report.verdict, 0) + 1
-        if report.verdict == "scramble-candidate" and report.invariant_gap > tolerance:
-            refutations.append((idx, report.invariant_gap))
+    for idx, (verdict, gap) in enumerate(zip(verdicts, gaps, strict=True)):
+        counts[verdict] = counts.get(verdict, 0) + 1
+        if verdict == "scramble-candidate" and gap > tolerance:
+            refutations.append((idx, gap))
     return ConfinementReport(
         status="completed",
         reason="",
-        checked_pairs=len(pairs),
+        checked_pairs=len(verdicts),
         verdict_counts=counts,
         refutations=tuple(refutations),
-        continuity_caveat=continuity_caveat,
+        continuity_caveat=map_instance.kind in CONTINUITY_CAVEAT_KINDS,
     )
 
 

@@ -27,6 +27,7 @@ import marshal
 import math
 import os
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 from importlib import import_module
 from pathlib import Path
@@ -43,6 +44,8 @@ __all__ = ["main", "build_parser"]
 
 SCAN_BOX_HALFWIDTH = 1.0
 SCAN_MIN_RELATIVE_GAP = 1e-3
+# Stands in for the streamed list while the rest of a document is encoded.
+_STREAM_MARK = "\0streamed list\0"
 CLASSIFY_MAX_ITERATIONS = 1000
 
 FIGURE_RECIPES = {
@@ -130,10 +133,26 @@ def _jsonable(obj):
 
 
 def _write_json(path: Path, payload) -> None:
-    """Stream the document to the file: no second copy of it as one string."""
-    doc = _jsonable(payload)
+    """Write json.dump(_jsonable(payload), sort_keys=True, indent=2) and a
+    newline. The one value of a dict payload that is an iterator is written
+    as the list it yields, one entry at a time: each entry is made JSON-safe
+    and encoded at its depth as it comes, so the list is never held whole."""
+    items = payload.items() if isinstance(payload, dict) else ()
+    streamed = [key for key, value in items if isinstance(value, Iterator)]
     with path.open("w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
+        if not streamed:
+            json.dump(_jsonable(payload), fh, sort_keys=True, indent=2)
+        else:
+            (key,) = streamed
+            text = json.dumps(_jsonable({**payload, key: _STREAM_MARK}), sort_keys=True, indent=2)
+            head, tail = text.split(json.dumps(_STREAM_MARK))
+            fh.write(head)
+            sep = "["
+            for entry in payload[key]:  # the list is a top-level value: entries sit 4 deep
+                encoded = json.dumps(_jsonable(entry), sort_keys=True, indent=2)
+                fh.write(sep + "\n    " + encoded.replace("\n", "\n    "))
+                sep = ","
+            fh.write(("[]" if sep == "[" else "\n  ]") + tail)
         fh.write("\n")
 
 
@@ -459,22 +478,24 @@ def cmd_classify(cfg: RunConfig, out_dir: Path) -> int:
 # scan
 
 
-def _sample_scan_state(cfg: RunConfig, rng, halfwidth: float):
-    """One State drawn by the numpy Generator rng: uniform in the box of the
-    given halfwidth on a flat chart, else from the chart's own sampler."""
-    from .state import State, sample_chart
+def _sample_scan_row(chart, rng, halfwidth: float):
+    """One point drawn by the numpy Generator rng, as a coordinate row that
+    passed the chart checks of a State: uniform in the box of the given
+    halfwidth on a flat chart, else from the chart's own sampler."""
+    from .state import sample_chart, validate_points
 
-    chart = cfg.map.chart
     if chart.kind in ("euclidean", "bipartite-pair"):
-        return State(rng.uniform(-halfwidth, halfwidth, chart.dimension), chart)
-    return sample_chart(chart, rng)
+        return validate_points(rng.uniform(-halfwidth, halfwidth, chart.dimension), chart)
+    return sample_chart(chart, rng).coordinates
 
 
 def cmd_scan(cfg: RunConfig, out_dir: Path, seed: int | None) -> int:
+    from array import array
+
     import numpy as np
 
-    from .chaos import EPS_HIGH, EPS_LOW, _relative_gap, batched_pair_reports, level_set_confinement
-    from .exact import BipartiteInvariant
+    from .chaos import EPS_HIGH, EPS_LOW, _relative_gap, confinement_tally, pair_statistics
+    from .exact import BipartiteInvariant, certified_quadratic
 
     spec = cfg.scan_spec
     if spec is None:
@@ -495,50 +516,49 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, seed: int | None) -> int:
     if cfg.kind == "alt_play":
         phi = BipartiteInvariant(cfg.payoff, *cfg.step_sizes)
 
+    chart = cfg.map.chart
     rng = np.random.default_rng(seed)
-    kept, gaps = [], []
+    # Kept pairs are rows in one growing buffer, x then y, and become the
+    # (2, B, d) array of pair_statistics: no pair is ever a State or a report.
+    rows, gaps = array("d"), array("d")
     attempts = 0
     max_attempts = 200 * pairs_wanted
-    while len(kept) < pairs_wanted and attempts < max_attempts:
+    while len(gaps) < pairs_wanted and attempts < max_attempts:
         attempts += 1
-        x = _sample_scan_state(cfg, rng, halfwidth)
-        y = _sample_scan_state(cfg, rng, halfwidth)
-        if np.array_equal(x.coordinates, y.coordinates):
+        x = _sample_scan_row(chart, rng, halfwidth)
+        y = _sample_scan_row(chart, rng, halfwidth)
+        if np.array_equal(x, y):
             continue
         gap = _relative_gap(phi, x, y)  # nan without phi, and nan <= min_gap is False
         if gap <= min_gap:
             continue
-        kept.append((x, y))
+        rows.extend(x)
+        rows.extend(y)
         gaps.append(gap)
-    if len(kept) < pairs_wanted:
+    if len(gaps) < pairs_wanted:
         raise ConmotError(
             f"could not sample {pairs_wanted} cross-level pairs in "
             f"{max_attempts} attempts; widen the box or lower min_relative_gap"
         )
 
-    # Each pair's gap is the filter's: the reports are made without phi.
-    reports = [
-        dataclasses.replace(report, invariant_gap=gap)
-        for report, gap in zip(
-            batched_pair_reports(cfg.map, kept, horizon, eps_low=eps_low, eps_high=eps_high),
-            gaps,
-        )
-    ]
-    counts: dict[str, int] = {}
-    pair_entries = []
-    for idx, report in enumerate(reports):
-        counts[report.verdict] = counts.get(report.verdict, 0) + 1
-        pair_entries.append(
-            {
-                "index": idx,
-                "x": list(report.x.coordinates),
-                "y": list(report.y.coordinates),
-                "liminf_estimate": report.liminf_estimate,
-                "limsup_estimate": report.limsup_estimate,
-                "invariant_gap": report.invariant_gap,
-                "verdict": report.verdict,
-            }
-        )
+    z = np.frombuffer(rows).reshape(-1, 2, chart.dimension).swapaxes(0, 1).copy()
+    liminf, limsup, verdicts = pair_statistics(cfg.map, z, horizon, eps_low=eps_low,
+                                               eps_high=eps_high)
+    # Each pair's gap is the filter's.
+    confinement = confinement_tally(cfg.map, verdicts, gaps, cfg.tolerance)
+    counts = confinement.verdict_counts
+    pair_entries = (
+        {
+            "index": idx,
+            "x": z[0, idx].tolist(),
+            "y": z[1, idx].tolist(),
+            "liminf_estimate": liminf[idx],
+            "limsup_estimate": limsup[idx],
+            "invariant_gap": gaps[idx],
+            "verdict": verdicts[idx],
+        }
+        for idx in range(len(gaps))
+    )
     payload = {
         "map_kind": cfg.kind,
         "seed": seed,
@@ -547,20 +567,16 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, seed: int | None) -> int:
         "eps_high": eps_high,
         "box_halfwidth": halfwidth,
         "min_relative_gap": min_gap,
-        "pairs": len(kept),
+        "pairs": len(gaps),
         "verdict_counts": dict(sorted(counts.items())),
         "pair_reports": pair_entries,
     }
-    if phi is not None:
-        payload["confinement"] = level_set_confinement(
-            cfg.map, phi, kept, horizon,
-            tolerance=cfg.tolerance, eps_low=eps_low, eps_high=eps_high,
-            reports=reports,
-        )
+    if certified_quadratic(phi, cfg.map):  # the precondition of the confinement argument
+        payload["confinement"] = confinement
     path = out_dir / f"{cfg.output_prefix}_scan.json"
     _write_json(path, payload)
     ordered = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-    print(f"scanned {len(kept)} pairs: {ordered}")
+    print(f"scanned {len(gaps)} pairs: {ordered}")
     return 0
 
 

@@ -392,7 +392,10 @@ def verify_conservation_identity(payoff: PayoffData, eta1, eta2) -> bool:
 
 @dataclass(frozen=True)
 class ConservationAudit:
-    """Outcome of an exact conservation run for one alternating-play instance."""
+    """Outcome of an exact conservation run for one alternating-play instance.
+
+    ``identity_verified`` is True on every audit that returns: the orbit is
+    built on the certified step, and a failed certificate raises instead."""
 
     identity_verified: bool
     steps: int
@@ -406,13 +409,13 @@ def conservation_audit(
 ) -> ConservationAudit:
     """Advance an exact orbit and check the quadratic at regular checkpoints.
 
-    The matrix identity already covers every step of every orbit; the
-    checkpoint equalities re-confirm it on this orbit's actual integers. Both
-    are exact, so max_defect is 0.0 whenever conserved is True.
+    The matrix identity, certified once when the orbit is built, already
+    covers every step of every orbit; the checkpoint equalities re-confirm it
+    on this orbit's actual integers. Both are exact, so max_defect is 0.0
+    whenever conserved is True.
     """
     if steps < 0 or check_every < 1:
         raise ValueError("steps must be >= 0 and check_every >= 1")
-    identity = verify_conservation_identity(payoff, eta1, eta2)
     orbit_exact = ExactAltOrbit(payoff, eta1, eta2, xy0)
     checkpoints = range(check_every, steps + check_every, check_every)
     defects = []
@@ -421,7 +424,7 @@ def conservation_audit(
         if not orbit_exact.phi_matches_start():
             defects.append(orbit_exact.phi_and_defect_float()[1])
     return ConservationAudit(
-        identity_verified=identity,
+        identity_verified=True,
         steps=steps,
         checkpoints=len(checkpoints),
         conserved=not defects,

@@ -9,7 +9,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
+from collections.abc import Iterator
 from fractions import Fraction
 
 import numpy as np
@@ -727,6 +729,41 @@ def test_json_outputs_are_the_bytes_of_the_whole_document(tmp_path):
     assert path.read_bytes() == expected.encode()
 
 
+@pytest.mark.parametrize("entries", [
+    [{"z": math.nan, "a": [math.inf, -math.inf, [Fraction(-3, 7), [0.1, []]]]},
+     _Inner(Fraction(1, 3), [{"k": math.nan}, (2.5, None)]), [], 7, "text"],
+    [],
+])
+def test_a_streamed_list_is_written_as_the_whole_document_would_be(tmp_path, entries):
+    """An iterator in the document is written one entry at a time, with the
+    bytes json.dump gives the document that holds the list itself."""
+    payload = {"b": {"c": [1.5, math.nan]}, "list": entries, "z": [], "a": Fraction(1, 2)}
+    path = tmp_path / "doc.json"
+    _write_json(path, dict(payload, list=iter(entries)))
+    expected = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+    assert path.read_bytes() == expected.encode()
+
+
+def _scan_peak_bytes(tmp_path, pairs):
+    doc = dict(HYPERBOLIC, scan={"pairs": pairs, "horizon": 1000, "box_halfwidth": 20.0}, seed=7)
+    cfg = write_config(tmp_path, doc, f"scan{pairs}.json")
+    tracemalloc.start()
+    try:
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "scan"]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_an_alt_play_scan_holds_a_few_floats_per_pair(tmp_path):
+    """Pairs are coordinate rows in one array and the reports are streamed:
+    the traced peak grows by at most 1 KB per extra pair, where two States,
+    two reports and an entry per pair took about 2 KB."""
+    _scan_peak_bytes(tmp_path, 200)  # imports and caches are not per-pair memory
+    small, large = _scan_peak_bytes(tmp_path, 200), _scan_peak_bytes(tmp_path, 2000)
+    assert (large - small) / 1800 <= 1024
+
+
 # One config per map kind with every section a command reads.
 _SECTIONS = {"steps": {"forward": 4, "backward": 2}, "scan": {"pairs": 2, "horizon": 6},
              "seed": 5}
@@ -762,10 +799,21 @@ def _json_leaves(node):
 @pytest.mark.parametrize("kind", sorted(JSON_CONTRACT_DOCS))
 def test_every_command_hands_the_json_writer_python_values_only(tmp_path, monkeypatch, kind):
     """Each JSON document a command writes holds None, bool, int, str,
-    Fraction or float leaves: json.dump takes no numpy value."""
+    Fraction or float leaves: json.dump takes no numpy value. The entries of
+    a list the writer streams are read here and handed on as a new iterator,
+    so their leaves are checked too."""
     payloads = []
-    monkeypatch.setattr(cli, "_write_json",
-                        lambda path, payload: payloads.append(payload) or _write_json(path, payload))
+
+    def capture(path, payload):
+        if isinstance(payload, dict):
+            streamed = {k: list(v) for k, v in payload.items() if isinstance(v, Iterator)}
+            payload = {**payload, **streamed}
+            _write_json(path, {**payload, **{k: iter(v) for k, v in streamed.items()}})
+        else:
+            _write_json(path, payload)
+        payloads.append(payload)
+
+    monkeypatch.setattr(cli, "_write_json", capture)
     doc = dict(_SECTIONS, **JSON_CONTRACT_DOCS[kind])
     doc.setdefault("invariant", {"kind": "series", "truncation": 6, "defect_horizon": 2})
     cfg = write_config(tmp_path, doc)
@@ -859,7 +907,9 @@ def test_trajectory_matches_library_arithmetic(tmp_path):
 # and classify files were written when the float step was still two shears
 # and the scan matrix was assembled from float products.
 # The figures files of fig1 and fig2 were pinned before BipartiteInvariant
-# read its integer step through the certificate rule.
+# read its integer step through the certificate rule. The gd, mwu_exp and
+# rgd_sphere scan files, whose every gap is "nan", were pinned while the scan
+# still held each pair as two States and wrote pair_reports as one list.
 PINNED_ALT_PLAY = {
     "square": (("simulate", "invariant"),
                {"map": HYPERBOLIC["map"], "initial_states": [[60, -25], [-20, 2]],
@@ -876,6 +926,14 @@ PINNED_ALT_PLAY = {
                           "scan": {"pairs": 100, "horizon": 1000, "box_halfwidth": 20}}),
     "classify1": (("classify",), {"map": HYPERBOLIC["map"],
                                   "classify": {"x": [60, -25], "y": [-20, 2]}}),
+    "scan_gd": (("scan",), {"map": {"kind": "gd", "step_size": "0.1",
+                                    "objective": {"name": "double_well", "dimension": 2}},
+                            "seed": 102, "scan": {"pairs": 20, "horizon": 300}}),
+    "scan_mwu_exp": (("scan",), {"map": {**SIMPLEX_3, "blocks": [3, 2],
+                                         "objective": {"name": "quadratic", "dimension": 5}},
+                                 "seed": 103, "scan": {"pairs": 10, "horizon": 300}}),
+    "scan_rgd_sphere": (("scan",), {"map": SPHERE_3, "seed": 104,
+                                    "scan": {"pairs": 20, "horizon": 300}}),
 }
 PINNED_SHA256 = {
     "fig1_levels_0.csv": "e72928486fb6a98dcadfd182130433729e9b3fdaa441563bb28db7c71d27be11",
@@ -898,6 +956,9 @@ PINNED_SHA256 = {
     "rect_trajectory_0.csv": "777ebd1d3e417d3a398ec1ef84245c6547a2a59a154578594b4f099048e56a5e",
     "rect_trajectory_1.csv": "8b3fcfdd7585605bad233d20d824589703ff4b1a4517dab0373dc401726707e0",
     "scan1_scan.json": "e1152cfc49fd84b1af55f16defd06e2ac34392a6ba70131af76d7627c6f57ea7",
+    "scan_gd_scan.json": "2851c75b80a1f59ef15f727c13d0eb3b5bbba876af0a2a44e5f3672b03ddccdb",
+    "scan_mwu_exp_scan.json": "6838f1ddb085d0830d293882d9934e9d2b2fc86cab31c3fb3b466ae080fb08c4",
+    "scan_rgd_sphere_scan.json": "3611c0f8885f7fe489ff8d36df4df398889c32d2046ec604c9b2b0998b4d9d35",
     "square_invariant.json": "dded01cc8c2d5a5089291d6935eb9a5f55923dd5dca5a94602e8569fd18e8f04",
     "square_summary.json": "6abcd795b76e1e81aacdb9fe794afeca2f1804468591789c163b15163a4793f1",
     "square_trajectory_0.csv": "c5bb3c6788ea35324a583de19e5369e32b25f71193d2e1b8f6de68e368a7ce30",

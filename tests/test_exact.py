@@ -99,6 +99,15 @@ def test_conservation_audit_reports_exact_zero_defect():
     assert audit.checkpoints == 5
 
 
+def test_conservation_audit_certifies_the_step_once(monkeypatch):
+    calls = []
+    certified = exact._IntegerStep.certified
+    monkeypatch.setattr(exact._IntegerStep, "certified",
+                        lambda self: calls.append(1) or certified(self))
+    assert conservation_audit(PAY, *ETA, (10, -50), steps=400).identity_verified is True
+    assert len(calls) == 1
+
+
 def test_transition_matrix_matches_the_map_and_has_unit_determinant():
     m, _ = alternating_play(PAY, *ETA).alt_play_matrices
     s = np.array([60.0, -25.0])
