@@ -33,8 +33,8 @@ _EXPORTS = {
                    "gaussian_bump_weight", "InvariantReport", "series_invariant",
                    "series_along_orbit", "make_series_invariant", "invariance_defect",
                    "dphi_rank"),
-    "chaos": ("ChaosReport", "batched_pair_reports", "ConfinementReport",
-              "level_set_confinement", "SameOrbitVerdict", "same_orbit"),
+    "chaos": ("pair_statistics", "ConfinementReport", "confinement_tally", "SameOrbitVerdict",
+              "same_orbit"),
     "config": ("RunConfig", "load_config"),
     "errors": ("ConmotError", "ChartViolation", "StepSizeError", "RegionError",
                "InversionError", "NumericsError", "ConfigError"),

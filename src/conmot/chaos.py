@@ -1,11 +1,14 @@
 """Chaos diagnostics: scrambled pairs, level-set confinement, orbit identity.
 
 A pair is scrambled when its orbits come arbitrarily close infinitely often
-yet also separate beyond a fixed gap infinitely often. On a finite horizon we
-estimate liminf/limsup of the pair distance over a tail window and classify
-conservatively: the scramble-candidate verdict is a flag for closer scrutiny,
-never a proof. A conserved quantity with a nondegenerate differential confines
-orbits to level sets, so candidates whose invariants disagree are refuted.
+yet also separate beyond a fixed gap infinitely often. On a finite horizon
+pair_statistics estimates liminf/limsup of the pair distance over a tail
+window, for a batch of pairs held as one (2, B, d) array of chart rows, and
+classifies conservatively: the scramble-candidate verdict is a flag for closer
+scrutiny, never a proof. A conserved quantity with a nondegenerate
+differential confines orbits to level sets, so confinement_tally refutes the
+candidates whose invariants disagree, once the caller has certified phi for
+the map with exact.certified_quadratic.
 """
 
 from __future__ import annotations
@@ -17,26 +20,21 @@ import numpy as np
 
 from .dynamics import FIXED_POINT_TOL, Orbit, detect_fixed_point
 from .errors import ChartViolation, ConmotError, InversionError, NumericsError, RegionError
-from .exact import BipartiteInvariant, _tail_start, certified_quadratic, difference_log_stats
-from .invariants import invariance_defect
+from .exact import BipartiteInvariant, _tail_start, difference_log_stats
 from .maps import MapInstance, step, step_points
 from .rationals import ratio_to_float
-from .state import State
+from .state import State, validate_points
 
 __all__ = [
-    "ChaosReport",
     "pair_statistics",
-    "batched_pair_reports",
     "ConfinementReport",
     "confinement_tally",
-    "level_set_confinement",
     "SameOrbitVerdict",
     "same_orbit",
 ]
 
 EPS_LOW = 1e-6
 EPS_HIGH = 1e-3
-CONFINEMENT_PRECONDITION_TOL = 1e-9
 CONTINUITY_CAVEAT_KINDS = ("gd", "mwu_exp", "mwu_lin")
 # Norm ratio beyond which a diverging orbit cannot swing back to the target.
 ESCAPE_FACTOR = 1e8
@@ -74,22 +72,6 @@ def _verdict(lim_lo: float, lim_hi: float, low: float, high: float) -> str:
     if lim_lo > low:
         return "separated"
     return "inconclusive"
-
-
-@dataclass(frozen=True)
-class ChaosReport:
-    """Tail statistics of the distance between two orbits."""
-
-    x: State
-    y: State
-    horizon: int
-    tail_start: int
-    liminf_estimate: float
-    limsup_estimate: float
-    invariant_gap: float
-    eps_low: float
-    eps_high: float
-    verdict: str
 
 
 def _pair_step(map_instance: MapInstance, xy: list[np.ndarray], t: int) -> list[np.ndarray]:
@@ -150,9 +132,23 @@ def pair_statistics(
     vectorised step per time index; each pair's numbers equal those of
     stepping its two States alone, bit for bit, and a failing step raises
     what that one-pair loop raises.
+
+    The rows get the chart checks of a State, on a copy, so z is never
+    changed; B = 0 gives three empty lists.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    for name, eps in (("eps_low", eps_low), ("eps_high", eps_high)):
+        if not 0.0 < eps < math.inf:
+            raise ValueError(f"{name} must be positive and finite, not {eps!r}")
+    chart = map_instance.chart
+    z = np.array(z, dtype=float)
+    if z.ndim != 3 or z.shape[0] != 2 or z.shape[2] != chart.dimension:
+        raise ChartViolation(f"pairs have shape {z.shape} but chart {chart.kind} "
+                             f"expects (2, B, {chart.dimension})")
+    if z.shape[1] == 0:
+        return [], [], []
+    validate_points(z, chart)
     if np.any(np.all(z[0] == z[1], axis=-1)):
         raise ValueError("the two points of a pair must differ")
     if map_instance.kind == "alt_play":
@@ -167,37 +163,6 @@ def pair_statistics(
             [_verdict(a, b, low, high) for a, b in zip(lo, hi)])
 
 
-def batched_pair_reports(
-    map_instance: MapInstance,
-    pairs,
-    horizon: int,
-    *,
-    eps_low: float = EPS_LOW,
-    eps_high: float = EPS_HIGH,
-    phi=None,
-) -> list[ChaosReport]:
-    """Scrambled-pair reports for many pairs of States, all advanced at once
-    as one (2, B, d) array by pair_statistics."""
-    pairs = list(pairs)
-    if not pairs:
-        return []
-    for x, y in pairs:
-        if x.chart != map_instance.chart or y.chart != map_instance.chart:
-            raise ChartViolation("pair charts must match the map chart")
-    z = np.array([[x.coordinates for x, _ in pairs], [y.coordinates for _, y in pairs]])
-    stats = pair_statistics(map_instance, z, horizon, eps_low=eps_low, eps_high=eps_high)
-    tail_start = _tail_start(horizon)
-    return [
-        ChaosReport(
-            x=x, y=y, horizon=horizon, tail_start=tail_start,
-            liminf_estimate=lim_lo, limsup_estimate=lim_hi,
-            invariant_gap=_relative_gap(phi, x, y), eps_low=eps_low, eps_high=eps_high,
-            verdict=verdict,
-        )
-        for (x, y), lim_lo, lim_hi, verdict in zip(pairs, *stats)
-    ]
-
-
 @dataclass(frozen=True)
 class ConfinementReport:
     """Outcome of a level-set confinement scan over a batch of pairs."""
@@ -210,67 +175,14 @@ class ConfinementReport:
     continuity_caveat: bool
 
 
-def level_set_confinement(
-    map_instance: MapInstance,
-    phi,
-    pairs,
-    horizon: int,
-    *,
-    tolerance: float = 1e-9,
-    eps_low: float = EPS_LOW,
-    eps_high: float = EPS_HIGH,
-    reports: list[ChaosReport] | None = None,
-) -> ConfinementReport:
-    """Scan pairs for scramble candidates that would cross level sets.
-
-    Precondition: phi must actually be conserved by this map. For the
-    closed-form quadratic under its own alternating-play instance that is
-    discharged by the exact matrix identity; for anything else the drift is
-    sampled on a few tested orbits first. A failed precondition produces a
-    skipped report rather than classifications that would mean nothing.
-
-    A scramble-candidate whose invariant gap exceeds ``tolerance`` is recorded
-    as a refutation: the pair cannot be scrambled if phi is conserved and
-    continuous, so either the map is not the one phi belongs to or the
-    finite-horizon verdict is noise.
-
-    Pass precomputed ``reports`` (one per pair, same order, evaluated with
-    this phi) to avoid re-running the pair orbits.
-    """
-    pairs = list(pairs)
-    if reports is not None and len(reports) != len(pairs):
-        raise ValueError("reports must match pairs one to one")
-    if not certified_quadratic(phi, map_instance):
-        probe_horizon = min(horizon, 50)
-        for x, _ in pairs[:3]:
-            defect = invariance_defect(phi, map_instance, x, probe_horizon)
-            if not defect <= CONFINEMENT_PRECONDITION_TOL:
-                return ConfinementReport(
-                    status="skipped",
-                    reason=(
-                        "phi is not conserved under this map: sampled drift "
-                        f"{defect:.3e} over {probe_horizon} steps exceeds "
-                        f"{CONFINEMENT_PRECONDITION_TOL:.0e}"
-                    ),
-                    checked_pairs=0,
-                    verdict_counts={},
-                    refutations=(),
-                    continuity_caveat=map_instance.kind in CONTINUITY_CAVEAT_KINDS,
-                )
-
-    if reports is None:
-        reports = batched_pair_reports(
-            map_instance, pairs, horizon, eps_low=eps_low, eps_high=eps_high, phi=phi
-        )
-    verdicts, gaps = [r.verdict for r in reports], [r.invariant_gap for r in reports]
-    return confinement_tally(map_instance, verdicts, gaps, tolerance)
-
-
 def confinement_tally(map_instance: MapInstance, verdicts, gaps, tolerance) -> ConfinementReport:
     """The completed confinement report of pairs with these verdicts and
     invariant gaps, in pair order: the verdict counts, and a refutation (pair
     index, gap) for each scramble-candidate whose gap exceeds ``tolerance``.
-    The caller has discharged the precondition."""
+
+    Precondition: phi is conserved by this map, which the caller establishes
+    with exact.certified_quadratic(phi, map_instance). Without it the counts
+    mean nothing, since orbits need not stay on their levels."""
     counts: dict[str, int] = {}
     refutations = []
     for idx, (verdict, gap) in enumerate(zip(verdicts, gaps, strict=True)):

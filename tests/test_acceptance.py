@@ -12,10 +12,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from conmot.chaos import batched_pair_reports, level_set_confinement
+from conmot.chaos import confinement_tally, pair_statistics
 from conmot.cli import main
 from conmot.dynamics import inverse_step
-from conmot.exact import ExactAltOrbit, conservation_audit
+from conmot.exact import ExactAltOrbit, certified_quadratic, conservation_audit
 from conmot.invariants import (
     BipartiteInvariant,
     constant_weight,
@@ -229,33 +229,25 @@ def test_cross_level_pairs_never_look_scrambled():
     phi = BipartiteInvariant(payoff, eta1, eta2)
 
     rng = np.random.default_rng(2026)
-    pairs = []
+    pairs, gaps = [], []
     while len(pairs) < 1000:
         x = State(rng.uniform(-20.0, 20.0, 2), map_instance.chart)
         y = State(rng.uniform(-20.0, 20.0, 2), map_instance.chart)
         px, py = phi(x), phi(y)
-        if abs(px - py) / (1.0 + max(abs(px), abs(py))) <= 1e-3:
+        gap = abs(px - py) / (1.0 + max(abs(px), abs(py)))
+        if gap <= 1e-3:
             continue
         pairs.append((x, y))
+        gaps.append(gap)
 
-    reports = batched_pair_reports(
-        map_instance, pairs, 10_000, eps_low=1e-6, eps_high=1e-3, phi=phi
-    )
-    assert len(reports) == 1000
-    verdicts = {report.verdict for report in reports}
-    assert "scramble-candidate" not in verdicts
-    assert all(report.liminf_estimate > 1e-6 for report in reports)
+    z = np.array([[x.coordinates for x, _ in pairs], [y.coordinates for _, y in pairs]])
+    liminf, _, verdicts = pair_statistics(map_instance, z, 10_000, eps_low=1e-6, eps_high=1e-3)
+    assert len(verdicts) == 1000
+    assert "scramble-candidate" not in set(verdicts)
+    assert all(estimate > 1e-6 for estimate in liminf)
 
-    confinement = level_set_confinement(
-        map_instance,
-        phi,
-        pairs,
-        10_000,
-        tolerance=1e-9,
-        eps_low=1e-6,
-        eps_high=1e-3,
-        reports=reports,
-    )
+    assert certified_quadratic(phi, map_instance)
+    confinement = confinement_tally(map_instance, verdicts, gaps, 1e-9)
     assert confinement.status == "completed"
     assert confinement.checked_pairs == 1000
     assert confinement.refutations == ()

@@ -12,12 +12,13 @@ from conmot.chaos import (
     EPS_HIGH,
     EPS_LOW,
     _exp2_safe,
-    batched_pair_reports,
-    level_set_confinement,
+    _relative_gap,
+    confinement_tally,
+    pair_statistics,
     same_orbit,
 )
 from conmot.errors import ChartViolation, ConmotError, NumericsError, RegionError, StepSizeError
-from conmot.exact import difference_log_stats
+from conmot.exact import _tail_start, certified_quadratic, difference_log_stats
 from conmot.invariants import BipartiteInvariant
 from conmot.maps import (
     alternating_play,
@@ -46,54 +47,62 @@ def _bp(x, y):
     return State([float(x), float(y)], bipartite_pair(1, 1))
 
 
+def _stack(pairs):
+    """The (2, B, d) array of chart rows that pair_statistics reads: the x
+    points of the pairs, then their y points."""
+    return np.array([[x.coordinates for x, _ in pairs], [y.coordinates for _, y in pairs]])
+
+
+def _pair_reports(m, pairs, horizon, **eps):
+    """(liminf, limsup, verdict) per pair, from one pair_statistics call."""
+    return list(zip(*pair_statistics(m, _stack(pairs), horizon, **eps), strict=True))
+
+
 def test_identical_points_are_rejected():
     with pytest.raises(ValueError):
-        batched_pair_reports(_alt(), [(_bp(1, 2), _bp(1, 2))], 100)
+        pair_statistics(_alt(), _stack([(_bp(1, 2), _bp(1, 2))]), 100)
 
 
 def test_gd_contraction_pairs_converge():
     m = gradient_descent(quadratic(2), 0.5)
     x = State([1.0, 0.0], euclidean(2))
     y = State([0.0, 1.0], euclidean(2))
-    rep = batched_pair_reports(m, [(x, y)], 400)[0]
-    assert rep.verdict == "converging-pair"
-    assert rep.limsup_estimate <= 1e-6
-    assert rep.liminf_estimate <= rep.limsup_estimate
+    ((liminf, limsup, verdict),) = _pair_reports(m, [(x, y)], 400)
+    assert verdict == "converging-pair"
+    assert limsup <= 1e-6
+    assert liminf <= limsup
 
 
 def test_cross_level_alt_play_pair_is_never_a_scramble_candidate():
-    rep = batched_pair_reports(
-        _alt(), [(_bp(60, -25), _bp(10, -50))], 10_000, phi=_phi()
-    )[0]
-    assert rep.verdict != "scramble-candidate"
-    assert rep.liminf_estimate > 1e-6
-    assert rep.invariant_gap > 0.0
+    x, y = _bp(60, -25), _bp(10, -50)
+    ((liminf, _, verdict),) = _pair_reports(_alt(), [(x, y)], 10_000)
+    assert verdict != "scramble-candidate"
+    assert liminf > 1e-6
+    assert _relative_gap(_phi(), x, y) > 0.0
 
 
 def test_separated_pairs_on_growing_orbits():
-    rep = batched_pair_reports(_alt(), [(_bp(60, -25), _bp(60.5, -25))], 2000)[0]
-    assert rep.verdict == "separated"
-    assert rep.tail_start == 2000 - 400
+    ((_, _, verdict),) = _pair_reports(_alt(), [(_bp(60, -25), _bp(60.5, -25))], 2000)
+    assert verdict == "separated"
+    assert _tail_start(2000) == 2000 - 400
 
 
 def test_estimate_is_symmetric_in_the_pair():
     x, y = _bp(60, -25), _bp(10, -50)
-    a = batched_pair_reports(_alt(), [(x, y)], 500, phi=_phi())[0]
-    b = batched_pair_reports(_alt(), [(y, x)], 500, phi=_phi())[0]
-    assert a.liminf_estimate == b.liminf_estimate
-    assert a.limsup_estimate == b.limsup_estimate
-    assert a.invariant_gap == b.invariant_gap
-    assert a.verdict == b.verdict
+    (a,) = _pair_reports(_alt(), [(x, y)], 500)
+    (b,) = _pair_reports(_alt(), [(y, x)], 500)
+    assert a == b
+    assert _relative_gap(_phi(), x, y) == _relative_gap(_phi(), y, x)
 
 
 def test_batched_reports_match_single_pair_calls():
     pairs = [(_bp(60, -25), _bp(10, -50)), (_bp(1, 1), _bp(2, -1))]
-    batch = batched_pair_reports(_alt(), pairs, 300, phi=_phi())
-    for (x, y), rep in zip(pairs, batch):
-        single = batched_pair_reports(_alt(), [(x, y)], 300, phi=_phi())[0]
-        assert rep.verdict == single.verdict
-        assert rep.liminf_estimate == pytest.approx(single.liminf_estimate, rel=1e-9)
-        assert rep.limsup_estimate == pytest.approx(single.limsup_estimate, rel=1e-9)
+    batch = _pair_reports(_alt(), pairs, 300)
+    for (x, y), (liminf, limsup, verdict) in zip(pairs, batch, strict=True):
+        ((single_inf, single_sup, single_verdict),) = _pair_reports(_alt(), [(x, y)], 300)
+        assert verdict == single_verdict
+        assert liminf == pytest.approx(single_inf, rel=1e-9)
+        assert limsup == pytest.approx(single_sup, rel=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -105,11 +114,69 @@ def test_estimates_are_infinite_only_where_the_power_overflows(log2_value, expec
 
 
 def test_the_tracer_indexed_arguments_keep_their_positions():
-    """perfbench/tracer.py counts pair-steps from positional arguments: diffs
-    and horizon of difference_log_stats, pairs and horizon of
-    batched_pair_reports. Moving them would zero its counts silently."""
+    """perfbench/tracer.py counts pair-steps from positional arguments, diffs
+    and horizon of difference_log_stats. Moving them would zero its counts
+    silently."""
     assert list(inspect.signature(difference_log_stats).parameters)[3:5] == ["diffs", "horizon"]
-    assert list(inspect.signature(batched_pair_reports).parameters)[1:3] == ["pairs", "horizon"]
+
+
+def _one_map_per_kind():
+    return [
+        gradient_descent(quadratic(2), 0.5),
+        mwu_exponential(quadratic(2), 0.1, (2,)),
+        _alt(),
+        sphere_rgd(linear([1.0, 2.0, 3.0]), 0.1),
+    ]
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 3), (2, 1, 1), (1, 1, 2), (2, 2), (3, 1, 2)])
+def test_pair_rows_of_the_wrong_shape_raise_a_chart_violation(shape):
+    m = gradient_descent(quadratic(2), 0.5)
+    z = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
+    with pytest.raises(ChartViolation, match=r"expects \(2, B, 2\)"):
+        pair_statistics(m, z, 10)
+
+
+@pytest.mark.parametrize("m, bad", [
+    (mwu_exponential(quadratic(2), 0.1, (2,)), [0.3, 0.5]),  # sums to 0.8
+    (mwu_exponential(quadratic(2), 0.1, (2,)), [1.2, -0.2]),
+    (sphere_rgd(linear([1.0, 2.0, 3.0]), 0.1), [2.0, 0.0, 0.0]),
+    (gradient_descent(quadratic(2), 0.5), [math.nan, 0.0]),
+])
+def test_a_row_off_the_chart_raises_a_chart_violation(m, bad):
+    good = sample_chart(m.chart, np.random.default_rng(3)).coordinates
+    for z in ([[good], [bad]], [[bad], [good]]):
+        with pytest.raises(ChartViolation):
+            pair_statistics(m, np.array(z), 10)
+
+
+def test_the_chart_checks_run_on_a_copy_of_the_rows():
+    """A tiny negative weight is clamped to 0 as a State clamps it, in the
+    rows that are stepped, while the caller's array keeps it."""
+    m = mwu_exponential(quadratic(2), 0.1, (2,))
+    chart = m.chart
+    z = np.array([[[-1e-17, 1.0]], [[0.4, 0.6]]])
+    before = z.copy()
+    got = pair_statistics(m, z, 20)
+    assert np.array_equal(z, before)
+    pairs = [(State(z[0, 0], chart), State(z[1, 0], chart))]
+    assert pairs[0][0].coordinates[0] == 0.0
+    assert got == pair_statistics(m, _stack(pairs), 20)
+
+
+@pytest.mark.parametrize("m", _one_map_per_kind(), ids=lambda m: m.kind)
+def test_an_empty_batch_gives_three_empty_lists(m):
+    assert pair_statistics(m, np.empty((2, 0, m.chart.dimension)), 10) == ([], [], [])
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-6, math.inf, math.nan])
+@pytest.mark.parametrize("which", ["eps_low", "eps_high"])
+def test_thresholds_must_be_positive_and_finite_on_every_kind(which, eps):
+    rng = np.random.default_rng(5)
+    for m in _one_map_per_kind():
+        z = np.array([[sample_chart(m.chart, rng).coordinates] for _ in "xy"])
+        with pytest.raises(ValueError, match=f"^{which} must be positive and finite"):
+            pair_statistics(m, z, 10, **{which: eps})
 
 
 def test_confinement_scan_completes_on_the_certified_instance():
@@ -123,39 +190,14 @@ def test_confinement_scan_completes_on_the_certified_instance():
         pa, pb = phi(a), phi(b)
         if abs(pa - pb) / (1.0 + max(abs(pa), abs(pb))) > 1e-3:
             pairs.append((a, b))
-    rep = level_set_confinement(m, phi, pairs, 2000)
+    assert certified_quadratic(phi, m)
+    _, _, verdicts = pair_statistics(m, _stack(pairs), 2000)
+    rep = confinement_tally(m, verdicts, [_relative_gap(phi, x, y) for x, y in pairs], 1e-9)
     assert rep.status == "completed"
     assert rep.checked_pairs == 40
     assert rep.refutations == ()
     assert rep.continuity_caveat is False
     assert sum(rep.verdict_counts.values()) == 40
-
-
-def test_confinement_skips_when_phi_does_not_belong_to_the_map():
-    """The bipartite quadratic drifts under gradient descent, so the scan
-    must refuse to classify rather than report meaningless verdicts."""
-    m = gradient_descent(quadratic(2), 0.1)
-    phi = _phi()
-    pairs = [
-        (State([1.0, 0.0], euclidean(2)), State([0.0, 1.0], euclidean(2))),
-        (State([2.0, 0.0], euclidean(2)), State([0.0, 2.0], euclidean(2))),
-        (State([1.0, 1.0], euclidean(2)), State([3.0, 1.0], euclidean(2))),
-    ]
-    rep = level_set_confinement(m, phi, pairs, 50)
-    assert rep.status == "skipped"
-    assert "not conserved" in rep.reason
-    assert rep.checked_pairs == 0
-
-
-def test_confinement_reuses_precomputed_reports():
-    m = _alt()
-    phi = _phi()
-    pairs = [(_bp(60, -25), _bp(10, -50))]
-    reports = batched_pair_reports(m, pairs, 500, phi=phi)
-    rep = level_set_confinement(m, phi, pairs, 500, reports=reports)
-    assert rep.status == "completed"
-    with pytest.raises(ValueError):
-        level_set_confinement(m, phi, pairs, 500, reports=reports * 2)
 
 
 def test_orbit_signature_gap():
@@ -334,13 +376,13 @@ def test_batched_reports_equal_the_one_pair_loop_bit_for_bit(kind, dim, rate, se
     pairs = _sample_pairs(m, seed, count)
     # Thresholds near the typical tail distances exercise every verdict.
     eps_low, eps_high = 1e-3, 1e-1
-    batch = batched_pair_reports(m, pairs, horizon, eps_low=eps_low, eps_high=eps_high)
+    batch = _pair_reports(m, pairs, horizon, eps_low=eps_low, eps_high=eps_high)
     reference = _reference_reports(m, pairs, horizon, eps_low, eps_high)
-    for rep, (lo, hi, verdict) in zip(batch, reference, strict=True):
-        assert rep.liminf_estimate.hex() == lo.hex()
-        assert rep.limsup_estimate.hex() == hi.hex()
-        assert rep.verdict == verdict
-        assert rep.tail_start == horizon - max(1, horizon // 5)
+    for (liminf, limsup, verdict), (lo, hi, want) in zip(batch, reference, strict=True):
+        assert liminf.hex() == lo.hex()
+        assert limsup.hex() == hi.hex()
+        assert verdict == want
+    assert _tail_start(horizon) == horizon - max(1, horizon // 5)
 
 
 def _raised(call):
@@ -372,7 +414,7 @@ def test_region_exit_raises_the_region_error_of_the_loop():
     pairs = [(_pt(0.3), _pt(-0.3)), (_pt(1.2), _pt(0.1)), (_pt(0.0), _pt(0.05))]
     want = _raised(lambda: _reference_reports(m, pairs, 40))
     assert (want[0], want[2]) == (RegionError, 6)
-    assert _raised(lambda: batched_pair_reports(m, pairs, 40)) == want
+    assert _raised(lambda: pair_statistics(m, _stack(pairs), 40)) == want
 
 
 def test_a_later_pair_failing_earlier_does_not_mask_an_earlier_pair():
@@ -383,7 +425,7 @@ def test_a_later_pair_failing_earlier_does_not_mask_an_earlier_pair():
     with np.errstate(over="ignore", invalid="ignore"):
         want = _raised(lambda: _reference_reports(m, pairs, 40))
         with pytest.raises(NumericsError) as info:
-            batched_pair_reports(m, pairs, 40)
+            pair_statistics(m, _stack(pairs), 40)
     assert want == (NumericsError,
                     "pair orbit left float range at step 7: state coordinates must be finite", 7)
     assert (type(info.value), str(info.value), info.value.step_index) == want
@@ -414,5 +456,5 @@ def test_mwu_lin_rate_too_large_raises_the_step_size_error_of_the_lowest_failing
     second = _raised(lambda: _reference_reports(m, pairs[1:], 30))
     assert first[0] is second[0] is StepSizeError
     assert first[1] != second[1]
-    assert _raised(lambda: batched_pair_reports(m, pairs, 30)) == first
-    assert _raised(lambda: batched_pair_reports(m, pairs[1:], 30)) == second
+    assert _raised(lambda: pair_statistics(m, _stack(pairs), 30)) == first
+    assert _raised(lambda: pair_statistics(m, _stack(pairs[1:]), 30)) == second
