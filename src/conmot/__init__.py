@@ -25,7 +25,7 @@ _EXPORTS = {
                    "double_well", "bump", "linear", "bilinear", "validate_step_size_gd",
                    "validate_step_size_manifold"),
     "maps": ("MAP_KINDS", "MapInstance", "gradient_descent", "mwu_exponential", "mwu_linear",
-             "alternating_play", "sphere_rgd", "step", "step_with_defect", "descent_check"),
+             "alternating_play", "sphere_rgd", "step_points", "descent_check"),
     "dynamics": ("Orbit", "inverse_step", "detect_fixed_point"),
     "exact": ("PayoffData", "ExactAltOrbit", "BipartiteInvariant", "ConservationAudit",
               "conservation_audit", "verify_conservation_identity", "difference_log_stats"),

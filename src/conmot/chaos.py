@@ -21,9 +21,9 @@ import numpy as np
 from .dynamics import FIXED_POINT_TOL, Orbit, detect_fixed_point
 from .errors import ChartViolation, ConmotError, InversionError, NumericsError, RegionError
 from .exact import BipartiteInvariant, _tail_start, difference_log_stats
-from .maps import MapInstance, step, step_points
+from .maps import MapInstance, step_points
 from .rationals import ratio_to_float
-from .state import State, validate_points
+from .state import State, on_chart, validate_points
 
 __all__ = [
     "pair_statistics",
@@ -74,19 +74,6 @@ def _verdict(lim_lo: float, lim_hi: float, low: float, high: float) -> str:
     return "inconclusive"
 
 
-def _pair_step(map_instance: MapInstance, xy: list[np.ndarray], t: int) -> list[np.ndarray]:
-    """One pair stepped as two States; a chart failure becomes a NumericsError,
-    and every failure gets step index t."""
-    try:
-        try:
-            return [step(map_instance, State(v, map_instance.chart)).coordinates for v in xy]
-        except ChartViolation as exc:
-            raise NumericsError(f"pair orbit left float range at step {t}: {exc}") from exc
-    except ConmotError as exc:
-        exc.step_index = t
-        raise
-
-
 def _pair_distance_extremes(
     map_instance: MapInstance, z: np.ndarray, horizon: int, tail_start: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -94,18 +81,27 @@ def _pair_distance_extremes(
     of z, all points advanced together by one step_points call per time index.
 
     If a call fails, the pairs are replayed one after another from their rows
-    of z, each through _pair_step from t = 1, and the first error met is
-    raised: what stepping the pairs one at a time raises first.
+    of z, x before y, one row per step_points call for t = 1, 2, ..., and the
+    first error met is raised with step index t: what stepping the pairs one
+    at a time raises first. There a chart failure becomes a NumericsError.
     """
     start = z
     lo, hi = np.full(z.shape[1], math.inf), np.full(z.shape[1], -math.inf)
     for t in range(1, horizon + 1):
         try:
-            z = step_points(map_instance, z)
+            z, _ = step_points(map_instance, z)
         except ConmotError:
             for xy in start.swapaxes(0, 1):  # the first pair that fails raises its own error
                 for s in range(1, horizon + 1):
-                    xy = _pair_step(map_instance, xy, s)
+                    try:
+                        xy = [step_points(map_instance, v)[0] for v in xy]
+                    except ChartViolation as exc:
+                        error = NumericsError(f"pair orbit left float range at step {s}: {exc}")
+                        error.step_index = s
+                        raise error from exc
+                    except ConmotError as exc:
+                        exc.step_index = s
+                        raise
             raise
         if t > tail_start:
             diff = z[0] - z[1]
@@ -229,8 +225,7 @@ def same_orbit(
     """
     if max_iterations < 0:
         raise ValueError("max_iterations must be nonnegative")
-    if x.chart != map_instance.chart or y.chart != map_instance.chart:
-        raise ChartViolation("state chart does not match map chart")
+    xc, yc = on_chart(x, map_instance.chart), on_chart(y, map_instance.chart)
     gap = max((_relative_gap(phi, x, y) for phi in phis), default=0.0)
     if gap > tolerance:
         return SameOrbitVerdict(
@@ -250,13 +245,14 @@ def same_orbit(
 
     # Two distinct fixed points sit on two distinct constant orbits.
     orb = Orbit(map_instance, x)
-    if x.distance_to(orb[1]) <= FIXED_POINT_TOL and detect_fixed_point(map_instance, y):
+    x_fixed = float(np.linalg.norm(xc - orb[1])) <= FIXED_POINT_TOL
+    if x_fixed and detect_fixed_point(map_instance, y):
         return SameOrbitVerdict(
             answer="no", index=None, closest_approach=closest,
             invariant_gap=gap, search_mode="fixed-points",
         )
 
-    escape_norm = (1.0 + float(np.linalg.norm(y.coordinates))) * ESCAPE_FACTOR
+    escape_norm = (1.0 + float(np.linalg.norm(yc))) * ESCAPE_FACTOR
     search_mode = "bidirectional"
 
     # Walk forward, then backward; a failed inverse leaves only the forward half.
@@ -268,14 +264,14 @@ def same_orbit(
             except stops:
                 search_mode = mode_on_stop
                 break
-            d = walker.distance_to(y)
+            d = float(np.linalg.norm(walker - yc))
             closest = min(closest, d)
             if d <= tolerance:
                 return SameOrbitVerdict(
                     answer="yes", index=sign * k, closest_approach=d,
                     invariant_gap=gap, search_mode=search_mode,
                 )
-            if float(np.linalg.norm(walker.coordinates)) > escape_norm:
+            if float(np.linalg.norm(walker)) > escape_norm:
                 break
 
     return SameOrbitVerdict(

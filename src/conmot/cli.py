@@ -349,10 +349,10 @@ def _float_rows(cfg: RunConfig, index: int):
     obj = cfg.map.objective
     rows = []
     for t, phi_t in zip(ts, phis):
-        state = orb[t]
-        f_val = float(obj.evaluate(state.coordinates)) if obj is not None else math.nan
+        row = orb[t]
+        f_val = float(obj.evaluate(row)) if obj is not None else math.nan
         defect = 0.0 if t == 0 and series is not None else abs(phi_t - phi0) / scale
-        rows.append((t, state.coordinates, f_val, phi_t, defect))
+        rows.append((t, row, f_val, phi_t, defect))
     return rows, ts
 
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ChartViolation, ConmotError, InversionError, RegionError
-from .maps import MapInstance, _raw_step, gd_step, rgd_sphere_step, step_jacobian, step_with_defect
+from .errors import ConmotError, InversionError, RegionError
+from .maps import MapInstance, _raw_step, gd_step, rgd_sphere_step, step_jacobian, step_points
 from .objectives import nearest_region_point, region_contains
-from .state import Chart, State, renormalize, tangent_frame
+from .state import Chart, State, on_chart, renormalize, tangent_frame, validate_points
 
 __all__ = [
     "Orbit",
@@ -110,74 +110,76 @@ def _newton(map_instance: MapInstance, target: np.ndarray) -> np.ndarray:
     )
 
 
-def inverse_step(map_instance: MapInstance, x: State) -> State:
-    """T^{-1}(x): the unique preimage on the working region.
+def inverse_step(map_instance: MapInstance, row: np.ndarray) -> np.ndarray:
+    """T^{-1}(row): the unique preimage on the working region, as a new row.
 
     Alternating play is one product with M_inv/g; the other kinds run damped
     Newton to NEWTON_TOLERANCE on the forward residual. Raises InversionError
     when the solve stalls and RegionError when the preimage leaves a declared
-    region and the region's nearest point does not step to x within
-    NEWTON_TOLERANCE.
+    region and the region's nearest point does not step to row within
+    NEWTON_TOLERANCE. The preimage gets the chart checks of a State.
     """
-    if x.chart != map_instance.chart:
-        raise ChartViolation("state chart does not match map chart")
     if map_instance.kind == "alt_play":
-        prev = map_instance.alt_play_matrices[1] @ x.coordinates
+        prev = map_instance.alt_play_matrices[1] @ row
     else:
-        prev = _newton(map_instance, x.coordinates)
+        prev = _newton(map_instance, row)
     region = map_instance.objective.region if map_instance.kind == "gd" else None
     if not region_contains(region, prev):
         # A start on the boundary can converge a rounding past it: take the
-        # nearest region point when it still steps to x within the tolerance.
+        # nearest region point when it still steps to row within the tolerance.
         prev = nearest_region_point(region, prev)
         if not (region_contains(region, prev)
-                and _norm(_raw_step(map_instance, prev) - x.coordinates) <= NEWTON_TOLERANCE):
+                and _norm(_raw_step(map_instance, prev) - row) <= NEWTON_TOLERANCE):
             raise RegionError("backward step left the objective's declared region")
     prev, _ = renormalize(prev, map_instance.chart)
-    return State(prev, map_instance.chart)
+    return validate_points(prev, map_instance.chart)
 
 
 class Orbit:
     """The two-sided orbit through origin, built lazily and kept by signed index.
 
-    orb[n] is T^n(origin). Forward reads step with step_with_defect and keep
-    each step's chart defect; backward reads run inverse_step. Each state is
-    computed once. A failed step sets the error's step_index to the index it
-    could not compute; each side keeps that first failure and raises it again
-    on any later read past it, without solving again.
+    orb[n] is T^n(origin) as a read-only float64 row; orb[0] is the origin's
+    coordinates. Forward reads run step_points and keep each step's chart
+    defect in orb.defects; backward reads run inverse_step. Each row is
+    computed once and kept in orb.rows. A failed step sets the error's
+    step_index to the index it could not compute; each side keeps that first
+    failure and raises it again on any later read past it, without solving
+    again.
     """
 
     def __init__(self, map_instance: MapInstance, origin: State) -> None:
         self.map, self.origin = map_instance, origin
-        self.states, self.defects = {0: origin}, {}
+        self.rows, self.defects = {0: on_chart(origin, map_instance.chart)}, {}
         self.first = self.last = 0  # the stored indices run from first to last
         self._failures: dict[bool, ConmotError] = {}
 
-    def __getitem__(self, n: int) -> State:
-        if n in self.states:
-            return self.states[n]
+    def __getitem__(self, n: int) -> np.ndarray:
+        if n in self.rows:
+            return self.rows[n]
         forward = n > 0
         if forward in self._failures:
             raise self._failures[forward]
         try:
             while self.last < n:
-                nxt, defect = step_with_defect(self.map, self.states[self.last])
+                nxt, defect = step_points(self.map, self.rows[self.last])
+                nxt.setflags(write=False)
                 self.last += 1
-                self.states[self.last], self.defects[self.last] = nxt, defect
+                self.rows[self.last], self.defects[self.last] = nxt, defect
             while self.first > n:
-                prev = inverse_step(self.map, self.states[self.first])
+                prev = inverse_step(self.map, self.rows[self.first])
+                prev.setflags(write=False)
                 self.first -= 1
-                self.states[self.first] = prev
+                self.rows[self.first] = prev
         except ConmotError as exc:
             exc.step_index = self.last + 1 if forward else self.first - 1
             self._failures[forward] = exc
             raise
-        return self.states[n]
+        return self.rows[n]
 
     def _run(self, sign: int, n: int) -> int:
         """Steps on one side before the first fixed point within n."""
         for k in range(1, n + 1):
-            if self[sign * (k - 1)].distance_to(self[sign * k]) <= FIXED_POINT_TOL:
+            if _norm(self[sign * (k - 1)] - self[sign * k]) <= FIXED_POINT_TOL:
                 return k - 1
         return n
 
@@ -198,5 +200,5 @@ def detect_fixed_point(
     map_instance: MapInstance, x: State, tolerance: float = FIXED_POINT_TOL
 ) -> bool:
     """Whether ||T(x) - x|| is within tolerance."""
-    nxt, _ = step_with_defect(map_instance, x)
-    return x.distance_to(nxt) <= tolerance
+    coords = on_chart(x, map_instance.chart)
+    return _norm(coords - step_points(map_instance, coords)[0]) <= tolerance

@@ -29,11 +29,6 @@ from fractions import Fraction
 from .errors import ConmotError
 from .rationals import as_float, as_fraction, ratio_to_float
 
-try:  # gmpy2 (the conmot[fast] extra) speeds up big integers; plain int is exact too
-    from gmpy2 import mpz
-except ImportError:  # pragma: no cover
-    mpz = int
-
 __all__ = [
     "PayoffData", "ExactAltOrbit", "BipartiteInvariant", "ConservationAudit", "conservation_audit",
     "verify_conservation_identity", "difference_log_stats",
@@ -167,11 +162,11 @@ class _IntegerStep:
         if eta1 <= 0 or eta2 <= 0:
             raise ConmotError("step sizes must be positive")
         entries = [[as_fraction(v) for v in row] for row in payoff.exact]
-        d = mpz(math.lcm(*(v.denominator for row in entries for v in row)))  # A = At / D
+        d = math.lcm(*(v.denominator for row in entries for v in row))  # A = At / D
         at = [[v.numerator * (d // v.denominator) for v in row] for row in entries]
         att = [list(col) for col in zip(*at)]
-        p1, q1 = mpz(eta1.numerator), mpz(eta1.denominator)
-        p2, q2 = mpz(eta2.numerator), mpz(eta2.denominator)
+        p1, q1 = eta1.numerator, eta1.denominator
+        p2, q2 = eta2.numerator, eta2.denominator
         c1, c2 = q1 * d, q2 * d
         zx, zy = _scaled(0, at), _scaled(0, att)
         # A step is two shears, X along At Y and then Y along At.T X'; [1] undoes one.
@@ -189,8 +184,8 @@ class _IntegerStep:
         vals = [as_fraction(v) for v in xy]
         if len(vals) != self.dim:
             raise ConmotError(f"state has length {len(vals)}, expected {self.dim}")
-        s = mpz(math.lcm(*(v.denominator for v in vals)))
-        return [mpz(v.numerator * (s // v.denominator)) for v in vals], s
+        s = math.lcm(*(v.denominator for v in vals))
+        return [v.numerator * (s // v.denominator) for v in vals], s
 
     def quadratic(self, coords: list) -> tuple:
         """(phi numerator, AX.T At AY) of integer coordinates over a scale s:
@@ -258,7 +253,7 @@ class ExactAltOrbit:
         self._dx = self._step.dx
         self._phi_den0 = self._step.phi_den_unit * s0 * s0
         self._payoff_den0 = self._step.d * s0 * s0
-        self._origin = self._last = _Point(0, coords, s0, mpz(1))
+        self._origin = self._last = _Point(0, coords, s0, 1)
         self._power = ((True, 1), self._step.m)  # the last M^k or M_inv^k used
         self._pos = 0
         self._num0 = self._quadratic()[0]

@@ -145,7 +145,7 @@ class _OrbitWindow:
         self._f: dict[int, float | None] = {}
         self._terms: dict[int, float | None] = {}
 
-    def get(self, n: int) -> State | None:
+    def get(self, n: int) -> np.ndarray | None:
         try:
             return self.orbit[n]
         except (InversionError, RegionError) as exc:
@@ -157,8 +157,8 @@ class _OrbitWindow:
 
     def f(self, n: int) -> float | None:
         if n not in self._f:
-            s = self.get(n)
-            self._f[n] = None if s is None else float(self.obj.evaluate(s.coordinates))
+            row = self.get(n)
+            self._f[n] = None if row is None else float(self.obj.evaluate(row))
         return self._f[n]
 
     def term(self, n: int) -> float | None:
@@ -172,7 +172,7 @@ class _OrbitWindow:
         """The truncated series at T^c x, summed ring by ring from the window."""
         here, nxt = self.orbit[c], self.orbit[c + 1]  # a failed step raises as the orbit did
         # A point that does not move contributes nothing anywhere on its orbit.
-        if here.distance_to(nxt) <= 1e-12:
+        if float(np.linalg.norm(here - nxt)) <= 1e-12:
             return InvariantReport(value=0.0, truncation_n=0, partial_sums=(), tail_estimate=0.0,
                                    fixed_point=True, converged_early=True, notes=tuple(notes))
 
@@ -328,7 +328,7 @@ def invariance_defect(
     orb = Orbit(map_instance, state)
     worst = 0.0
     for k in range(1, horizon + 1):
-        worst = max(worst, abs(float(phi(orb[k])) - base) / scale)
+        worst = max(worst, abs(float(phi(State(orb[k], map_instance.chart))) - base) / scale)
     return worst
 
 

@@ -30,7 +30,7 @@ from .errors import ChartViolation, RegionError, StepSizeError
 from .exact import PayoffData, _certified_step
 from .objectives import ObjectiveSpec, region_contains
 from .rationals import as_fraction
-from .state import Chart, State, renormalize, validate_points
+from .state import Chart, State, on_chart, renormalize, validate_points
 
 __all__ = [
     "MAP_KINDS",
@@ -43,9 +43,7 @@ __all__ = [
     "gd_step",
     "mwu_step",
     "rgd_sphere_step",
-    "step",
     "step_points",
-    "step_with_defect",
     "step_jacobian",
     "descent_check",
 ]
@@ -256,31 +254,18 @@ def _raw_step(map_instance: MapInstance, coords: np.ndarray) -> np.ndarray:
     return rgd_sphere_step(map_instance.objective, rates[0], coords)
 
 
-def step_points(map_instance: MapInstance, coords: np.ndarray) -> np.ndarray:
-    """T on every point of a (..., d) array: each row equals ``step`` on that
-    point bit for bit, and the call raises if ``step`` would raise on any (a
-    NaN that hides a failure from a minimum over points fails finiteness)."""
-    out, _ = renormalize(_raw_step(map_instance, coords), map_instance.chart)
-    return validate_points(out, map_instance.chart)
-
-
-def step_with_defect(map_instance: MapInstance, x: State) -> tuple[State, float]:
-    """Apply the map once; return the new state and the chart defect removed."""
-    if x.chart != map_instance.chart:
-        raise ChartViolation(
-            f"state chart {x.chart} does not match map chart {map_instance.chart}"
-        )
-    raw = _raw_step(map_instance, x.coordinates)
-    coords, defect = renormalize(raw, map_instance.chart)
-    return State(coords, map_instance.chart), defect
-
-
-def step(map_instance: MapInstance, x: State) -> State:
-    """T(x): one forward application of the map."""
-    return step_with_defect(map_instance, x)[0]
+def step_points(map_instance: MapInstance, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T on every point of a (..., d) array, with the chart checks of a State,
+    and the chart defect renormalize removed from each point (0.0 on the
+    euclidean kinds). Each row equals the call on that row alone, bit for bit,
+    and the call raises if any point fails (a NaN that hides a failure from a
+    minimum over points fails finiteness)."""
+    out, defects = renormalize(_raw_step(map_instance, coords), map_instance.chart)
+    return validate_points(out, map_instance.chart), defects
 
 
 def descent_check(objective: ObjectiveSpec, map_instance: MapInstance, x: State) -> float:
     """f(x) - f(T(x)); positive when the step strictly decreased the objective."""
-    after = step(map_instance, x)
-    return objective.evaluate(x.coordinates) - objective.evaluate(after.coordinates)
+    coords = on_chart(x, map_instance.chart)
+    after, _ = step_points(map_instance, coords)
+    return objective.evaluate(coords) - objective.evaluate(after)

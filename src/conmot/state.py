@@ -153,6 +153,14 @@ class State:
         return float(np.linalg.norm(self.coordinates - other.coordinates))
 
 
+def on_chart(x: State, chart: Chart) -> np.ndarray:
+    """The coordinates of x, once x is checked to lie on chart: the one chart
+    check of every function that takes a State for a map."""
+    if x.chart != chart:
+        raise ChartViolation("state chart does not match map chart")
+    return x.coordinates
+
+
 def renormalize(coords: np.ndarray, chart: Chart) -> tuple[np.ndarray, float]:
     """Project coordinates back onto the chart exactly.
 

@@ -26,7 +26,7 @@ from conmot.maps import (
     mwu_exponential,
     mwu_linear,
     sphere_rgd,
-    step,
+    step_points,
 )
 from conmot.objectives import Box, ObjectiveSpec, PayoffData, bump, double_well, linear, quadratic
 from conmot.state import State, bipartite_pair, euclidean, sample_chart, simplex_product
@@ -45,6 +45,11 @@ def _phi():
 
 def _bp(x, y):
     return State([float(x), float(y)], bipartite_pair(1, 1))
+
+
+def _image(m, s):
+    """T(s) as a State, through the one forward step."""
+    return State(step_points(m, s.coordinates)[0], s.chart)
 
 
 def _stack(pairs):
@@ -233,7 +238,7 @@ def test_same_orbit_finds_a_forward_image():
     x = _bp(60, -25)
     y = x
     for _ in range(5):
-        y = step(m, y)
+        y = _image(m, y)
     v = same_orbit(m, x, y, 50, 1e-9, phis=(_phi(),))
     assert v.answer == "yes"
     assert v.index == 5
@@ -241,7 +246,7 @@ def test_same_orbit_finds_a_forward_image():
     # soundness of the YES: re-evaluating T^5(x) lands on y
     walker = x
     for _ in range(5):
-        walker = step(m, walker)
+        walker = _image(m, walker)
     assert walker.distance_to(y) <= 1e-9
 
 
@@ -250,7 +255,7 @@ def test_same_orbit_finds_a_backward_image():
     y = _bp(60, -25)
     x = y
     for _ in range(3):
-        x = step(m, x)
+        x = _image(m, x)
     v = same_orbit(m, x, y, 50, 1e-9)
     assert v.answer == "yes"
     assert v.index == -3
@@ -283,7 +288,7 @@ def test_same_orbit_exhausted_search_is_inconclusive():
     x = _bp(60, -25)
     y = x
     for _ in range(30):
-        y = step(m, y)
+        y = _image(m, y)
     v = same_orbit(m, x, y, 10, 1e-9)  # search window too small on purpose
     assert v.answer == "inconclusive"
     assert math.isfinite(v.closest_approach)
@@ -304,16 +309,17 @@ def test_same_orbit_nearby_but_distinct_points_stay_unresolved():
 
 
 def _reference_reports(m, pairs, horizon, eps_low=EPS_LOW, eps_high=EPS_HIGH):
-    """(liminf, limsup, verdict) per pair, stepping each pair's States alone."""
+    """(liminf, limsup, verdict) per pair, stepping each pair's rows alone, x
+    before y, one row per step_points call."""
     tail_start = horizon - max(1, horizon // 5)
     out = []
     for x, y in pairs:
-        wx, wy = x, y
+        wx, wy = x.coordinates, y.coordinates
         lim_lo, lim_hi = math.inf, -math.inf
         for t in range(1, horizon + 1):
             try:
-                wx = step(m, wx)
-                wy = step(m, wy)
+                wx, _ = step_points(m, wx)
+                wy, _ = step_points(m, wy)
             except ChartViolation as exc:
                 error = NumericsError(f"pair orbit left float range at step {t}: {exc}")
                 error.step_index = t
@@ -322,7 +328,7 @@ def _reference_reports(m, pairs, horizon, eps_low=EPS_LOW, eps_high=EPS_HIGH):
                 exc.step_index = t
                 raise
             if t > tail_start:
-                d = wx.distance_to(wy)
+                d = float(np.linalg.norm(wx - wy))
                 lim_lo = min(lim_lo, d)
                 lim_hi = max(lim_hi, d)
         if lim_hi <= eps_low:

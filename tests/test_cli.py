@@ -226,8 +226,8 @@ def test_simulate_series_rows_match_a_fresh_series_per_row(tmp_path):
     phi0 = fresh(orb.origin)
     assert [int(r[0]) for r in rows] == list(range(-6, 13))
     for row, t in zip(rows, range(-6, 13)):
-        assert float(row[1]) == orb[t].coordinates[0]
-        phi_t = fresh(orb[t])
+        assert float(row[1]) == orb[t][0]
+        phi_t = fresh(State(orb[t], m.chart))
         want = (phi_t, abs(phi_t - phi0) / (1.0 + abs(phi0)))
         for got, ref in zip((float(row[3]), float(row[4])), want):
             assert math.isnan(got) == math.isnan(ref)

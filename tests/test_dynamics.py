@@ -9,15 +9,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conmot import dynamics
 from conmot.dynamics import Orbit, detect_fixed_point, inverse_step
-from conmot.errors import InversionError, RegionError, StepSizeError
+from conmot.errors import ChartViolation, InversionError, RegionError, StepSizeError
+from conmot.invariants import constant_weight, series_invariant
 from conmot.maps import (
     alternating_play,
     gradient_descent,
     mwu_exponential,
     mwu_linear,
     sphere_rgd,
-    step,
-    step_with_defect,
+    step_points,
 )
 from conmot.objectives import (
     PayoffData, bilinear, bump, double_well, linear, quadratic, region_contains,
@@ -33,16 +33,22 @@ from conmot.state import (
 )
 
 
+def _round_trip_error(m, s: State) -> float:
+    """||T^{-1}(T(s)) - s||, both steps on coordinate rows."""
+    forward, _ = step_points(m, s.coordinates)
+    return float(np.linalg.norm(inverse_step(m, forward) - s.coordinates))
+
+
 def test_gd_inverse_worked_example():
     m = gradient_descent(quadratic(1), 0.1)
-    out = inverse_step(m, State([1.8], euclidean(1)))
-    assert out.coordinates[0] == pytest.approx(2.0, abs=1e-12)
+    out = inverse_step(m, State([1.8], euclidean(1)).coordinates)
+    assert out[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_alt_play_inverse_worked_example():
     m = alternating_play(PayoffData.from_matrix([[1]]), 0.1, 0.2)
-    out = inverse_step(m, State([57.5, -13.5], bipartite_pair(1, 1)))
-    np.testing.assert_allclose(out.coordinates, [60.0, -25.0], atol=1e-12)
+    out = inverse_step(m, State([57.5, -13.5], bipartite_pair(1, 1)).coordinates)
+    np.testing.assert_allclose(out, [60.0, -25.0], atol=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -50,7 +56,7 @@ def test_alt_play_inverse_worked_example():
 def test_gd_roundtrip_on_the_double_well_region(x0):
     m = gradient_descent(double_well(1), 0.1)
     s = State([x0], euclidean(1))
-    assert inverse_step(m, step(m, s)).distance_to(s) <= 1e-10
+    assert _round_trip_error(m, s) <= 1e-10
 
 
 def test_roundtrip_across_all_map_families():
@@ -69,7 +75,7 @@ def test_roundtrip_across_all_map_families():
     for m, draw in families:
         for _ in range(30):
             s = draw()
-            assert inverse_step(m, step(m, s)).distance_to(s) <= 1e-10, m.kind
+            assert _round_trip_error(m, s) <= 1e-10, m.kind
 
 
 @st.composite
@@ -110,7 +116,7 @@ def roundtrip_cases(draw):
 @given(roundtrip_cases())
 def test_forward_then_inverse_returns_to_the_start_on_every_iterative_kind(case):
     m, s = case
-    assert inverse_step(m, step(m, s)).distance_to(s) <= 1e-10
+    assert _round_trip_error(m, s) <= 1e-10
 
 
 @pytest.mark.parametrize("kind", ["gd", "mwu_lin", "rgd_sphere"])
@@ -124,7 +130,7 @@ def test_an_objective_without_a_hessian_inverts_by_finite_differences(kind):
             s = State(rng.uniform(-1.4, 1.4, 3), m.chart)
         else:
             s = sample_chart(m.chart, rng)
-        assert inverse_step(m, step(m, s)).distance_to(s) <= 1e-10
+        assert _round_trip_error(m, s) <= 1e-10
 
 
 def test_gd_inverse_of_a_step_from_the_box_edge_returns_to_the_edge():
@@ -132,7 +138,7 @@ def test_gd_inverse_of_a_step_from_the_box_edge_returns_to_the_edge():
     point steps to the target within the tolerance and is the preimage."""
     m = gradient_descent(double_well(1), Fraction(4307790947919605, 2**55))
     s = State([1.5], euclidean(1))
-    assert inverse_step(m, step(m, s)).distance_to(s) <= 1e-10
+    assert _round_trip_error(m, s) <= 1e-10
 
 
 def test_gd_round_trip_from_region_boundaries():
@@ -146,7 +152,7 @@ def test_gd_round_trip_from_region_boundaries():
         u = rng.uniform(-1.5, 1.5, d)
         u[rng.integers(d)] = rng.choice([-1.5, 1.5])
         s = State(u, m.chart)
-        assert inverse_step(m, step(m, s)).distance_to(s) <= 1e-10
+        assert _round_trip_error(m, s) <= 1e-10
     for _ in range(300):
         d = int(rng.integers(1, 5))
         m = gradient_descent(quadratic(d), rng.uniform(0.01, 0.9) / d)
@@ -154,14 +160,14 @@ def test_gd_round_trip_from_region_boundaries():
         s = State(10.0 * u / np.linalg.norm(u), m.chart)
         if not region_contains(m.objective.region, s.coordinates):
             continue  # rounded a hair past the sphere: not a start of the map
-        assert inverse_step(m, step(m, s)).distance_to(s) <= 1e-10
+        assert _round_trip_error(m, s) <= 1e-10
 
 
 def test_gd_inverse_fails_loudly_outside_the_region():
     """The preimage of a point near the region edge lies outside it."""
     m = gradient_descent(quadratic(1), 0.5)
     with pytest.raises(RegionError):
-        inverse_step(m, State([9.0], euclidean(1)))  # preimage 18 > radius 10
+        inverse_step(m, np.array([9.0]))  # preimage 18 > radius 10
 
 
 INVERSION_FAILURES = {
@@ -178,7 +184,7 @@ def test_inversion_error_carries_diagnostics(kind, monkeypatch):
     m, x, name = INVERSION_FAILURES[kind]
     monkeypatch.setattr(dynamics, "NEWTON_MAX_ITERATIONS", 0)
     with pytest.raises(InversionError) as err:
-        inverse_step(m, x)
+        inverse_step(m, x.coordinates)
     assert str(err.value) == f"{name} inversion did not reach 1.0e-12 in 0 iterations"
     assert err.value.last_iterate.shape == x.coordinates.shape
     assert err.value.residual > 1e-12
@@ -193,18 +199,18 @@ def test_orbit_with_no_steps_contains_only_the_origin():
     s = State([0.5], euclidean(1))
     orb = Orbit(m, s)
     assert list(orb.segment(0, 0)) == [0]
-    assert orb[0] is s
-    assert orb.states == {0: s}
+    assert orb[0] is s.coordinates
+    assert orb.rows == {0: s.coordinates}
 
 
 def test_orbit_forward_tail_reaches_the_basin_minimizer():
     orb = Orbit(gradient_descent(double_well(1), 0.1), State([0.5], euclidean(1)))
-    assert abs(orb[orb.segment(200)[-1]].coordinates[0] - 1.0) <= 1e-8
+    assert abs(orb[orb.segment(200)[-1]][0] - 1.0) <= 1e-8
 
 
 def test_orbit_backward_tail_climbs_to_the_local_maximum():
     orb = Orbit(gradient_descent(double_well(1), 0.1), State([0.5], euclidean(1)))
-    assert abs(orb[orb.segment(0, 200)[0]].coordinates[0] - 0.0) <= 1e-6
+    assert abs(orb[orb.segment(0, 200)[0]][0] - 0.0) <= 1e-6
 
 
 def test_orbit_truncates_at_fixed_points_and_flags_it():
@@ -213,14 +219,14 @@ def test_orbit_truncates_at_fixed_points_and_flags_it():
     # A side cut short of what was asked stopped at a fixed point.
     assert window[-1] < 50
     # Past the cut the orbit stays at the fixed point.
-    assert orb[50].coordinates[0] == pytest.approx(1.0)
+    assert orb[50][0] == pytest.approx(1.0)
 
 
 def test_orbit_indices_cover_the_requested_window():
     m = alternating_play(PayoffData.from_matrix([[1]]), 0.1, 0.2)
     orb = Orbit(m, State([60.0, -25.0], bipartite_pair(1, 1)))
     assert orb.segment(5, 3) == range(-3, 6)
-    np.testing.assert_allclose(orb[1].coordinates, [57.5, -13.5])
+    np.testing.assert_allclose(orb[1], [57.5, -13.5])
 
 
 def test_orbit_consistency_forward_of_backward_is_identity():
@@ -230,8 +236,8 @@ def test_orbit_consistency_forward_of_backward_is_identity():
     orb = Orbit(m, State(rng.uniform(-1.2, 1.2, size=2), euclidean(2)))
     assert orb.segment(0, 10) == range(-10, 1)
     for k in range(-10, 0):
-        fwd = step(m, orb[k])
-        assert fwd.distance_to(orb[k + 1]) <= 1e-9
+        fwd, _ = step_points(m, orb[k])
+        assert float(np.linalg.norm(fwd - orb[k + 1])) <= 1e-9
 
 
 def test_orbit_backward_failure_reports_the_step_index():
@@ -282,22 +288,33 @@ def test_orbit_reads_equal_a_direct_walk_bit_for_bit(case):
     orb = Orbit(m, x)
     for n in (3, -2, 6, -4, 1):  # out of order, both sides
         orb[n]
-    fwd, back, defects = [x], [x], []
+    fwd, back, defects = [x.coordinates], [x.coordinates], []
     for _ in range(6):
-        nxt, defect = step_with_defect(m, fwd[-1])
+        nxt, defect = step_points(m, fwd[-1])
         fwd.append(nxt)
         defects.append(defect)
     for _ in range(4):
         back.append(inverse_step(m, back[-1]))
-    assert orb[0] is x
+    assert orb[0] is x.coordinates
     for k in range(7):
-        assert orb[k].coordinates.tobytes() == fwd[k].coordinates.tobytes()
+        assert orb[k].tobytes() == fwd[k].tobytes()
     for k in range(5):
-        assert orb[-k].coordinates.tobytes() == back[k].coordinates.tobytes()
+        assert orb[-k].tobytes() == back[k].tobytes()
     assert [orb.defects[k] for k in range(1, 7)] == defects
-    stored = dict(orb.states)
-    assert orb.segment(6, 4) == range(-4, 7)  # read from the stored states, not stepped again
-    assert all(orb[k] is stored[k] for k in range(-4, 7)) and orb.states == stored
+    stored = dict(orb.rows)
+    assert orb.segment(6, 4) == range(-4, 7)  # read from the stored rows, not stepped again
+    assert all(orb[k] is stored[k] for k in range(-4, 7)) and orb.rows == stored
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_orbit_rows_are_read_only(case):
+    m, x = ORBIT_CASES[case]
+    orb = Orbit(m, x)
+    for n in (0, 2, -1):
+        before = orb[n].tobytes()
+        with pytest.raises(ValueError):
+            orb[n][0] = 7.0
+        assert orb[n].dtype == np.float64 and orb[n].tobytes() == before
 
 
 def test_a_failed_side_reraises_without_solving_again(monkeypatch):
@@ -320,8 +337,8 @@ def test_a_failed_side_reraises_without_solving_again(monkeypatch):
         assert again.value is first.value
         assert again.value.step_index == -2  # the index it could not compute
     assert len(solves) == 2
-    assert orb[-1].coordinates[0] == 6.0
-    assert orb[2].coordinates[0] == 0.75  # the forward side is untouched
+    assert orb[-1][0] == 6.0
+    assert orb[2][0] == 0.75  # the forward side is untouched
 
 
 def test_a_stored_forward_failure_keeps_its_step_index():
@@ -349,9 +366,15 @@ def test_detect_fixed_point_mwu_uniform_constant_gradient():
     assert detect_fixed_point(m, uniform)
 
 
-def test_inverse_step_rejects_chart_mismatch():
-    from conmot.errors import ChartViolation
+STATE_EDGES = {
+    "Orbit": lambda m, x: Orbit(m, x),
+    "detect_fixed_point": lambda m, x: detect_fixed_point(m, x),
+    "series_invariant": lambda m, x: series_invariant(m, None, constant_weight(), x, 4),
+}
 
+
+@pytest.mark.parametrize("edge", sorted(STATE_EDGES))
+def test_state_edges_reject_chart_mismatch(edge):
     m = gradient_descent(quadratic(2), 0.1)
-    with pytest.raises(ChartViolation):
-        inverse_step(m, State([1.0, 0.0], simplex_product(2)))
+    with pytest.raises(ChartViolation, match="^state chart does not match map chart$"):
+        STATE_EDGES[edge](m, State([1.0, 0.0], simplex_product(2)))

@@ -20,7 +20,7 @@ from conmot.invariants import (
     make_series_invariant,
     series_invariant,
 )
-from conmot.maps import alternating_play, gradient_descent, mwu_exponential, sphere_rgd, step
+from conmot.maps import alternating_play, gradient_descent, mwu_exponential, sphere_rgd, step_points
 from conmot.objectives import Box, ObjectiveSpec, PayoffData, double_well, linear, quadratic
 from conmot.state import State, bipartite_pair, euclidean, simplex_product, sphere
 from test_dynamics import roundtrip_cases
@@ -144,7 +144,7 @@ def test_series_telescopes_to_the_orbit_endpoint_gap():
     n = rep.truncation_n
     orb = Orbit(DOUBLE_WELL_GD, HALF)
     f = double_well(1).evaluate
-    endpoints = f(orb[-(n + 1)].coordinates) - f(orb[n].coordinates)
+    endpoints = f(orb[-(n + 1)]) - f(orb[n])
     assert abs(rep.value - endpoints) <= 1e-12
 
 
@@ -314,7 +314,7 @@ def test_windowed_defects_match_a_fresh_series_at_every_shift(case):
     assert rep.value == fresh(x)
     want, walker = [], x
     for _ in range(horizon):
-        walker = step(m, walker)
+        walker = State(step_points(m, walker.coordinates)[0], m.chart)
         want.append(abs(fresh(walker) - rep.value))
     assert len(rep.per_step_defect) == horizon
     assert_same_up_to_rounding(rep.per_step_defect, want)
@@ -345,8 +345,30 @@ def test_the_series_at_the_next_state_is_the_series_shifted_by_one(case):
     T x, to the same bar."""
     m, x, weight, truncation = case
     shifted = invariants.series_along_orbit(Orbit(m, x), None, weight, truncation, [1])
-    fresh = series_invariant(m, None, weight, step(m, x), truncation).value
+    tx = State(step_points(m, x.coordinates)[0], m.chart)
+    fresh = series_invariant(m, None, weight, tx, truncation).value
     assert_same_up_to_rounding(shifted, [fresh])
+
+
+def test_a_series_builds_no_state_past_its_start(monkeypatch):
+    """The orbit window reads coordinate rows, so a series builds no State,
+    at any truncation or defect horizon."""
+    m = gradient_descent(double_well(1), "0.1")
+    x = State([0.5], euclidean(1))
+    built = []
+    post_init = State.__post_init__
+
+    def counted(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(State, "__post_init__", counted)
+    counts = []
+    for truncation, horizon in ((16, 10), (64, 50)):
+        built.clear()
+        series_invariant(m, None, ONES, x, truncation, defect_horizon=horizon)
+        counts.append(len(built))
+    assert counts == [0, 0]
 
 
 @pytest.mark.parametrize("horizon", [0, 50])

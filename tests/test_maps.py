@@ -16,40 +16,43 @@ from conmot.maps import (
     mwu_exponential,
     mwu_linear,
     sphere_rgd,
-    step,
     step_jacobian,
     step_points,
-    step_with_defect,
 )
 from conmot.objectives import PayoffData, bilinear, double_well, linear, quadratic, bump
 from conmot.state import State, bipartite_pair, euclidean, sample_chart, simplex_product, sphere
 
 
+def _step(m, s: State) -> np.ndarray:
+    """T(s) as a coordinate row, through the one forward step."""
+    return step_points(m, s.coordinates)[0]
+
+
 def test_gd_contracts_the_quadratic():
     m = gradient_descent(quadratic(1), 0.1)
-    out = step(m, State([2.0], euclidean(1)))
-    assert out.coordinates[0] == pytest.approx(1.8)
+    out = _step(m, State([2.0], euclidean(1)))
+    assert out[0] == pytest.approx(1.8)
 
 
 def test_gd_two_dimensional_example():
     m = gradient_descent(quadratic(2), 0.1)
-    out = step(m, State([2.0, 0.0], euclidean(2)))
-    np.testing.assert_allclose(out.coordinates, [1.8, 0.0])
+    out = _step(m, State([2.0, 0.0], euclidean(2)))
+    np.testing.assert_allclose(out, [1.8, 0.0])
 
 
 def test_gd_double_well_stationary_and_moving_points():
     m = gradient_descent(double_well(1), 0.1)
-    minimizer = step(m, State([1.0], euclidean(1)))
-    assert minimizer.coordinates[0] == pytest.approx(1.0)
-    moved = step(m, State([0.5], euclidean(1)))
+    minimizer = _step(m, State([1.0], euclidean(1)))
+    assert minimizer[0] == pytest.approx(1.0)
+    moved = _step(m, State([0.5], euclidean(1)))
     # 0.5 - 0.1 * (0.125 - 0.5)
-    assert moved.coordinates[0] == pytest.approx(0.5375)
+    assert moved[0] == pytest.approx(0.5375)
 
 
 def test_gd_refuses_points_outside_the_declared_region():
     m = gradient_descent(double_well(1), 0.1)
     with pytest.raises(RegionError):
-        step(m, State([2.0], euclidean(1)))
+        _step(m, State([2.0], euclidean(1)))
 
 
 def test_descent_check_values():
@@ -64,36 +67,36 @@ def test_descent_check_values():
 def test_mwu_exp_worked_example():
     """Gradient (1, 0) at rate ln 2 reweights (1/2, 1/2) by (1/2, 1)."""
     m = mwu_exponential(linear([1.0, 0.0]), math.log(2.0), (2,))
-    out = step(m, State([0.5, 0.5], simplex_product(2)))
-    np.testing.assert_allclose(out.coordinates, [1 / 3, 2 / 3], atol=1e-15)
+    out = _step(m, State([0.5, 0.5], simplex_product(2)))
+    np.testing.assert_allclose(out, [1 / 3, 2 / 3], atol=1e-15)
 
 
 def test_mwu_lin_worked_example():
     m = mwu_linear(linear([1.0, 0.0]), 0.5, (2,))
-    out = step(m, State([0.5, 0.5], simplex_product(2)))
-    np.testing.assert_allclose(out.coordinates, [1 / 3, 2 / 3], atol=1e-15)
+    out = _step(m, State([0.5, 0.5], simplex_product(2)))
+    np.testing.assert_allclose(out, [1 / 3, 2 / 3], atol=1e-15)
 
 
 @pytest.mark.parametrize("ctor", [mwu_exponential, mwu_linear])
 def test_mwu_constant_gradient_within_a_block_is_fixed(ctor):
     m = ctor(linear([3.0, 3.0, 5.0, 5.0]), 0.1, (2, 2))
     s = State([0.2, 0.8, 0.6, 0.4], simplex_product(2, 2))
-    assert step(m, s).distance_to(s) == 0.0
+    assert float(np.linalg.norm(_step(m, s) - s.coordinates)) == 0.0
 
 
 @pytest.mark.parametrize("ctor", [mwu_exponential, mwu_linear])
 def test_mwu_vertices_are_fixed(ctor):
     m = ctor(quadratic(2), 0.25, (2,))
     vertex = State([1.0, 0.0], simplex_product(2))
-    out = step(m, vertex)
-    np.testing.assert_array_equal(out.coordinates, [1.0, 0.0])
+    out = _step(m, vertex)
+    np.testing.assert_array_equal(out, [1.0, 0.0])
 
 
 def test_mwu_lin_rejects_rate_that_kills_a_factor():
     """1 - eps * g must stay positive on the support."""
     m = mwu_linear(linear([3.0, 0.0]), 0.5, (2,))
     with pytest.raises(StepSizeError, match="factor"):
-        step(m, State([0.5, 0.5], simplex_product(2)))
+        _step(m, State([0.5, 0.5], simplex_product(2)))
 
 
 def test_mwu_needs_one_rate_per_block_when_not_scalar():
@@ -103,46 +106,46 @@ def test_mwu_needs_one_rate_per_block_when_not_scalar():
 
 def test_alt_play_worked_example():
     m = alternating_play(PayoffData.from_matrix([[1]]), 0.1, 0.2)
-    out = step(m, State([60.0, -25.0], bipartite_pair(1, 1)))
-    np.testing.assert_allclose(out.coordinates, [57.5, -13.5])
+    out = _step(m, State([60.0, -25.0], bipartite_pair(1, 1)))
+    np.testing.assert_allclose(out, [57.5, -13.5])
 
 
 def test_alt_play_zero_y_moves_only_y():
     """With Y = 0 the X update degenerates and Y reacts to the unchanged X."""
     m = alternating_play(PayoffData.from_matrix([[1]]), 0.1, 0.2)
-    out = step(m, State([4.0, 0.0], bipartite_pair(1, 1)))
-    np.testing.assert_allclose(out.coordinates, [4.0, 0.8])
+    out = _step(m, State([4.0, 0.0], bipartite_pair(1, 1)))
+    np.testing.assert_allclose(out, [4.0, 0.8])
 
 
 def test_alt_play_origin_is_fixed():
     m = alternating_play(PayoffData.from_matrix([[1]]), 0.1, 0.2)
-    out = step(m, State([0.0, 0.0], bipartite_pair(1, 1)))
-    np.testing.assert_array_equal(out.coordinates, [0.0, 0.0])
+    out = _step(m, State([0.0, 0.0], bipartite_pair(1, 1)))
+    np.testing.assert_array_equal(out, [0.0, 0.0])
 
 
 def test_alt_play_strict_sequencing_not_simultaneous():
     """Y must react to the already-updated X: with A=[1] from (1, 1),
     X' = 1.1 and Y' = 1 + 0.2 * 1.1, not 1 + 0.2 * 1."""
     m = alternating_play(PayoffData.from_matrix([[1]]), 0.1, 0.2)
-    out = step(m, State([1.0, 1.0], bipartite_pair(1, 1)))
-    np.testing.assert_allclose(out.coordinates, [1.1, 1.22])
+    out = _step(m, State([1.0, 1.0], bipartite_pair(1, 1)))
+    np.testing.assert_allclose(out, [1.1, 1.22])
 
 
 def test_rgd_worked_example():
     m = sphere_rgd(linear([1.0, 0.0]), 0.1)
-    out = step(m, State([0.0, 1.0], sphere(2)))
+    out = _step(m, State([0.0, 1.0], sphere(2)))
     np.testing.assert_allclose(
-        out.coordinates, np.array([-0.1, 1.0]) / math.hypot(0.1, 1.0)
+        out, np.array([-0.1, 1.0]) / math.hypot(0.1, 1.0)
     )
-    assert out.coordinates[0] == pytest.approx(-0.09950372, abs=1e-8)
-    assert out.coordinates[1] == pytest.approx(0.99503719, abs=1e-8)
+    assert out[0] == pytest.approx(-0.09950372, abs=1e-8)
+    assert out[1] == pytest.approx(0.99503719, abs=1e-8)
 
 
 def test_rgd_radial_gradient_is_fixed():
     """When the ambient gradient is parallel to x the tangent part vanishes."""
     m = sphere_rgd(linear([0.6, 0.8]), 0.1)
     s = State([0.6, 0.8], sphere(2))
-    assert step(m, s).distance_to(s) <= 1e-16
+    assert float(np.linalg.norm(_step(m, s) - s.coordinates)) <= 1e-16
 
 
 def test_rgd_descends_under_a_validated_rate():
@@ -156,18 +159,18 @@ def test_rgd_descends_under_a_validated_rate():
         assert descent_check(obj, m, s) >= -1e-15
 
 
-def test_step_rejects_chart_mismatch():
+def test_descent_check_rejects_chart_mismatch():
     m = gradient_descent(quadratic(2), 0.1)
-    with pytest.raises(ChartViolation):
-        step(m, State([1.0, 0.0], simplex_product(2)))
+    with pytest.raises(ChartViolation, match="^state chart does not match map chart$"):
+        descent_check(quadratic(2), m, State([1.0, 0.0], simplex_product(2)))
 
 
-def test_step_with_defect_reports_float_noise_only():
+def test_step_points_reports_float_noise_only():
     m = mwu_exponential(quadratic(3), 0.05, (3,))
     s = State([0.2, 0.3, 0.5], simplex_product(3))
-    out, defect = step_with_defect(m, s)
+    out, defect = step_points(m, s.coordinates)
     assert 0.0 <= defect < 1e-14
-    assert out.coordinates.sum() == pytest.approx(1.0, abs=1e-15)
+    assert out.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_map_constructors_reject_nonpositive_rates():
@@ -239,7 +242,7 @@ def _kernel_map(kind, dim):
     st.integers(1, 9),
     st.integers(0, 2**31),
 )
-def test_step_points_equals_step_on_each_state_bit_for_bit(kind, dim, rows, seed):
+def test_step_points_rows_equal_the_one_row_call_bit_for_bit(kind, dim, rows, seed):
     m = _kernel_map(kind, dim)
     rng = np.random.default_rng(seed)
     if m.chart.kind in ("euclidean", "bipartite-pair"):
@@ -247,9 +250,11 @@ def test_step_points_equals_step_on_each_state_bit_for_bit(kind, dim, rows, seed
     else:
         states = [sample_chart(m.chart, rng) for _ in range(rows)]
     coords = np.stack([s.coordinates for s in states])
-    out = step_points(m, coords)
-    for row, s in zip(out, states):
-        assert row.tobytes() == step(m, s).coordinates.tobytes()
+    out, defects = step_points(m, coords)
+    for row, defect, s in zip(out, np.broadcast_to(defects, len(states)), states):
+        alone, alone_defect = step_points(m, s.coordinates)
+        assert row.tobytes() == alone.tobytes()
+        assert defect == alone_defect
 
 
 def test_step_points_raises_when_any_point_fails():
