@@ -8,7 +8,8 @@ classifies conservatively: the scramble-candidate verdict is a flag for closer
 scrutiny, never a proof. A conserved quantity with a nondegenerate
 differential confines orbits to level sets, so confinement_tally refutes the
 candidates whose invariants disagree, once the caller has certified phi for
-the map with exact.certified_quadratic.
+the map with exact.certified_quadratic. ``exact`` (the alt_play pair kernel)
+and ``dynamics`` (same_orbit's walk) load only when those run.
 """
 
 from __future__ import annotations
@@ -18,19 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FIXED_POINT_TOL, Orbit, detect_fixed_point
 from .errors import ChartViolation, ConmotError, InversionError, NumericsError, RegionError
-from .exact import BipartiteInvariant, _tail_start, difference_log_stats
 from .maps import MapInstance, step_points
-from .rationals import ratio_to_float
 from .state import State, on_chart, validate_points
 
 __all__ = [
-    "pair_statistics",
-    "ConfinementReport",
-    "confinement_tally",
-    "SameOrbitVerdict",
-    "same_orbit",
+    "pair_statistics", "ConfinementReport", "confinement_tally", "SameOrbitVerdict", "same_orbit",
 ]
 
 EPS_LOW = 1e-6
@@ -41,18 +35,21 @@ ESCAPE_FACTOR = 1e8
 
 
 def _relative_gap(phi, x, y) -> float:
-    """|phi(x) - phi(y)| / (1 + max |phi|): symmetric in the pair. For the closed
-    form, on States or coordinate rows, it is one exact rational rounded once,
-    at most 2 even where phi(x) and phi(y) round to inf; a series uses its two floats."""
+    """|phi(x) - phi(y)| / (1 + max |phi|): symmetric in the pair, on States or
+    coordinate rows. The closed form answers with its own exact relative_gap;
+    a series uses its two floats."""
     if phi is None:
         return math.nan
-    if isinstance(phi, BipartiteInvariant):
-        (na, da), (nb, db) = phi._ratio(x), phi._ratio(y)
-        if abs(na) * db > abs(nb) * da:  # swapped so that |b| >= |a|; da, db > 0
-            (na, da), (nb, db) = (nb, db), (na, da)
-        return ratio_to_float(abs(nb * da - na * db), da * (db + abs(nb)))
+    if hasattr(phi, "relative_gap"):
+        return phi.relative_gap(x, y)
     px, py = float(phi(x)), float(phi(y))
     return abs(px - py) / (1.0 + max(abs(px), abs(py)))
+
+
+def _tail_start(horizon: int) -> int:
+    """Pair-orbit tails are the steps t > _tail_start(horizon): the last
+    max(1, horizon // 5) steps of the horizon."""
+    return horizon - max(1, horizon // 5)
 
 
 def _exp2_safe(log2_value: float) -> float:
@@ -148,6 +145,8 @@ def pair_statistics(
     if np.any(np.all(z[0] == z[1], axis=-1)):
         raise ValueError("the two points of a pair must differ")
     if map_instance.kind == "alt_play":
+        from .exact import difference_log_stats
+
         e1, e2 = map_instance.step_sizes
         lo, hi = difference_log_stats(map_instance.payoff, e1, e2, z[0] - z[1], horizon)
         low, high, scale = math.log2(eps_low), math.log2(eps_high), _exp2_safe
@@ -223,6 +222,8 @@ def same_orbit(
     looking for y within tolerance. An exhausted or escape-guarded search
     returns inconclusive: absence within a finite window proves nothing.
     """
+    from .dynamics import FIXED_POINT_TOL, Orbit, detect_fixed_point
+
     if max_iterations < 0:
         raise ValueError("max_iterations must be nonnegative")
     xc, yc = on_chart(x, map_instance.chart), on_chart(y, map_instance.chart)

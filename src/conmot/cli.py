@@ -12,7 +12,8 @@ Exit codes: 0 success, 2 configuration problem, 3 numerical failure.
 At module level only the standard library, ``errors`` and ``rationals`` are
 imported; each command imports what it runs. ``figures``, ``simulate`` on
 alt_play and a closed-form ``invariant`` run on the exact engine alone and
-never load numpy. ``figures`` and alt_play ``simulate`` read their rows on
+never load numpy, and a command on a float map never loads the exact
+engine. ``figures`` and alt_play ``simulate`` read their rows on
 every usable CPU, in forked children that end before the command returns,
 when the process runs a single OS thread.
 """
@@ -22,7 +23,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import json
 import marshal
 import math
 import os
@@ -30,6 +30,7 @@ import sys
 from collections.abc import Iterator
 from fractions import Fraction
 from importlib import import_module
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -44,8 +45,6 @@ __all__ = ["main", "build_parser"]
 
 SCAN_BOX_HALFWIDTH = 1.0
 SCAN_MIN_RELATIVE_GAP = 1e-3
-# Stands in for the streamed list while the rest of a document is encoded.
-_STREAM_MARK = "\0streamed list\0"
 CLASSIFY_MAX_ITERATIONS = 1000
 
 FIGURE_RECIPES = {
@@ -112,48 +111,54 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _jsonable(obj):
-    """Make a structure strict-JSON safe; non-finite floats become strings."""
-    if dataclasses.is_dataclass(obj):
-        return _jsonable(dataclasses.asdict(obj))
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, float):
-        v = float(obj)
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return v
-    if isinstance(obj, Fraction):
-        return str(obj)
-    return obj
+def _to_json(obj, flush=None) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) once obj is strict-JSON safe: a
+    dataclass is its asdict, a Fraction its str, a non-finite float "nan", "inf"
+    or "-inf". An iterator is written as the list it yields; with flush given,
+    the text so far goes to flush after each entry and the rest is returned."""
+    out: list[str] = []
+
+    def encode(v, pad: str) -> None:
+        if isinstance(v, float):
+            out.append(float.__repr__(v) if math.isfinite(v) else
+                       '"nan"' if v != v else '"inf"' if v > 0 else '"-inf"')
+        elif isinstance(v, (str, Fraction)):
+            out.append(encode_basestring_ascii(str(v)))
+        elif isinstance(v, dict):
+            inner, sep = pad + "  ", "{"
+            for key in sorted(v):
+                out.append(sep + inner + encode_basestring_ascii(key) + ": ")
+                encode(v[key], inner)
+                sep = ","
+            out.append("{}" if sep == "{" else pad + "}")
+        elif isinstance(v, (list, tuple, Iterator)):
+            inner, sep = pad + "  ", "["
+            for item in v:
+                out.append(sep + inner)
+                encode(item, inner)
+                sep = ","
+                if flush is not None and isinstance(v, Iterator):
+                    flush("".join(out))
+                    out.clear()
+            out.append("[]" if sep == "[" else pad + "]")
+        elif v is None or isinstance(v, int):  # a bool is an int
+            out.append("null" if v is None else "true" if v is True else
+                       "false" if v is False else int.__repr__(v))
+        elif dataclasses.is_dataclass(v) and not isinstance(v, type):
+            encode(dataclasses.asdict(v), pad)
+        else:
+            raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+    encode(obj, "\n")
+    return "".join(out)
 
 
 def _write_json(path: Path, payload) -> None:
-    """Write json.dump(_jsonable(payload), sort_keys=True, indent=2) and a
-    newline. The one value of a dict payload that is an iterator is written
-    as the list it yields, one entry at a time: each entry is made JSON-safe
-    and encoded at its depth as it comes, so the list is never held whole."""
-    items = payload.items() if isinstance(payload, dict) else ()
-    streamed = [key for key, value in items if isinstance(value, Iterator)]
+    """Write _to_json(payload) and a newline. An iterator in the payload is
+    written as the list it yields, one entry at a time, so the list is never
+    held whole."""
     with path.open("w") as fh:
-        if not streamed:
-            json.dump(_jsonable(payload), fh, sort_keys=True, indent=2)
-        else:
-            (key,) = streamed
-            text = json.dumps(_jsonable({**payload, key: _STREAM_MARK}), sort_keys=True, indent=2)
-            head, tail = text.split(json.dumps(_STREAM_MARK))
-            fh.write(head)
-            sep = "["
-            for entry in payload[key]:  # the list is a top-level value: entries sit 4 deep
-                encoded = json.dumps(_jsonable(entry), sort_keys=True, indent=2)
-                fh.write(sep + "\n    " + encoded.replace("\n", "\n    "))
-                sep = ","
-            fh.write(("[]" if sep == "[" else "\n  ]") + tail)
-        fh.write("\n")
+        fh.write(_to_json(payload, fh.write) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
@@ -395,8 +400,6 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_invariant(cfg: RunConfig, out_dir: Path) -> int:
-    from .exact import BipartiteInvariant
-
     spec = cfg.invariant_spec
     if spec is None:
         raise ConfigError("the invariant command needs an invariant section")
@@ -407,6 +410,8 @@ def cmd_invariant(cfg: RunConfig, out_dir: Path) -> int:
     if spec["kind"] == "closed-form":
         # A closed-form section belongs to an alt_play config; phi is built
         # on its certified step, so the defect is 0.0 at every horizon.
+        from .exact import BipartiteInvariant
+
         phi = BipartiteInvariant(cfg.payoff, *cfg.step_sizes)
         for i, exact_init in enumerate(cfg.initial_exact):
             value = phi.exact(exact_init)
@@ -440,14 +445,15 @@ def cmd_invariant(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _classification_invariants(cfg: RunConfig):
-    from .exact import BipartiteInvariant
-    from .invariants import make_series_invariant
-
     if cfg.kind == "alt_play":
+        from .exact import BipartiteInvariant
+
         return (BipartiteInvariant(cfg.payoff, *cfg.step_sizes),)
     series = _series_spec(cfg)
     if series is None:
         return ()
+    from .invariants import make_series_invariant
+
     return (make_series_invariant(cfg.map, None, series[0], series[1]),)
 
 
@@ -495,7 +501,6 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, seed: int | None) -> int:
     import numpy as np
 
     from .chaos import EPS_HIGH, EPS_LOW, _relative_gap, confinement_tally, pair_statistics
-    from .exact import BipartiteInvariant, certified_quadratic
 
     spec = cfg.scan_spec
     if spec is None:
@@ -512,9 +517,12 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, seed: int | None) -> int:
                           json_path="scan.box_halfwidth")
     min_gap = float(spec.get("min_relative_gap", SCAN_MIN_RELATIVE_GAP))
 
-    phi = None
+    phi, certified = None, False
     if cfg.kind == "alt_play":
+        from .exact import BipartiteInvariant, certified_quadratic
+
         phi = BipartiteInvariant(cfg.payoff, *cfg.step_sizes)
+        certified = certified_quadratic(phi, cfg.map)  # the confinement argument's precondition
 
     chart = cfg.map.chart
     rng = np.random.default_rng(seed)
@@ -571,7 +579,7 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, seed: int | None) -> int:
         "verdict_counts": dict(sorted(counts.items())),
         "pair_reports": pair_entries,
     }
-    if certified_quadratic(phi, cfg.map):  # the precondition of the confinement argument
+    if certified:
         payload["confinement"] = confinement
     path = out_dir / f"{cfg.output_prefix}_scan.json"
     _write_json(path, payload)

@@ -180,12 +180,14 @@ class _IntegerStep:
         self.dx, self.dim = payoff.dimension_x, len(self.m)
 
     def integer_state(self, xy) -> tuple[list, int]:
-        """(coords, s) with xy == coords / s over the least common scale s."""
-        vals = [as_fraction(v) for v in xy]
+        """(coords, s) with xy == coords / s over the least common scale s. A
+        finite float (numpy's float64 too) is read without making a Fraction."""
+        vals = [(v if isinstance(v, float) and math.isfinite(v) else as_fraction(v))
+                .as_integer_ratio() for v in xy]
         if len(vals) != self.dim:
             raise ConmotError(f"state has length {len(vals)}, expected {self.dim}")
-        s = math.lcm(*(v.denominator for v in vals))
-        return [v.numerator * (s // v.denominator) for v in vals], s
+        s = math.lcm(*(d for _, d in vals))
+        return [n * (s // d) for n, d in vals], s
 
     def quadratic(self, coords: list) -> tuple:
         """(phi numerator, AX.T At AY) of integer coordinates over a scale s:
@@ -357,6 +359,14 @@ class BipartiteInvariant:
     def exact(self, xy) -> Fraction:
         return Fraction(*map(int, self._ratio(xy)))
 
+    def relative_gap(self, x, y) -> float:
+        """|Phi(x) - Phi(y)| / (1 + max |Phi|), symmetric in the pair: one exact
+        rational rounded once, at most 2 even where Phi(x) and Phi(y) round to inf."""
+        (na, da), (nb, db) = self._ratio(x), self._ratio(y)
+        if abs(na) * db > abs(nb) * da:  # swapped so that |b| >= |a|; da, db > 0
+            (na, da), (nb, db) = (nb, db), (na, da)
+        return ratio_to_float(abs(nb * da - na * db), da * (db + abs(nb)))
+
     def __call__(self, xy) -> float:
         return ratio_to_float(*self._ratio(xy))
 
@@ -427,12 +437,6 @@ def conservation_audit(
     )
 
 
-def _tail_start(horizon: int) -> int:
-    """Pair-orbit tails are the steps t > _tail_start(horizon): the last
-    max(1, horizon // 5) steps of the horizon."""
-    return horizon - max(1, horizon // 5)
-
-
 # Window steps evaluated per batched product: a (chunk, d, B) buffer.
 _WINDOW_CHUNK = 16
 
@@ -478,7 +482,7 @@ def difference_log_stats(
     that ``step`` multiplies by, for the exact step sizes eta1 and eta2. The
     dynamics is linear, so the distance between two orbits is exactly the
     norm of the evolved difference. The tail window is the last
-    max(1, horizon // 5) steps, and only it is evaluated:
+    max(1, horizon // 5) steps (chaos._tail_start), and only it is evaluated:
 
     - the jump: each difference is carried to the first window step by one
       product with M^(tail_start + 1), got by binary powering;
@@ -499,6 +503,8 @@ def difference_log_stats(
     row of diffs.
     """
     import numpy as np
+
+    from .chaos import _tail_start
 
     diffs = np.atleast_2d(np.asarray(diffs, dtype=np.float64))
     if horizon < 1:

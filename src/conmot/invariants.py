@@ -1,8 +1,9 @@
 """Constants of motion and how to check them.
 
 Two constructions. The closed-form bipartite quadratic
-(``exact.BipartiteInvariant``, re-exported here) is conserved exactly by
-alternating play and is certified through the exact engine. The truncated
+(``exact.BipartiteInvariant``) is conserved exactly by alternating play and
+is certified through the exact engine, which only invariance_defect and
+dphi_rank import, when they run. The truncated
 series invariant, built here, works for the dissipative maps: it sums
 weighted one-step drops of the objective along the bi-infinite orbit,
 truncated symmetrically, and reports its own convergence diagnostics instead
@@ -15,30 +16,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .dynamics import Orbit
 from .errors import ConmotError, InversionError, RegionError, StepSizeError
-from .exact import BipartiteInvariant, PayoffData, _certified_step, certified_quadratic
 from .maps import MapInstance
 from .objectives import validate_step_size_gd, validate_step_size_manifold
 from .rationals import ratio_to_float
 from .state import State
 
+if TYPE_CHECKING:
+    from .exact import PayoffData
+
 __all__ = [
-    "WeightFunction",
-    "constant_weight",
-    "coordinate_weight",
-    "gaussian_bump_weight",
-    "BipartiteInvariant",
-    "InvariantReport",
-    "series_invariant",
-    "series_along_orbit",
-    "make_series_invariant",
-    "invariance_defect",
-    "dphi_rank",
+    "WeightFunction", "constant_weight", "coordinate_weight", "gaussian_bump_weight",
+    "InvariantReport", "series_invariant", "series_along_orbit", "make_series_invariant",
+    "invariance_defect", "dphi_rank",
 ]
 
 TERM_STOP_TOL = 1e-14
@@ -317,6 +312,8 @@ def invariance_defect(
     step, which conserves it along every orbit. Otherwise the orbit is
     iterated in float64 and the drift is measured numerically.
     """
+    from .exact import certified_quadratic
+
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if certified_quadratic(phi, map_instance):
@@ -343,6 +340,8 @@ def dphi_rank(payoff: PayoffData, eta1, eta2) -> tuple[np.ndarray, int]:
     bipartite dimension; singular values below DPHI_RANK_RTOL times the
     largest do not count.
     """
+    from .exact import _certified_step
+
     step = _certified_step(payoff, eta1, eta2)
     h = np.array([[ratio_to_float(v, step.phi_den_unit) for v in row] for row in step.h])
     sv = np.linalg.svd(h, compute_uv=False)

@@ -22,30 +22,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import state as charts
 from .errors import ChartViolation, RegionError, StepSizeError
-from .exact import PayoffData, _certified_step
 from .objectives import ObjectiveSpec, region_contains
 from .rationals import as_fraction
 from .state import Chart, State, on_chart, renormalize, validate_points
 
+if TYPE_CHECKING:
+    from .exact import PayoffData
+
 __all__ = [
-    "MAP_KINDS",
-    "MapInstance",
-    "gradient_descent",
-    "mwu_exponential",
-    "mwu_linear",
-    "alternating_play",
-    "sphere_rgd",
-    "gd_step",
-    "mwu_step",
-    "rgd_sphere_step",
-    "step_points",
-    "step_jacobian",
-    "descent_check",
+    "MAP_KINDS", "MapInstance", "gradient_descent", "mwu_exponential", "mwu_linear",
+    "alternating_play", "sphere_rgd", "gd_step", "mwu_step", "rgd_sphere_step", "step_points",
+    "step_jacobian", "descent_check",
 ]
 
 MAP_KINDS = ("gd", "mwu_exp", "mwu_lin", "alt_play", "rgd_sphere")
@@ -81,6 +74,8 @@ class MapInstance:
     def alt_play_matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """alt_play's float step M/g and inverse M_inv/g, read from the
         certified integer matrices of the exact engine."""
+        from .exact import _certified_step
+
         return _certified_step(self.payoff, *self.step_sizes).float_matrices()
 
 

@@ -5,7 +5,7 @@ with two basins, a bounded bump, linear utilities, and the bilinear coupling
 used by the bipartite game dynamics. Each entry carries analytic gradient and
 Hessian callables plus, where meaningful, a uniform entrywise Hessian bound L
 over the declared working region. ``PayoffData``, the bilinear coupling's
-input, lives in ``exact`` with the integer engine and is re-exported here.
+input, lives in ``exact`` with the integer engine.
 
 The step-size validators compare a step size with a bound derived from a
 declared curvature bound only: a missing bound gives an unverifiable verdict,
@@ -16,27 +16,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from . import state as charts
-from .exact import PayoffData
+
+if TYPE_CHECKING:
+    from .exact import PayoffData
 
 __all__ = [
-    "Box",
-    "Ball",
-    "region_contains",
-    "nearest_region_point",
-    "ObjectiveSpec",
-    "PayoffData",
-    "StepSizeVerdict",
-    "quadratic",
-    "double_well",
-    "bump",
-    "linear",
-    "bilinear",
-    "validate_step_size_gd",
+    "Box", "Ball", "region_contains", "nearest_region_point", "ObjectiveSpec", "StepSizeVerdict",
+    "quadratic", "double_well", "bump", "linear", "bilinear", "validate_step_size_gd",
     "validate_step_size_manifold",
 ]
 

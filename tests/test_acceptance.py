@@ -15,9 +15,14 @@ import numpy as np
 from conmot.chaos import confinement_tally, pair_statistics
 from conmot.cli import main
 from conmot.dynamics import inverse_step
-from conmot.exact import ExactAltOrbit, certified_quadratic, conservation_audit
-from conmot.invariants import (
+from conmot.exact import (
     BipartiteInvariant,
+    ExactAltOrbit,
+    PayoffData,
+    certified_quadratic,
+    conservation_audit,
+)
+from conmot.invariants import (
     constant_weight,
     dphi_rank,
     invariance_defect,
@@ -34,7 +39,6 @@ from conmot.maps import (
     step_points,
 )
 from conmot.objectives import (
-    PayoffData,
     bilinear,
     bump,
     double_well,

@@ -13,13 +13,13 @@ from conmot.chaos import (
     EPS_LOW,
     _exp2_safe,
     _relative_gap,
+    _tail_start,
     confinement_tally,
     pair_statistics,
     same_orbit,
 )
 from conmot.errors import ChartViolation, ConmotError, NumericsError, RegionError, StepSizeError
-from conmot.exact import _tail_start, certified_quadratic, difference_log_stats
-from conmot.invariants import BipartiteInvariant
+from conmot.exact import BipartiteInvariant, PayoffData, certified_quadratic, difference_log_stats
 from conmot.maps import (
     alternating_play,
     gradient_descent,
@@ -28,7 +28,7 @@ from conmot.maps import (
     sphere_rgd,
     step_points,
 )
-from conmot.objectives import Box, ObjectiveSpec, PayoffData, bump, double_well, linear, quadratic
+from conmot.objectives import Box, ObjectiveSpec, bump, double_well, linear, quadratic
 from conmot.state import State, bipartite_pair, euclidean, sample_chart, simplex_product
 
 PAY = PayoffData.from_matrix([[1]])

@@ -16,13 +16,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conmot import cli, dynamics, maps
-from conmot.cli import FIGURE_RECIPES, _figure_grid, _jsonable, _write_json, main
+from conmot.cli import FIGURE_RECIPES, _figure_grid, _to_json, _write_json, main
 from conmot.dynamics import Orbit
-from conmot.invariants import BipartiteInvariant, constant_weight, make_series_invariant
+from conmot.exact import BipartiteInvariant, PayoffData
+from conmot.invariants import constant_weight, make_series_invariant
 from conmot.maps import gradient_descent
-from conmot.objectives import PayoffData, double_well
+from conmot.objectives import double_well
 from conmot.state import State, euclidean
 
 
@@ -705,6 +707,31 @@ def test_an_alt_play_scan_of_pairs_beyond_1e154_apart_separates_them(tmp_path):
     assert "nan" not in text
 
 
+def _jsonable(obj):
+    """The oracle of the JSON writer: obj made strict-JSON safe for
+    json.dumps, with non-finite floats as strings."""
+    if dataclasses.is_dataclass(obj):
+        return _jsonable(dataclasses.asdict(obj))
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, float):
+        v = float(obj)
+        if math.isnan(v):
+            return "nan"
+        if math.isinf(v):
+            return "inf" if v > 0 else "-inf"
+        return v
+    if isinstance(obj, Fraction):
+        return str(obj)
+    return obj
+
+
+def _oracle(payload) -> str:
+    return json.dumps(_jsonable(payload), sort_keys=True, indent=2)
+
+
 @dataclasses.dataclass
 class _Inner:
     ratio: Fraction
@@ -717,6 +744,31 @@ class _Outer:
     extremes: tuple
 
 
+_TEXT = st.text(st.sampled_from('"\\/\n\t\x00\x7faé €😀') | st.characters(),
+                max_size=6)
+_FLOATS = (st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072e-308, math.nan,
+                                          math.inf, -math.inf]))
+_LEAVES = (st.none() | st.booleans() | st.integers(-2**300, 2**300) | _TEXT | _FLOATS
+           | _FLOATS.map(np.float64) | st.fractions())
+_PAYLOADS = st.recursive(_LEAVES, lambda inner: (
+    st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4)
+    | st.builds(_Inner, inner, st.lists(inner, max_size=3))
+    | st.builds(_Outer, st.builds(_Inner, inner, st.lists(inner, max_size=3)),
+                st.lists(inner, max_size=3).map(tuple))), max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAYLOADS)
+def test_the_json_text_is_the_oracle_s_bytes(payload):
+    """Any nested payload encodes to json.dumps's text of its JSON-safe form,
+    and a list of it streamed from an iterator to the same text in pieces."""
+    assert _to_json(payload) == _oracle(payload)
+    pieces = []
+    rest = _to_json({"s": iter([payload, payload]), "t": payload}, pieces.append)
+    assert "".join(pieces) + rest == _oracle({"s": [payload, payload], "t": payload})
+
+
 def test_json_outputs_are_the_bytes_of_the_whole_document(tmp_path):
     payload = {
         "b": _Outer(_Inner(Fraction(-3, 7), [1.5, math.nan, -math.inf]),
@@ -725,7 +777,7 @@ def test_json_outputs_are_the_bytes_of_the_whole_document(tmp_path):
     }
     path = tmp_path / "doc.json"
     _write_json(path, payload)
-    expected = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+    expected = _oracle(payload) + "\n"
     assert path.read_bytes() == expected.encode()
 
 
@@ -740,7 +792,7 @@ def test_a_streamed_list_is_written_as_the_whole_document_would_be(tmp_path, ent
     payload = {"b": {"c": [1.5, math.nan]}, "list": entries, "z": [], "a": Fraction(1, 2)}
     path = tmp_path / "doc.json"
     _write_json(path, dict(payload, list=iter(entries)))
-    expected = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+    expected = _oracle(payload) + "\n"
     assert path.read_bytes() == expected.encode()
 
 

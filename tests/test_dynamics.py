@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conmot import dynamics
 from conmot.dynamics import Orbit, detect_fixed_point, inverse_step
 from conmot.errors import ChartViolation, InversionError, RegionError, StepSizeError
+from conmot.exact import PayoffData
 from conmot.invariants import constant_weight, series_invariant
 from conmot.maps import (
     alternating_play,
@@ -20,7 +21,7 @@ from conmot.maps import (
     step_points,
 )
 from conmot.objectives import (
-    PayoffData, bilinear, bump, double_well, linear, quadratic, region_contains,
+    bilinear, bump, double_well, linear, quadratic, region_contains,
 )
 from conmot.state import (
     State,

@@ -15,15 +15,16 @@ from conmot.cli import main
 from conmot.dynamics import inverse_step
 from conmot.errors import ConmotError
 from conmot.exact import (
+    BipartiteInvariant,
     ExactAltOrbit,
+    PayoffData,
     conservation_audit,
     difference_log_stats,
     verify_conservation_identity,
 )
-from conmot.invariants import BipartiteInvariant, dphi_rank
+from conmot.invariants import dphi_rank
 from conmot.maps import alternating_play, step_points
-from conmot.objectives import PayoffData
-from conmot.rationals import ratio_to_float
+from conmot.rationals import as_fraction, ratio_to_float
 from conmot.state import State, bipartite_pair
 
 
@@ -150,6 +151,34 @@ def test_the_float_step_and_its_inverse_are_the_integer_matrices_rounded_once():
             got = move(m, State(e, m.chart).coordinates)
             want = np.array([ratio_to_float(row[j], integer.g) for row in matrix])
             assert got.tobytes() == want.tobytes()
+
+
+def _fraction_integer_state(xy) -> tuple[list, int]:
+    """(coords, s) read through as_fraction alone: the reference the float
+    path of integer_state must match."""
+    vals = [as_fraction(v) for v in xy]
+    s = math.lcm(*(v.denominator for v in vals))
+    return [v.numerator * (s // v.denominator) for v in vals], s
+
+
+_COORDINATES = (st.floats(allow_nan=False, allow_infinity=False)
+                | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+                | st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308])
+                | st.integers(-2**80, 2**80) | st.fractions() | st.sampled_from(["0.1", "-3/7"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_COORDINATES, min_size=5, max_size=5))
+def test_integer_state_reads_floats_as_their_fractions_do(xy):
+    coords, s = exact._IntegerStep(RECT, *ETA).integer_state(xy)
+    assert (coords, s) == _fraction_integer_state(xy)
+    assert all(type(v) is int for v in (*coords, s))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+def test_integer_state_refuses_a_non_finite_float_as_as_fraction_does(bad):
+    with pytest.raises(ValueError, match="^cannot convert a non-finite float to a rational$"):
+        exact._IntegerStep(RECT, *ETA).integer_state([1.0, 2.0, bad, 0.5, 0.25])
 
 
 def test_difference_log_stats_reject_degenerate_input():

@@ -13,7 +13,10 @@ conservation audit, an alt_play load_config, alt_play simulate and a
 closed-form invariant, with or without a defect horizon, load no numpy and
 no float module; figures and alt_play simulate, which fork row readers,
 load no process pool and no pickle; a gd load or simulate loads no module
-it does not run.
+it does not run; the float commands and a float load_config load no exact
+engine, and a float scan no dynamics or invariants either. A static check
+keeps the float modules' imports of exact, and chaos's of dynamics, inside
+functions.
 """
 
 import ast
@@ -112,6 +115,43 @@ def test_the_call_check_finds_every_caller():
     assert calls_by_function(source, "_IntegerStep") == ["<module>", "m", "g"]
 
 
+def _runtime_imports(source: str) -> set[str]:
+    """The conmot modules a module imports at module level when it runs:
+    imports under a top-level ``if TYPE_CHECKING:`` never run."""
+    body = [node for node in ast.parse(source).body if not (
+        isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING")]
+    found = set()
+    for node in _module_imports(body):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        else:
+            base = "conmot" if node.level else ""
+            base = ".".join(p for p in (base, node.module) if p)
+            found.update([base, *(f"{base}.{alias.name}" for alias in node.names)])
+    return found
+
+
+def test_the_runtime_import_scan_sees_each_form_and_skips_type_checking():
+    source = ("from typing import TYPE_CHECKING\nfrom .maps import step_points\n"
+              "from . import dynamics\nimport conmot.chaos\n"
+              "if TYPE_CHECKING:\n    from .exact import PayoffData\n"
+              "def f():\n    from .invariants import series_invariant\n")
+    found = _runtime_imports(source)
+    assert {"conmot.maps", "conmot.dynamics", "conmot.chaos"} <= found
+    assert not {"conmot.exact", "conmot.invariants"} & found
+
+
+@pytest.mark.parametrize("name, lazy", [
+    *((name, "conmot.exact") for name in
+      ("state", "objectives", "maps", "dynamics", "invariants", "chaos")),
+    ("chaos", "conmot.dynamics"),
+])
+def test_the_float_stack_imports_what_only_some_calls_run_inside_functions(name, lazy):
+    """The float modules reach the exact engine, and chaos reaches dynamics,
+    only from the functions that run them, so a float command loads neither."""
+    assert lazy not in _runtime_imports((Path(conmot.__file__).parent / f"{name}.py").read_text())
+
+
 @pytest.mark.parametrize("name", ["errors.py", "rationals.py", "exact.py", "config.py"])
 def test_the_exact_engine_modules_import_numpy_only_inside_functions(name):
     tree = ast.parse((Path(conmot.__file__).parent / name).read_text())
@@ -156,6 +196,15 @@ RUN = ["--config", "{config}", "--out", "{out}"]
 GD = {"map": {"kind": "gd", "objective": {"name": "double_well", "dimension": 1},
               "step_size": 0.1},
       "initial_states": [[0.5]], "steps": {"forward": 20, "backward": 2}}
+SERIES = {"kind": "series", "truncation": 8, "defect_horizon": 2}
+MWU = {"map": {"kind": "mwu_exp", "objective": {"name": "quadratic", "dimension": 3},
+               "blocks": [3], "step_size": "0.1"},
+       "initial_states": [["0.5", "0.3", "0.2"]], "scan": {"pairs": 2, "horizon": 20}, "seed": 1}
+SPHERE = {"map": {"kind": "rgd_sphere", "step_size": "0.1",
+                  "objective": {"name": "linear", "coefficients": [1, -2, 0.5]}},
+          "initial_states": [["0.6", "0.8", "0"]], "invariant": SERIES}
+GD_SCAN = dict(GD, scan={"pairs": 2, "horizon": 20}, seed=1)
+GD_SERIES = dict(GD, invariant=SERIES, classify={"x": [0.5], "y": [0.45]})
 SQUARE = {"map": {"kind": "alt_play", "payoff": {"matrix": [[1]]}, "step_sizes": ["1/10", "1/5"]},
           "initial_states": [[60, -25]], "steps": {"forward": 40, "backward": 5},
           "invariant": {"kind": "closed-form"}}
@@ -168,6 +217,8 @@ FLOAT_STACK = {"numpy", "conmot.maps", "conmot.objectives", "conmot.state", "con
 # What the commands that fork row readers never load: the workers are plain
 # os.fork children that send marshal bytes through a pipe.
 POOLS = {"multiprocessing", "concurrent.futures", "pickle"}
+# What a float scan never loads: it steps pairs forward and sums no series.
+SCAN_SKIPS = {"conmot.exact", "conmot.dynamics", "conmot.invariants"}
 
 # name: (code, config, argv, modules that must stay out of sys.modules)
 GUARDS = {
@@ -175,8 +226,16 @@ GUARDS = {
     "figures-fig1": (CLI, None, [*RUN[2:], "figures", "fig1"], {"numpy"} | POOLS),
     "figures-fig2": (CLI, None, [*RUN[2:], "figures", "fig2"], {"numpy"} | POOLS),
     "cli-module-and-audit": (AUDIT, None, [], {"numpy"}),
-    "gd-load": (LOAD, GD, ["{config}"], {"conmot.chaos", "conmot.dynamics", "conmot.invariants"}),
+    "gd-load": (LOAD, GD, ["{config}"],
+                {"conmot.chaos", "conmot.dynamics", "conmot.invariants", "conmot.exact"}),
     "gd-simulate": (CLI, GD, [*RUN, "simulate"], {"conmot.chaos"}),
+    "gd-simulate-series": (CLI, GD_SERIES, [*RUN, "simulate"], {"conmot.exact", "conmot.chaos"}),
+    "gd-classify-series": (CLI, GD_SERIES, [*RUN, "classify"], {"conmot.exact"}),
+    "gd-scan": (CLI, GD_SCAN, [*RUN, "scan"], SCAN_SKIPS),
+    "mwu_exp-scan": (CLI, MWU, [*RUN, "scan"], SCAN_SKIPS),
+    "mwu_exp-invariant": (CLI, dict(MWU, invariant=SERIES), [*RUN, "invariant"],
+                          {"conmot.exact", "conmot.chaos"}),
+    "rgd_sphere-invariant": (CLI, SPHERE, [*RUN, "invariant"], {"conmot.exact", "conmot.chaos"}),
     "alt_play-load": (LOAD, SQUARE, ["{config}"], FLOAT_STACK),
     "alt_play-simulate-1x1": (CLI, SQUARE, [*RUN, "simulate"], FLOAT_STACK | POOLS),
     "alt_play-simulate-2x3": (CLI, RECT, [*RUN, "simulate"], FLOAT_STACK | POOLS),

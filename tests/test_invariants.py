@@ -10,8 +10,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conmot import dynamics, invariants
 from conmot.dynamics import Orbit
 from conmot.errors import ConmotError, RegionError, StepSizeError
+from conmot.exact import BipartiteInvariant, PayoffData
 from conmot.invariants import (
-    BipartiteInvariant,
     constant_weight,
     coordinate_weight,
     dphi_rank,
@@ -21,7 +21,7 @@ from conmot.invariants import (
     series_invariant,
 )
 from conmot.maps import alternating_play, gradient_descent, mwu_exponential, sphere_rgd, step_points
-from conmot.objectives import Box, ObjectiveSpec, PayoffData, double_well, linear, quadratic
+from conmot.objectives import Box, ObjectiveSpec, double_well, linear, quadratic
 from conmot.state import State, bipartite_pair, euclidean, simplex_product, sphere
 from test_dynamics import roundtrip_cases
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conmot.errors import ChartViolation, RegionError, StepSizeError
+from conmot.exact import PayoffData
 from conmot.maps import (
     _raw_step,
     alternating_play,
@@ -19,7 +20,7 @@ from conmot.maps import (
     step_jacobian,
     step_points,
 )
-from conmot.objectives import PayoffData, bilinear, double_well, linear, quadratic, bump
+from conmot.objectives import bilinear, double_well, linear, quadratic, bump
 from conmot.state import State, bipartite_pair, euclidean, sample_chart, simplex_product, sphere
 
 

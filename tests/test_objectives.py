@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from conmot.exact import PayoffData
 from conmot.objectives import (
     Ball,
     Box,
-    PayoffData,
     bilinear,
     bump,
     double_well,
