@@ -457,7 +457,7 @@ def _classification_invariants(cfg: RunConfig):
     return (make_series_invariant(cfg.map, None, series[0], series[1]),)
 
 
-def cmd_classify(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_classify(cfg: RunConfig, out_dir: Path, tolerance: float) -> int:
     from .chaos import same_orbit
     from .config import chart_point
 
@@ -471,7 +471,7 @@ def cmd_classify(cfg: RunConfig, out_dir: Path) -> int:
         points["x"],
         points["y"],
         int(spec.get("max_iterations", CLASSIFY_MAX_ITERATIONS)),
-        float(spec.get("tolerance", cfg.tolerance)),
+        float(spec.get("tolerance", tolerance)),
         phis=_classification_invariants(cfg),
     )
     path = out_dir / f"{cfg.output_prefix}_classify.json"
@@ -495,7 +495,7 @@ def _sample_scan_row(chart, rng, halfwidth: float):
     return sample_chart(chart, rng).coordinates
 
 
-def cmd_scan(cfg: RunConfig, out_dir: Path, seed: int | None) -> int:
+def cmd_scan(cfg: RunConfig, out_dir: Path, seed: int | None, tolerance: float) -> int:
     from array import array
 
     import numpy as np
@@ -553,7 +553,7 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, seed: int | None) -> int:
     liminf, limsup, verdicts = pair_statistics(cfg.map, z, horizon, eps_low=eps_low,
                                                eps_high=eps_high)
     # Each pair's gap is the filter's.
-    confinement = confinement_tally(cfg.map, verdicts, gaps, cfg.tolerance)
+    confinement = confinement_tally(cfg.map, verdicts, gaps, tolerance)
     counts = confinement.verdict_counts
     pair_entries = (
         {
@@ -691,8 +691,7 @@ def _run_config(args, out_dir: Path) -> int:
     from .config import load_config
 
     cfg = load_config(args.config)
-    if args.tolerance is not None:
-        cfg = dataclasses.replace(cfg, tolerance=args.tolerance)
+    tolerance = args.tolerance if args.tolerance is not None else cfg.tolerance
     exact = cfg.kind == "alt_play" and args.command in ("simulate", "invariant")
     with contextlib.nullcontext() if exact else import_module("numpy").errstate(all="ignore"):
         if args.command == "simulate":
@@ -700,9 +699,9 @@ def _run_config(args, out_dir: Path) -> int:
         if args.command == "invariant":
             return cmd_invariant(cfg, out_dir)
         if args.command == "classify":
-            return cmd_classify(cfg, out_dir)
+            return cmd_classify(cfg, out_dir, tolerance)
         seed = args.seed if args.seed is not None else cfg.seed
-        return cmd_scan(cfg, out_dir, seed)
+        return cmd_scan(cfg, out_dir, seed, tolerance)
 
 
 def _run(args) -> int:

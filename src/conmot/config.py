@@ -1,20 +1,13 @@
 """Run configurations: schema validation and exact-number loading.
 
 A configuration is parsed twice from the same text. The first pass is plain
-JSON for schema validation with helpful paths in error messages. The second
-pass re-reads every float as a Fraction, so step sizes, payoff entries, and
-initial states reach the exact engine without a detour through float64.
-Decimal strings like "0.1" or "1/10" are accepted wherever exactness matters
-and mean exactly what they say.
-
-The first pass checks the document with a small validator for exactly the
-JSON Schema (draft 2020-12) keywords the packaged schema uses: type,
-properties, required, additionalProperties, enum, items, minItems,
-minLength, minimum and exclusiveMinimum, with $schema and title skipped as
-annotations. It answers only "valid or not" and may only err toward
-"invalid": a document it rejects goes to jsonschema, imported then, which
-words the error or, finding none, lets loading go on. A valid config never
-imports jsonschema.
+JSON, checked against the packaged JSON Schema (draft 2020-12) by a validator
+for exactly the keywords that schema uses: it reports the error jsonschema's
+best_match would, with the same path and message, and the tests hold it to
+that. The second pass re-reads every float as a Fraction, so step sizes,
+payoff entries, and initial states reach the exact engine without a detour
+through float64. Decimal strings like "0.1" or "1/10" are accepted wherever
+exactness matters and mean exactly what they say.
 """
 
 from __future__ import annotations
@@ -99,35 +92,63 @@ _TYPES = {
     "integer": lambda x: _number(x) and (isinstance(x, int) or x.is_integer()),
 }
 
-# One check per keyword of the packaged schema, called as check(x, value,
-# schema). Any other keyword, type name or non-string enum member reads as
-# "invalid" and so reaches jsonschema: these checks may call a document
-# invalid that jsonschema accepts, never the other way round. minimum and
-# exclusiveMinimum fail only on x < m and x <= m, so NaN passes both.
-_KEYWORDS = {
-    "$schema": lambda x, v, s: True,
-    "title": lambda x, v, s: True,
-    "type": lambda x, v, s: any(_TYPES.get(t, lambda _: False)(x)
-                                for t in ([v] if isinstance(v, str) else v)),
-    "enum": lambda x, v, s: isinstance(x, str) and x in v,
-    "properties": lambda x, v, s: not isinstance(x, dict) or all(
-        _valid(x[k], sub) for k, sub in v.items() if k in x),
-    "required": lambda x, v, s: not isinstance(x, dict) or all(k in x for k in v),
-    "additionalProperties": lambda x, v, s: not isinstance(x, dict) or all(
-        _valid(x[k], v) for k in x if k not in s.get("properties", {})),
-    "items": lambda x, v, s: not isinstance(x, list) or all(_valid(e, v) for e in x),
-    "minItems": lambda x, v, s: not isinstance(x, list) or len(x) >= v,
-    "minLength": lambda x, v, s: not isinstance(x, str) or len(x) >= v,
-    "minimum": lambda x, v, s: not _number(x) or not x < v,
-    "exclusiveMinimum": lambda x, v, s: not _number(x) or not x <= v,
-}
+
+def _schema_errors(x, schema: dict, path: tuple = ()):
+    """The errors jsonschema finds in x against schema, as (path, message),
+    in its order: the schema's keys in turn, properties and items descended
+    where they stand. A keyword yields only its first error, all best_match
+    can pick of its errors. NaN passes minimum and exclusiveMinimum. Other
+    keywords and value forms raise NotImplementedError."""
+    for key, value in schema.items():
+        message = None
+        if key in ("$schema", "title"):  # annotations
+            pass
+        elif key == "properties":
+            if isinstance(x, dict):
+                for k, sub in value.items():
+                    if k in x:
+                        yield from _schema_errors(x[k], sub, (*path, k))
+        elif key == "items":
+            if isinstance(x, list):
+                for i, item in enumerate(x):
+                    yield from _schema_errors(item, value, (*path, i))
+        elif key == "type":
+            names = [value] if isinstance(value, str) else value
+            if not any(_TYPES[t](x) for t in names):
+                message = f"{x!r} is not of type {', '.join(map(repr, names))}"
+        elif key == "enum":
+            if not (isinstance(x, str) and x in value):
+                message = f"{x!r} is not one of {value!r}"
+        elif key == "required":
+            if isinstance(x, dict):
+                message = next((f"{k!r} is a required property" for k in value if k not in x),
+                               None)
+        elif key == "additionalProperties" and value is False:
+            extra = sorted(x.keys() - schema.get("properties", {})) if isinstance(x, dict) else []
+            if extra:
+                message = ("Additional properties are not allowed (%s %s unexpected)"
+                           % (", ".join(map(repr, extra)), "was" if len(extra) == 1 else "were"))
+        elif key in ("minItems", "minLength"):
+            if isinstance(x, list if key == "minItems" else str) and len(x) < value:
+                message = f"{x!r} {'should be non-empty' if value == 1 else 'is too short'}"
+        elif key in ("minimum", "exclusiveMinimum"):
+            if _number(x) and (x < value if key == "minimum" else x <= value):
+                message = (f"{x!r} is less than {'' if key == 'minimum' else 'or equal to '}"
+                           f"the minimum of {value!r}")
+        else:
+            raise NotImplementedError(f"config schema keyword {key!r}: {value!r}")
+        if message is not None:
+            yield path, message
 
 
-def _valid(node, schema) -> bool:
-    """Whether node is valid against schema, answered only by _KEYWORDS."""
-    if isinstance(schema, bool):
-        return schema
-    return all(_KEYWORDS.get(k, lambda *_: False)(node, v, schema) for k, v in schema.items())
+def _schema_error(doc) -> tuple[str, str] | None:
+    """The JSON path and message of the error jsonschema's best_match picks in
+    doc, or None for a valid doc: the shallowest error, then the one whose
+    path sorts last, then the first found. (best_match next prefers an error
+    that breaks its subschema's type, which cannot decide here: the errors
+    at one path all come from one subschema on one value.)"""
+    best = max(_schema_errors(doc, _schema()), key=lambda e: (-len(e[0]), e[0]), default=None)
+    return None if best is None else ("$" + "".join(f"[{p!r}]" for p in best[0]), best[1])
 
 
 def _json_float(text: str) -> Fraction | int | float:
@@ -307,27 +328,17 @@ def build_weight(section: dict | None, dimension: int) -> WeightFunction:
 def load_config(path) -> RunConfig:
     """Read, validate, and construct a run configuration from a JSON file."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         plain = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too long an integer, too deep a nest
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    schema = _schema()
-    if not _valid(plain, schema):
-        # The error jsonschema.validate would raise, without re-checking the
-        # packaged schema against its metaschema on every load.
-        import jsonschema
-
-        exc = jsonschema.exceptions.best_match(
-            jsonschema.validators.validator_for(schema)(schema).iter_errors(plain)
-        )
-        if exc is not None:
-            path_str = "$" + "".join(
-                f"[{p!r}]" if isinstance(p, str) else f"[{p}]" for p in exc.absolute_path
-            )
-            raise ConfigError(f"{exc.message} (at {path_str})", json_path=path_str) from exc
+    error = _schema_error(plain)
+    if error is not None:
+        where, message = error
+        raise ConfigError(f"{message} (at {where})", json_path=where)
     # Every number is used in float arithmetic somewhere; 1e400 reads as inf.
     where = _nonfinite_path(plain)
     if where is not None:

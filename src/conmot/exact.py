@@ -479,9 +479,9 @@ def difference_log_stats(
     """Tail liminf/limsup of log2 ||M^t d|| for each difference vector.
 
     M is the float alternating-play step M/g of ``_IntegerStep``, the matrix
-    that ``step`` multiplies by, for the exact step sizes eta1 and eta2. The
-    dynamics is linear, so the distance between two orbits is exactly the
-    norm of the evolved difference. The tail window is the last
+    that ``maps.step_points`` multiplies by, for the exact step sizes eta1 and
+    eta2. The dynamics is linear, so the distance between two orbits is
+    exactly the norm of the evolved difference. The tail window is the last
     max(1, horizon // 5) steps (chaos._tail_start), and only it is evaluated:
 
     - the jump: each difference is carried to the first window step by one

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conmot import cli, dynamics, maps
+from conmot import cli, config, dynamics, maps
 from conmot.cli import FIGURE_RECIPES, _figure_grid, _to_json, _write_json, main
 from conmot.dynamics import Orbit
 from conmot.exact import BipartiteInvariant, PayoffData
@@ -563,6 +563,51 @@ def test_reruns_are_byte_identical(tmp_path):
     assert (out_a / "run_scan.json").read_bytes() == (out_b / "run_scan.json").read_bytes()
 
 
+def test_the_tolerance_flag_builds_the_map_and_states_once(tmp_path, monkeypatch):
+    """--tolerance is read where the tolerance is used, not copied into the
+    loaded config, whose float map and initial states a copy builds again."""
+    builds, states = [], []
+    build, post_init = config._build_map, State.__post_init__
+    monkeypatch.setattr(config, "_build_map", lambda s: builds.append(1) or build(s))
+    monkeypatch.setattr(State, "__post_init__", lambda state: states.append(1) or post_init(state))
+    cfg = write_config(tmp_path, {
+        "map": {"kind": "gd", "objective": {"name": "double_well", "dimension": 1},
+                "step_size": "0.1"},
+        "initial_states": [["0.5"]], "steps": {"forward": 3}})
+    for flags in ([], ["--tolerance", "1e-6"]):
+        builds.clear()
+        states.clear()
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), *flags, "simulate"]) == 0
+        assert (len(builds), len(states)) == (1, 1), flags
+
+
+# SHA-256 of the classify and scan files written with --tolerance 10, pinned
+# while the flag still replaced the tolerance of the loaded config. The flag
+# turns the classify answer from "no" to "inconclusive" and clears the scan's
+# four refutations, so both files differ from those written without it.
+TOLERANCE_FLAG_SHA256 = {
+    "flag_classify.json": "5387cabe65d7310a99be4cd4f1861d67e53fdbab15b5c54d24dbf6c2329b1f22",
+    "flag_scan.json": "5db3272b57565a6a2cf6f257701a436213e499d51367d1e4a1c12d74634412c9",
+}
+
+
+def test_the_tolerance_flag_outputs_keep_their_pinned_bytes(tmp_path):
+    scan = {"pairs": 4, "horizon": 200, "box_halfwidth": 20, "eps_low": 1e13, "eps_high": 1e-9}
+    doc = {"map": HYPERBOLIC["map"], "seed": 105, "scan": scan, "output": {"prefix": "flag"},
+           "classify": {"x": [60, -25], "y": [-20, 2]}}
+    out = tmp_path / "out"
+    for command in ("classify", "scan"):
+        assert main(["--config", str(write_config(tmp_path, doc)), "--out", str(out),
+                     "--tolerance", "10", command]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == TOLERANCE_FLAG_SHA256
+    # A classify.tolerance in the config takes precedence over the flag.
+    doc["classify"]["tolerance"] = 1e-9
+    assert main(["--config", str(write_config(tmp_path, doc)), "--out", str(out),
+                 "--tolerance", "10", "classify"]) == 0
+    assert json.loads((out / "flag_classify.json").read_text())["answer"] == "no"
+
+
 def test_missing_config_flag_is_exit_two(tmp_path, capsys):
     rc = main(["simulate", "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -589,6 +634,18 @@ def test_unreadable_config_is_exit_two(tmp_path, capsys):
     )
     assert rc == 2
     assert "cannot read config file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", [b'\xff\xfe{"map": 1}', b'{"map": {"kind": "\xe9"}}'],
+                         ids=["utf16_bom", "latin1_byte"])
+def test_a_config_that_is_not_utf8_is_exit_two(tmp_path, capsys, raw):
+    path = tmp_path / "config.json"
+    path.write_bytes(raw)
+    rc = main(["--config", str(path), "--out", str(tmp_path / "o"), "simulate"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: configuration: cannot read config file")
+    assert err.count("\n") == 1
 
 
 def test_broken_json_is_exit_two(tmp_path, capsys):

@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 import conmot
-from conmot.config import _KEYWORDS, _TYPES, _schema, build_weight, load_config
+from conmot.config import _TYPES, _schema, _schema_errors, build_weight, load_config
 from conmot.errors import ConfigError
 
 
@@ -228,24 +228,116 @@ def _subschemas(schema):
 
 
 def test_the_small_validator_knows_every_keyword_and_type_of_the_schema():
-    """A schema edit that adds, say, pattern must extend config._KEYWORDS;
-    until then every config would fall through to jsonschema."""
-    subschemas = list(_subschemas(_schema()))
-    assert {key for sub in subschemas for key in sub} <= _KEYWORDS.keys()
-    types = {t for sub in subschemas if "type" in sub
-             for t in ([sub["type"]] if isinstance(sub["type"], str) else sub["type"])}
-    assert types <= _TYPES.keys()
+    """A schema edit that adds, say, pattern, an additionalProperties
+    subschema, a type name or a non-string enum member must extend the
+    validator first, and this test fails until it does."""
+    for sub in _subschemas(_schema()):
+        # Each probe reaches every keyword of sub, and every subschema below it.
+        for probe in (None, [None], dict.fromkeys(sub.get("properties", {})), "", 0):
+            list(_schema_errors(probe, sub))  # raises on an unknown keyword or form
+        names = sub.get("type", [])
+        assert set([names] if isinstance(names, str) else names) <= _TYPES.keys()
+        assert all(isinstance(member, str) for member in sub.get("enum", []))
 
 
-def test_a_valid_config_loads_without_importing_jsonschema(tmp_path):
-    code = ("import sys, conmot; conmot.load_config(sys.argv[1]); "
-            "print('jsonschema' in sys.modules)")
+@pytest.mark.parametrize("schema", [{"pattern": "^a"}, {"additionalProperties": {}},
+                                    {"type": "object", "additionalProperties": True},
+                                    {"items": True}])
+def test_the_validator_refuses_a_keyword_or_form_it_does_not_know(schema):
+    with pytest.raises((NotImplementedError, AttributeError)):
+        list(_schema_errors([None], schema))
+
+
+GD = {"kind": "gd", "objective": {"name": "quadratic"}, "step_size": "0.1"}
+# One invalid config per keyword, with the path and message jsonschema's
+# best_match gave for it when jsonschema still worded config errors.
+PINNED_ERRORS = {
+    "type": ({"map": GD, "steps": {"forward": "ten"}},
+             "$['steps']['forward']", "'ten' is not of type 'integer'"),
+    "type_two_names": ({"map": dict(GD, step_size=[1])},
+                       "$['map']['step_size']", "[1] is not of type 'number', 'string'"),
+    "enum": ({"map": dict(GD, kind="leapfrog")}, "$['map']['kind']",
+             "'leapfrog' is not one of ['gd', 'mwu_exp', 'mwu_lin', 'alt_play', 'rgd_sphere']"),
+    "required": ({"steps": {}}, "$", "'map' is a required property"),
+    "additional_one": ({"map": GD, "extra": 1}, "$",
+                       "Additional properties are not allowed ('extra' was unexpected)"),
+    "additional_two": ({"map": dict(GD, zeta=1, alpha=2)}, "$['map']",
+                       "Additional properties are not allowed ('alpha', 'zeta' were unexpected)"),
+    "min_items": ({"map": GD, "initial_states": []}, "$['initial_states']",
+                  "[] should be non-empty"),
+    "min_length": ({"map": GD, "output": {"prefix": ""}}, "$['output']['prefix']",
+                   "'' should be non-empty"),
+    "minimum": ({"map": GD, "seed": -1}, "$['seed']", "-1 is less than the minimum of 0"),
+    "exclusive_minimum": ({"map": GD, "tolerance": 0}, "$['tolerance']",
+                          "0 is less than or equal to the minimum of 0"),
+    "nested_array": ({"map": GD, "initial_states": [[1, None]]}, "$['initial_states'][0][1]",
+                     "None is not of type 'number', 'string'"),
+    "path_sorting_last": ({"map": {"kind": 5}, "steps": {"forward": -1}},
+                          "$['steps']['forward']", "-1 is less than the minimum of 0"),
+    "shallowest": ({"map": {"kind": "gd", "objective": {"dimension": 0}}, "extra": True}, "$",
+                   "Additional properties are not allowed ('extra' was unexpected)"),
+    "not_an_object": ([1], "$", "[1] is not of type 'object'"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_ERRORS)
+def test_a_schema_error_names_its_path_and_jsonschema_s_message(tmp_path, name):
+    doc, json_path, message = PINNED_ERRORS[name]
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, doc))
+    assert err.value.json_path == json_path
+    assert str(err.value) == f"{message} (at {json_path})"
+
+
+def _fresh(code: str, *argv: str) -> str:
+    """The output of code run with argv in a fresh interpreter."""
     src = str(Path(conmot.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", code, str(write(tmp_path, BASE))],
-                         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          env=env, capture_output=True, text=True, check=True).stdout
+
+
+def _configs(tmp_path) -> list[str]:
+    """BASE and every pinned invalid config, written to files."""
+    docs = [BASE, *(doc for doc, _, _ in PINNED_ERRORS.values())]
+    paths = [tmp_path / f"config_{i}.json" for i in range(len(docs))]
+    for path, doc in zip(paths, docs):
+        path.write_text(json.dumps(doc))
+    return [str(path) for path in paths]
+
+
+def test_no_config_valid_or_invalid_loads_jsonschema(tmp_path):
+    code = ("import sys, conmot\n"
+            "for path in sys.argv[1:]:\n"
+            "    try:\n        conmot.load_config(path)\n"
+            "    except conmot.ConfigError:\n        pass\n"
+            "print('jsonschema' in sys.modules)")
+    assert _fresh(code, *_configs(tmp_path)) == "False\n"
+
+
+def test_a_schema_error_is_exit_two_where_jsonschema_cannot_be_imported(tmp_path):
+    """Each pinned config, run through simulate with every import of
+    jsonschema refused, exits 2 with its one error line and no traceback."""
+    code = ("import contextlib, io, json, sys\n"
+            "class Refuse:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.partition('.')[0] == 'jsonschema':\n"
+            "            raise ModuleNotFoundError(name)\n"
+            "sys.meta_path.insert(0, Refuse())\n"
+            "from conmot.cli import main\n"
+            "runs = []\n"
+            "for path in sys.argv[2:]:\n"
+            "    err = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(err):\n"
+            "        rc = main(['--config', path, '--out', sys.argv[1], 'simulate'])\n"
+            "    runs.append((rc, err.getvalue()))\n"
+            "print(json.dumps(runs))")
+    configs = _configs(tmp_path)[1:]
+    runs = json.loads(_fresh(code, str(tmp_path / "out"), *configs))
+    assert runs == [[2, f"error: configuration: {message} (at {json_path})\n"]
+                    for _, json_path, message in PINNED_ERRORS.values()]
 
 
 def test_integral_floats_are_read_as_integers(tmp_path):

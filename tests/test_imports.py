@@ -3,7 +3,10 @@
 A small stand-in for a linter's unused-import check: a module-level import
 (also one under a module-level try or if) whose name is never read in its
 module and is not listed in __all__ fails. __init__.py only re-exports, and
-from __future__ imports are directives, so both are exempt.
+from __future__ imports are directives, so both are exempt. The packages
+that src/conmot and tests import, at any depth, must be the ones that
+pyproject.toml declares: project.dependencies for src, plus the test extra
+for tests.
 
 The exact engine runs without numpy: errors, rationals, exact and config
 import it at module level nowhere. One table of fresh interpreters checks
@@ -23,6 +26,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +83,37 @@ def test_the_check_finds_an_unused_import_and_spares_a_read_or_exported_one():
               "__all__ = ['loads']\n"
               "def f():\n    import sys\n    return m.pi\n")
     assert unused_imports(source) == ["line 2: os", "line 4: dumps", "line 6: mpz"]
+
+
+def imported_packages(paths) -> set[str]:
+    """The top-level name of every absolute import in the files, at module
+    level or inside functions, less the standard library and conmot."""
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.add(node.module.partition(".")[0])
+    return found - set(sys.stdlib_module_names) - {"conmot"}
+
+
+def test_declared_dependencies_are_what_the_code_imports():
+    """src imports exactly project.dependencies, and the tests exactly those
+    plus the test extra; a module that is a file in tests/ is no package."""
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from 3.11
+    root = Path(conmot.__file__).parents[2]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+
+    def names(requirements):
+        return {re.match(r"[\w.-]+", req).group().lower().replace("-", "_")
+                for req in requirements}
+
+    runtime = names(project["dependencies"])
+    assert imported_packages(MODULES + [Path(conmot.__file__)]) == runtime
+    tests = sorted((root / "tests").glob("*.py"))
+    assert imported_packages(tests) - {p.stem for p in tests} == (
+        runtime | names(project["optional-dependencies"]["test"]))
 
 
 def calls_by_function(source: str, callee: str) -> list[str]:
