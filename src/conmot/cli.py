@@ -7,7 +7,8 @@ two points on one orbit), scan (seeded scrambled-pair survey), and figures
 needed). Output is deterministic byte for byte given the same config and
 seed: floats are written with repr and JSON keys are sorted.
 
-Exit codes: 0 success, 2 configuration problem, 3 numerical failure.
+Exit codes: 0 success, 2 configuration problem, 3 numerical failure. A
+failure prints one error line of at most ERROR_LINE_CAP characters.
 
 At module level only the standard library, ``errors`` and ``rationals`` are
 imported; each command imports what it runs. ``figures``, ``simulate`` on
@@ -63,6 +64,9 @@ FIGURE_FORWARD = 160
 FIGURE_BACKWARD = 40
 FIGURE_GRID = 401
 FIGURE_LEVEL_TOL = 1e-9
+# The longest error line, in characters. A schema message quotes the value
+# it rejects, which can be a whole config section.
+ERROR_LINE_CAP = 1000
 
 
 def _add_global_flags(parser: argparse.ArgumentParser, *, in_subcommand: bool) -> None:
@@ -677,6 +681,17 @@ def _failure_message(exc: ConmotError) -> str:
     return f"{exc} (step index {exc.step_index})"
 
 
+def _fail(line: str, code: int) -> int:
+    """Print one error line to stderr and return the exit code. A line over
+    ERROR_LINE_CAP loses its middle; its head and its tail, where a schema
+    error names its path, stay."""
+    if len(line) > ERROR_LINE_CAP:
+        keep = (ERROR_LINE_CAP - len(" ... ")) // 2
+        line = f"{line[:keep]} ... {line[-keep:]}"
+    print(line, file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     return _run(build_parser().parse_args(argv))
 
@@ -719,15 +734,12 @@ def _run(args) -> int:
             raise ConfigError(f"the {args.command} command needs --config")
         return _run_config(args, out_dir)
     except ConfigError as exc:
-        print(f"error: configuration: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"error: configuration: {exc}", 2)
     except OSError as exc:
         # The output directory or a file name built from the prefix is unusable.
-        print(f"error: configuration: cannot write the output: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"error: configuration: cannot write the output: {exc}", 2)
     except ConmotError as exc:
-        print(f"error: {_failure_message(exc)}", file=sys.stderr)
-        return 3
+        return _fail(f"error: {_failure_message(exc)}", 3)
 
 
 if __name__ == "__main__":  # pragma: no cover

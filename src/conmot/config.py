@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -73,7 +73,9 @@ class RunConfig:
                      for i, vals in enumerate(self.initial_exact))
 
 
+@cache
 def _schema() -> dict:
+    """The packaged schema, read once per process; its callers only read it."""
     text = resources.files("conmot").joinpath("schema/run_config.schema.json").read_text()
     return json.loads(text)
 

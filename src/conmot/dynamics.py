@@ -6,10 +6,12 @@ one product with M_inv/g for alternating play and one damped Newton loop for
 the rest. The loop solves in the coordinates of the chart's tangent frame at
 each iterate, with the analytic Jacobian of the step rule (the chain rule
 through the objective's Hessian); only an objective without a Hessian falls
-back to finite differences along the frame. Its tolerance and iteration cap
-are the module constants NEWTON_TOLERANCE and NEWTON_MAX_ITERATIONS; a call
-takes no settings. An inverse that leaves the declared region or the simplex
-interior raises rather than silently projecting.
+back to finite differences along the frame. Each step is one square solve on
+closed-form frames, at the iterate and at its image, with lstsq only for a
+singular system: no factorization builds a frame. Its tolerance and iteration
+cap are the module constants NEWTON_TOLERANCE and NEWTON_MAX_ITERATIONS; a
+call takes no settings. An inverse that leaves the declared region or the
+simplex interior raises rather than silently projecting.
 """
 
 from __future__ import annotations
@@ -56,24 +58,28 @@ def _newton(map_instance: MapInstance, target: np.ndarray) -> np.ndarray:
     """Damped Newton on T(y) = target in the tangent-frame coordinates at y.
 
     The Jacobian comes from step_jacobian, or from forward differences along
-    the frame columns when the objective has no Hessian. Each step is halved
-    until the retracted iterate lowers the residual norm.
+    the frame columns when the objective has no Hessian. Off the flat charts
+    T maps onto its chart, so the columns of J F lie in the tangent space at
+    T(y): with G the frame there, the least-squares step solves the square
+    system (G^T J F) c = -G^T r. lstsq runs only when the system is singular.
+    Each step is halved until the retracted iterate lowers the residual norm.
     """
     kind, chart, obj = map_instance.kind, map_instance.chart, map_instance.objective
     eta = map_instance.float_step_sizes[0]
     name = {"gd": "gd", "rgd_sphere": "sphere"}.get(kind, "mwu")
-    euclidean = chart.kind == "euclidean"  # the frame is the identity: skip its products
+    flat = chart.kind not in ("simplex-product", "sphere")  # the frame is the identity
 
-    def residual(y: np.ndarray) -> np.ndarray:
+    def image(y: np.ndarray) -> np.ndarray:
         # gd skips _raw_step's region check: an intermediate iterate may leave
         # the region, and inverse_step checks the converged preimage instead.
         if kind == "gd":
-            return gd_step(obj, eta, y) - target
-        return _raw_step(map_instance, y) - target
+            return gd_step(obj, eta, y)
+        return _raw_step(map_instance, y)
 
     # The sphere starts from the reverse step, the other kinds from the target.
     y = rgd_sphere_step(obj, -eta, target) if kind == "rgd_sphere" else target.copy()
-    r = residual(y)
+    ty = image(y)
+    r = ty - target
     rn = _norm(r)
     for _ in range(NEWTON_MAX_ITERATIONS):
         if rn <= NEWTON_TOLERANCE:
@@ -81,21 +87,28 @@ def _newton(map_instance: MapInstance, target: np.ndarray) -> np.ndarray:
         frame = tangent_frame(chart, y)
         jac = step_jacobian(map_instance, y)
         if jac is None:
-            jac = np.column_stack([(residual(y + FD_STEP * u) - r) / FD_STEP for u in frame.T])
-        elif not euclidean:
+            jac = np.column_stack([(image(y + FD_STEP * u) - target - r) / FD_STEP
+                                   for u in frame.T])
+        elif not flat:
             jac = jac @ frame
-        try:  # a square system (the euclidean frame) is solved directly
-            coeffs = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:  # not square, or singular
+        if flat:
+            lhs, rhs = jac, -r
+        else:
+            out = tangent_frame(chart, ty).T
+            lhs, rhs = out @ jac, -(out @ r)
+        try:
+            coeffs = np.linalg.solve(lhs, rhs)
+        except np.linalg.LinAlgError:  # singular
             coeffs = np.linalg.lstsq(jac, -r)[0]
-        delta = coeffs if euclidean else frame @ coeffs
+        delta = coeffs if flat else frame @ coeffs
         lam = 1.0
         for _ in range(40):
             candidate = _retract(chart, y + lam * delta)
             if candidate is not None:
-                rc = residual(candidate)
+                tc = image(candidate)
+                rc = tc - target
                 if _norm(rc) < rn:
-                    y, r, rn = candidate, rc, _norm(rc)
+                    y, ty, r, rn = candidate, tc, rc, _norm(rc)
                     break
             lam *= 0.5
         else:

@@ -13,6 +13,7 @@ A chart names the set a state belongs to and fixes the validity checks:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,26 +192,36 @@ def renormalize(coords: np.ndarray, chart: Chart) -> tuple[np.ndarray, float]:
 
 
 def tangent_frame(chart: Chart, y: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the chart's tangent space at y, as columns.
+    """Orthonormal basis of the chart's tangent space at y, as columns, in
+    closed form: no factorization runs.
 
-    The sphere uses a basis of the hyperplane orthogonal to y. The other
-    charts have one read-only frame each, built once: the identity for
-    euclidean kinds, and for a simplex product a basis of the vectors whose
-    every block sums to zero.
+    On the sphere the columns are 1..d-1 of the Householder reflection
+    I - 2 w w^T / (w^T w) with w = y + sign(y_0) ||y|| e_0, which maps y onto
+    the e_0 axis, so its other columns span the hyperplane orthogonal to y.
+    The other charts have one read-only frame each, built once: the identity
+    for euclidean kinds, and for a simplex product the Helmert contrasts of
+    each block, whose column k is (1, ..., 1, -k, 0, ...) / sqrt(k (k + 1)).
     """
     if chart.kind == "sphere":
-        return np.linalg.svd(np.eye(len(y)) - np.outer(y, y))[0][:, : len(y) - 1]
+        w = np.array(y, dtype=float)
+        w[0] += math.copysign(math.sqrt(w @ w), w[0])
+        return np.eye(len(w))[:, 1:] - np.outer(w, w[1:] * (2.0 / (w @ w)))
     return _constant_frame(chart)
 
 
 @functools.cache
 def _constant_frame(chart: Chart) -> np.ndarray:
-    frame = np.eye(chart.dimension)
-    if chart.kind == "simplex-product":
-        # The leading singular vectors of the projector onto block-sum-zero vectors.
-        for sl, size in zip(chart.block_slices(), chart.blocks):
-            frame[sl, sl] -= 1.0 / size
-        frame = np.linalg.svd(frame)[0][:, : chart.dimension - len(chart.blocks)]
+    if chart.kind != "simplex-product":
+        frame = np.eye(chart.dimension)
+    else:
+        frame = np.zeros((chart.dimension, chart.dimension - len(chart.blocks)))
+        col = 0
+        for sl in chart.block_slices():
+            for k in range(1, sl.stop - sl.start):
+                a = 1.0 / math.sqrt(k * (k + 1))
+                frame[sl.start : sl.start + k, col] = a
+                frame[sl.start + k, col] = -k * a
+                col += 1
     frame.setflags(write=False)
     return frame
 

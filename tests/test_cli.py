@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conmot import cli, config, dynamics, maps
-from conmot.cli import FIGURE_RECIPES, _figure_grid, _to_json, _write_json, main
+from conmot.cli import ERROR_LINE_CAP, FIGURE_RECIPES, _figure_grid, _to_json, _write_json, main
 from conmot.dynamics import Orbit
 from conmot.exact import BipartiteInvariant, PayoffData
 from conmot.invariants import constant_weight, make_series_invariant
@@ -374,6 +374,17 @@ def test_bad_step_size_string_is_exit_two_with_path(tmp_path, capsys, rates):
     err = capsys.readouterr().err
     assert err.startswith("error: configuration:")
     assert "map.step_sizes[0]" in err
+
+
+def test_an_error_line_quoting_a_huge_value_is_cut_in_the_middle(tmp_path, capsys):
+    """The schema message quotes the whole rejected list (1.5 MB here); the
+    line keeps its head and its (at $path) tail within the cap."""
+    cfg = write_config(tmp_path, {"map": list(range(200_000))})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "simulate"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) - 1 <= ERROR_LINE_CAP
+    assert err.startswith("error: configuration: [0, 1, 2, ")
+    assert err.endswith(" is not of type 'object' (at $['map'])\n")
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,14 @@ from conmot.errors import ChartViolation, InversionError, RegionError, StepSizeE
 from conmot.exact import PayoffData
 from conmot.invariants import constant_weight, series_invariant
 from conmot.maps import (
+    _raw_step,
     alternating_play,
     gradient_descent,
     mwu_exponential,
     mwu_linear,
+    rgd_sphere_step,
     sphere_rgd,
+    step_jacobian,
     step_points,
 )
 from conmot.objectives import (
@@ -31,6 +34,7 @@ from conmot.state import (
     sample_chart,
     simplex_product,
     sphere,
+    tangent_frame,
 )
 
 
@@ -118,6 +122,35 @@ def roundtrip_cases(draw):
 def test_forward_then_inverse_returns_to_the_start_on_every_iterative_kind(case):
     m, s = case
     assert _round_trip_error(m, s) <= 1e-10
+
+
+@settings(max_examples=300, deadline=None)
+@given(roundtrip_cases().filter(lambda case: case[0].kind != "gd"))
+def test_a_newton_step_is_the_least_squares_step(case):
+    """The first Newton step of T^{-1}(T(s)), a square solve in the frame at
+    T(y), lands where lstsq's step lands. T maps onto its chart, so the
+    columns of J F lie in that frame's span, and the two steps differ by
+    roundings: of the step itself, of the part of r normal to the chart, and
+    of the retraction. The bound, 1e-13 (||c|| + ||r||) + 1e-15, is about ten
+    times the worst of 1500 drawn cases; the step sizes keep J F well
+    conditioned."""
+    m, s = case
+    target, _ = step_points(m, s.coordinates)
+    eta = m.float_step_sizes[0]
+    y = rgd_sphere_step(m.objective, -eta, target) if m.kind == "rgd_sphere" else target
+    r = _raw_step(m, y) - target
+    frame = tangent_frame(m.chart, y)
+    least = np.linalg.lstsq(step_jacobian(m, y) @ frame, -r)[0]
+    expected = dynamics._retract(m.chart, y + frame @ least)
+    # The line search takes the full step, and the solve runs at all.
+    assume(np.linalg.norm(r) > dynamics.NEWTON_TOLERANCE and expected is not None)
+    assume(np.linalg.norm(_raw_step(m, expected) - target) < 0.5 * np.linalg.norm(r))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "NEWTON_MAX_ITERATIONS", 1)
+        with pytest.raises(InversionError) as err:
+            inverse_step(m, target)
+    bound = 1e-13 * (np.linalg.norm(least) + np.linalg.norm(r)) + 1e-15
+    assert np.linalg.norm(err.value.last_iterate - expected) <= bound
 
 
 @pytest.mark.parametrize("kind", ["gd", "mwu_lin", "rgd_sphere"])

@@ -19,7 +19,9 @@ load no process pool and no pickle; a gd load or simulate loads no module
 it does not run; the float commands and a float load_config load no exact
 engine, and a float scan no dynamics or invariants either. A static check
 keeps the float modules' imports of exact, and chaos's of dynamics, inside
-functions.
+functions. Two more fresh interpreters count the LAPACK drivers that an
+mwu_exp and an rgd_sphere invariant call: their Newton inverses run square
+solves only, with no SVD and no least squares.
 """
 
 import ast
@@ -209,15 +211,20 @@ def test_an_unknown_name_is_an_attribute_error():
         getattr(conmot, "no_such_name")
 
 
-def _loaded(code: str, *argv: str) -> set[str]:
-    """The modules a fresh interpreter holds after running code with argv."""
+def _last_json(code: str, *argv: str):
+    """The JSON value a fresh interpreter prints last, running code with argv."""
     src = str(Path(conmot.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code += "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code, *argv],
                          env=env, capture_output=True, text=True, check=True)
-    return set(json.loads(out.stdout.splitlines()[-1]))
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def _loaded(code: str, *argv: str) -> set[str]:
+    """The modules a fresh interpreter holds after running code with argv."""
+    return set(_last_json(code + "\nimport json, sys; print(json.dumps(sorted(sys.modules)))",
+                          *argv))
 
 
 CLI = "import sys; from conmot.cli import main; assert main(sys.argv[1:]) == 0"
@@ -300,3 +307,41 @@ def test_the_guards_see_a_float_command_load_numpy(tmp_path):
     config.write_text(json.dumps(GD))
     argv = [a.format(config=config, out=tmp_path / "out") for a in RUN]
     assert FLOAT_STACK - {"conmot.chaos"} <= _loaded(CLI, *argv, "simulate")
+
+
+# Counts the calls of three LAPACK drivers, and the LinAlgErrors they raise,
+# while the CLI runs.
+LAPACK_COUNTS = """
+import json, sys
+import numpy as np
+calls = {"svd": 0, "lstsq": 0, "solve": 0, "LinAlgError": 0}
+
+def counted(name, real):
+    def call(*args, **kwargs):
+        calls[name] += 1
+        try:
+            return real(*args, **kwargs)
+        except np.linalg.LinAlgError:
+            calls["LinAlgError"] += 1
+            raise
+    return call
+
+for name in ("svd", "lstsq", "solve"):
+    setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+from conmot.cli import main
+assert main(sys.argv[1:]) == 0
+print(json.dumps(calls))
+"""
+
+
+@pytest.mark.parametrize("name", ["mwu_exp-invariant", "rgd_sphere-invariant"])
+def test_the_inverse_runs_one_square_solve_per_newton_step(tmp_path, name):
+    """The backward orbit of a series builds its tangent frames in closed
+    form: no SVD, no least squares, and no solve that fails over to it."""
+    _, doc, argv, _ = GUARDS[name]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    calls = _last_json(LAPACK_COUNTS, *(a.format(config=config, out=tmp_path / "out")
+                                        for a in argv))
+    assert calls["solve"] > 0
+    assert calls == {"svd": 0, "lstsq": 0, "solve": calls["solve"], "LinAlgError": 0}

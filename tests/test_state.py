@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conmot.errors import ChartViolation
 from conmot.state import (
@@ -12,6 +13,7 @@ from conmot.state import (
     sample_chart,
     simplex_product,
     sphere,
+    tangent_frame,
 )
 
 
@@ -98,3 +100,65 @@ def test_distance_to():
     a = State([0.0, 0.0], euclidean(2))
     b = State([3.0, 4.0], euclidean(2))
     assert a.distance_to(b) == pytest.approx(5.0)
+
+
+# Frames are built in closed form, so their defects are a few roundings.
+FRAME_TOL = 1e-14
+
+
+def _worst(a: np.ndarray) -> float:
+    return np.abs(a).max(initial=0.0)
+
+
+def _assert_orthonormal_columns(frame: np.ndarray) -> None:
+    assert _worst(frame.T @ frame - np.eye(frame.shape[1])) <= FRAME_TOL
+
+
+@st.composite
+def sphere_points(draw):
+    """A unit vector in R^d, d from 2 to 8: a drawn direction, one on the
+    hyperplane y_0 = 0, or one of the poles +e_0 and -e_0, where the
+    Householder vector would cancel with the other sign choice."""
+    d = draw(st.integers(2, 8))
+    case = draw(st.sampled_from(["drawn", "y0 = 0", "+e0", "-e0"]))
+    if case.endswith("e0"):
+        y = np.zeros(d)
+        y[0] = 1.0 if case == "+e0" else -1.0
+        return y
+    u = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+    if case == "y0 = 0":
+        u[0] = 0.0
+    assume(np.linalg.norm(u) > 0.1)
+    return u / np.linalg.norm(u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sphere_points())
+@example(np.eye(2)[0])
+@example(-np.eye(8)[0])
+@example(np.array([0.0, 0.6, 0.8]))
+@example(np.array([-0.0, 0.0, 1.0]))
+def test_the_sphere_frame_is_an_orthonormal_basis_orthogonal_to_the_point(y):
+    frame = tangent_frame(sphere(len(y)), y)
+    assert frame.shape == (len(y), len(y) - 1)
+    _assert_orthonormal_columns(frame)
+    assert _worst(frame.T @ y) <= FRAME_TOL
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+def test_the_simplex_frame_is_an_orthonormal_basis_of_block_sum_zero_vectors(blocks):
+    chart = simplex_product(*blocks)
+    frame = tangent_frame(chart, np.ones(chart.dimension) / chart.dimension)
+    assert frame.shape == (chart.dimension, chart.dimension - len(blocks))
+    _assert_orthonormal_columns(frame)
+    for sl in chart.block_slices():
+        assert _worst(frame[sl].sum(0)) <= FRAME_TOL
+    assert tangent_frame(chart, np.zeros(chart.dimension)) is frame  # built once, read-only
+    assert not frame.flags.writeable
+
+
+def test_the_flat_frames_are_the_identity():
+    for chart in (euclidean(3), bipartite_pair(2, 1)):
+        frame = tangent_frame(chart, np.zeros(3))
+        assert np.array_equal(frame, np.eye(3)) and not frame.flags.writeable
