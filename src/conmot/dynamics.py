@@ -5,12 +5,11 @@ in both directions. Forward steps are the cheap direction; backward steps are
 one product with M_inv/g for alternating play and one damped Newton loop for
 the rest. The loop solves in the coordinates of the chart's tangent frame at
 each iterate, with the analytic Jacobian of the step rule (the chain rule
-through the objective's Hessian); only an objective without a Hessian falls
-back to finite differences along the frame. Each step is one square solve on
-closed-form frames, at the iterate and at its image, with lstsq only for a
-singular system: no factorization builds a frame. Its tolerance and iteration
-cap are the module constants NEWTON_TOLERANCE and NEWTON_MAX_ITERATIONS; a
-call takes no settings. An inverse that leaves the declared region or the
+through the Hessian that every objective carries). Each step is one square
+solve on closed-form frames, at the iterate and at its image, with lstsq only
+for a singular system: no factorization builds a frame. Its tolerance and
+iteration cap are the module constants NEWTON_TOLERANCE and
+NEWTON_MAX_ITERATIONS; a call takes no settings. An inverse that leaves the declared region or the
 simplex interior raises rather than silently projecting.
 """
 
@@ -37,9 +36,6 @@ FIXED_POINT_TOL = 1e-10
 NEWTON_TOLERANCE = 1e-12
 NEWTON_MAX_ITERATIONS = 60
 
-# Forward-difference step for the Jacobian of an objective without a Hessian.
-FD_STEP = 1e-7
-
 
 def _norm(v: np.ndarray) -> float:
     return float(np.linalg.norm(v))
@@ -57,11 +53,10 @@ def _retract(chart: Chart, y: np.ndarray) -> np.ndarray | None:
 def _newton(map_instance: MapInstance, target: np.ndarray) -> np.ndarray:
     """Damped Newton on T(y) = target in the tangent-frame coordinates at y.
 
-    The Jacobian comes from step_jacobian, or from forward differences along
-    the frame columns when the objective has no Hessian. Off the flat charts
-    T maps onto its chart, so the columns of J F lie in the tangent space at
-    T(y): with G the frame there, the least-squares step solves the square
-    system (G^T J F) c = -G^T r. lstsq runs only when the system is singular.
+    The Jacobian comes from step_jacobian. Off the flat charts T maps onto
+    its chart, so the columns of J F lie in the tangent space at T(y): with
+    G the frame there, the least-squares step solves the square system
+    (G^T J F) c = -G^T r. lstsq runs only when the system is singular.
     Each step is halved until the retracted iterate lowers the residual norm.
     """
     kind, chart, obj = map_instance.kind, map_instance.chart, map_instance.objective
@@ -84,17 +79,12 @@ def _newton(map_instance: MapInstance, target: np.ndarray) -> np.ndarray:
     for _ in range(NEWTON_MAX_ITERATIONS):
         if rn <= NEWTON_TOLERANCE:
             return y
-        frame = tangent_frame(chart, y)
         jac = step_jacobian(map_instance, y)
-        if jac is None:
-            jac = np.column_stack([(image(y + FD_STEP * u) - target - r) / FD_STEP
-                                   for u in frame.T])
-        elif not flat:
-            jac = jac @ frame
         if flat:
             lhs, rhs = jac, -r
         else:
-            out = tangent_frame(chart, ty).T
+            frame, out = tangent_frame(chart, y), tangent_frame(chart, ty).T
+            jac = jac @ frame
             lhs, rhs = out @ jac, -(out @ r)
         try:
             coeffs = np.linalg.solve(lhs, rhs)

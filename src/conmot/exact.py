@@ -437,7 +437,8 @@ def conservation_audit(
     )
 
 
-# Window steps evaluated per batched product: a (chunk, d, B) buffer.
+# Window steps per stack of powers of M, renormalised together; the window
+# is read one step at a time, so its scratch is one (d, B) block.
 _WINDOW_CHUNK = 16
 
 
@@ -486,10 +487,11 @@ def difference_log_stats(
 
     - the jump: each difference is carried to the first window step by one
       product with M^(tail_start + 1), got by binary powering;
-    - the window: in chunks of _WINDOW_CHUNK steps, one batched product of
-      the carried differences with a stack of consecutive powers of M, then
-      squared norms, log2 and a running min and max; the next chunk's stack
-      is this one times M^_WINDOW_CHUNK.
+    - the window: in chunks of _WINDOW_CHUNK steps, held as a stack of
+      consecutive powers of M; each step is one product of a power with all
+      carried differences into one reused (d, B) block, then squared norms,
+      log2 and a running min and max; the next chunk's stack is this one
+      times M^_WINDOW_CHUNK.
 
     Every matrix and every row is scaled by a power of two after each
     product, with log2 of the scale kept apart as an integer, so no value
@@ -527,18 +529,16 @@ def difference_log_stats(
         stack_e[j] = stack_e[j - 1] + e
     step, step_e = _normalised_power(m, chunk)
     ut = np.ascontiguousarray(u.T)
-    buf = np.empty((chunk, len(m), len(u)))
-    sq = np.empty((chunk, len(u)))
+    rows, log2_sq = np.empty((len(m), len(u))), np.empty(len(u))
     lo, hi = np.full(len(u), np.inf), np.full(len(u), -np.inf)
     for first in range(0, window, chunk):
-        n = min(chunk, window - first)
-        rows, log2_sq = buf[:n], sq[:n]
-        np.matmul(stack[:n], ut, out=rows)
-        np.einsum("kdb,kdb->kb", rows, rows, out=log2_sq)
-        np.log2(log2_sq, out=log2_sq)
-        log2_sq += 2.0 * stack_e[:n, None]
-        np.minimum(lo, log2_sq.min(axis=0), out=lo)
-        np.maximum(hi, log2_sq.max(axis=0), out=hi)
+        for j in range(min(chunk, window - first)):
+            np.matmul(stack[j], ut, out=rows)
+            np.einsum("db,db->b", rows, rows, out=log2_sq)
+            np.log2(log2_sq, out=log2_sq)
+            log2_sq += 2.0 * stack_e[j]
+            np.minimum(lo, log2_sq, out=lo)
+            np.maximum(hi, log2_sq, out=hi)
         stack, e = _pow2_normalised(step @ stack, axes=(1, 2))
         stack_e += step_e + e
     return 0.5 * lo + logs, 0.5 * hi + logs

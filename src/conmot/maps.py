@@ -195,17 +195,15 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def step_jacobian(map_instance: MapInstance, y: np.ndarray) -> np.ndarray | None:
+def step_jacobian(map_instance: MapInstance, y: np.ndarray) -> np.ndarray:
     """dT/dy of the raw rule at one point y, in ambient coordinates, by the
-    chain rule through the objective's Hessian; None when the objective has
-    none. Defined for the kinds that take an objective.
+    chain rule through the objective's Hessian. Defined for the kinds that
+    take an objective.
 
     Each mwu block is w / sum(w) with weights w_j = y_j a(g_j), a = exp(-eps g)
     or 1 - eps g; the sphere rule is z / ||z|| with z = y - eta (g - y <y, g>).
     """
     obj = map_instance.objective
-    if obj.hessian is None:
-        return None
     h = obj.hessian(y)
     eye = _identity(len(y))
     rates = map_instance.float_step_sizes

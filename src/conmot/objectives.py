@@ -88,18 +88,24 @@ class ObjectiveSpec:
     that f itself is bounded on its whole domain, which the series invariants
     accept in place of a compact region. gradient maps a (..., d) array of
     points to their (..., d) gradients, each row equal bit for bit to the
-    gradient of that point alone; evaluate and hessian take one point.
+    gradient of that point alone; evaluate and hessian take one point. The
+    hessian is required: the Newton inverses differentiate each step
+    through it.
     """
 
     name: str
     dimension: int
     evaluate: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
-    hessian: Callable[[np.ndarray], np.ndarray] | None = None
+    hessian: Callable[[np.ndarray], np.ndarray]
     hessian_entry_bound: float | None = None
     region: Box | Ball | None = None
     bounded: bool = False
     chart: charts.Chart | None = None
+
+    def __post_init__(self) -> None:
+        if not callable(self.hessian):
+            raise TypeError("objective hessian must be callable")
 
 
 # ---------------------------------------------------------------------------

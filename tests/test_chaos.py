@@ -405,6 +405,7 @@ def _expanding(region=None, power=1):
         dimension=1,
         evaluate=lambda x: float(-np.sum(x ** (power + 1)) / (power + 1)),
         gradient=lambda x: -(x**power),
+        hessian=lambda x: np.diag(-power * x ** (power - 1)),
         region=region,
     )
 
@@ -445,6 +446,7 @@ def _tilt():
         name="tilt", dimension=2,
         evaluate=lambda x: float(3.0 * x.sum() - 2.0 * x @ x),
         gradient=lambda x: 3.0 - 4.0 * x,
+        hessian=lambda x: -4.0 * np.eye(2),
     )
 
 

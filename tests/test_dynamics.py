@@ -1,6 +1,5 @@
 """Inverse steps, bidirectional orbits, and fixed-point detection."""
 
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -151,20 +150,6 @@ def test_a_newton_step_is_the_least_squares_step(case):
             inverse_step(m, target)
     bound = 1e-13 * (np.linalg.norm(least) + np.linalg.norm(r)) + 1e-15
     assert np.linalg.norm(err.value.last_iterate - expected) <= bound
-
-
-@pytest.mark.parametrize("kind", ["gd", "mwu_lin", "rgd_sphere"])
-def test_an_objective_without_a_hessian_inverts_by_finite_differences(kind):
-    obj = dataclasses.replace(double_well(3), hessian=None)
-    m = {"gd": lambda: gradient_descent(obj, 0.1), "mwu_lin": lambda: mwu_linear(obj, 0.2, (2, 1)),
-         "rgd_sphere": lambda: sphere_rgd(obj, 0.1)}[kind]()
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        if kind == "gd":
-            s = State(rng.uniform(-1.4, 1.4, 3), m.chart)
-        else:
-            s = sample_chart(m.chart, rng)
-        assert _round_trip_error(m, s) <= 1e-10
 
 
 def test_gd_inverse_of_a_step_from_the_box_edge_returns_to_the_edge():

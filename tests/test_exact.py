@@ -252,16 +252,78 @@ def test_difference_log_stats_match_the_exact_orbit(case):
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
-def test_difference_log_stats_peak_memory_is_bounded():
-    """The window is evaluated in fixed chunks, never as a whole."""
-    diffs = np.random.default_rng(3).uniform(-40, 40, (1000, 2))
+def _stacked_log_stats(payoff, eta1, eta2, diffs, horizon):
+    """difference_log_stats with each chunk of the window evaluated as one
+    (chunk, d, B) stacked product, the reference for its per-step reads."""
+    from conmot.chaos import _tail_start
+
+    u, row_e = exact._pow2_normalised(diffs, axes=1)
+    m = exact._certified_step(payoff, eta1, eta2).float_matrices()[0]
+    tail_start = _tail_start(horizon)
+    jump, jump_e = exact._normalised_power(m, tail_start + 1)
+    u, carry_e = exact._pow2_normalised(u @ jump.T, axes=1)
+    logs = row_e + carry_e + float(jump_e)
+    window = horizon - tail_start
+    chunk = min(exact._WINDOW_CHUNK, window)
+    stack, stack_e = np.empty((chunk, len(m), len(m))), np.zeros(chunk)
+    stack[0] = np.eye(len(m))
+    for j in range(1, chunk):
+        stack[j], e = exact._pow2_normalised(m @ stack[j - 1])
+        stack_e[j] = stack_e[j - 1] + e
+    step, step_e = exact._normalised_power(m, chunk)
+    ut = np.ascontiguousarray(u.T)
+    lo, hi = np.full(len(u), np.inf), np.full(len(u), -np.inf)
+    for first in range(0, window, chunk):
+        n = min(chunk, window - first)
+        rows = np.matmul(stack[:n], ut)
+        log2_sq = np.log2(np.einsum("kdb,kdb->kb", rows, rows)) + 2.0 * stack_e[:n, None]
+        lo, hi = np.minimum(lo, log2_sq.min(axis=0)), np.maximum(hi, log2_sq.max(axis=0))
+        stack, e = exact._pow2_normalised(step @ stack, axes=(1, 2))
+        stack_e += step_e + e
+    return 0.5 * lo + logs, 0.5 * hi + logs
+
+
+@st.composite
+def difference_batches(draw):
+    d = draw(st.integers(2, 6))
+    dx = draw(st.integers(1, d - 1))
+    entry = st.integers(-1024, 1024).map(lambda k: Fraction(k, 1024))
+    matrix = [[draw(entry) for _ in range(d - dx)] for _ in range(dx)]
+    eta = st.integers(3, 128).map(lambda k: Fraction(k, 256))
+    # Windows shorter than one chunk (horizon < 80) and windows of many.
+    horizon = draw(st.one_of(st.integers(1, 79), st.integers(80, 2000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_pairs = draw(st.integers(1, 300))
+    scale = 10.0 ** rng.uniform(-200, 200, (n_pairs, 1))
+    diffs = rng.uniform(-1.0, 1.0, (n_pairs, d)) * scale
+    return PayoffData.from_matrix(matrix), float(draw(eta)), float(draw(eta)), diffs, horizon
+
+
+@settings(max_examples=60, deadline=None)
+@given(difference_batches())
+def test_difference_log_stats_per_step_window_matches_the_stacked_products(case):
+    """Each window step is the same product on the same shapes as one slice
+    of a stacked product over the whole chunk, so every bit agrees."""
+    lo, hi = difference_log_stats(*case)
+    want_lo, want_hi = _stacked_log_stats(*case)
+    assert lo.tobytes() == want_lo.tobytes()
+    assert hi.tobytes() == want_hi.tobytes()
+
+
+@pytest.mark.parametrize("n_pairs", [1000, 20000])
+def test_difference_log_stats_peak_memory_is_bounded(n_pairs):
+    """The window is read one step at a time, never as a whole or as a stack
+    of steps: the traced peak is a few copies of the differences."""
+    import conmot.chaos  # noqa: F401  (the first call imports it; keep that out of the trace)
+
+    diffs = np.random.default_rng(3).uniform(-40, 40, (n_pairs, 2))
     tracemalloc.start()
     try:
         difference_log_stats(PAY, *ETA, diffs, horizon=5000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**20
+    assert peak < 2**16 + 10 * diffs.nbytes
 
 
 def test_initial_state_denominators_are_respected():
@@ -297,7 +359,8 @@ def dyadic_orbits(draw):
 
 def _integers(orb):
     """The exact state read at the current position: coordinates and scale."""
-    return [int(v) for v in orb._ax + orb._ay], int(orb._s)
+    here = orb._here()
+    return [int(v) for v in here.coords], int(here.scale)
 
 
 def _move(orb, n):

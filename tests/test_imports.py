@@ -17,11 +17,12 @@ closed-form invariant, with or without a defect horizon, load no numpy and
 no float module; figures and alt_play simulate, which fork row readers,
 load no process pool and no pickle; a gd load or simulate loads no module
 it does not run; the float commands and a float load_config load no exact
-engine, and a float scan no dynamics or invariants either. A static check
-keeps the float modules' imports of exact, and chaos's of dynamics, inside
-functions. Two more fresh interpreters count the LAPACK drivers that an
-mwu_exp and an rgd_sphere invariant call: their Newton inverses run square
-solves only, with no SVD and no least squares.
+engine, and a float scan no dynamics or invariants either; nor does an
+alt_play scan, which reads its pairs through difference_log_stats. A
+static check keeps the float modules' imports of exact, and chaos's of
+dynamics, inside functions. Two more fresh interpreters count the LAPACK
+drivers that an mwu_exp and an rgd_sphere invariant call: their Newton
+inverses run square solves only, with no SVD and no least squares.
 """
 
 import ast
@@ -279,6 +280,8 @@ GUARDS = {
                           {"conmot.exact", "conmot.chaos"}),
     "rgd_sphere-invariant": (CLI, SPHERE, [*RUN, "invariant"], {"conmot.exact", "conmot.chaos"}),
     "alt_play-load": (LOAD, SQUARE, ["{config}"], FLOAT_STACK),
+    "alt_play-scan": (CLI, dict(SQUARE, scan={"pairs": 2, "horizon": 20}, seed=1),
+                      [*RUN, "scan"], {"conmot.dynamics", "conmot.invariants"}),
     "alt_play-simulate-1x1": (CLI, SQUARE, [*RUN, "simulate"], FLOAT_STACK | POOLS),
     "alt_play-simulate-2x3": (CLI, RECT, [*RUN, "simulate"], FLOAT_STACK | POOLS),
     "alt_play-closed-form-invariant": (CLI, SQUARE, [*RUN, "invariant"], FLOAT_STACK),

@@ -180,7 +180,8 @@ def test_blocked_side_notes_name_the_step_that_failed():
     assert "backward step -1: backward step left the objective's declared region" in rep.notes
     # x -> 1.5 x leaves the box at step 4, so step 5 cannot be taken.
     hill = ObjectiveSpec(name="hill", dimension=1, evaluate=lambda z: -0.5 * float(z @ z),
-                         gradient=lambda z: -z, region=Box(lower=(-2.0,), upper=(2.0,)))
+                         gradient=lambda z: -z, hessian=lambda z: -np.eye(1),
+                         region=Box(lower=(-2.0,), upper=(2.0,)))
     rep = series_invariant(gradient_descent(hill, 0.5), None, ONES, State([0.5], euclidean(1)), 8)
     assert rep.notes[-1] == "forward step 5: state lies outside the objective's declared region"
     assert rep.truncation_n == 4
@@ -203,6 +204,7 @@ def test_series_flags_divergence_on_a_two_cycle():
         dimension=2,
         evaluate=lambda z: float(z[0] + z[1]),
         gradient=lambda z: np.array([(2.0 * z[0] - 1.0) / eta, 0.0]),
+        hessian=lambda z: np.diag([2.0 / eta, 0.0]),
         region=Box(lower=(-2.0, -2.0), upper=(2.0, 2.0)),
     )
     m = gradient_descent(seesaw, eta)

@@ -1,6 +1,5 @@
 """Forward update rules: worked one-step values, fixed points, error paths."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -300,8 +299,3 @@ def test_step_jacobian_matches_central_differences_of_the_rule(kind, name):
         central = np.stack([(_raw_step(m, y + h * e) - _raw_step(m, y - h * e)) / (2 * h)
                             for e in eye], axis=1)
         np.testing.assert_allclose(step_jacobian(m, y), central, atol=1e-8)
-
-
-def test_step_jacobian_is_none_without_a_hessian():
-    m = gradient_descent(dataclasses.replace(quadratic(2), hessian=None), 0.1)
-    assert step_jacobian(m, np.array([0.5, 0.5])) is None

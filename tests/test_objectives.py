@@ -1,5 +1,7 @@
 """Objective catalog: analytic derivatives, payoff assembly, step-size checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,21 @@ def test_gd_validator_flat_objective_accepts_everything():
     assert v.bound == np.inf
 
 
+def test_an_objective_without_a_hessian_is_refused_at_construction():
+    """The Newton inverses differentiate every step through the Hessian, so
+    an objective without one is refused before any map is built."""
+    from conmot.objectives import ObjectiveSpec
+
+    parts = dict(name="flat", dimension=1, evaluate=lambda x: 0.0,
+                 gradient=lambda x: np.zeros_like(x))
+    with pytest.raises(TypeError, match="hessian"):
+        ObjectiveSpec(**parts)
+    with pytest.raises(TypeError, match="^objective hessian must be callable$"):
+        ObjectiveSpec(**parts, hessian=None)
+    with pytest.raises(TypeError, match="^objective hessian must be callable$"):
+        dataclasses.replace(quadratic(2), hessian=np.eye(2))
+
+
 def test_gd_validator_unverifiable_is_not_a_rejection():
     from conmot.objectives import ObjectiveSpec
 
@@ -155,6 +172,7 @@ def test_gd_validator_unverifiable_is_not_a_rejection():
         name="blind", dimension=1,
         evaluate=lambda x: float(np.sin(x[0])),
         gradient=lambda x: np.cos(x),
+        hessian=lambda x: np.array([[-np.sin(x[0])]]),
     )
     v = validate_step_size_gd(blind, 0.5)
     assert v.accepted is None
