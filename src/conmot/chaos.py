@@ -121,10 +121,12 @@ def pair_statistics(
 
     Alternating play is linear, so a pair distance is its evolved difference
     vector, read in log space over the tail window alone, at any horizon (see
-    difference_log_stats). The other kinds advance every point together, one
-    vectorised step per time index; each pair's numbers equal those of
-    stepping its two States alone, bit for bit, and a failing step raises
-    what that one-pair loop raises.
+    difference_log_stats); a pair's estimates there can differ in the last
+    bits with the batch width, since BLAS picks its kernel by column count.
+    The other kinds advance every point together, one vectorised step per
+    time index; each pair's numbers equal those of stepping its two States
+    alone, bit for bit, and a failing step raises what that one-pair loop
+    raises.
 
     The rows get the chart checks of a State, on a copy, so z is never
     changed; B = 0 gives three empty lists.

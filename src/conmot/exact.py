@@ -14,10 +14,10 @@ for every orbit. ``advance`` and ``retreat`` only move the position; a read buil
 the state from the nearest built one, by one product per step or by binary
 powering of M for a long jump, and computes the quadratic once per position.
 
-The payoff, the engine and the closed-form quadratic run on Python integers
-and Fractions alone; numpy is imported only by the float reads of M and
-M_inv, the pair-scan kernel at the end of the module and
-``PayoffData.matrix``, when they are called.
+The payoff is one matrix A (rows for X, columns for Y). It, the engine and
+the closed-form quadratic run on Python integers and Fractions alone; numpy
+is imported only by the float reads of M and M_inv, the pair-scan kernel at
+the end of the module and ``PayoffData.matrix``, when they are called.
 """
 
 from __future__ import annotations
@@ -35,67 +35,44 @@ __all__ = [
 ]
 
 
-def _plain(v):
-    """v with lists, tuples and numpy arrays and scalars turned into nested
-    Python lists and numbers, as numpy reads them into an object array."""
-    if isinstance(v, (list, tuple)):
-        return [_plain(e) for e in v]
-    return v.tolist() if hasattr(v, "tolist") else v
+_NOT_A_MATRIX = "the payoff must be a non-empty 2-d matrix with rows of one length"
 
 
-def _shape(nested) -> tuple[int, ...]:
-    """numpy's shape of a nested list as an object array: the leading levels
-    whose members are all lists of one length."""
-    shape, level = [], [nested]
-    while level and all(isinstance(v, list) for v in level) and len({len(v) for v in level}) == 1:
-        shape.append(len(level[0]))
-        level = [e for v in level for e in v]
-    return tuple(shape)
+def _members(v) -> list:
+    """The members of a list, tuple or numpy array, each read as a Python value;
+    numpy is read through tolist(), so int64 entries beyond 2^53 stay exact."""
+    v = v.tolist() if hasattr(v, "tolist") else v
+    if not isinstance(v, (list, tuple)) or not v:
+        raise ValueError(_NOT_A_MATRIX)
+    return [e.tolist() if hasattr(e, "tolist") else e for e in v]
 
 
 class PayoffData:
-    """Block payoff matrices A^{ij} for a bipartite game.
+    """The payoff matrix A of the bilinear game x.T A y: its rows index X and
+    its columns index Y.
 
-    Row agents i in [n] hold strategies of size k1, column agents j in [m]
-    hold strategies of size k2. The assembled matrix stacks the blocks and is
-    kept as exact Fractions (floats convert exactly); ``matrix`` is its
-    read-only float64 array, built on first read.
+    The entries are kept as exact Fractions (floats convert exactly);
+    ``matrix`` is their read-only float64 array, built on first read.
     """
 
-    __slots__ = ("n", "m", "k1", "k2", "exact", "_matrix")
+    __slots__ = ("exact", "_matrix")
 
-    def __init__(self, blocks) -> None:
-        rows = list(blocks)
-        if not rows or not all(len(r) == len(rows[0]) for r in rows):
-            raise ValueError("payoff blocks must form a full n x m grid")
-        n, m = len(rows), len(rows[0])
-        first = _shape(_plain(rows[0][0]))
-        if len(first) != 2:
-            raise ValueError("each payoff block must be a 2-d matrix")
-        k1, k2 = first
-        exact_rows: list[list[Fraction]] = [[] for _ in range(n * k1)]
-        for i, row in enumerate(rows):
-            for j, block in enumerate(row):
-                block = _plain(block)
-                shape = _shape(block)
-                if shape != (k1, k2):
-                    raise ValueError(
-                        f"payoff block ({i},{j}) has shape {shape}, expected {(k1, k2)}"
-                    )
-                for a in range(k1):
-                    exact_rows[i * k1 + a].extend(as_fraction(v) for v in block[a])
-        self.n, self.m, self.k1, self.k2 = n, m, k1, k2
-        self.exact = tuple(tuple(r) for r in exact_rows)
+    def __init__(self, matrix) -> None:
+        rows = [_members(r) for r in _members(matrix)]
+        nested = any(isinstance(v, (list, tuple)) for r in rows for v in r)
+        if nested or len({len(r) for r in rows}) != 1:
+            raise ValueError(_NOT_A_MATRIX)
+        self.exact = tuple(tuple(as_fraction(v) for v in r) for r in rows)
         self._matrix = None
 
     @classmethod
     def from_matrix(cls, matrix) -> "PayoffData":
-        """Whole matrix as the single block of a two-agent game."""
-        return cls([[matrix]])
+        """The same call as ``PayoffData(matrix)``."""
+        return cls(matrix)
 
     @property
     def matrix(self):
-        """The assembled matrix as a read-only float64 numpy array."""
+        """The matrix as a read-only float64 numpy array."""
         if self._matrix is None:
             import numpy as np
 
@@ -106,17 +83,11 @@ class PayoffData:
 
     @property
     def dimension_x(self) -> int:
-        return self.n * self.k1
+        return len(self.exact)
 
     @property
     def dimension_y(self) -> int:
-        return self.m * self.k2
-
-    def block(self, i: int, j: int):
-        return self.matrix[i * self.k1 : (i + 1) * self.k1, j * self.k2 : (j + 1) * self.k2]
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"PayoffData(n={self.n}, m={self.m}, k1={self.k1}, k2={self.k2})"
+        return len(self.exact[0])
 
 
 def _matvec(rows: list[list], v: list) -> list:
@@ -161,9 +132,8 @@ class _IntegerStep:
         self.eta = eta1, eta2 = as_fraction(eta1), as_fraction(eta2)
         if eta1 <= 0 or eta2 <= 0:
             raise ConmotError("step sizes must be positive")
-        entries = [[as_fraction(v) for v in row] for row in payoff.exact]
-        d = math.lcm(*(v.denominator for row in entries for v in row))  # A = At / D
-        at = [[v.numerator * (d // v.denominator) for v in row] for row in entries]
+        d = math.lcm(*(v.denominator for row in payoff.exact for v in row))  # A = At / D
+        at = [[v.numerator * (d // v.denominator) for v in row] for row in payoff.exact]
         att = [list(col) for col in zip(*at)]
         p1, q1 = eta1.numerator, eta1.denominator
         p2, q2 = eta2.numerator, eta2.denominator
@@ -500,6 +470,10 @@ def difference_log_stats(
     resolved only to about eps ||M^t|| ||d||: a difference that lies, to
     rounding, in an invariant subspace that M stretches less than its
     dominant one (the kernel of A, a contracting eigenvector) reads as noise.
+
+    A row's last bits can depend on the batch, as BLAS picks its kernel by
+    column count: 1 of 300 rows on the 1x1 game at horizon 5000 reads
+    differently alone.
 
     Returns (liminf_log2, limsup_log2), float64 arrays with one entry per
     row of diffs.

@@ -1,11 +1,13 @@
 """Objective functions and step-size validation.
 
 The catalog deliberately stays small: a strongly convex bowl, a double well
-with two basins, a bounded bump, linear utilities, and the bilinear coupling
-used by the bipartite game dynamics. Each entry carries analytic gradient and
-Hessian callables plus, where meaningful, a uniform entrywise Hessian bound L
-over the declared working region. ``PayoffData``, the bilinear coupling's
-input, lives in ``exact`` with the integer engine.
+with two basins, a bounded bump, linear utilities, and the bilinear form
+x.T A y of a payoff matrix as a gd objective (alternating play does not use
+it: it steps on the payoff's certified integer matrix in ``exact``). Each
+entry carries analytic gradient and Hessian callables plus, where
+meaningful, a uniform entrywise Hessian bound L over the declared working
+region. ``PayoffData``, the bilinear form's input, lives in ``exact`` with
+the integer engine.
 
 The step-size validators compare a step size with a bound derived from a
 declared curvature bound only: a missing bound gives an unverifiable verdict,

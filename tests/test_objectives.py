@@ -1,9 +1,12 @@
-"""Objective catalog: analytic derivatives, payoff assembly, step-size checks."""
+"""Objective catalog: analytic derivatives, the payoff matrix, step-size checks."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conmot.exact import PayoffData
 from conmot.objectives import (
@@ -18,6 +21,7 @@ from conmot.objectives import (
     validate_step_size_gd,
     validate_step_size_manifold,
 )
+from conmot.rationals import as_fraction
 from region_sampling import sample_region
 
 CATALOG = [quadratic(2), double_well(2), bump(2), linear([1.0, -2.0])]
@@ -86,41 +90,65 @@ def test_region_membership_and_sampling():
             assert region_contains(region, sample_region(region, rng, 2))
 
 
-def test_payoff_blocks_assemble_in_agent_order():
-    blocks = [
-        [[[1, 2]], [[3, 4]]],
-        [[[5, 6]], [[7, 8]]],
-    ]  # n=2 row agents, m=2 column agents, each block 1x2
-    p = PayoffData(blocks)
-    assert (p.n, p.m, p.k1, p.k2) == (2, 2, 1, 2)
-    assert p.dimension_x == 2 and p.dimension_y == 4
-    np.testing.assert_array_equal(p.matrix, [[1, 2, 3, 4], [5, 6, 7, 8]])
-    np.testing.assert_array_equal(p.block(1, 0), [[5, 6]])
+_PAYOFF_ENTRIES = {
+    "lists": st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+                       st.fractions()),
+    "float64": st.floats(allow_nan=False, allow_infinity=False),
+    "int64": st.integers(-(2**63), 2**63 - 1) | st.integers(2**53, 2**63 - 1),  # past float's 2^53
+    "object": st.fractions(),
+}
+_PAYOFF_ENTRIES["tuples"] = _PAYOFF_ENTRIES["lists"]
+
+
+@st.composite
+def _payoff_inputs(draw):
+    """(matrix as passed, its entries as nested Python lists)."""
+    form = draw(st.sampled_from(sorted(_PAYOFF_ENTRIES)))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    values = [[draw(_PAYOFF_ENTRIES[form]) for _ in range(cols)] for _ in range(rows)]
+    if form == "lists":
+        return values, values
+    if form == "tuples":
+        return tuple(map(tuple, values)), values
+    dtype = {"float64": np.float64, "int64": np.int64, "object": object}[form]
+    return np.array(values, dtype=dtype), values
+
+
+@settings(max_examples=200, deadline=None)
+@given(_payoff_inputs())
+def test_payoff_reads_every_entry_exactly(case):
+    matrix, values = case
+    p = PayoffData(matrix)
+    expected = tuple(tuple(as_fraction(v) for v in row) for row in values)
+    assert p.exact == expected
+    assert all(type(v) is Fraction for row in p.exact for v in row)
+    assert PayoffData.from_matrix(matrix).exact == expected
+    assert p.matrix.dtype == np.float64 and not p.matrix.flags.writeable
+    np.testing.assert_array_equal(p.matrix, [[float(v) for v in row] for row in expected])
+    assert (p.dimension_x, p.dimension_y) == (len(values), len(values[0]))
 
 
 def test_payoff_from_matrix_and_exact_entries():
     p = PayoffData.from_matrix([["0.1", 2]])
-    from fractions import Fraction
-
     assert p.exact[0][0] == Fraction(1, 10)  # decimal strings stay exact
     assert p.matrix[0][1] == 2.0
 
 
-def test_payoff_rejects_ragged_blocks():
-    with pytest.raises(ValueError):
-        PayoffData([[[[1, 2]]], [[[1, 2], [3, 4]]]])
-
-
-@pytest.mark.parametrize("blocks, message", [
-    ([[[[1, 2]]], [[[1, 2], [3, 4]]]], r"payoff block \(1,0\) has shape \(2, 2\), expected \(1, 2\)"),
-    ([[[[1, 2]], [[1, 2], [3]]]], r"payoff block \(0,1\) has shape \(2,\), expected \(1, 2\)"),
-    ([[[[1, 2], [3]]]], "each payoff block must be a 2-d matrix"),
-    ([[[[[1]]]]], "each payoff block must be a 2-d matrix"),
-    ([[[[1]]], []], "payoff blocks must form a full n x m grid"),
-])
-def test_payoff_errors_name_the_shape_numpy_gives_the_block(blocks, message):
-    with pytest.raises(ValueError, match=message):
-        PayoffData(blocks)
+@pytest.mark.parametrize("matrix", [
+    [[1, 2], [3]],
+    ([1, 2], (3,)),
+    [np.array([1, 2]), np.array([3])],
+    [],
+    [[]],
+    [[1, [2]]],
+    np.zeros((2, 2, 2)),
+    [1, 2],
+    3,
+], ids=["ragged", "ragged-tuples", "ragged-numpy-rows", "empty", "empty-row", "nested-entry",
+        "numpy-3d", "1d", "scalar"])
+def test_payoff_refuses_what_is_not_one_matrix(matrix):
+    with pytest.raises(ValueError, match="non-empty 2-d matrix with rows of one length"):
+        PayoffData(matrix)
 
 
 def test_payoff_reads_numpy_blocks_exactly():
