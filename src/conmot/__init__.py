@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 
 # Each exported name, grouped under the module that defines it.
 _EXPORTS = {
-    "state": ("Chart", "State", "euclidean", "simplex_product", "sphere", "bipartite_pair",
-              "renormalize", "sample_chart"),
+    "state": ("Chart", "State", "euclidean", "simplex_product", "sphere", "renormalize",
+              "sample_chart"),
     "objectives": ("ObjectiveSpec", "Box", "Ball", "StepSizeVerdict", "quadratic",
                    "double_well", "bump", "linear", "bilinear", "validate_step_size_gd",
                    "validate_step_size_manifold"),

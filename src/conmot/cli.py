@@ -494,7 +494,7 @@ def _sample_scan_row(chart, rng, halfwidth: float):
     halfwidth on a flat chart, else from the chart's own sampler."""
     from .state import sample_chart, validate_points
 
-    if chart.kind in ("euclidean", "bipartite-pair"):
+    if chart.kind == "euclidean":
         return validate_points(rng.uniform(-halfwidth, halfwidth, chart.dimension), chart)
     return sample_chart(chart, rng).coordinates
 

@@ -41,13 +41,12 @@ DEFAULT_PREFIX = "run"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a CLI command needs, already validated. map and
-    initial_states are float views of the exact fields, built on first read;
-    load_config builds them at once for every kind but alt_play, whose exact
-    checks leave them nothing to reject, so its exact commands skip numpy."""
+    """Everything a CLI command needs, already validated. load_config sets map
+    and initial_states at once for every kind but alt_play. For alt_play they
+    are float views of the exact fields, built on first read: its exact checks
+    leave them nothing to reject, so its exact commands skip numpy."""
 
     kind: str
-    map_section: dict  # numbers read exactly
     initial_exact: tuple[tuple[Fraction, ...], ...]
     n_forward: int
     n_backward: int
@@ -64,8 +63,7 @@ class RunConfig:
     def map(self) -> MapInstance:
         from .maps import alternating_play
 
-        return (alternating_play(self.payoff, *self.step_sizes) if self.kind == "alt_play"
-                else _build_map(self.map_section))
+        return alternating_play(self.payoff, *self.step_sizes)
 
     @cached_property
     def initial_states(self) -> tuple[State, ...]:
@@ -381,7 +379,6 @@ def load_config(path) -> RunConfig:
     tolerance = doc.get("tolerance", DEFAULT_TOLERANCE)
     cfg = RunConfig(
         kind=section["kind"],
-        map_section=section,
         initial_exact=tuple(vals for vals, _ in points),
         n_forward=int(steps.get("forward", 0)),
         n_backward=int(steps.get("backward", 0)),

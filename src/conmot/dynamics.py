@@ -28,7 +28,8 @@ __all__ = [
     "detect_fixed_point",
 ]
 
-# Default tolerance for calling a point fixed: ||T(x) - x|| <= this.
+# The one tolerance for calling a point fixed: ||T(x) - x|| <= this. Orbit
+# segments, detect_fixed_point, same_orbit and the series invariants read it.
 FIXED_POINT_TOL = 1e-10
 
 # Newton stops once the forward residual norm is within NEWTON_TOLERANCE, and
@@ -199,9 +200,7 @@ class Orbit:
         return range(-self._run(-1, n_backward), n_forward + 1)
 
 
-def detect_fixed_point(
-    map_instance: MapInstance, x: State, tolerance: float = FIXED_POINT_TOL
-) -> bool:
-    """Whether ||T(x) - x|| is within tolerance."""
+def detect_fixed_point(map_instance: MapInstance, x: State) -> bool:
+    """Whether ||T(x) - x|| <= FIXED_POINT_TOL."""
     coords = on_chart(x, map_instance.chart)
-    return _norm(coords - step_points(map_instance, coords)[0]) <= tolerance
+    return _norm(coords - step_points(map_instance, coords)[0]) <= FIXED_POINT_TOL

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .dynamics import Orbit
+from .dynamics import FIXED_POINT_TOL, Orbit
 from .errors import ConmotError, InversionError, RegionError, StepSizeError
 from .maps import MapInstance
 from .objectives import validate_step_size_gd, validate_step_size_manifold
@@ -37,9 +37,6 @@ __all__ = [
 ]
 
 TERM_STOP_TOL = 1e-14
-# A series is 0 at a point with ||T(x) - x|| <= this. It is tighter than
-# dynamics.FIXED_POINT_TOL (1e-10), which decides fixed points for orbits.
-SERIES_FIXED_POINT_TOL = 1e-12
 DIVERGENCE_PATIENCE = 32
 DPHI_RANK_RTOL = 1e-10
 
@@ -170,7 +167,7 @@ class _OrbitWindow:
         """The truncated series at T^c x, summed ring by ring from the window."""
         here, nxt = self.orbit[c], self.orbit[c + 1]  # a failed step raises as the orbit did
         # A point that does not move contributes nothing anywhere on its orbit.
-        if float(np.linalg.norm(here - nxt)) <= SERIES_FIXED_POINT_TOL:
+        if float(np.linalg.norm(here - nxt)) <= FIXED_POINT_TOL:
             return InvariantReport(value=0.0, truncation_n=0, partial_sums=(), tail_estimate=0.0,
                                    fixed_point=True, converged_early=True, notes=tuple(notes))
 

@@ -80,11 +80,9 @@ class MapInstance:
 
 
 def gradient_descent(objective: ObjectiveSpec, eta) -> MapInstance:
-    """Gradient descent with step size eta on the objective's euclidean chart."""
-    chart = objective.chart or charts.euclidean(objective.dimension)
-    if chart.kind not in ("euclidean", "bipartite-pair"):
-        raise ChartViolation("gradient descent runs on euclidean coordinates")
-    return MapInstance("gd", chart, (as_fraction(eta),), objective=objective)
+    """Gradient descent with step size eta on euclidean(objective.dimension)."""
+    return MapInstance("gd", charts.euclidean(objective.dimension), (as_fraction(eta),),
+                       objective=objective)
 
 
 def _mwu(kind: str, objective: ObjectiveSpec, eps, blocks) -> MapInstance:
@@ -117,8 +115,9 @@ def mwu_linear(objective: ObjectiveSpec, eps, blocks) -> MapInstance:
 
 
 def alternating_play(payoff: PayoffData, eta1, eta2) -> MapInstance:
-    """Alternating bipartite play with rates (eta1, eta2)."""
-    chart = charts.bipartite_pair(payoff.dimension_x, payoff.dimension_y)
+    """Alternating bipartite play with rates (eta1, eta2) on the state X then Y,
+    euclidean(dx + dy); the payoff splits the two."""
+    chart = charts.euclidean(payoff.dimension_x + payoff.dimension_y)
     return MapInstance(
         "alt_play", chart, (as_fraction(eta1), as_fraction(eta2)), payoff=payoff
     )
@@ -249,8 +248,8 @@ def _raw_step(map_instance: MapInstance, coords: np.ndarray) -> np.ndarray:
 
 def step_points(map_instance: MapInstance, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """T on every point of a (..., d) array, with the chart checks of a State,
-    and the chart defect renormalize removed from each point (0.0 on the
-    euclidean kinds). Each row equals the call on that row alone, bit for bit,
+    and the chart defect renormalize removed from each point (0.0 on a
+    euclidean chart). Each row equals the call on that row alone, bit for bit,
     and the call raises if any point fails (a NaN that hides a failure from a
     minimum over points fails finiteness)."""
     out, defects = renormalize(_raw_step(map_instance, coords), map_instance.chart)

@@ -22,8 +22,6 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from . import state as charts
-
 if TYPE_CHECKING:
     from .exact import PayoffData
 
@@ -92,7 +90,9 @@ class ObjectiveSpec:
     points to their (..., d) gradients, each row equal bit for bit to the
     gradient of that point alone; evaluate and hessian take one point. The
     hessian is required: the Newton inverses differentiate each step
-    through it.
+    through it. An objective names no chart: each map builds its own on
+    R^dimension (gd a euclidean one, mwu a product of simplices, rgd the
+    sphere).
     """
 
     name: str
@@ -103,7 +103,6 @@ class ObjectiveSpec:
     hessian_entry_bound: float | None = None
     region: Box | Ball | None = None
     bounded: bool = False
-    chart: charts.Chart | None = None
 
     def __post_init__(self) -> None:
         if not callable(self.hessian):
@@ -124,7 +123,6 @@ def quadratic(dimension: int) -> ObjectiveSpec:
         hessian=lambda x: np.eye(len(x)),
         hessian_entry_bound=1.0,
         region=Ball(center=(0.0,) * dimension, radius=10.0),
-        chart=charts.euclidean(dimension),
     )
 
 
@@ -143,7 +141,6 @@ def double_well(dimension: int = 1) -> ObjectiveSpec:
         hessian=lambda x: np.diag(3.0 * x**2 - 1.0),
         hessian_entry_bound=5.75,
         region=Box(lower=(-1.5,) * dimension, upper=(1.5,) * dimension),
-        chart=charts.euclidean(dimension),
     )
 
 
@@ -170,7 +167,6 @@ def bump(dimension: int) -> ObjectiveSpec:
         hessian=_hess,
         hessian_entry_bound=2.0,
         bounded=True,
-        chart=charts.euclidean(dimension),
     )
 
 
@@ -186,12 +182,11 @@ def linear(coefficients) -> ObjectiveSpec:
         gradient=lambda x: np.ones(np.shape(x)) * c,
         hessian=lambda x: np.zeros((d, d)),
         hessian_entry_bound=0.0,
-        chart=charts.euclidean(d),
     )
 
 
 def bilinear(payoff: PayoffData) -> ObjectiveSpec:
-    """f(x, y) = <X, A Y> on stacked bipartite coordinates."""
+    """f(x, y) = <X, A Y> on euclidean(dx + dy), X then Y, split by the payoff."""
     a = payoff.matrix
     dx, dy = payoff.dimension_x, payoff.dimension_y
     d = dx + dy
@@ -218,7 +213,6 @@ def bilinear(payoff: PayoffData) -> ObjectiveSpec:
         gradient=_grad,
         hessian=_hess,
         hessian_entry_bound=bound,
-        chart=charts.bipartite_pair(dx, dy),
     )
 
 

@@ -7,7 +7,9 @@ A chart names the set a state belongs to and fixes the validity checks:
   block sums to 1 within SUM_TOL and coordinates are >= -CLAMP_TOL (tiny
   negatives are clamped to exactly 0 on construction).
 - ``sphere``: unit vector, | ||x|| - 1 | <= SUM_TOL.
-- ``bipartite-pair``: two stacked euclidean blocks (X then Y) of declared sizes.
+
+A chart holds no other structure: alternating play runs on
+``euclidean(dx + dy)``, X then Y, and only its payoff splits the two.
 """
 
 from __future__ import annotations
@@ -28,14 +30,13 @@ __all__ = [
     "euclidean",
     "simplex_product",
     "sphere",
-    "bipartite_pair",
     "renormalize",
     "validate_points",
     "tangent_frame",
     "sample_chart",
 ]
 
-CHART_KINDS = ("euclidean", "simplex-product", "sphere", "bipartite-pair")
+CHART_KINDS = ("euclidean", "simplex-product", "sphere")
 
 # Chart residual tolerance (block sums, sphere norm) and the negativity clamp.
 SUM_TOL = 1e-12
@@ -46,8 +47,8 @@ CLAMP_TOL = 1e-12
 class Chart:
     """Chart descriptor: a kind plus the block structure it needs.
 
-    ``blocks`` means strategies-per-agent for simplex products, the pair
-    (x_dim, y_dim) for bipartite pairs, and (dimension,) otherwise.
+    ``blocks`` means strategies-per-agent for simplex products and
+    (dimension,) otherwise.
     """
 
     kind: str
@@ -59,8 +60,6 @@ class Chart:
         blocks = tuple(int(b) for b in self.blocks)
         if not blocks or any(b < 1 for b in blocks):
             raise ChartViolation(f"chart blocks must be positive, got {blocks}")
-        if self.kind == "bipartite-pair" and len(blocks) != 2:
-            raise ChartViolation("bipartite-pair chart needs exactly two block sizes (x_dim, y_dim)")
         object.__setattr__(self, "blocks", blocks)
 
     @property
@@ -91,12 +90,8 @@ def sphere(dimension: int) -> Chart:
     return Chart("sphere", (dimension,))
 
 
-def bipartite_pair(x_dim: int, y_dim: int) -> Chart:
-    return Chart("bipartite-pair", (x_dim, y_dim))
-
-
 def _chart_residual(coords: np.ndarray, chart: Chart):
-    """Worst violation of the chart's equations per point (0 for euclidean kinds)."""
+    """Worst violation of the chart's equations per point (0 on a euclidean chart)."""
     if chart.kind == "simplex-product":
         deviations = [abs(coords[..., sl].sum(-1) - 1.0) for sl in chart.block_slices()]
         return np.maximum.reduce([*deviations, -coords.min(-1)])
@@ -166,7 +161,7 @@ def renormalize(coords: np.ndarray, chart: Chart) -> tuple[np.ndarray, float]:
     """Project coordinates back onto the chart exactly.
 
     Returns the renormalized copy and the pre-renormalization defect (the chart
-    residual that was removed). Euclidean kinds pass through with defect 0.
+    residual that was removed). A euclidean chart passes through with defect 0.
     Raises ChartViolation when renormalization is impossible (a zero block, a
     zero vector on the sphere, or a negative beyond the clamp tolerance).
     A (..., d) array is renormalized point by point, one defect per point.
@@ -199,7 +194,7 @@ def tangent_frame(chart: Chart, y: np.ndarray) -> np.ndarray:
     I - 2 w w^T / (w^T w) with w = y + sign(y_0) ||y|| e_0, which maps y onto
     the e_0 axis, so its other columns span the hyperplane orthogonal to y.
     The other charts have one read-only frame each, built once: the identity
-    for euclidean kinds, and for a simplex product the Helmert contrasts of
+    for a euclidean chart, and for a simplex product the Helmert contrasts of
     each block, whose column k is (1, ..., 1, -k, 0, ...) / sqrt(k (k + 1)).
     """
     if chart.kind == "sphere":
@@ -229,7 +224,7 @@ def _constant_frame(chart: Chart) -> np.ndarray:
 def sample_chart(chart: Chart, rng: np.random.Generator, scale: float = 1.0) -> State:
     """Draw a random state on the chart.
 
-    Euclidean kinds use centered normals with the given scale; simplex blocks
+    A euclidean chart uses centered normals with the given scale; simplex blocks
     are Dirichlet(1) draws; sphere points are normalized normals.
     """
     if chart.kind == "simplex-product":

@@ -29,7 +29,7 @@ from conmot.maps import (
     step_points,
 )
 from conmot.objectives import Box, ObjectiveSpec, bump, double_well, linear, quadratic
-from conmot.state import State, bipartite_pair, euclidean, sample_chart, simplex_product
+from conmot.state import State, euclidean, sample_chart, simplex_product
 
 PAY = PayoffData.from_matrix([[1]])
 ETA = (Fraction(1, 10), Fraction(1, 5))
@@ -44,7 +44,7 @@ def _phi():
 
 
 def _bp(x, y):
-    return State([float(x), float(y)], bipartite_pair(1, 1))
+    return State([float(x), float(y)], euclidean(2))
 
 
 def _image(m, s):
@@ -228,7 +228,7 @@ def test_same_orbit_gap_is_symmetric():
 @pytest.mark.parametrize("off", [0, 1])
 def test_same_orbit_rejects_a_point_off_the_map_chart(off):
     pair = [_bp(1, 2), _bp(3, 4)]
-    pair[off] = State([1.0, 2.0], euclidean(2))
+    pair[off] = State([0.5, 0.5], simplex_product(2))
     with pytest.raises(ChartViolation, match="^state chart does not match map chart$"):
         same_orbit(_alt(), *pair, 10, 1e-9, phis=(_phi(),))
 

@@ -274,7 +274,7 @@ def test_an_accepted_alt_play_config_builds_its_float_views(doc):
             return
     m = cfg.map
     assert m == alternating_play(cfg.payoff, *cfg.step_sizes)
-    assert m.payoff.matrix.shape == (m.chart.blocks[0], m.chart.blocks[1])
+    assert m.chart.dimension == sum(m.payoff.matrix.shape)
     assert len(cfg.initial_states) == len(cfg.initial_exact)
     for state, vals in zip(cfg.initial_states, cfg.initial_exact):
         expected = State(np.array([float(v) for v in vals]), m.chart)

@@ -27,7 +27,6 @@ from conmot.objectives import (
 )
 from conmot.state import (
     State,
-    bipartite_pair,
     euclidean,
     renormalize,
     sample_chart,
@@ -51,7 +50,7 @@ def test_gd_inverse_worked_example():
 
 def test_alt_play_inverse_worked_example():
     m = alternating_play(PayoffData.from_matrix([[1]]), 0.1, 0.2)
-    out = inverse_step(m, State([57.5, -13.5], bipartite_pair(1, 1)).coordinates)
+    out = inverse_step(m, State([57.5, -13.5], euclidean(2)).coordinates)
     np.testing.assert_allclose(out, [60.0, -25.0], atol=1e-12)
 
 
@@ -73,7 +72,7 @@ def test_roundtrip_across_all_map_families():
         (mwu_linear(quadratic(5), 0.05, (3, 2)),
          lambda: sample_chart(simplex_product(3, 2), rng)),
         (alternating_play(PayoffData.from_matrix([[0.5, -0.25]]), 0.1, 0.2),
-         lambda: sample_chart(bipartite_pair(1, 2), rng, scale=5.0)),
+         lambda: sample_chart(euclidean(3), rng, scale=5.0)),
         (sphere_rgd(bump(3), 0.1), lambda: sample_chart(sphere(3), rng)),
     ]
     for m, draw in families:
@@ -243,7 +242,7 @@ def test_orbit_truncates_at_fixed_points_and_flags_it():
 
 def test_orbit_indices_cover_the_requested_window():
     m = alternating_play(PayoffData.from_matrix([[1]]), 0.1, 0.2)
-    orb = Orbit(m, State([60.0, -25.0], bipartite_pair(1, 1)))
+    orb = Orbit(m, State([60.0, -25.0], euclidean(2)))
     assert orb.segment(5, 3) == range(-3, 6)
     np.testing.assert_allclose(orb[1], [57.5, -13.5])
 
@@ -296,7 +295,7 @@ ORBIT_CASES = {
     ),
     "alt_play": (
         alternating_play(PayoffData.from_matrix([[1]]), 0.1, 0.2),
-        State([60.0, -25.0], bipartite_pair(1, 1)),
+        State([60.0, -25.0], euclidean(2)),
     ),
 }
 
@@ -376,7 +375,7 @@ def test_detect_fixed_point_examples():
     assert detect_fixed_point(m, State([1.0], euclidean(1)))
     assert detect_fixed_point(m, State([0.0], euclidean(1)))
     # |T(0.5) - 0.5| = 0.1 * |0.125 - 0.5| = 0.0375, far above tolerance
-    assert not detect_fixed_point(m, State([0.5], euclidean(1)), 1e-9)
+    assert not detect_fixed_point(m, State([0.5], euclidean(1)))
 
 
 def test_detect_fixed_point_mwu_uniform_constant_gradient():

@@ -25,7 +25,7 @@ from conmot.exact import (
 from conmot.invariants import dphi_rank
 from conmot.maps import alternating_play, step_points
 from conmot.rationals import as_fraction, ratio_to_float
-from conmot.state import State, bipartite_pair
+from conmot.state import State, euclidean
 
 
 PAY = PayoffData.from_matrix([[1]])
@@ -61,7 +61,7 @@ def test_exact_orbit_matches_float_steps_initially():
     ex.advance(1)
     np.testing.assert_allclose(ex.xy_float(), [57.5, -13.5])
     m = alternating_play(PAY, *ETA)
-    s = State([60.0, -25.0], bipartite_pair(1, 1)).coordinates
+    s = State([60.0, -25.0], euclidean(2)).coordinates
     for _ in range(20):
         s, _ = step_points(m, s)
     ex.advance(19)

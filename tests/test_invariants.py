@@ -22,7 +22,7 @@ from conmot.invariants import (
 )
 from conmot.maps import alternating_play, gradient_descent, mwu_exponential, sphere_rgd, step_points
 from conmot.objectives import Box, ObjectiveSpec, double_well, linear, quadratic
-from conmot.state import State, bipartite_pair, euclidean, simplex_product, sphere
+from conmot.state import State, euclidean, simplex_product, sphere
 from test_dynamics import roundtrip_cases
 
 PAY = PayoffData.from_matrix([[1]])
@@ -48,7 +48,7 @@ def test_bipartite_invariant_exact_arithmetic():
 
 def test_bipartite_invariant_accepts_states_and_checks_length():
     phi = BipartiteInvariant(PAY, "0.1", "0.2")
-    s = State([60.0, -25.0], bipartite_pair(1, 1))
+    s = State([60.0, -25.0], euclidean(2))
     assert phi(s) == 31375.0
     with pytest.raises(ConmotError):
         phi.exact([1.0, 2.0, 3.0])
@@ -163,6 +163,16 @@ def test_series_at_a_fixed_point_is_zero_with_an_empty_trace():
     assert rep.truncation_n == 0
 
 
+def test_series_and_detect_fixed_point_share_one_threshold():
+    """||T(x) - x|| = 0.1 * 5e-11 = 5e-12 is within dynamics.FIXED_POINT_TOL,
+    so the series calls the point fixed exactly where detect_fixed_point does."""
+    m = gradient_descent(quadratic(2), 0.1)
+    x = State([5e-11, 0.0], euclidean(2))
+    rep = series_invariant(m, None, ONES, x, 40)
+    assert dynamics.detect_fixed_point(m, x)
+    assert rep.fixed_point is True and rep.value == 0.0
+
+
 def test_series_downgrades_to_one_sided_when_backward_exits_the_region():
     """From x=9 under x -> x/2 the preimage 18 leaves the ball of radius 10,
     so only the forward half of the series is computable."""
@@ -218,7 +228,7 @@ def test_series_rejects_hopeless_constructions():
     with pytest.raises(ConmotError):
         series_invariant(
             alternating_play(PAY, 0.1, 0.2), None, ONES,
-            State([60.0, -25.0], bipartite_pair(1, 1)), 8,
+            State([60.0, -25.0], euclidean(2)), 8,
         )
     unbounded = gradient_descent(linear([1.0]), 0.1)
     with pytest.raises(ConmotError):
@@ -245,7 +255,7 @@ def test_make_series_invariant_matches_the_report_value():
 def test_invariance_defect_is_exactly_zero_on_the_certified_instance():
     phi = BipartiteInvariant(PAY, Fraction(1, 10), Fraction(1, 5))
     m = alternating_play(PAY, Fraction(1, 10), Fraction(1, 5))
-    s = State([60.0, -25.0], bipartite_pair(1, 1))
+    s = State([60.0, -25.0], euclidean(2))
     assert invariance_defect(phi, m, s, 1000) == 0.0
 
 

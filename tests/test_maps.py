@@ -20,7 +20,7 @@ from conmot.maps import (
     step_points,
 )
 from conmot.objectives import bilinear, double_well, linear, quadratic, bump
-from conmot.state import State, bipartite_pair, euclidean, sample_chart, simplex_product, sphere
+from conmot.state import State, euclidean, sample_chart, simplex_product, sphere
 
 
 def _step(m, s: State) -> np.ndarray:
@@ -106,28 +106,38 @@ def test_mwu_needs_one_rate_per_block_when_not_scalar():
 
 def test_alt_play_worked_example():
     m = alternating_play(PayoffData.from_matrix([[1]]), 0.1, 0.2)
-    out = _step(m, State([60.0, -25.0], bipartite_pair(1, 1)))
+    out = _step(m, State([60.0, -25.0], euclidean(2)))
     np.testing.assert_allclose(out, [57.5, -13.5])
 
 
 def test_alt_play_zero_y_moves_only_y():
     """With Y = 0 the X update degenerates and Y reacts to the unchanged X."""
     m = alternating_play(PayoffData.from_matrix([[1]]), 0.1, 0.2)
-    out = _step(m, State([4.0, 0.0], bipartite_pair(1, 1)))
+    out = _step(m, State([4.0, 0.0], euclidean(2)))
     np.testing.assert_allclose(out, [4.0, 0.8])
 
 
 def test_alt_play_origin_is_fixed():
     m = alternating_play(PayoffData.from_matrix([[1]]), 0.1, 0.2)
-    out = _step(m, State([0.0, 0.0], bipartite_pair(1, 1)))
+    out = _step(m, State([0.0, 0.0], euclidean(2)))
     np.testing.assert_array_equal(out, [0.0, 0.0])
+
+
+def test_alt_play_and_bilinear_gd_share_one_euclidean_chart():
+    """The state is X then Y on euclidean(dx + dy); only the payoff splits it,
+    so one State serves alternating play and gd on the bilinear form."""
+    p = PayoffData.from_matrix([[1, -2, 0.5], [0, 3, 1]])
+    alt, gd = alternating_play(p, 0.1, 0.2), gradient_descent(bilinear(p), 0.1)
+    assert alt.chart == gd.chart == euclidean(5)
+    s = State([1.0, -1.0, 0.5, 2.0, 0.25], alt.chart)
+    assert _step(alt, s).shape == _step(gd, s).shape == (5,)
 
 
 def test_alt_play_strict_sequencing_not_simultaneous():
     """Y must react to the already-updated X: with A=[1] from (1, 1),
     X' = 1.1 and Y' = 1 + 0.2 * 1.1, not 1 + 0.2 * 1."""
     m = alternating_play(PayoffData.from_matrix([[1]]), 0.1, 0.2)
-    out = _step(m, State([1.0, 1.0], bipartite_pair(1, 1)))
+    out = _step(m, State([1.0, 1.0], euclidean(2)))
     np.testing.assert_allclose(out, [1.1, 1.22])
 
 
@@ -245,7 +255,7 @@ def _kernel_map(kind, dim):
 def test_step_points_rows_equal_the_one_row_call_bit_for_bit(kind, dim, rows, seed):
     m = _kernel_map(kind, dim)
     rng = np.random.default_rng(seed)
-    if m.chart.kind in ("euclidean", "bipartite-pair"):
+    if m.chart.kind == "euclidean":
         states = [State(rng.uniform(-1.4, 1.4, m.chart.dimension), m.chart) for _ in range(rows)]
     else:
         states = [sample_chart(m.chart, rng) for _ in range(rows)]
@@ -291,7 +301,7 @@ def test_step_jacobian_matches_central_differences_of_the_rule(kind, name):
     rng = np.random.default_rng(11)
     h = 1e-6
     for _ in range(5):
-        if m.chart.kind in ("euclidean", "bipartite-pair"):
+        if m.chart.kind == "euclidean":
             y = rng.uniform(-1.4, 1.4, m.chart.dimension)
         else:
             y = sample_chart(m.chart, rng).coordinates

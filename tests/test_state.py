@@ -6,8 +6,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conmot.errors import ChartViolation
 from conmot.state import (
+    CHART_KINDS,
     State,
-    bipartite_pair,
     euclidean,
     renormalize,
     sample_chart,
@@ -21,8 +21,12 @@ def test_chart_dimensions_and_block_slices():
     c = simplex_product(3, 2)
     assert c.dimension == 5
     assert c.block_slices() == (slice(0, 3), slice(3, 5))
-    assert bipartite_pair(2, 4).dimension == 6
+    assert euclidean(6).dimension == 6
     assert euclidean(3).blocks == (3,)
+
+
+def test_there_are_three_chart_kinds():
+    assert CHART_KINDS == ("euclidean", "simplex-product", "sphere")
 
 
 def test_chart_rejects_bad_blocks():
@@ -90,7 +94,7 @@ def test_renormalize_refuses_unrecoverable_inputs():
 
 def test_sample_chart_lands_on_each_chart():
     rng = np.random.default_rng(0)
-    for chart in (euclidean(4), simplex_product(3, 2), sphere(3), bipartite_pair(2, 2)):
+    for chart in (euclidean(4), simplex_product(3, 2), sphere(3)):
         for _ in range(20):
             s = sample_chart(chart, rng)
             assert s.chart == chart  # State construction re-validated it
@@ -159,6 +163,5 @@ def test_the_simplex_frame_is_an_orthonormal_basis_of_block_sum_zero_vectors(blo
 
 
 def test_the_flat_frames_are_the_identity():
-    for chart in (euclidean(3), bipartite_pair(2, 1)):
-        frame = tangent_frame(chart, np.zeros(3))
-        assert np.array_equal(frame, np.eye(3)) and not frame.flags.writeable
+    frame = tangent_frame(euclidean(3), np.zeros(3))
+    assert np.array_equal(frame, np.eye(3)) and not frame.flags.writeable
