@@ -28,7 +28,7 @@ _EXPORTS = {
              "alternating_play", "sphere_rgd", "step_points", "descent_check"),
     "dynamics": ("Orbit", "inverse_step", "detect_fixed_point"),
     "exact": ("PayoffData", "ExactAltOrbit", "BipartiteInvariant", "ConservationAudit",
-              "conservation_audit", "verify_conservation_identity", "difference_log_stats"),
+              "conservation_audit", "difference_log_stats"),
     "invariants": ("WeightFunction", "constant_weight", "coordinate_weight",
                    "gaussian_bump_weight", "InvariantReport", "series_invariant",
                    "series_along_orbit", "make_series_invariant", "invariance_defect",

@@ -352,14 +352,14 @@ def _float_rows(cfg: RunConfig, index: int):
     ts = orb.segment(cfg.n_forward, cfg.n_backward)
     series = _series_spec(cfg)
     phis = ([math.nan] * len(ts) if series is None
-            else series_along_orbit(orb, None, series[0], series[1], ts))
+            else series_along_orbit(orb, *series, ts))
     phi0 = phis[ts.index(0)]
     scale = 1.0 + abs(phi0)
     obj = cfg.map.objective
     rows = []
     for t, phi_t in zip(ts, phis):
         row = orb[t]
-        f_val = float(obj.evaluate(row)) if obj is not None else math.nan
+        f_val = float(obj.evaluate(row))
         defect = 0.0 if t == 0 and series is not None else abs(phi_t - phi0) / scale
         rows.append((t, row, f_val, phi_t, defect))
     return rows, ts
@@ -433,9 +433,7 @@ def cmd_invariant(cfg: RunConfig, out_dir: Path) -> int:
 
         weight, truncation = _series_spec(cfg)
         for i, state in enumerate(cfg.initial_states):
-            report = series_invariant(
-                cfg.map, None, weight, state, truncation, defect_horizon=horizon
-            )
+            report = series_invariant(cfg.map, weight, state, truncation, defect_horizon=horizon)
             results.append({"initial_index": i, **dataclasses.asdict(report)})
     payload = {"kind": spec["kind"], "map_kind": cfg.kind, "results": results}
     path = out_dir / f"{cfg.output_prefix}_invariant.json"
@@ -458,7 +456,7 @@ def _classification_invariants(cfg: RunConfig):
         return ()
     from .invariants import make_series_invariant
 
-    return (make_series_invariant(cfg.map, None, series[0], series[1]),)
+    return (make_series_invariant(cfg.map, *series),)
 
 
 def cmd_classify(cfg: RunConfig, out_dir: Path, tolerance: float) -> int:

@@ -10,9 +10,12 @@ is v' = M v and S' = g S for one integer matrix M with integer inverse M_inv,
 M M_inv = g^2 I. The state at position t is M^t v_0 (M_inv^|t| v_0 if t < 0)
 over s_0 g^|t|. The quadratic is num = v.T H v / 2 over p1*p2*D*S^2, so it
 is conserved iff num_t == num_0 * g^(2|t|), which M.T H M == g^2 H certifies
-for every orbit. ``advance`` and ``retreat`` only move the position; a read builds
-the state from the nearest built one, by one product per step or by binary
-powering of M for a long jump, and computes the quadratic once per position.
+for every orbit. ``_certified_step`` checks that identity and M M_inv == g^2 I
+when it builds the step; every reader of the step gets it from there, and a
+failed certificate raises ConmotError. ``advance`` and ``retreat`` only move
+the position; a read builds the state from the nearest built one, by one
+product per step or by binary powering of M for a long jump, and computes the
+quadratic once per position.
 
 The payoff is one matrix A (rows for X, columns for Y). It, the engine and
 the closed-form quadratic run on Python integers and Fractions alone; numpy
@@ -31,7 +34,7 @@ from .rationals import as_float, as_fraction, ratio_to_float
 
 __all__ = [
     "PayoffData", "ExactAltOrbit", "BipartiteInvariant", "ConservationAudit", "conservation_audit",
-    "verify_conservation_identity", "difference_log_stats",
+    "difference_log_stats",
 ]
 
 
@@ -351,18 +354,6 @@ def certified_quadratic(phi, map_instance) -> bool:
         and phi.payoff.exact == map_instance.payoff.exact
         and (phi.eta1, phi.eta2) == map_instance.step_sizes
     )
-
-
-def verify_conservation_identity(payoff: PayoffData, eta1, eta2) -> bool:
-    """Exact certificate for the integer step matrix M that ExactAltOrbit runs.
-
-    No division happens. True means M.T H M == g^2 H, so the quadratic is
-    constant along every orbit of this instance with zero defect, and
-    M M_inv == g^2 I, so backward steps and moves toward t = 0 are exact.
-    Step sizes that are not positive raise ConmotError. A failed certificate
-    is False here, where every other reader of the step refuses it.
-    """
-    return _IntegerStep(payoff, eta1, eta2).certified()
 
 
 @dataclass(frozen=True)

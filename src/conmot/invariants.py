@@ -5,7 +5,7 @@ Two constructions. The closed-form bipartite quadratic
 is certified through the exact engine, which only invariance_defect and
 dphi_rank import, when they run. The truncated
 series invariant, built here, works for the dissipative maps: it sums
-weighted one-step drops of the objective along the bi-infinite orbit,
+weighted one-step drops of the map's own objective along the bi-infinite orbit,
 truncated symmetrically, and reports its own convergence diagnostics instead
 of pretending to be exact. The series at T^k x is the same sum with its index
 shifted by k, so defect horizons and trajectory rows read their shifted sums
@@ -92,7 +92,7 @@ class InvariantReport:
     notes: tuple[str, ...] = field(default=())
 
 
-def _series_preconditions(map_instance: MapInstance, objective) -> list[str]:
+def _series_preconditions(map_instance: MapInstance) -> list[str]:
     """Raise when the construction has no hope; return advisory notes."""
     notes: list[str] = []
     kind = map_instance.kind
@@ -103,7 +103,7 @@ def _series_preconditions(map_instance: MapInstance, objective) -> list[str]:
             "quadratic instead"
         )
     obj = map_instance.objective
-    if kind == "gd" and not objective.bounded and objective.region is None:
+    if kind == "gd" and not obj.bounded and obj.region is None:
         raise ConmotError(
             "gradient descent needs a bounded objective or a declared "
             "region for the series invariant"
@@ -118,8 +118,6 @@ def _series_preconditions(map_instance: MapInstance, objective) -> list[str]:
             raise StepSizeError(f"step size {float(eta)} fails the {bound} bound {verdict.bound}")
         if verdict.accepted is None:
             notes.append("step size could not be verified against a curvature bound")
-    elif obj is None:  # mwu variants: the chart is compact; the payoff is bounded on it
-        raise ConmotError("mwu series invariant needs the game objective")
     return notes
 
 
@@ -129,11 +127,11 @@ class _OrbitWindow:
     the one at x shifted by c. Past a side that cannot be continued, entries
     read None."""
 
-    def __init__(self, orbit: Orbit, objective, weight: WeightFunction, truncation: int):
+    def __init__(self, orbit: Orbit, weight: WeightFunction, truncation: int):
         if truncation < 0:
             raise ValueError("truncation must be nonnegative")
-        self.obj = orbit.map.objective if objective is None else objective
-        self.notes = _series_preconditions(orbit.map, self.obj)
+        self.obj = orbit.map.objective
+        self.notes = _series_preconditions(orbit.map)
         self.orbit, self.weight, self.truncation = orbit, weight, truncation
         self.backward_blocked: str | None = None
         self.forward_blocked: str | None = None
@@ -244,7 +242,6 @@ class _OrbitWindow:
 
 def series_invariant(
     map_instance: MapInstance,
-    objective,
     weight: WeightFunction,
     state: State,
     truncation: int,
@@ -253,19 +250,18 @@ def series_invariant(
 ) -> InvariantReport:
     """Truncated series sum_n p(T^n x) (f(T^{n-1} x) - f(T^n x)).
 
-    f comes from the objective argument (pass None for the map's own), p from
-    the weight. Terms are added in the ring order 0, -1, +1, -2, +2, ... out
-    to the truncation depth. Evaluation stops early once a whole ring falls
-    below 1e-14, flags divergence when 32 consecutive rings fail to set a new
-    smallest ring magnitude, and falls back to the computable side when a
-    backward step cannot be continued (the report says so). truncation_n in
-    the report is the deepest completed ring, so a full two-sided run has
-    exactly 2 * truncation_n + 1 partial sums.
+    f is the map's own objective and p the weight. Terms are added in the ring
+    order 0, -1, +1, -2, +2, ... out to the truncation depth. Evaluation stops
+    early once a whole ring falls below 1e-14, flags divergence when 32
+    consecutive rings fail to set a new smallest ring magnitude, and falls back
+    to the computable side when a backward step cannot be continued (the report
+    says so). truncation_n in the report is the deepest completed ring, so a
+    full two-sided run has exactly 2 * truncation_n + 1 partial sums.
 
     per_step_defect[k - 1] is |Phi(T^k x) - Phi(x)|: the same sum shifted by k,
     read from the one orbit window the value was summed on.
     """
-    window = _OrbitWindow(Orbit(map_instance, state), objective, weight, truncation)
+    window = _OrbitWindow(Orbit(map_instance, state), weight, truncation)
     report = window.series_at(0, window.notes)
     if defect_horizon > 0 and not (report.divergent or report.fixed_point):
         defects = tuple(
@@ -277,24 +273,21 @@ def series_invariant(
 
 
 def series_along_orbit(
-    orbit: Orbit, objective, weight: WeightFunction, truncation: int, indices
+    orbit: Orbit, weight: WeightFunction, truncation: int, indices
 ) -> list[float]:
     """Series values at T^t of the orbit's origin for each t in indices, summed
     on that one orbit."""
-    window = _OrbitWindow(orbit, objective, weight, truncation)
+    window = _OrbitWindow(orbit, weight, truncation)
     return [window.series_at(t, []).value for t in indices]
 
 
 def make_series_invariant(
-    map_instance: MapInstance,
-    objective,
-    weight: WeightFunction,
-    truncation: int,
+    map_instance: MapInstance, weight: WeightFunction, truncation: int
 ) -> Callable[[State], float]:
     """Evaluator closure over the truncated series at a fixed depth."""
 
     def evaluate(x: State) -> float:
-        return series_invariant(map_instance, objective, weight, x, truncation).value
+        return series_invariant(map_instance, weight, x, truncation).value
 
     return evaluate
 

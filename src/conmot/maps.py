@@ -51,7 +51,9 @@ class MapInstance:
     Step sizes are stored as exact Fractions (floats convert exactly, decimal
     strings are taken at face value); their float view is computed once. For
     mwu kinds step_sizes holds one entry per simplex block, for alt_play the
-    pair (eta1, eta2), otherwise a single entry.
+    pair (eta1, eta2), otherwise a single entry. An alt_play map needs its
+    payoff and every other kind its objective; construction refuses a map
+    without one, so every step and series reads the map's own.
     """
 
     kind: str
@@ -63,6 +65,10 @@ class MapInstance:
     def __post_init__(self) -> None:
         if self.kind not in MAP_KINDS:
             raise ValueError(f"unknown map kind {self.kind!r}")
+        if self.kind == "alt_play" and self.payoff is None:
+            raise ValueError("an alt_play map needs its payoff")
+        if self.kind != "alt_play" and self.objective is None:
+            raise ValueError(f"a {self.kind} map needs its objective")
         if any(s <= 0 for s in self.step_sizes):
             raise StepSizeError("step sizes must be positive")
 
@@ -256,8 +262,10 @@ def step_points(map_instance: MapInstance, coords: np.ndarray) -> tuple[np.ndarr
     return validate_points(out, map_instance.chart), defects
 
 
-def descent_check(objective: ObjectiveSpec, map_instance: MapInstance, x: State) -> float:
-    """f(x) - f(T(x)); positive when the step strictly decreased the objective."""
+def descent_check(map_instance: MapInstance, x: State) -> float:
+    """f(x) - f(T(x)) for the map's own objective f; positive when the step
+    strictly decreased it."""
     coords = on_chart(x, map_instance.chart)
     after, _ = step_points(map_instance, coords)
-    return objective.evaluate(coords) - objective.evaluate(after)
+    f = map_instance.objective.evaluate
+    return f(coords) - f(after)

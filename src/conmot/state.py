@@ -221,11 +221,11 @@ def _constant_frame(chart: Chart) -> np.ndarray:
     return frame
 
 
-def sample_chart(chart: Chart, rng: np.random.Generator, scale: float = 1.0) -> State:
+def sample_chart(chart: Chart, rng: np.random.Generator) -> State:
     """Draw a random state on the chart.
 
-    A euclidean chart uses centered normals with the given scale; simplex blocks
-    are Dirichlet(1) draws; sphere points are normalized normals.
+    A euclidean chart uses standard normals; simplex blocks are Dirichlet(1)
+    draws; sphere points are normalized normals.
     """
     if chart.kind == "simplex-product":
         parts = [rng.dirichlet(np.ones(size)) for size in chart.blocks]
@@ -235,4 +235,4 @@ def sample_chart(chart: Chart, rng: np.random.Generator, scale: float = 1.0) -> 
         v = rng.normal(size=chart.dimension)
         coords, _ = renormalize(v, chart)
         return State(coords, chart)
-    return State(scale * rng.normal(size=chart.dimension), chart)
+    return State(rng.normal(size=chart.dimension), chart)

@@ -144,7 +144,7 @@ def test_validated_step_sizes_never_break_monotone_descent():
                 continue
             collected += 1
             state = State(np.asarray(x, dtype=float), map_instance.chart)
-            if descent_check(objective, map_instance, state) <= 0.0:
+            if descent_check(map_instance, state) <= 0.0:
                 violations += 1
         assert violations == 0, f"{objective.name}: {violations} non-descent steps"
 
@@ -157,14 +157,14 @@ def test_series_invariant_converges_and_its_defect_shrinks_with_depth():
     state = State(np.array([0.5]), map_instance.chart)
     weight = constant_weight(1.0)
 
-    report = series_invariant(map_instance, None, weight, state, 200)
+    report = series_invariant(map_instance, weight, state, 200)
     assert not report.divergent
     assert report.truncation_n <= 200
     assert abs(report.value - 0.25) <= 1e-6
 
     defects = []
     for depth in (4, 8, 16, 32, 64):
-        phi = make_series_invariant(map_instance, None, weight, depth)
+        phi = make_series_invariant(map_instance, weight, depth)
         defects.append(invariance_defect(phi, map_instance, state, 3))
     assert all(a > b for a, b in zip(defects, defects[1:])), defects
     assert defects[-1] < 1e-6

@@ -190,8 +190,8 @@ def test_confinement_scan_completes_on_the_certified_instance():
     phi = _phi()
     pairs = []
     while len(pairs) < 40:
-        a = sample_chart(m.chart, rng, scale=10.0)
-        b = sample_chart(m.chart, rng, scale=10.0)
+        a = State(10.0 * rng.normal(size=m.chart.dimension), m.chart)
+        b = State(10.0 * rng.normal(size=m.chart.dimension), m.chart)
         pa, pb = phi(a), phi(b)
         if abs(pa - pb) / (1.0 + max(abs(pa), abs(pb))) > 1e-3:
             pairs.append((a, b))

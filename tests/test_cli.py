@@ -224,7 +224,7 @@ def test_simulate_series_rows_match_a_fresh_series_per_row(tmp_path):
 
     m = gradient_descent(double_well(1), Fraction(1, 10))
     orb = Orbit(m, State([0.4], euclidean(1)))
-    fresh = make_series_invariant(m, None, constant_weight(), 32)
+    fresh = make_series_invariant(m, constant_weight(), 32)
     phi0 = fresh(orb.origin)
     assert [int(r[0]) for r in rows] == list(range(-6, 13))
     for row, t in zip(rows, range(-6, 13)):

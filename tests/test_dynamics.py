@@ -72,7 +72,7 @@ def test_roundtrip_across_all_map_families():
         (mwu_linear(quadratic(5), 0.05, (3, 2)),
          lambda: sample_chart(simplex_product(3, 2), rng)),
         (alternating_play(PayoffData.from_matrix([[0.5, -0.25]]), 0.1, 0.2),
-         lambda: sample_chart(euclidean(3), rng, scale=5.0)),
+         lambda: State(5.0 * rng.normal(size=3), euclidean(3))),
         (sphere_rgd(bump(3), 0.1), lambda: sample_chart(sphere(3), rng)),
     ]
     for m, draw in families:
@@ -387,7 +387,7 @@ def test_detect_fixed_point_mwu_uniform_constant_gradient():
 STATE_EDGES = {
     "Orbit": lambda m, x: Orbit(m, x),
     "detect_fixed_point": lambda m, x: detect_fixed_point(m, x),
-    "series_invariant": lambda m, x: series_invariant(m, None, constant_weight(), x, 4),
+    "series_invariant": lambda m, x: series_invariant(m, constant_weight(), x, 4),
 }
 
 

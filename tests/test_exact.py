@@ -20,7 +20,6 @@ from conmot.exact import (
     PayoffData,
     conservation_audit,
     difference_log_stats,
-    verify_conservation_identity,
 )
 from conmot.invariants import dphi_rank
 from conmot.maps import alternating_play, step_points
@@ -38,7 +37,7 @@ def _step(m, row):
 
 
 def test_identity_certificate_holds_for_the_reference_instance():
-    assert verify_conservation_identity(PAY, *ETA) is True
+    assert exact._IntegerStep(PAY, *ETA).certified() is True
 
 
 def test_identity_certificate_holds_for_random_dyadic_instances():
@@ -53,7 +52,7 @@ def test_identity_certificate_holds_for_random_dyadic_instances():
         pay = PayoffData.from_matrix(matrix)
         e1 = Fraction(int(rng.integers(3, 129)), 256)
         e2 = Fraction(int(rng.integers(3, 129)), 256)
-        assert verify_conservation_identity(pay, e1, e2)
+        assert exact._IntegerStep(pay, e1, e2).certified()
 
 
 def test_exact_orbit_matches_float_steps_initially():
@@ -486,7 +485,7 @@ def test_the_closed_form_gap_of_opposite_levels_past_2_53_is_two():
 def test_engine_steps_with_the_certified_matrix(game):
     payoff, e1, e2, xy = game
     certified = exact._IntegerStep(payoff, e1, e2)
-    assert certified.certified() and verify_conservation_identity(payoff, e1, e2)
+    assert certified.certified() and exact._certified_step(payoff, e1, e2).m == certified.m
     v0, s0 = _integers(ExactAltOrbit(*game))
     g = int(certified.g)
     for move, matrix in ((1, certified.m), (-1, certified.m_inv)):
@@ -507,10 +506,11 @@ def test_engine_steps_with_the_certified_matrix(game):
 
 def test_a_failed_certificate_raises(monkeypatch, tmp_path, capsys):
     """Every reader of the integer step refuses a failed certificate with one
-    message; verify_conservation_identity alone answers False."""
+    message, _certified_step first."""
     monkeypatch.setattr(exact._IntegerStep, "certified", lambda self: False)
     message = "the exact conservation certificate failed"
     readers = [
+        lambda: exact._certified_step(PAY, *ETA),
         lambda: ExactAltOrbit(PAY, *ETA, (60, -25)),
         lambda: BipartiteInvariant(PAY, *ETA),
         lambda: alternating_play(PAY, *ETA).alt_play_matrices,
@@ -520,7 +520,6 @@ def test_a_failed_certificate_raises(monkeypatch, tmp_path, capsys):
     for read in readers:
         with pytest.raises(ConmotError, match=f"^{message}$"):
             read()
-    assert verify_conservation_identity(PAY, *ETA) is False
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "map": {"kind": "alt_play", "payoff": {"matrix": [[1]]}, "step_sizes": ["1/10", "1/5"]},
@@ -544,5 +543,6 @@ def test_the_orbit_and_the_closed_form_read_the_same_float_at_the_start():
      (Fraction(1, 10), -0.5)],
 )
 def test_the_certificate_rejects_nonpositive_step_sizes(etas):
-    with pytest.raises(ConmotError, match="step sizes must be positive"):
-        verify_conservation_identity(PAY, *etas)
+    for build in (exact._IntegerStep, exact._certified_step, BipartiteInvariant):
+        with pytest.raises(ConmotError, match="step sizes must be positive"):
+            build(PAY, *etas)

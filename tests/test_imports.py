@@ -139,11 +139,10 @@ def calls_by_function(source: str, callee: str) -> list[str]:
 
 def test_the_integer_step_is_built_only_where_its_certificate_is_decided():
     """Every reader of M, M_inv or H gets the step from _certified_step, which
-    refuses a failed certificate; verify_conservation_identity is the one
-    read that answers a bool instead."""
+    refuses a failed certificate."""
     callers = sorted(f"{path.name}:{scope}" for path in MODULES
                      for scope in calls_by_function(path.read_text(), "_IntegerStep"))
-    assert callers == ["exact.py:_certified_step", "exact.py:verify_conservation_identity"]
+    assert callers == ["exact.py:_certified_step"]
 
 
 def test_the_call_check_finds_every_caller():

@@ -121,7 +121,7 @@ def test_series_converges_to_the_telescoped_well_gap():
     """Partial sums from the double-well saddle rise to f(0) - f(1) = 1/4."""
     values = {}
     for n in (4, 8, 16, 32, 64):
-        rep = series_invariant(DOUBLE_WELL_GD, None, ONES, HALF, n)
+        rep = series_invariant(DOUBLE_WELL_GD, ONES, HALF, n)
         values[n] = rep.value
         assert not rep.divergent and not rep.one_sided
     assert values[4] == pytest.approx(0.114871, abs=1e-5)
@@ -133,14 +133,14 @@ def test_series_converges_to_the_telescoped_well_gap():
 
 
 def test_series_partial_sums_are_nondecreasing_for_unit_weight():
-    rep = series_invariant(DOUBLE_WELL_GD, None, ONES, HALF, 32)
+    rep = series_invariant(DOUBLE_WELL_GD, ONES, HALF, 32)
     sums = rep.partial_sums
     assert len(sums) == 2 * rep.truncation_n + 1
     assert all(b >= a - 1e-15 for a, b in zip(sums, sums[1:]))
 
 
 def test_series_telescopes_to_the_orbit_endpoint_gap():
-    rep = series_invariant(DOUBLE_WELL_GD, None, ONES, HALF, 12)
+    rep = series_invariant(DOUBLE_WELL_GD, ONES, HALF, 12)
     n = rep.truncation_n
     orb = Orbit(DOUBLE_WELL_GD, HALF)
     f = double_well(1).evaluate
@@ -149,13 +149,13 @@ def test_series_telescopes_to_the_orbit_endpoint_gap():
 
 
 def test_series_tail_estimate_is_the_last_increment():
-    rep = series_invariant(DOUBLE_WELL_GD, None, ONES, HALF, 10)
+    rep = series_invariant(DOUBLE_WELL_GD, ONES, HALF, 10)
     sums = rep.partial_sums
     assert rep.tail_estimate == pytest.approx(abs(sums[-1] - sums[-2]))
 
 
 def test_series_at_a_fixed_point_is_zero_with_an_empty_trace():
-    rep = series_invariant(DOUBLE_WELL_GD, None, ONES, State([1.0], euclidean(1)), 40)
+    rep = series_invariant(DOUBLE_WELL_GD, ONES, State([1.0], euclidean(1)), 40)
     assert rep.value == 0.0
     assert rep.fixed_point is True
     assert rep.converged_early is True
@@ -168,7 +168,7 @@ def test_series_and_detect_fixed_point_share_one_threshold():
     so the series calls the point fixed exactly where detect_fixed_point does."""
     m = gradient_descent(quadratic(2), 0.1)
     x = State([5e-11, 0.0], euclidean(2))
-    rep = series_invariant(m, None, ONES, x, 40)
+    rep = series_invariant(m, ONES, x, 40)
     assert dynamics.detect_fixed_point(m, x)
     assert rep.fixed_point is True and rep.value == 0.0
 
@@ -177,7 +177,7 @@ def test_series_downgrades_to_one_sided_when_backward_exits_the_region():
     """From x=9 under x -> x/2 the preimage 18 leaves the ball of radius 10,
     so only the forward half of the series is computable."""
     m = gradient_descent(quadratic(1), 0.5)
-    rep = series_invariant(m, None, ONES, State([9.0], euclidean(1)), 60)
+    rep = series_invariant(m, ONES, State([9.0], euclidean(1)), 60)
     assert rep.one_sided is True
     assert rep.value == pytest.approx(40.5, abs=1e-9)
     assert any("backward" in note for note in rep.notes)
@@ -186,13 +186,13 @@ def test_series_downgrades_to_one_sided_when_backward_exits_the_region():
 def test_blocked_side_notes_name_the_step_that_failed():
     """Each side's note gives the index the orbit could not compute."""
     m = gradient_descent(quadratic(1), 0.5)
-    rep = series_invariant(m, None, ONES, State([9.0], euclidean(1)), 60)
+    rep = series_invariant(m, ONES, State([9.0], euclidean(1)), 60)
     assert "backward step -1: backward step left the objective's declared region" in rep.notes
     # x -> 1.5 x leaves the box at step 4, so step 5 cannot be taken.
     hill = ObjectiveSpec(name="hill", dimension=1, evaluate=lambda z: -0.5 * float(z @ z),
                          gradient=lambda z: -z, hessian=lambda z: -np.eye(1),
                          region=Box(lower=(-2.0,), upper=(2.0,)))
-    rep = series_invariant(gradient_descent(hill, 0.5), None, ONES, State([0.5], euclidean(1)), 8)
+    rep = series_invariant(gradient_descent(hill, 0.5), ONES, State([0.5], euclidean(1)), 8)
     assert rep.notes[-1] == "forward step 5: state lies outside the objective's declared region"
     assert rep.truncation_n == 4
 
@@ -200,7 +200,7 @@ def test_blocked_side_notes_name_the_step_that_failed():
 def test_series_at_a_start_outside_the_region_raises_the_orbit_failure():
     m = gradient_descent(double_well(1), Fraction(1, 10))
     with pytest.raises(RegionError) as err:
-        series_invariant(m, None, ONES, State([1.7], euclidean(1)), 8)
+        series_invariant(m, ONES, State([1.7], euclidean(1)), 8)
     assert str(err.value) == "state lies outside the objective's declared region"
     assert err.value.step_index == 1
 
@@ -218,7 +218,7 @@ def test_series_flags_divergence_on_a_two_cycle():
         region=Box(lower=(-2.0, -2.0), upper=(2.0, 2.0)),
     )
     m = gradient_descent(seesaw, eta)
-    rep = series_invariant(m, None, ONES, State([0.2, 0.3], euclidean(2)), 40)
+    rep = series_invariant(m, ONES, State([0.2, 0.3], euclidean(2)), 40)
     assert rep.divergent is True
     assert math.isnan(rep.value)
     assert any("not settling" in note for note in rep.notes)
@@ -227,28 +227,20 @@ def test_series_flags_divergence_on_a_two_cycle():
 def test_series_rejects_hopeless_constructions():
     with pytest.raises(ConmotError):
         series_invariant(
-            alternating_play(PAY, 0.1, 0.2), None, ONES,
+            alternating_play(PAY, 0.1, 0.2), ONES,
             State([60.0, -25.0], euclidean(2)), 8,
         )
     unbounded = gradient_descent(linear([1.0]), 0.1)
     with pytest.raises(ConmotError):
-        series_invariant(unbounded, None, ONES, State([0.0], euclidean(1)), 8)
+        series_invariant(unbounded, ONES, State([0.0], euclidean(1)), 8)
     too_fast = gradient_descent(double_well(1), 0.4)  # bound is ~0.3478
     with pytest.raises(StepSizeError):
-        series_invariant(too_fast, None, ONES, HALF, 8)
-
-
-def test_series_accepts_an_explicit_objective():
-    """The sampled function may differ from the one driving the dynamics."""
-    probe = quadratic(1)
-    rep = series_invariant(DOUBLE_WELL_GD, probe, ONES, HALF, 48)
-    # telescoped limit of x^2/2 along the same orbit: q(0) - q(1) = -1/2
-    assert rep.value == pytest.approx(-0.5, abs=1e-3)
+        series_invariant(too_fast, ONES, HALF, 8)
 
 
 def test_make_series_invariant_matches_the_report_value():
-    phi = make_series_invariant(DOUBLE_WELL_GD, None, ONES, 24)
-    rep = series_invariant(DOUBLE_WELL_GD, None, ONES, HALF, 24)
+    phi = make_series_invariant(DOUBLE_WELL_GD, ONES, 24)
+    rep = series_invariant(DOUBLE_WELL_GD, ONES, HALF, 24)
     assert phi(HALF) == rep.value
 
 
@@ -265,14 +257,14 @@ def test_invariance_defect_of_a_constant_function_is_zero():
 
 
 def test_invariance_defect_sees_truncation_bias_at_depth_zero():
-    phi0 = make_series_invariant(DOUBLE_WELL_GD, None, ONES, 0)
+    phi0 = make_series_invariant(DOUBLE_WELL_GD, ONES, 0)
     assert invariance_defect(phi0, DOUBLE_WELL_GD, HALF, 3) > 1e-4
 
 
 def test_invariance_defect_shrinks_with_truncation_depth():
     defects = [
         invariance_defect(
-            make_series_invariant(DOUBLE_WELL_GD, None, ONES, n),
+            make_series_invariant(DOUBLE_WELL_GD, ONES, n),
             DOUBLE_WELL_GD, HALF, 3,
         )
         for n in (4, 8, 16, 32, 64)
@@ -282,7 +274,7 @@ def test_invariance_defect_shrinks_with_truncation_depth():
 
 
 def test_series_defect_horizon_populates_the_report():
-    rep = series_invariant(DOUBLE_WELL_GD, None, ONES, HALF, 48, defect_horizon=4)
+    rep = series_invariant(DOUBLE_WELL_GD, ONES, HALF, 48, defect_horizon=4)
     assert len(rep.per_step_defect) == 4
     assert max(rep.per_step_defect) < 1e-4
 
@@ -321,8 +313,8 @@ def test_windowed_defects_match_a_fresh_series_at_every_shift(case):
     """The series at T^k x is the series at x shifted by k: defects read from
     the one orbit window agree with a fresh evaluation at each T^k x."""
     m, x, truncation, horizon = SHIFT_CASES[case]
-    rep = series_invariant(m, None, ONES, x, truncation, defect_horizon=horizon)
-    fresh = make_series_invariant(m, None, ONES, truncation)
+    rep = series_invariant(m, ONES, x, truncation, defect_horizon=horizon)
+    fresh = make_series_invariant(m, ONES, truncation)
     assert rep.value == fresh(x)
     want, walker = [], x
     for _ in range(horizon):
@@ -356,9 +348,9 @@ def test_the_series_at_the_next_state_is_the_series_shifted_by_one(case):
     at T x, read from x's orbit window one index on, equals a fresh series at
     T x, to the same bar."""
     m, x, weight, truncation = case
-    shifted = invariants.series_along_orbit(Orbit(m, x), None, weight, truncation, [1])
+    shifted = invariants.series_along_orbit(Orbit(m, x), weight, truncation, [1])
     tx = State(step_points(m, x.coordinates)[0], m.chart)
-    fresh = series_invariant(m, None, weight, tx, truncation).value
+    fresh = series_invariant(m, weight, tx, truncation).value
     assert_same_up_to_rounding(shifted, [fresh])
 
 
@@ -378,7 +370,7 @@ def test_a_series_builds_no_state_past_its_start(monkeypatch):
     counts = []
     for truncation, horizon in ((16, 10), (64, 50)):
         built.clear()
-        series_invariant(m, None, ONES, x, truncation, defect_horizon=horizon)
+        series_invariant(m, ONES, x, truncation, defect_horizon=horizon)
         counts.append(len(built))
     assert counts == [0, 0]
 
@@ -406,7 +398,7 @@ def test_a_defect_horizon_costs_no_extra_inverse_solves(monkeypatch, horizon):
         solves.clear()
         series_calls.clear()
         invariants.series_invariant(
-            DOUBLE_WELL_GD, None, ONES, _well(x), 64, defect_horizon=horizon
+            DOUBLE_WELL_GD, ONES, _well(x), 64, defect_horizon=horizon
         )
         assert 0 < len(solves) <= 64 + 1
         assert len(series_calls) == 1
@@ -465,6 +457,6 @@ def test_dphi_rank_rectangular_payoff():
 def test_mwu_series_runs_on_the_simplex():
     m = mwu_exponential(quadratic(3), 0.1, (3,))
     s = State([0.5, 0.3, 0.2], simplex_product(3))
-    rep = series_invariant(m, None, ONES, s, 30)
+    rep = series_invariant(m, ONES, s, 30)
     assert math.isfinite(rep.value)
     assert rep.truncation_n > 0

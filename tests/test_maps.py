@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from conmot.errors import ChartViolation, RegionError, StepSizeError
 from conmot.exact import PayoffData
 from conmot.maps import (
+    MAP_KINDS,
+    MapInstance,
     _raw_step,
     alternating_play,
     descent_check,
@@ -57,11 +59,11 @@ def test_gd_refuses_points_outside_the_declared_region():
 
 def test_descent_check_values():
     m = gradient_descent(quadratic(1), 0.1)
-    assert descent_check(quadratic(1), m, State([2.0], euclidean(1))) == pytest.approx(0.38)
-    assert descent_check(quadratic(1), m, State([0.0], euclidean(1))) == 0.0
+    assert descent_check(m, State([2.0], euclidean(1))) == pytest.approx(0.38)
+    assert descent_check(m, State([0.0], euclidean(1))) == 0.0
     dw = double_well(1)
     mdw = gradient_descent(dw, 0.1)
-    assert descent_check(dw, mdw, State([0.5], euclidean(1))) > 0.0
+    assert descent_check(mdw, State([0.5], euclidean(1))) > 0.0
 
 
 def test_mwu_exp_worked_example():
@@ -166,13 +168,36 @@ def test_rgd_descends_under_a_validated_rate():
 
     for _ in range(50):
         s = sample_chart(sphere(3), rng)
-        assert descent_check(obj, m, s) >= -1e-15
+        assert descent_check(m, s) >= -1e-15
 
 
 def test_descent_check_rejects_chart_mismatch():
     m = gradient_descent(quadratic(2), 0.1)
     with pytest.raises(ChartViolation, match="^state chart does not match map chart$"):
-        descent_check(quadratic(2), m, State([1.0, 0.0], simplex_product(2)))
+        descent_check(m, State([1.0, 0.0], simplex_product(2)))
+
+
+FACTORIES = {
+    "gd": lambda: gradient_descent(quadratic(2), 0.1),
+    "mwu_exp": lambda: mwu_exponential(quadratic(3), 0.1, (3,)),
+    "mwu_lin": lambda: mwu_linear(quadratic(3), 0.1, (3,)),
+    "alt_play": lambda: alternating_play(PayoffData.from_matrix([[1]]), 0.1, 0.2),
+    "rgd_sphere": lambda: sphere_rgd(bump(3), 0.1),
+}
+
+
+@pytest.mark.parametrize("kind", MAP_KINDS)
+def test_a_map_without_its_objective_or_payoff_is_refused_at_construction(kind):
+    built = FACTORIES[kind]()
+    assert built.kind == kind
+    needs = "payoff" if kind == "alt_play" else "objective"
+    with pytest.raises(ValueError, match=f"^an? {kind} map needs its {needs}$"):
+        MapInstance(kind, built.chart, built.step_sizes)
+    # The other field does not stand in for the missing one.
+    other = ({"payoff": PayoffData.from_matrix([[1]])} if needs == "objective"
+             else {"objective": quadratic(2)})
+    with pytest.raises(ValueError, match=f"needs its {needs}$"):
+        MapInstance(kind, built.chart, built.step_sizes, **other)
 
 
 def test_step_points_reports_float_noise_only():
