@@ -121,12 +121,10 @@ def pair_statistics(
 
     Alternating play is linear, so a pair distance is its evolved difference
     vector, read in log space over the tail window alone, at any horizon (see
-    difference_log_stats); a pair's estimates there can differ in the last
-    bits with the batch width, since BLAS picks its kernel by column count.
-    The other kinds advance every point together, one vectorised step per
-    time index; each pair's numbers equal those of stepping its two States
-    alone, bit for bit, and a failing step raises what that one-pair loop
-    raises.
+    difference_log_stats), each pair's bits those of a one-pair call. The
+    other kinds advance every point together, one vectorised step per time
+    index; each pair's numbers equal those of stepping its two States alone,
+    bit for bit, and a failing step raises what that one-pair loop raises.
 
     The rows get the chart checks of a State, on a copy, so z is never
     changed; B = 0 gives three empty lists.
@@ -224,11 +222,12 @@ def same_orbit(
     looking for y within tolerance. An exhausted or escape-guarded search
     returns inconclusive: absence within a finite window proves nothing.
     """
-    from .dynamics import FIXED_POINT_TOL, Orbit, detect_fixed_point
+    from .dynamics import Orbit, detect_fixed_point
 
     if max_iterations < 0:
         raise ValueError("max_iterations must be nonnegative")
-    xc, yc = on_chart(x, map_instance.chart), on_chart(y, map_instance.chart)
+    orb = Orbit(map_instance, x)  # x's chart is checked here, y's next
+    yc = on_chart(y, map_instance.chart)
     gap = max((_relative_gap(phi, x, y) for phi in phis), default=0.0)
     if gap > tolerance:
         return SameOrbitVerdict(
@@ -247,9 +246,7 @@ def same_orbit(
         )
 
     # Two distinct fixed points sit on two distinct constant orbits.
-    orb = Orbit(map_instance, x)
-    x_fixed = float(np.linalg.norm(xc - orb[1])) <= FIXED_POINT_TOL
-    if x_fixed and detect_fixed_point(map_instance, y):
+    if orb.fixed_at(0) and detect_fixed_point(map_instance, y):
         return SameOrbitVerdict(
             answer="no", index=None, closest_approach=closest,
             invariant_gap=gap, search_mode="fixed-points",

@@ -61,9 +61,9 @@ class RunConfig:
 
     @cached_property
     def map(self) -> MapInstance:
-        from .maps import alternating_play
+        from .maps import MapInstance
 
-        return alternating_play(self.payoff, *self.step_sizes)
+        return MapInstance("alt_play", self.step_sizes, payoff=self.payoff)
 
     @cached_property
     def initial_states(self) -> tuple[State, ...]:
@@ -273,21 +273,18 @@ def _alt_play(section: dict) -> tuple[PayoffData, tuple[Fraction, ...]]:
 
 def _build_map(section: dict) -> MapInstance:
     """The map of a section of any kind but alt_play."""
-    from .maps import gradient_descent, mwu_exponential, mwu_linear, sphere_rgd
+    from .maps import MapInstance
 
     try:
         objective = _build_objective(_require(section, "objective", "map"))
         kind = section["kind"]
         if kind in ("mwu_exp", "mwu_lin"):
-            blocks = _require(section, "blocks", "map")
-            eps = (_step_sizes(section["step_sizes"]) if "step_sizes" in section
-                   else _step_size(section))
-            maker = mwu_exponential if kind == "mwu_exp" else mwu_linear
-            return maker(objective, eps, blocks)
-        eta = _step_size(section)
-        if kind == "gd":
-            return gradient_descent(objective, eta)
-        return sphere_rgd(objective, eta)
+            blocks = tuple(_require(section, "blocks", "map"))
+            rates = (_step_sizes(section["step_sizes"]) if "step_sizes" in section
+                     else (_step_size(section),) * len(blocks))
+        else:
+            blocks, rates = (), (_step_size(section),)
+        return MapInstance(kind, rates, objective=objective, blocks=blocks)
     except ConfigError:
         raise
     except ConmotError as exc:
@@ -358,7 +355,6 @@ def load_config(path) -> RunConfig:
         dimension = payoff.dimension_x + payoff.dimension_y
     else:
         map_instance, payoff, step_sizes = _build_map(section), None, ()
-        dimension = map_instance.chart.dimension
     points = [chart_point(row, map_instance.chart, f"initial_states[{idx}]") if map_instance
               else (_exact_point(row, dimension, f"initial_states[{idx}]"), None)
               for idx, row in enumerate(doc.get("initial_states", []))]

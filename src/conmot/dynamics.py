@@ -180,12 +180,14 @@ class Orbit:
             raise
         return self.rows[n]
 
+    def fixed_at(self, n: int) -> bool:
+        """Whether ||orb[n + 1] - orb[n]|| <= FIXED_POINT_TOL: orb[n] is fixed."""
+        return _norm(self[n + 1] - self[n]) <= FIXED_POINT_TOL
+
     def _run(self, sign: int, n: int) -> int:
         """Steps on one side before the first fixed point within n."""
-        for k in range(1, n + 1):
-            if _norm(self[sign * (k - 1)] - self[sign * k]) <= FIXED_POINT_TOL:
-                return k - 1
-        return n
+        fixed = (k for k in range(n) if self.fixed_at(k if sign > 0 else -k - 1))
+        return next(fixed, n)
 
     def segment(self, n_forward: int, n_backward: int = 0) -> range:
         """The indices of the window [-n_backward, n_forward] around the origin.

@@ -452,7 +452,10 @@ def difference_log_stats(
       consecutive powers of M; each step is one product of a power with all
       carried differences into one reused (d, B) block, then squared norms,
       log2 and a running min and max; the next chunk's stack is this one
-      times M^_WINDOW_CHUNK.
+      times M^_WINDOW_CHUNK;
+    - both products with the differences and the squared norms sum over the
+      d coordinates in order, elementwise, never in a BLAS kernel picked by
+      the batch width, so a row reads the same bits alone as in any batch.
 
     Every matrix and every row is scaled by a power of two after each
     product, with log2 of the scale kept apart as an integer, so no value
@@ -461,10 +464,6 @@ def difference_log_stats(
     resolved only to about eps ||M^t|| ||d||: a difference that lies, to
     rounding, in an invariant subspace that M stretches less than its
     dominant one (the kernel of A, a contracting eigenvector) reads as noise.
-
-    A row's last bits can depend on the batch, as BLAS picks its kernel by
-    column count: 1 of 300 rows on the 1x1 game at horizon 5000 reads
-    differently alone.
 
     Returns (liminf_log2, limsup_log2), float64 arrays with one entry per
     row of diffs.
@@ -482,7 +481,15 @@ def difference_log_stats(
     tail_start = _tail_start(horizon)
     u, row_e = _pow2_normalised(diffs, axes=1)
     jump, jump_e = _normalised_power(m, tail_start + 1)
-    u, carry_e = _pow2_normalised(u @ jump.T, axes=1)
+    rows, scratch = np.empty((len(m), len(u))), np.empty((len(m), len(u)))
+
+    def product(a, x):  # rows = a @ x for a (d, B) block x, summed over j in order
+        np.multiply(a[:, :1], x[0], out=rows)
+        for j in range(1, len(a)):
+            np.add(rows, np.multiply(a[:, j:j + 1], x[j], out=scratch), out=rows)
+
+    product(jump, np.ascontiguousarray(u.T))
+    ut, carry_e = _pow2_normalised(rows, axes=0)
     logs = row_e + carry_e + float(jump_e)  # log2 of each row's scale
 
     window = horizon - tail_start
@@ -493,13 +500,15 @@ def difference_log_stats(
         stack[j], e = _pow2_normalised(m @ stack[j - 1])
         stack_e[j] = stack_e[j - 1] + e
     step, step_e = _normalised_power(m, chunk)
-    ut = np.ascontiguousarray(u.T)
-    rows, log2_sq = np.empty((len(m), len(u))), np.empty(len(u))
+    log2_sq = np.empty(len(u))
     lo, hi = np.full(len(u), np.inf), np.full(len(u), -np.inf)
     for first in range(0, window, chunk):
         for j in range(min(chunk, window - first)):
-            np.matmul(stack[j], ut, out=rows)
-            np.einsum("db,db->b", rows, rows, out=log2_sq)
+            product(stack[j], ut)
+            squares = np.multiply(rows, rows, out=scratch)  # summed in order, too
+            np.add(squares[0], squares[1], out=log2_sq)
+            for sq in squares[2:]:
+                log2_sq += sq
             np.log2(log2_sq, out=log2_sq)
             log2_sq += 2.0 * stack_e[j]
             np.minimum(lo, log2_sq, out=lo)

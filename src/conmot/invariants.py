@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .dynamics import FIXED_POINT_TOL, Orbit
+from .dynamics import Orbit
 from .errors import ConmotError, InversionError, RegionError, StepSizeError
 from .maps import MapInstance
 from .objectives import validate_step_size_gd, validate_step_size_manifold
@@ -163,9 +163,8 @@ class _OrbitWindow:
 
     def series_at(self, c: int, notes: list[str]) -> InvariantReport:
         """The truncated series at T^c x, summed ring by ring from the window."""
-        here, nxt = self.orbit[c], self.orbit[c + 1]  # a failed step raises as the orbit did
-        # A point that does not move contributes nothing anywhere on its orbit.
-        if float(np.linalg.norm(here - nxt)) <= FIXED_POINT_TOL:
+        # A point that does not move adds nothing on its orbit; a failed step raises.
+        if self.orbit.fixed_at(c):
             return InvariantReport(value=0.0, truncation_n=0, partial_sums=(), tail_estimate=0.0,
                                    fixed_point=True, converged_early=True, notes=tuple(notes))
 

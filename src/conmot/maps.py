@@ -19,7 +19,7 @@ distinguishable from algorithmic non-conservation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import TYPE_CHECKING
@@ -46,7 +46,10 @@ MAP_KINDS = ("gd", "mwu_exp", "mwu_lin", "alt_play", "rgd_sphere")
 
 @dataclass(frozen=True)
 class MapInstance:
-    """One concrete map: kind, parameters, and the chart it acts on.
+    """One concrete map: kind, parameters, and the chart it acts on, which
+    construction derives from the kind: euclidean(d) for gd and sphere(d) for
+    rgd_sphere (d the objective's dimension), euclidean(dx + dy) for alt_play,
+    and simplex_product(*blocks) for the mwu kinds, the only ones with blocks.
 
     Step sizes are stored as exact Fractions (floats convert exactly, decimal
     strings are taken at face value); their float view is computed once. For
@@ -57,20 +60,37 @@ class MapInstance:
     """
 
     kind: str
-    chart: Chart
     step_sizes: tuple[Fraction, ...]
     objective: ObjectiveSpec | None = None
     payoff: PayoffData | None = None
+    blocks: tuple[int, ...] = ()
+    chart: Chart = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in MAP_KINDS:
-            raise ValueError(f"unknown map kind {self.kind!r}")
-        if self.kind == "alt_play" and self.payoff is None:
+        kind, obj, mwu = self.kind, self.objective, self.kind in ("mwu_exp", "mwu_lin")
+        if kind not in MAP_KINDS:
+            raise ValueError(f"unknown map kind {kind!r}")
+        if kind == "alt_play" and self.payoff is None:
             raise ValueError("an alt_play map needs its payoff")
-        if self.kind != "alt_play" and self.objective is None:
-            raise ValueError(f"a {self.kind} map needs its objective")
-        if any(s <= 0 for s in self.step_sizes):
+        if kind != "alt_play" and obj is None:
+            raise ValueError(f"a {kind} map needs its objective")
+        if self.blocks and not mwu:
+            raise ValueError(f"a {kind} map takes no blocks")
+        if kind == "alt_play":
+            chart = charts.euclidean(self.payoff.dimension_x + self.payoff.dimension_y)
+        elif mwu:
+            chart = charts.simplex_product(*self.blocks)
+            if obj.dimension != chart.dimension:
+                raise ChartViolation(
+                    f"objective dimension {obj.dimension} does not match blocks {chart.blocks}")
+        else:
+            chart = (charts.euclidean if kind == "gd" else charts.sphere)(obj.dimension)
+        rates = tuple(as_fraction(s) for s in self.step_sizes)
+        if mwu and len(rates) != len(chart.blocks):
+            raise StepSizeError("need one learning rate per agent block")
+        if any(s <= 0 for s in rates):
             raise StepSizeError("step sizes must be positive")
+        self.__dict__.update(step_sizes=rates, blocks=chart.blocks if mwu else (), chart=chart)
 
     @cached_property
     def float_step_sizes(self) -> tuple[float, ...]:
@@ -86,28 +106,17 @@ class MapInstance:
 
 
 def gradient_descent(objective: ObjectiveSpec, eta) -> MapInstance:
-    """Gradient descent with step size eta on euclidean(objective.dimension)."""
-    return MapInstance("gd", charts.euclidean(objective.dimension), (as_fraction(eta),),
-                       objective=objective)
+    """Gradient descent with step size eta; the map derives euclidean(d)."""
+    return MapInstance("gd", (eta,), objective=objective)
 
 
 def _mwu(kind: str, objective: ObjectiveSpec, eps, blocks) -> MapInstance:
-    chart = charts.simplex_product(*blocks)
-    if objective.dimension != chart.dimension:
-        raise ChartViolation(
-            f"objective dimension {objective.dimension} does not match blocks {tuple(blocks)}"
-        )
-    if np.ndim(eps) == 0:
-        rates = (as_fraction(eps),) * len(chart.blocks)
-    else:
-        rates = tuple(as_fraction(e) for e in eps)
-        if len(rates) != len(chart.blocks):
-            raise StepSizeError("need one learning rate per agent block")
-    return MapInstance(kind, chart, rates, objective=objective)
+    rates = (eps,) * len(blocks) if np.ndim(eps) == 0 else tuple(eps)
+    return MapInstance(kind, rates, objective=objective, blocks=blocks)
 
 
 def mwu_exponential(objective: ObjectiveSpec, eps, blocks) -> MapInstance:
-    """Exponential-weights update on a product of simplices.
+    """Exponential-weights update; the map derives simplex_product(*blocks).
 
     eps is a scalar or one rate per agent; the same per-agent rate is used in
     the numerator weights and the normalizing sum.
@@ -116,24 +125,19 @@ def mwu_exponential(objective: ObjectiveSpec, eps, blocks) -> MapInstance:
 
 
 def mwu_linear(objective: ObjectiveSpec, eps, blocks) -> MapInstance:
-    """Linearized multiplicative-weights update on a product of simplices."""
+    """Linearized multiplicative-weights update; the map derives simplex_product(*blocks)."""
     return _mwu("mwu_lin", objective, eps, blocks)
 
 
 def alternating_play(payoff: PayoffData, eta1, eta2) -> MapInstance:
-    """Alternating bipartite play with rates (eta1, eta2) on the state X then Y,
-    euclidean(dx + dy); the payoff splits the two."""
-    chart = charts.euclidean(payoff.dimension_x + payoff.dimension_y)
-    return MapInstance(
-        "alt_play", chart, (as_fraction(eta1), as_fraction(eta2)), payoff=payoff
-    )
+    """Alternating bipartite play with rates (eta1, eta2) on the state X then Y;
+    the map derives euclidean(dx + dy), and the payoff splits the two."""
+    return MapInstance("alt_play", (eta1, eta2), payoff=payoff)
 
 
 def sphere_rgd(objective: ObjectiveSpec, eta) -> MapInstance:
-    """Riemannian gradient descent on the unit sphere with the normalization retraction."""
-    return MapInstance(
-        "rgd_sphere", charts.sphere(objective.dimension), (as_fraction(eta),), objective=objective
-    )
+    """Riemannian gradient descent with the normalization retraction; the map derives sphere(d)."""
+    return MapInstance("rgd_sphere", (eta,), objective=objective)
 
 
 # ---------------------------------------------------------------------------

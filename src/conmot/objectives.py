@@ -90,9 +90,9 @@ class ObjectiveSpec:
     points to their (..., d) gradients, each row equal bit for bit to the
     gradient of that point alone; evaluate and hessian take one point. The
     hessian is required: the Newton inverses differentiate each step
-    through it. An objective names no chart: each map builds its own on
-    R^dimension (gd a euclidean one, mwu a product of simplices, rgd the
-    sphere).
+    through it. An objective names no chart: MapInstance derives one from
+    the map's kind and this dimension (gd a euclidean one, mwu a product of
+    simplices, rgd the sphere).
     """
 
     name: str

@@ -378,6 +378,28 @@ def test_detect_fixed_point_examples():
     assert not detect_fixed_point(m, State([0.5], euclidean(1)))
 
 
+def test_the_orbit_decides_fixed_points_at_the_threshold_detect_fixed_point_reads():
+    """Near the minimum of the double well |T(x) - x| is about 0.2 |x - 1|, so
+    the starts straddle FIXED_POINT_TOL; the orbit's one test decides where a
+    segment stops on either side, and only the orbit tags a failed step."""
+    m = gradient_descent(double_well(1), 0.1)
+    for x, stop in ((1.0, 0), (1.0 - 4e-10, 0), (0.0, 0), (1.0 - 6e-10, 1), (0.5, 5)):
+        s = State([x], euclidean(1))
+        orb = Orbit(m, s)
+        assert orb.fixed_at(0) is detect_fixed_point(m, s) is (stop == 0)
+        assert orb.segment(5) == range(0, stop + 1)
+        assert [orb.fixed_at(k) for k in range(stop + 1)] == [False] * stop + [stop < 5]
+    orb = Orbit(m, State([0.5], euclidean(1)))
+    assert orb.segment(0, 3) == range(-3, 1) and not orb.fixed_at(-3)
+    outside = State([2.0], euclidean(1))
+    with pytest.raises(RegionError) as tagged:
+        Orbit(m, outside).fixed_at(0)
+    with pytest.raises(RegionError) as untagged:
+        detect_fixed_point(m, outside)
+    assert (tagged.value.step_index, untagged.value.step_index) == (1, None)
+    assert str(tagged.value) == str(untagged.value)
+
+
 def test_detect_fixed_point_mwu_uniform_constant_gradient():
     m = mwu_exponential(linear([2.0, 2.0, 2.0]), 0.5, (3,))
     uniform = State([1 / 3, 1 / 3, 1 / 3], simplex_product(3))

@@ -251,6 +251,12 @@ def test_difference_log_stats_match_the_exact_orbit(case):
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
+def _in_order(stack, x):
+    """stack @ x for a (k, d, d) stack and a (d, B) block, each entry summed
+    over the inner index in order, as difference_log_stats sums."""
+    return sum(stack[:, :, j, None] * x[j] for j in range(x.shape[0]))
+
+
 def _stacked_log_stats(payoff, eta1, eta2, diffs, horizon):
     """difference_log_stats with each chunk of the window evaluated as one
     (chunk, d, B) stacked product, the reference for its per-step reads."""
@@ -260,7 +266,7 @@ def _stacked_log_stats(payoff, eta1, eta2, diffs, horizon):
     m = exact._certified_step(payoff, eta1, eta2).float_matrices()[0]
     tail_start = _tail_start(horizon)
     jump, jump_e = exact._normalised_power(m, tail_start + 1)
-    u, carry_e = exact._pow2_normalised(u @ jump.T, axes=1)
+    u, carry_e = exact._pow2_normalised(_in_order(jump[None], u.T)[0].T, axes=1)
     logs = row_e + carry_e + float(jump_e)
     window = horizon - tail_start
     chunk = min(exact._WINDOW_CHUNK, window)
@@ -274,8 +280,9 @@ def _stacked_log_stats(payoff, eta1, eta2, diffs, horizon):
     lo, hi = np.full(len(u), np.inf), np.full(len(u), -np.inf)
     for first in range(0, window, chunk):
         n = min(chunk, window - first)
-        rows = np.matmul(stack[:n], ut)
-        log2_sq = np.log2(np.einsum("kdb,kdb->kb", rows, rows)) + 2.0 * stack_e[:n, None]
+        rows = _in_order(stack[:n], ut)
+        squares = sum(rows[:, i] * rows[:, i] for i in range(len(m)))
+        log2_sq = np.log2(squares) + 2.0 * stack_e[:n, None]
         lo, hi = np.minimum(lo, log2_sq.min(axis=0)), np.maximum(hi, log2_sq.max(axis=0))
         stack, e = exact._pow2_normalised(step @ stack, axes=(1, 2))
         stack_e += step_e + e
@@ -307,6 +314,26 @@ def test_difference_log_stats_per_step_window_matches_the_stacked_products(case)
     want_lo, want_hi = _stacked_log_stats(*case)
     assert lo.tobytes() == want_lo.tobytes()
     assert hi.tobytes() == want_hi.tobytes()
+
+
+@st.composite
+def short_difference_batches(draw):
+    """difference_batches at horizons up to 200, where a batch of 300 read
+    pair by pair stays cheap; the window still spans several chunks."""
+    payoff, e1, e2, diffs, _ = draw(difference_batches())
+    return payoff, e1, e2, diffs, draw(st.integers(1, 200))
+
+
+@settings(max_examples=30, deadline=None)
+@given(short_difference_batches())
+def test_difference_log_stats_of_a_pair_do_not_depend_on_its_batch(case):
+    """Each pair read alone gives the bits it gets inside its batch, at any
+    batch width from 1 to 300 and any d from 2 to 6."""
+    payoff, e1, e2, diffs, horizon = case
+    lo, hi = difference_log_stats(payoff, e1, e2, diffs, horizon)
+    for b, diff in enumerate(diffs):
+        lo_b, hi_b = difference_log_stats(payoff, e1, e2, diff[None], horizon)
+        assert (lo_b.tobytes(), hi_b.tobytes()) == (lo[b:b + 1].tobytes(), hi[b:b + 1].tobytes())
 
 
 @pytest.mark.parametrize("n_pairs", [1000, 20000])

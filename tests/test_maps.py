@@ -192,12 +192,62 @@ def test_a_map_without_its_objective_or_payoff_is_refused_at_construction(kind):
     assert built.kind == kind
     needs = "payoff" if kind == "alt_play" else "objective"
     with pytest.raises(ValueError, match=f"^an? {kind} map needs its {needs}$"):
-        MapInstance(kind, built.chart, built.step_sizes)
+        MapInstance(kind, built.step_sizes)
     # The other field does not stand in for the missing one.
     other = ({"payoff": PayoffData.from_matrix([[1]])} if needs == "objective"
              else {"objective": quadratic(2)})
     with pytest.raises(ValueError, match=f"needs its {needs}$"):
-        MapInstance(kind, built.chart, built.step_sizes, **other)
+        MapInstance(kind, built.step_sizes, **other)
+
+
+CHARTS = {"gd": euclidean(2), "mwu_exp": simplex_product(3), "mwu_lin": simplex_product(3),
+          "alt_play": euclidean(2), "rgd_sphere": sphere(3)}
+
+
+@pytest.mark.parametrize("kind", MAP_KINDS)
+def test_the_map_derives_its_chart_from_its_kind(kind):
+    built = FACTORIES[kind]()
+    assert built.chart == CHARTS[kind]
+    fields = {"objective": built.objective, "payoff": built.payoff, "blocks": built.blocks}
+    assert MapInstance(kind, built.step_sizes, **fields) == built
+    # Floats convert exactly, as the factories' arguments do.
+    assert MapInstance(kind, built.float_step_sizes, **fields) == built
+
+
+def test_an_mwu_map_derives_its_product_of_simplices():
+    built = mwu_exponential(quadratic(4), (0.1, 0.2), [2, 2])
+    assert built.chart == simplex_product(2, 2) and built.blocks == (2, 2)
+    direct = MapInstance("mwu_exp", (0.1, 0.2), objective=quadratic(4), blocks=(2, 2))
+    assert direct.chart == built.chart and direct.step_sizes == built.step_sizes
+
+
+def test_a_map_takes_no_chart():
+    with pytest.raises(TypeError, match="chart"):
+        MapInstance("gd", (0.1,), objective=quadratic(2), chart=sphere(2))
+    # The old positional form, a chart before the step sizes, does not build either:
+    # gd renormalised onto the sphere, mwu on R^3, and a second block never written.
+    for kind, chart, obj in (("gd", sphere(2), quadratic(2)),
+                             ("mwu_exp", euclidean(3), quadratic(3)),
+                             ("mwu_exp", simplex_product(2, 2), quadratic(4))):
+        with pytest.raises(TypeError):
+            MapInstance(kind, chart, (0.1,), objective=obj)
+
+
+def test_mwu_blocks_must_cover_the_objective_with_one_rate_each():
+    mismatch = r"^objective dimension 3 does not match blocks \(2{}\)$"
+    with pytest.raises(ChartViolation, match=mismatch.format(", 2")):
+        MapInstance("mwu_exp", (0.1, 0.1), objective=quadratic(3), blocks=(2, 2))
+    with pytest.raises(ChartViolation, match=mismatch.format(",")):
+        mwu_linear(quadratic(3), 0.1, (2,))
+    with pytest.raises(ChartViolation, match="^chart blocks must be positive"):
+        MapInstance("mwu_exp", (0.1,), objective=quadratic(3))
+    for rates in ((0.1,), (0.1, 0.1, 0.1)):
+        with pytest.raises(StepSizeError, match="^need one learning rate per agent block$"):
+            MapInstance("mwu_exp", rates, objective=quadratic(4), blocks=(2, 2))
+        with pytest.raises(StepSizeError, match="^need one learning rate per agent block$"):
+            mwu_exponential(quadratic(4), list(rates), (2, 2))
+    with pytest.raises(ValueError, match="^a gd map takes no blocks$"):
+        MapInstance("gd", (0.1,), objective=quadratic(2), blocks=(2,))
 
 
 def test_step_points_reports_float_noise_only():
