@@ -222,30 +222,46 @@ def chart_point(values, chart: Chart, json_path: str) -> tuple[tuple[Fraction, .
 def _build_objective(section: dict) -> ObjectiveSpec:
     from .objectives import bump, double_well, linear, quadratic
 
-    name = section["name"]
-    if name == "quadratic":
-        return quadratic(section.get("dimension", 2))
-    if name == "double_well":
-        return double_well(section.get("dimension", 1))
-    if name == "bump":
-        return bump(section.get("dimension", 2))
-    coeffs = section.get("coefficients")
-    if coeffs is None:
-        raise ConfigError("map.objective: a linear objective needs coefficients",
-                          json_path="map.objective")
-    return linear([
-        float(exact_number(c, f"map.objective.coefficients[{i}]")) for i, c in enumerate(coeffs)
-    ])
+    if section["name"] == "linear":
+        return linear([float(exact_number(c, f"map.objective.coefficients[{i}]"))
+                       for i, c in enumerate(section["coefficients"])])
+    build, dimension = {"quadratic": (quadratic, 2), "double_well": (double_well, 1),
+                        "bump": (bump, 2)}[section["name"]]
+    return build(section.get("dimension", dimension))
 
 
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"{where} requires {key!r}", json_path=where)
-    return section[key]
+# The keys each kind (an objective's name) reads, "a|b" one of a and b: a map
+# kind or a kind in _NEEDS needs each, and _check_keys refuses any other key.
+_READS = {
+    "map": {**dict.fromkeys(["gd", "rgd_sphere"], "objective step_size"),
+            **dict.fromkeys(["mwu_exp", "mwu_lin"], "objective blocks step_size|step_sizes"),
+            "alt_play": "payoff step_sizes"},
+    "map.objective": {**dict.fromkeys(["quadratic", "double_well", "bump"], "dimension"),
+                      "linear": "coefficients"},
+    "invariant": {"closed-form": "defect_horizon", "series": "weight truncation defect_horizon"},
+    "invariant.weight": {"constant": "value", "coordinate": "index",
+                         "gaussian-bump": "center width"},
+}
+_NEEDS = {"linear": "coefficients", "coordinate": "an index", "gaussian-bump": "center and width"}
 
 
-def _step_size(section: dict) -> Fraction:
-    return exact_number(_require(section, "step_size", "map"), "map.step_size", positive=True)
+def _check_keys(section: dict, where: str) -> None:
+    kind = section["name" if where == "map.objective" else "kind"]
+    noun, reads = where.rpartition(".")[2], _READS[where][kind]
+    for word in reads.split():
+        given = [k for k in word.split("|") if k in section]
+        if not given and (where == "map" or kind in _NEEDS):
+            raise ConfigError(f"{where}: a {kind} {noun} needs {_NEEDS[kind]}" if kind in _NEEDS
+                              else f"{where} requires {word.split('|')[0]!r}", json_path=where)
+        if given[1:]:
+            raise ConfigError(f"{where}.{given[0]}: the {kind} {noun} reads {given[0]!r} or "
+                              f"{given[1]!r}, not both", json_path=f"{where}.{given[0]}")
+    for key, value in section.items():  # "kind", or an objective's "name", names the kind
+        if key not in ("kind", "name", *reads.replace("|", " ").split()):
+            raise ConfigError(f"{where}.{key}: the {kind} {noun} does not read {key!r}",
+                              json_path=f"{where}.{key}")
+        if f"{where}.{key}" in _READS:
+            _check_keys(value, f"{where}.{key}")
 
 
 def _step_sizes(rates) -> tuple[Fraction, ...]:
@@ -257,36 +273,28 @@ def _alt_play(section: dict) -> tuple[PayoffData, tuple[Fraction, ...]]:
     """The exact payoff and step sizes (eta1, eta2) of an alt_play map section."""
     from .exact import PayoffData
 
-    payoff_section = _require(section, "payoff", "map")
-    rates = _require(section, "step_sizes", "map")
-    if len(rates) != 2:
+    if len(section["step_sizes"]) != 2:
         raise ConfigError("map.step_sizes must hold exactly two step sizes for alt_play",
                           json_path="map.step_sizes")
     matrix = [[exact_number(v, f"map.payoff.matrix[{i}][{j}]") for j, v in enumerate(row)]
-              for i, row in enumerate(payoff_section["matrix"])]
-    widths = {len(row) for row in matrix}
-    if len(widths) != 1:
+              for i, row in enumerate(section["payoff"]["matrix"])]
+    if len({len(row) for row in matrix}) != 1:
         raise ConfigError("map.payoff.matrix rows must all have the same length",
                           json_path="map.payoff.matrix")
-    return PayoffData.from_matrix(matrix), _step_sizes(rates)
+    return PayoffData.from_matrix(matrix), _step_sizes(section["step_sizes"])
 
 
 def _build_map(section: dict) -> MapInstance:
     """The map of a section of any kind but alt_play."""
     from .maps import MapInstance
 
+    objective = _build_objective(section["objective"])
+    blocks = tuple(section.get("blocks", ()))  # only mwu has blocks, and may have step_sizes
+    rates = (_step_sizes(section["step_sizes"]) if "step_sizes" in section else
+             (exact_number(section["step_size"], "map.step_size", positive=True),)
+             * (len(blocks) or 1))
     try:
-        objective = _build_objective(_require(section, "objective", "map"))
-        kind = section["kind"]
-        if kind in ("mwu_exp", "mwu_lin"):
-            blocks = tuple(_require(section, "blocks", "map"))
-            rates = (_step_sizes(section["step_sizes"]) if "step_sizes" in section
-                     else (_step_size(section),) * len(blocks))
-        else:
-            blocks, rates = (), (_step_size(section),)
-        return MapInstance(kind, rates, objective=objective, blocks=blocks)
-    except ConfigError:
-        raise
+        return MapInstance(section["kind"], rates, objective=objective, blocks=blocks)
     except ConmotError as exc:
         # A map that cannot be built from its section is a config problem.
         raise ConfigError(f"map: {exc}", json_path="map") from exc
@@ -295,26 +303,18 @@ def _build_map(section: dict) -> MapInstance:
 def build_weight(section: dict | None, dimension: int) -> WeightFunction:
     """Weight function from an invariant.weight config section on a chart of
     the given dimension."""
-    # Imported here, so a config that builds no weight loads neither
-    # invariants nor the dynamics behind it.
+    # Imported here: a config that builds no weight loads no invariants or dynamics.
     from .invariants import constant_weight, coordinate_weight, gaussian_bump_weight
 
     if section is None:
         return constant_weight(1.0)
-    kind = section["kind"]
-    if kind == "constant":
+    if section["kind"] == "constant":
         return constant_weight(float(section.get("value", 1.0)))
-    if kind == "coordinate":
-        if "index" not in section:
-            raise ConfigError("invariant.weight: a coordinate weight needs an index",
-                              json_path="invariant.weight")
+    if section["kind"] == "coordinate":
         if section["index"] >= dimension:
             raise ConfigError(f"invariant.weight.index must be below the chart dimension "
                               f"{dimension}", json_path="invariant.weight.index")
         return coordinate_weight(section["index"])
-    if "center" not in section or "width" not in section:
-        raise ConfigError("invariant.weight: a gaussian-bump weight needs center and width",
-                          json_path="invariant.weight")
     center = [float(v) for v in section["center"]]
     if len(center) != dimension:
         raise ConfigError(f"invariant.weight.center has length {len(center)}, the chart "
@@ -350,6 +350,7 @@ def load_config(path) -> RunConfig:
                           json_path=where)
 
     section = doc["map"]
+    _check_keys(section, "map")
     if section["kind"] == "alt_play":  # exact checks only: the views come on first read
         map_instance, (payoff, step_sizes) = None, _alt_play(section)
         dimension = payoff.dimension_x + payoff.dimension_y
@@ -363,26 +364,25 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"output.prefix must name files inside the output directory: "
                           f"{prefix!r}", json_path="output.prefix")
 
-    steps = doc.get("steps", {})
     invariant_spec = doc.get("invariant")
-    if invariant_spec is not None and (
-            (invariant_spec["kind"] == "closed-form") != (section["kind"] == "alt_play")):
-        raise ConfigError("invariant.kind must be closed-form for alt_play"
-                          if section["kind"] == "alt_play"
-                          else "the closed-form invariant only exists for alt_play",
-                          json_path="invariant.kind")
+    if invariant_spec is not None:
+        if (invariant_spec["kind"] == "closed-form") != (section["kind"] == "alt_play"):
+            raise ConfigError("invariant.kind must be closed-form for alt_play"
+                              if section["kind"] == "alt_play"
+                              else "the closed-form invariant only exists for alt_play",
+                              json_path="invariant.kind")
+        _check_keys(invariant_spec, "invariant")
 
-    tolerance = doc.get("tolerance", DEFAULT_TOLERANCE)
     cfg = RunConfig(
         kind=section["kind"],
         initial_exact=tuple(vals for vals, _ in points),
-        n_forward=int(steps.get("forward", 0)),
-        n_backward=int(steps.get("backward", 0)),
+        n_forward=int(doc.get("steps", {}).get("forward", 0)),
+        n_backward=int(doc.get("steps", {}).get("backward", 0)),
         invariant_spec=invariant_spec,
         scan_spec=doc.get("scan"),
         classify_spec=doc.get("classify"),
         seed=doc.get("seed"),
-        tolerance=float(tolerance),
+        tolerance=float(doc.get("tolerance", DEFAULT_TOLERANCE)),
         output_prefix=prefix,
         payoff=payoff,
         step_sizes=step_sizes,

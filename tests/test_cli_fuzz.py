@@ -1,14 +1,15 @@
 """Config fuzzing of the command line: every run ends in exit 0, 2 or 3.
 
-Documents are built to pass the schema (every map kind, objective, weight
-and section, with rare bad numbers, off-chart points and odd prefixes) and,
-one time in three, mutated: a key deleted, a value replaced by arbitrary
-JSON, or an unknown key added. Each document runs
-through every subcommand that reads a config, with the global seed and
-tolerance flags drawn as well. The same documents, and arbitrary JSON, check
-that config's schema validator reports the path and message of the error
-jsonschema's best_match picks. Sizes stay small (steps and horizons <= 20,
-truncation <= 8, pairs <= 3) so the whole test runs in a few seconds.
+Documents are built to pass the schema and to set only keys that their
+kind reads (every map kind, objective, weight and section, with rare bad
+numbers, off-chart points and odd prefixes) and, one time in three,
+mutated: a key deleted, a value replaced by arbitrary JSON, or an unknown
+key added. Each document runs through every subcommand that reads a
+config, with the global seed and tolerance flags drawn as well. The same
+documents, and arbitrary JSON, check that config's schema validator reports
+the path and message of the error jsonschema's best_match picks. Sizes
+stay small (steps and horizons <= 20, truncation <= 8, pairs <= 3) so the
+whole test runs in a few seconds.
 """
 
 import contextlib
@@ -134,8 +135,9 @@ def document(draw, kinds=KINDS):
         closed = map_doc["kind"] == "alt_play"
         kind = draw(sometimes(st.just("closed-form" if closed else "series"),
                               st.sampled_from(["closed-form", "series"])))
-        doc["invariant"] = {"kind": kind, "weight": weight, "truncation": draw(whole(0, 8)),
-                            "defect_horizon": draw(SMALL)}
+        doc["invariant"] = {"kind": kind, "defect_horizon": draw(SMALL)}
+        if kind == "series":  # a closed-form invariant reads no weight and no truncation
+            doc["invariant"].update(weight=weight, truncation=draw(whole(0, 8)))
     if draw(st.integers(0, 3)):
         doc["scan"] = {"pairs": draw(whole(1, 3)), "horizon": draw(whole(1, 20)),
                        "eps_low": draw(POSITIVE), "eps_high": draw(POSITIVE),

@@ -11,7 +11,8 @@ import jsonschema
 import pytest
 
 import conmot
-from conmot.config import _TYPES, _schema, _schema_errors, build_weight, load_config
+from conmot.cli import main
+from conmot.config import _READS, _TYPES, _schema, _schema_errors, build_weight, load_config
 from conmot.errors import ConfigError
 
 
@@ -390,3 +391,137 @@ def test_literals_with_an_exponent_beyond_float64_name_their_path(tmp_path, lite
         load_config(path)
     assert err.value.json_path == "initial_states[0][1]"
     assert str(err.value) == "initial_states[0][1] has a decimal exponent outside the float64 range"
+
+
+# One config per map kind that every command that reads a config runs to exit 0.
+_COMMON = {"steps": {"forward": 3, "backward": 1}, "scan": {"pairs": 1, "horizon": 3}, "seed": 1}
+_SERIES = {"kind": "series", "truncation": 2}
+RUNNABLE = {
+    "gd": dict(_COMMON, initial_states=[[0.5]], invariant=_SERIES,
+               map={"kind": "gd", "objective": {"name": "double_well"}, "step_size": "0.1"},
+               classify={"x": [0.5], "y": [0.25], "max_iterations": 3}),
+    "rgd_sphere": dict(_COMMON, initial_states=[[0.6, 0.8]], invariant=_SERIES,
+                       map={"kind": "rgd_sphere", "step_size": "0.1",
+                            "objective": {"name": "linear", "coefficients": [1, -2]}},
+                       classify={"x": [0.6, 0.8], "y": [0.8, 0.6], "max_iterations": 3}),
+    **{kind: dict(_COMMON, initial_states=[[0.4, 0.6]], invariant=_SERIES,
+                  map={"kind": kind, "objective": {"name": "quadratic", "dimension": 2},
+                       "blocks": [2], "step_size": "0.1"},
+                  classify={"x": [0.4, 0.6], "y": [0.7, 0.3], "max_iterations": 3})
+       for kind in ("mwu_exp", "mwu_lin")},
+    "alt_play": dict(_COMMON, initial_states=[[60, -25]], map=BASE["map"],
+                     invariant={"kind": "closed-form", "defect_horizon": 2},
+                     classify={"x": [60, -25], "y": [57.5, -13.5], "max_iterations": 3}),
+}
+WEIGHTS = {"constant": {"value": 2.0}, "coordinate": {"index": 0},
+           "gaussian-bump": {"center": [0.0], "width": 1.0}}
+
+
+def _set(doc: dict, path: str, value=None) -> dict:
+    """A copy of doc with the key at the dotted path set to value, or deleted
+    for None (the schema allows null nowhere)."""
+    doc = json.loads(json.dumps(doc))
+    *parents, key = path.split(".")
+    target = doc
+    for name in parents:
+        target = target[name]
+    if value is None:
+        del target[key]
+    else:
+        target[key] = value
+    return doc
+
+
+def _refused():
+    """(id, config, JSON path) of each setting that its kind does not read."""
+    payoff = {"matrix": [[1]]}
+    for kind in ("gd", "rgd_sphere"):
+        for key, value in (("step_sizes", ["0.1"]), ("payoff", payoff), ("blocks", [2])):
+            yield f"{kind}-{key}", _set(RUNNABLE[kind], f"map.{key}", value), f"map.{key}"
+    for kind in ("mwu_exp", "mwu_lin"):
+        yield f"{kind}-payoff", _set(RUNNABLE[kind], "map.payoff", payoff), "map.payoff"
+        # step_sizes beside a step_size: the pair is refused at the step_size.
+        yield (f"{kind}-step_size", _set(RUNNABLE[kind], "map.step_sizes", ["0.1"]),
+               "map.step_size")
+    for key, value in (("objective", {"name": "quadratic", "dimension": 2}),
+                       ("step_size", "0.1"), ("blocks", [2])):
+        yield f"alt_play-{key}", _set(RUNNABLE["alt_play"], f"map.{key}", value), f"map.{key}"
+    for name in ("quadratic", "double_well", "bump"):
+        objective = {"name": name, "dimension": 1, "coefficients": [1]}
+        yield (f"{name}-coefficients", _set(RUNNABLE["gd"], "map.objective", objective),
+               "map.objective.coefficients")
+    yield ("linear-dimension", _set(RUNNABLE["rgd_sphere"], "map.objective.dimension", 2),
+           "map.objective.dimension")
+    for key, value in (("weight", {"kind": "constant"}), ("truncation", 2)):
+        yield (f"closed-form-{key}", _set(RUNNABLE["alt_play"], f"invariant.{key}", value),
+               f"invariant.{key}")
+    other_keys = {key: value for keys in WEIGHTS.values() for key, value in keys.items()}
+    for kind, keys in WEIGHTS.items():
+        for key in other_keys.keys() - keys.keys():
+            weight = {"kind": kind, **keys, key: other_keys[key]}
+            yield (f"{kind}-{key}", _set(RUNNABLE["gd"], "invariant.weight", weight),
+                   f"invariant.weight.{key}")
+
+
+REFUSED = {name: (doc, json_path) for name, doc, json_path in _refused()}
+COMMANDS = ("simulate", "invariant", "classify", "scan")
+
+
+@pytest.mark.parametrize("name", REFUSED)
+def test_a_key_that_its_kind_does_not_read_is_exit_two_on_every_command(tmp_path, capsys, name):
+    """Each of these settings once changed nothing; now it stops every command
+    that reads the config at its JSON path, with one error line."""
+    doc, json_path = REFUSED[name]
+    config = write(tmp_path, doc)
+    with pytest.raises(ConfigError) as err:
+        load_config(config)
+    assert err.value.json_path == json_path
+    for command in COMMANDS:
+        assert main(["--config", str(config), "--out", str(tmp_path / "out"), command]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: configuration: {json_path}: ")
+        if name.startswith("mwu") and json_path == "map.step_size":
+            assert "'step_size'" in lines[0] and "'step_sizes'" in lines[0]
+
+
+@pytest.mark.parametrize("kind", RUNNABLE)
+def test_the_refused_configs_run_without_their_refused_key(tmp_path, capsys, kind):
+    config = write(tmp_path, RUNNABLE[kind])
+    for command in COMMANDS:
+        assert main(["--config", str(config), "--out", str(tmp_path / "out"), command]) == 0
+
+
+@pytest.mark.parametrize("doc, json_path, line", [
+    (_set(RUNNABLE["gd"], "map.objective"), "map", "map requires 'objective'"),
+    (_set(RUNNABLE["gd"], "map.step_size"), "map", "map requires 'step_size'"),
+    (_set(RUNNABLE["mwu_exp"], "map.blocks"), "map", "map requires 'blocks'"),
+    (_set(RUNNABLE["mwu_lin"], "map.step_size"), "map", "map requires 'step_size'"),
+    (_set(RUNNABLE["alt_play"], "map.payoff"), "map", "map requires 'payoff'"),
+    (_set(RUNNABLE["alt_play"], "map.step_sizes"), "map", "map requires 'step_sizes'"),
+    (_set(RUNNABLE["rgd_sphere"], "map.objective.coefficients"), "map.objective",
+     "map.objective: a linear objective needs coefficients"),
+    (_set(RUNNABLE["gd"], "invariant.weight", {"kind": "coordinate"}), "invariant.weight",
+     "invariant.weight: a coordinate weight needs an index"),
+    (_set(RUNNABLE["gd"], "invariant.weight", {"kind": "gaussian-bump", "center": [0.0]}),
+     "invariant.weight", "invariant.weight: a gaussian-bump weight needs center and width"),
+])
+def test_a_missing_key_is_named_at_load_by_its_line(tmp_path, doc, json_path, line):
+    """A weight that lacks a key now stops a load too, so a scan as well."""
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, doc))
+    assert (err.value.json_path, str(err.value)) == (json_path, line)
+
+
+def test_the_key_table_reads_what_the_schema_allows():
+    """Every key that the schema allows in a section whose kind decides its
+    keys is read by some kind, and the table reads no other key; its kinds
+    are the schema's."""
+    properties = _schema()["properties"]
+    sections = {"map": properties["map"], "invariant": properties["invariant"]}
+    sections["map.objective"] = sections["map"]["properties"]["objective"]
+    sections["invariant.weight"] = sections["invariant"]["properties"]["weight"]
+    for where, schema in sections.items():
+        tag = "name" if where == "map.objective" else "kind"
+        read = {key for keys in _READS[where].values() for key in keys.replace("|", " ").split()}
+        assert read == schema["properties"].keys() - {tag}, where
+        assert sorted(_READS[where]) == sorted(schema["properties"][tag]["enum"]), where

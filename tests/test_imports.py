@@ -15,7 +15,8 @@ submodule (each exported name is imported on first access); figures, a
 conservation audit, an alt_play load_config, alt_play simulate and a
 closed-form invariant, with or without a defect horizon, load no numpy and
 no float module; figures and alt_play simulate, which fork row readers,
-load no process pool and no pickle; a gd load or simulate loads no module
+load no process pool and no pickle; a gd load (also one whose series
+invariant has a weight, whose keys it checks) or simulate loads no module
 it does not run; the float commands and a float load_config load no exact
 engine, and a float scan no dynamics or invariants either; nor does an
 alt_play scan, which reads its pairs through difference_log_stats. A
@@ -239,6 +240,7 @@ GD = {"map": {"kind": "gd", "objective": {"name": "double_well", "dimension": 1}
               "step_size": 0.1},
       "initial_states": [[0.5]], "steps": {"forward": 20, "backward": 2}}
 SERIES = {"kind": "series", "truncation": 8, "defect_horizon": 2}
+BUMP = {"kind": "gaussian-bump", "center": [0.0], "width": 1.0}
 MWU = {"map": {"kind": "mwu_exp", "objective": {"name": "quadratic", "dimension": 3},
                "blocks": [3], "step_size": "0.1"},
        "initial_states": [["0.5", "0.3", "0.2"]], "scan": {"pairs": 2, "horizon": 20}, "seed": 1}
@@ -259,6 +261,8 @@ FLOAT_STACK = {"numpy", "conmot.maps", "conmot.objectives", "conmot.state", "con
 # What the commands that fork row readers never load: the workers are plain
 # os.fork children that send marshal bytes through a pipe.
 POOLS = {"multiprocessing", "concurrent.futures", "pickle"}
+# What a float load_config never loads, weight keys and all.
+LOAD_SKIPS = {"conmot.chaos", "conmot.dynamics", "conmot.invariants", "conmot.exact"}
 # What a float scan never loads: it steps pairs forward and sums no series.
 SCAN_SKIPS = {"conmot.exact", "conmot.dynamics", "conmot.invariants"}
 
@@ -268,8 +272,9 @@ GUARDS = {
     "figures-fig1": (CLI, None, [*RUN[2:], "figures", "fig1"], {"numpy"} | POOLS),
     "figures-fig2": (CLI, None, [*RUN[2:], "figures", "fig2"], {"numpy"} | POOLS),
     "cli-module-and-audit": (AUDIT, None, [], {"numpy"}),
-    "gd-load": (LOAD, GD, ["{config}"],
-                {"conmot.chaos", "conmot.dynamics", "conmot.invariants", "conmot.exact"}),
+    "gd-load": (LOAD, GD, ["{config}"], LOAD_SKIPS),
+    "gd-load-series-bump": (LOAD, dict(GD, invariant=dict(SERIES, weight=BUMP)), ["{config}"],
+                            LOAD_SKIPS),
     "gd-simulate": (CLI, GD, [*RUN, "simulate"], {"conmot.chaos"}),
     "gd-simulate-series": (CLI, GD_SERIES, [*RUN, "simulate"], {"conmot.exact", "conmot.chaos"}),
     "gd-classify-series": (CLI, GD_SERIES, [*RUN, "classify"], {"conmot.exact"}),
