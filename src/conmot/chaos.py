@@ -7,8 +7,9 @@ window, for a batch of pairs held as one (2, B, d) array of chart rows, and
 classifies conservatively: the scramble-candidate verdict is a flag for closer
 scrutiny, never a proof. A conserved quantity with a nondegenerate
 differential confines orbits to level sets, so confinement_tally refutes the
-candidates whose invariants disagree, once the caller has certified phi for
-the map with exact.certified_quadratic. ``exact`` (the alt_play pair kernel)
+candidates whose invariants disagree; only those refutations need phi
+certified for the map (exact.certified_quadratic), as the CLI's closed form
+is by construction. ``exact`` (the alt_play pair kernel)
 and ``dynamics`` (same_orbit's walk) load only when those run.
 """
 
@@ -175,9 +176,9 @@ def confinement_tally(map_instance: MapInstance, verdicts, gaps, tolerance) -> C
     invariant gaps, in pair order: the verdict counts, and a refutation (pair
     index, gap) for each scramble-candidate whose gap exceeds ``tolerance``.
 
-    Precondition: phi is conserved by this map, which the caller establishes
-    with exact.certified_quadratic(phi, map_instance). Without it the counts
-    mean nothing, since orbits need not stay on their levels."""
+    The counts hold for any map; the refutations need phi conserved by it, as
+    exact.certified_quadratic(phi, map_instance) decides and the CLI's closed
+    form is by construction: else orbits need not stay on their levels."""
     counts: dict[str, int] = {}
     refutations = []
     for idx, (verdict, gap) in enumerate(zip(verdicts, gaps, strict=True)):

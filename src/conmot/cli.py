@@ -14,9 +14,9 @@ At module level only the standard library, ``errors`` and ``rationals`` are
 imported; each command imports what it runs. ``figures``, ``simulate`` on
 alt_play and a closed-form ``invariant`` run on the exact engine alone and
 never load numpy, and a command on a float map never loads the exact
-engine. ``figures`` and alt_play ``simulate`` read their rows on
-every usable CPU, in forked children that end before the command returns,
-when the process runs a single OS thread.
+engine. When the process runs one OS thread, ``figures`` and alt_play
+``simulate`` split their rows over one reader per usable CPU: this process
+and forked children that end before it returns, each placed by the kernel.
 """
 
 from __future__ import annotations
@@ -369,9 +369,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     if not cfg.initial_exact:
         raise ConfigError("simulate needs initial_states")
     summary = {"map_kind": cfg.kind, "trajectories": []}
-    exact_rows = None
-    if cfg.kind == "alt_play":
-        exact_rows, _ = _exact_orbits(cfg.payoff, *cfg.step_sizes, cfg.initial_exact,
+    exact_rows, phi = None, cfg.closed_form
+    if phi is not None:
+        exact_rows, _ = _exact_orbits(phi.payoff, phi.eta1, phi.eta2, cfg.initial_exact,
                                       cfg.n_forward, cfg.n_backward)
     for i, exact_init in enumerate(cfg.initial_exact):
         if exact_rows is not None:
@@ -412,13 +412,10 @@ def cmd_invariant(cfg: RunConfig, out_dir: Path) -> int:
     results = []
     horizon = int(spec.get("defect_horizon", 0))
     if spec["kind"] == "closed-form":
-        # A closed-form section belongs to an alt_play config; phi is built
-        # on its certified step, so the defect is 0.0 at every horizon.
-        from .exact import BipartiteInvariant
-
-        phi = BipartiteInvariant(cfg.payoff, *cfg.step_sizes)
+        # A closed-form section belongs to an alt_play config, whose phi
+        # load_config built on its certified step: the defect is 0.0 at every horizon.
         for i, exact_init in enumerate(cfg.initial_exact):
-            value = phi.exact(exact_init)
+            value = cfg.closed_form.exact(exact_init)
             entry = {
                 "initial_index": i,
                 "value": as_float(value),
@@ -447,10 +444,8 @@ def cmd_invariant(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _classification_invariants(cfg: RunConfig):
-    if cfg.kind == "alt_play":
-        from .exact import BipartiteInvariant
-
-        return (BipartiteInvariant(cfg.payoff, *cfg.step_sizes),)
+    if cfg.closed_form is not None:
+        return (cfg.closed_form,)
     series = _series_spec(cfg)
     if series is None:
         return ()
@@ -519,13 +514,8 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, seed: int | None, tolerance: float) 
                           json_path="scan.box_halfwidth")
     min_gap = float(spec.get("min_relative_gap", SCAN_MIN_RELATIVE_GAP))
 
-    phi, certified = None, False
-    if cfg.kind == "alt_play":
-        from .exact import BipartiteInvariant, certified_quadratic
-
-        phi = BipartiteInvariant(cfg.payoff, *cfg.step_sizes)
-        certified = certified_quadratic(phi, cfg.map)  # the confinement argument's precondition
-
+    # Certified for the map at load, the confinement argument's precondition.
+    phi = cfg.closed_form
     chart = cfg.map.chart
     rng = np.random.default_rng(seed)
     # Kept pairs are rows in one growing buffer, x then y, and become the
@@ -581,7 +571,7 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, seed: int | None, tolerance: float) 
         "verdict_counts": dict(sorted(counts.items())),
         "pair_reports": pair_entries,
     }
-    if certified:
+    if phi is not None:
         payload["confinement"] = confinement
     path = out_dir / f"{cfg.output_prefix}_scan.json"
     _write_json(path, payload)

@@ -27,7 +27,7 @@ from .errors import ChartViolation, ConfigError, ConmotError
 from .rationals import as_fraction
 
 if TYPE_CHECKING:
-    from .exact import PayoffData
+    from .exact import BipartiteInvariant
     from .invariants import WeightFunction
     from .maps import MapInstance
     from .objectives import ObjectiveSpec
@@ -41,10 +41,11 @@ DEFAULT_PREFIX = "run"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a CLI command needs, already validated. load_config sets map
-    and initial_states at once for every kind but alt_play. For alt_play they
-    are float views of the exact fields, built on first read: its exact checks
-    leave them nothing to reject, so its exact commands skip numpy."""
+    """Everything a CLI command needs, already validated. An alt_play config
+    carries its closed form Phi, built on the certified step. load_config sets
+    map and initial_states at once for every other kind; for alt_play they are
+    float views of closed_form and initial_exact, built on first read: the exact
+    checks leave them nothing to reject, so its exact commands skip numpy."""
 
     kind: str
     initial_exact: tuple[tuple[Fraction, ...], ...]
@@ -56,14 +57,14 @@ class RunConfig:
     seed: int | None
     tolerance: float
     output_prefix: str
-    payoff: PayoffData | None = None  # alt_play only
-    step_sizes: tuple[Fraction, ...] = ()  # alt_play's (eta1, eta2)
+    closed_form: BipartiteInvariant | None = None  # alt_play only
 
     @cached_property
     def map(self) -> MapInstance:
         from .maps import MapInstance
 
-        return MapInstance("alt_play", self.step_sizes, payoff=self.payoff)
+        phi = self.closed_form
+        return MapInstance("alt_play", (phi.eta1, phi.eta2), payoff=phi.payoff)
 
     @cached_property
     def initial_states(self) -> tuple[State, ...]:
@@ -269,9 +270,9 @@ def _step_sizes(rates) -> tuple[Fraction, ...]:
                  for i, v in enumerate(rates))
 
 
-def _alt_play(section: dict) -> tuple[PayoffData, tuple[Fraction, ...]]:
-    """The exact payoff and step sizes (eta1, eta2) of an alt_play map section."""
-    from .exact import PayoffData
+def _alt_play(section: dict) -> BipartiteInvariant:
+    """The closed form Phi of an alt_play map section; a failed certificate raises here."""
+    from .exact import BipartiteInvariant, PayoffData
 
     if len(section["step_sizes"]) != 2:
         raise ConfigError("map.step_sizes must hold exactly two step sizes for alt_play",
@@ -281,7 +282,7 @@ def _alt_play(section: dict) -> tuple[PayoffData, tuple[Fraction, ...]]:
     if len({len(row) for row in matrix}) != 1:
         raise ConfigError("map.payoff.matrix rows must all have the same length",
                           json_path="map.payoff.matrix")
-    return PayoffData.from_matrix(matrix), _step_sizes(section["step_sizes"])
+    return BipartiteInvariant(PayoffData.from_matrix(matrix), *_step_sizes(section["step_sizes"]))
 
 
 def _build_map(section: dict) -> MapInstance:
@@ -352,10 +353,10 @@ def load_config(path) -> RunConfig:
     section = doc["map"]
     _check_keys(section, "map")
     if section["kind"] == "alt_play":  # exact checks only: the views come on first read
-        map_instance, (payoff, step_sizes) = None, _alt_play(section)
-        dimension = payoff.dimension_x + payoff.dimension_y
+        map_instance, closed_form = None, _alt_play(section)
+        dimension = closed_form.payoff.dimension_x + closed_form.payoff.dimension_y
     else:
-        map_instance, payoff, step_sizes = _build_map(section), None, ()
+        map_instance, closed_form = _build_map(section), None
     points = [chart_point(row, map_instance.chart, f"initial_states[{idx}]") if map_instance
               else (_exact_point(row, dimension, f"initial_states[{idx}]"), None)
               for idx, row in enumerate(doc.get("initial_states", []))]
@@ -384,8 +385,7 @@ def load_config(path) -> RunConfig:
         seed=doc.get("seed"),
         tolerance=float(doc.get("tolerance", DEFAULT_TOLERANCE)),
         output_prefix=prefix,
-        payoff=payoff,
-        step_sizes=step_sizes,
+        closed_form=closed_form,
     )
     if map_instance is not None:  # cached_property reads the views from the instance dict
         cfg.__dict__.update(map=map_instance, initial_states=tuple(s for _, s in points))

@@ -275,7 +275,7 @@ def test_an_accepted_alt_play_config_builds_its_float_views(doc):
             assert "Traceback" not in err.getvalue()
             return
     m = cfg.map
-    assert m == alternating_play(cfg.payoff, *cfg.step_sizes)
+    assert m == alternating_play(cfg.closed_form.payoff, cfg.closed_form.eta1, cfg.closed_form.eta2)
     assert m.chart.dimension == sum(m.payoff.matrix.shape)
     assert len(cfg.initial_states) == len(cfg.initial_exact)
     for state, vals in zip(cfg.initial_states, cfg.initial_exact):

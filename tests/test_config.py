@@ -14,6 +14,8 @@ import conmot
 from conmot.cli import main
 from conmot.config import _READS, _TYPES, _schema, _schema_errors, build_weight, load_config
 from conmot.errors import ConfigError
+from conmot.exact import BipartiteInvariant, PayoffData, certified_quadratic
+from conmot.maps import alternating_play
 
 
 def write(tmp_path, payload):
@@ -525,3 +527,30 @@ def test_the_key_table_reads_what_the_schema_allows():
         read = {key for keys in _READS[where].values() for key in keys.replace("|", " ").split()}
         assert read == schema["properties"].keys() - {tag}, where
         assert sorted(_READS[where]) == sorted(schema["properties"][tag]["enum"]), where
+
+
+@pytest.mark.parametrize("matrix, states", [
+    ([[1]], [[60, -25], ["1/3", "-0.7"]]),
+    ([[1, "1/2", -2], ["0.3", 0, "5/7"]], [[1, 2, 3, 4, 5], ["-1/3", "0.25", 0, 7, "1e-3"]]),
+])
+def test_an_alt_play_config_carries_its_certified_closed_form(tmp_path, matrix, states):
+    """load_config builds Phi once, on the certified step of the config's own
+    map: its exact values are those of the closed form built from the same
+    payoff and step sizes."""
+    etas = (Fraction(1, 10), Fraction(1, 5))
+    cfg = load_config(write(tmp_path, {
+        "map": {"kind": "alt_play", "payoff": {"matrix": matrix}, "step_sizes": ["0.1", "1/5"]},
+        "initial_states": states,
+    }))
+    phi, by_hand = cfg.closed_form, BipartiteInvariant(PayoffData(matrix), *etas)
+    assert len(cfg.initial_exact) == len(states)
+    for x in cfg.initial_exact:
+        assert phi.exact(x) == by_hand.exact(x)
+    assert (phi.eta1, phi.eta2) == etas
+    assert certified_quadratic(phi, cfg.map)
+    assert cfg.map == alternating_play(phi.payoff, phi.eta1, phi.eta2)
+
+
+@pytest.mark.parametrize("kind", sorted(RUNNABLE.keys() - {"alt_play"}))
+def test_a_float_kind_carries_no_closed_form(tmp_path, kind):
+    assert load_config(write(tmp_path, RUNNABLE[kind])).closed_form is None

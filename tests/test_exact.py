@@ -533,7 +533,8 @@ def test_engine_steps_with_the_certified_matrix(game):
 
 def test_a_failed_certificate_raises(monkeypatch, tmp_path, capsys):
     """Every reader of the integer step refuses a failed certificate with one
-    message, _certified_step first."""
+    message, _certified_step first. An alt_play config builds its closed form
+    at load, so every command that reads one stops there, before any output."""
     monkeypatch.setattr(exact._IntegerStep, "certified", lambda self: False)
     message = "the exact conservation certificate failed"
     readers = [
@@ -552,9 +553,15 @@ def test_a_failed_certificate_raises(monkeypatch, tmp_path, capsys):
         "map": {"kind": "alt_play", "payoff": {"matrix": [[1]]}, "step_sizes": ["1/10", "1/5"]},
         "initial_states": [[60, -25]],
         "invariant": {"kind": "closed-form"},
+        "classify": {"x": [60, -25], "y": [57.5, -13.5]},
+        "scan": {"pairs": 2, "horizon": 20},
+        "seed": 1,
     }))
-    assert main(["--config", str(config), "--out", str(tmp_path / "out"), "invariant"]) == 3
-    assert capsys.readouterr().err == f"error: {message}\n"
+    for command in ("simulate", "invariant", "classify", "scan"):
+        out = tmp_path / command
+        assert main(["--config", str(config), "--out", str(out), command]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(out.iterdir())
 
 
 def test_the_orbit_and_the_closed_form_read_the_same_float_at_the_start():

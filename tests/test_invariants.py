@@ -460,3 +460,15 @@ def test_mwu_series_runs_on_the_simplex():
     rep = series_invariant(m, ONES, s, 30)
     assert math.isfinite(rep.value)
     assert rep.truncation_n > 0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a series whose terms rise before "
+                   "they fall is called divergent after 32 stale rings, though gd on the "
+                   "double well is a descent map and its series converges")
+def test_a_convergent_double_well_series_is_not_called_divergent():
+    """Starts near the repelling point 0 and near the minimum at 1, where one
+    side's terms grow first; the telescoped value is f(0) - f(1) = 0.25."""
+    reports = {x: series_invariant(DOUBLE_WELL_GD, ONES, State([x], euclidean(1)), 64)
+               for x in (0.02, 0.96, 0.99)}
+    assert not any(r.divergent for r in reports.values())
+    assert abs(reports[0.99].value - 0.25) < 1e-3
