@@ -122,10 +122,11 @@ def pair_statistics(
 
     Alternating play is linear, so a pair distance is its evolved difference
     vector, read in log space over the tail window alone, at any horizon (see
-    difference_log_stats), each pair's bits those of a one-pair call. The
-    other kinds advance every point together, one vectorised step per time
-    index; each pair's numbers equal those of stepping its two States alone,
-    bit for bit, and a failing step raises what that one-pair loop raises.
+    difference_log_stats, a library entry that certifies the step again),
+    each pair's bits those of a one-pair call. The other kinds advance every
+    point together, one vectorised step per time index; each pair's numbers
+    equal those of stepping its two States alone, bit for bit, and a failing
+    step raises what that one-pair loop raises.
 
     The rows get the chart checks of a State, on a copy, so z is never
     changed; B = 0 gives three empty lists.
@@ -148,8 +149,8 @@ def pair_statistics(
     if map_instance.kind == "alt_play":
         from .exact import difference_log_stats
 
-        e1, e2 = map_instance.step_sizes
-        lo, hi = difference_log_stats(map_instance.payoff, e1, e2, z[0] - z[1], horizon)
+        phi = map_instance.closed_form
+        lo, hi = difference_log_stats(phi.payoff, phi.eta1, phi.eta2, z[0] - z[1], horizon)
         low, high, scale = math.log2(eps_low), math.log2(eps_high), _exp2_safe
     else:
         lo, hi = _pair_distance_extremes(map_instance, z, horizon, _tail_start(horizon))

@@ -40,7 +40,7 @@ from .rationals import as_float
 
 if TYPE_CHECKING:
     from .config import RunConfig
-    from .exact import PayoffData
+    from .exact import BipartiteInvariant
 
 __all__ = ["main", "build_parser"]
 
@@ -264,9 +264,9 @@ def _received_share(payload: bytes, status: int, n_orbits: int, times: list[int]
     return part
 
 
-def _exact_orbits(payoff: PayoffData, eta1, eta2, inits, n_forward: int, n_backward: int):
+def _exact_orbits(phi: BipartiteInvariant, inits, n_forward: int, n_backward: int):
     """Rows (t, xy, f, phi, defect) for t in [-n_backward, n_forward] of the
-    exact orbit of each initial state, and the exact level of each orbit.
+    exact orbit of each initial state on phi, and the exact level of each orbit.
 
     The rows are read in P strided shares, P the usable CPUs capped at the
     rows of one orbit: share j reads the rows t = j (mod P) of every orbit.
@@ -277,7 +277,7 @@ def _exact_orbits(payoff: PayoffData, eta1, eta2, inits, n_forward: int, n_backw
     fork copies no lock held by another thread; any other reads P = 1 here."""
     from .exact import ExactAltOrbit
 
-    orbits = [ExactAltOrbit(payoff, eta1, eta2, init) for init in inits]
+    orbits = [ExactAltOrbit(phi, init) for init in inits]
     levels = [orb.phi_fraction() for orb in orbits]
     n_rows = n_forward + n_backward + 1
     forks = hasattr(os, "fork") and _os_threads() == 1
@@ -371,8 +371,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     summary = {"map_kind": cfg.kind, "trajectories": []}
     exact_rows, phi = None, cfg.closed_form
     if phi is not None:
-        exact_rows, _ = _exact_orbits(phi.payoff, phi.eta1, phi.eta2, cfg.initial_exact,
-                                      cfg.n_forward, cfg.n_backward)
+        exact_rows, _ = _exact_orbits(phi, cfg.initial_exact, cfg.n_forward, cfg.n_backward)
     for i, exact_init in enumerate(cfg.initial_exact):
         if exact_rows is not None:
             raw_rows = exact_rows[i]
@@ -620,14 +619,10 @@ def cmd_figures(which: str, out_dir: Path) -> int:
     from .exact import BipartiteInvariant, PayoffData
 
     recipe = FIGURE_RECIPES[which]
-    payoff = PayoffData.from_matrix([[Fraction(1)]])
-    phi = BipartiteInvariant(payoff, recipe["eta1"], recipe["eta2"])
-    e1, e2 = phi.eta1, phi.eta2
-    window = 1.5 * max(
-        abs(float(v)) for init in recipe["initial_states"] for v in init
-    )
+    phi = BipartiteInvariant(PayoffData([[1]]), recipe["eta1"], recipe["eta2"])
     inits = [[Fraction(v) for v in init] for init in recipe["initial_states"]]
-    orbits, levels = _exact_orbits(payoff, e1, e2, inits, FIGURE_FORWARD, FIGURE_BACKWARD)
+    window = 1.5 * max(abs(float(v)) for init in inits for v in init)
+    orbits, levels = _exact_orbits(phi, inits, FIGURE_FORWARD, FIGURE_BACKWARD)
     for i, (rows, level) in enumerate(zip(orbits, levels)):
         _write_csv(out_dir / f"{which}_orbit_{i}.csv", _csv_header(2), _csv_rows(rows))
         _write_csv(
@@ -639,7 +634,7 @@ def cmd_figures(which: str, out_dir: Path) -> int:
     summary = {
         "figure": which,
         "payoff": [[1.0]],
-        "step_sizes": [str(e1), str(e2)],
+        "step_sizes": [str(phi.eta1), str(phi.eta2)],
         "forward_steps": FIGURE_FORWARD,
         "backward_steps": FIGURE_BACKWARD,
         "window_halfwidth": window,

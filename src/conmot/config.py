@@ -64,7 +64,7 @@ class RunConfig:
         from .maps import MapInstance
 
         phi = self.closed_form
-        return MapInstance("alt_play", (phi.eta1, phi.eta2), payoff=phi.payoff)
+        return MapInstance("alt_play", (phi.eta1, phi.eta2), closed_form=phi)
 
     @cached_property
     def initial_states(self) -> tuple[State, ...]:

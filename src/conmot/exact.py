@@ -11,11 +11,11 @@ M M_inv = g^2 I. The state at position t is M^t v_0 (M_inv^|t| v_0 if t < 0)
 over s_0 g^|t|. The quadratic is num = v.T H v / 2 over p1*p2*D*S^2, so it
 is conserved iff num_t == num_0 * g^(2|t|), which M.T H M == g^2 H certifies
 for every orbit. ``_certified_step`` checks that identity and M M_inv == g^2 I
-when it builds the step; every reader of the step gets it from there, and a
-failed certificate raises ConmotError. ``advance`` and ``retreat`` only move
-the position; a read builds the state from the nearest built one, by one
-product per step or by binary powering of M for a long jump, and computes the
-quadratic once per position.
+when the closed form ``BipartiteInvariant`` builds the step; every reader of
+the step gets it from a closed form, and a failed certificate raises
+ConmotError. ``advance`` and ``retreat`` only move the position; a read builds
+the state from the nearest built one, by one product per step or by binary
+powering of M for a long jump, and computes the quadratic once per position.
 
 The payoff is one matrix A (rows for X, columns for Y). It, the engine and
 the closed-form quadratic run on Python integers and Fractions alone; numpy
@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConmotError
+from .errors import ConmotError, StepSizeError
 from .rationals import as_float, as_fraction, ratio_to_float
 
 __all__ = [
@@ -134,7 +134,7 @@ class _IntegerStep:
     def __init__(self, payoff: PayoffData, eta1, eta2) -> None:
         self.eta = eta1, eta2 = as_fraction(eta1), as_fraction(eta2)
         if eta1 <= 0 or eta2 <= 0:
-            raise ConmotError("step sizes must be positive")
+            raise StepSizeError("step sizes must be positive")
         d = math.lcm(*(v.denominator for row in payoff.exact for v in row))  # A = At / D
         at = [[v.numerator * (d // v.denominator) for v in row] for row in payoff.exact]
         att = [list(col) for col in zip(*at)]
@@ -212,7 +212,8 @@ class _Point:
 
 
 class ExactAltOrbit:
-    """One alternating-play orbit held in exact arithmetic.
+    """One alternating-play orbit, on the step of its closed form phi, held in
+    exact arithmetic.
 
     The public accessors return float64 snapshots (rounded from the exact
     rationals) or Fractions; internally nothing is ever rounded. ``advance``
@@ -220,12 +221,9 @@ class ExactAltOrbit:
     mutual inverses; the integers held at a position depend on it alone.
     """
 
-    def __init__(self, payoff: PayoffData, eta1, eta2, xy0) -> None:
-        self.payoff = payoff
-        self._step = _certified_step(payoff, eta1, eta2)
-        self.eta1, self.eta2 = self._step.eta
+    def __init__(self, phi: BipartiteInvariant, xy0) -> None:
+        self._step = phi._step
         coords, s0 = self._step.integer_state(xy0)
-        self._dx = self._step.dx
         self._phi_den0 = self._step.phi_den_unit * s0 * s0
         self._payoff_den0 = self._step.d * s0 * s0
         self._origin = self._last = _Point(0, coords, s0, 1)
@@ -246,8 +244,8 @@ class ExactAltOrbit:
         self._pos -= n
 
     # The integer state at the current position, xy = (_ax + _ay) / _s.
-    _ax = property(lambda self: self._here().coords[: self._dx])
-    _ay = property(lambda self: self._here().coords[self._dx :])
+    _ax = property(lambda self: self._here().coords[: self._step.dx])
+    _ay = property(lambda self: self._here().coords[self._step.dx :])
     _s = property(lambda self: self._here().scale)
 
     def _here(self) -> _Point:
@@ -312,12 +310,12 @@ class ExactAltOrbit:
 class BipartiteInvariant:
     """Phi(X, Y) = |X|^2/eta1 - |Y|^2/eta2 + X.T A Y.
 
-    Callable on a State or any coordinate sequence. Evaluation reads the
-    integer form of the exact engine (``_certified_step``): the point is put
-    over one integer scale s (float64 inputs are exact binary rationals) and
-    Phi is one integer numerator over phi_den_unit * s^2, so a float read is
-    that quotient correctly rounded, the same float an exact orbit gives at
-    the same point.
+    Callable on a State or any coordinate sequence. It holds the one certified
+    step of its game (``_certified_step``), which its exact orbits and its
+    alt_play map step with. Evaluation puts the point over one integer scale s
+    (float64 inputs are exact binary rationals): Phi is one integer numerator
+    over phi_den_unit * s^2, so a float read is that quotient correctly
+    rounded, the same float an exact orbit gives at the same point.
     """
 
     def __init__(self, payoff: PayoffData, eta1, eta2) -> None:
@@ -345,13 +343,13 @@ class BipartiteInvariant:
 
 
 def certified_quadratic(phi, map_instance) -> bool:
-    """Whether phi is the closed form of this alternating-play map. A
-    BipartiteInvariant is built only on a certified step, so such a phi is
-    conserved exactly along every orbit of the map."""
+    """Whether phi is the closed form of this alternating-play map, built on a
+    certified step and so conserved exactly along every orbit of the map. The
+    game is compared by value: a phi built apart from the map's counts too."""
     return (
         isinstance(phi, BipartiteInvariant)
         and map_instance.kind == "alt_play"
-        and phi.payoff.exact == map_instance.payoff.exact
+        and phi.payoff.exact == map_instance.closed_form.payoff.exact
         and (phi.eta1, phi.eta2) == map_instance.step_sizes
     )
 
@@ -375,14 +373,14 @@ def conservation_audit(
 ) -> ConservationAudit:
     """Advance an exact orbit and check the quadratic at regular checkpoints.
 
-    The matrix identity, certified once when the orbit is built, already
-    covers every step of every orbit; the checkpoint equalities re-confirm it
-    on this orbit's actual integers. Both are exact, so max_defect is 0.0
+    The matrix identity, certified once when the closed form is built, covers
+    every step of every orbit; the checkpoint equalities re-confirm it on
+    this orbit's actual integers. Both are exact, so max_defect is 0.0
     whenever conserved is True.
     """
     if steps < 0 or check_every < 1:
         raise ValueError("steps must be >= 0 and check_every >= 1")
-    orbit_exact = ExactAltOrbit(payoff, eta1, eta2, xy0)
+    orbit_exact = ExactAltOrbit(BipartiteInvariant(payoff, eta1, eta2), xy0)
     checkpoints = range(check_every, steps + check_every, check_every)
     defects = []
     for k in checkpoints:
@@ -440,9 +438,10 @@ def difference_log_stats(
 ) -> tuple:
     """Tail liminf/limsup of log2 ||M^t d|| for each difference vector.
 
-    M is the float alternating-play step M/g of ``_IntegerStep``, the matrix
-    that ``maps.step_points`` multiplies by, for the exact step sizes eta1 and
-    eta2. The dynamics is linear, so the distance between two orbits is
+    M is the float step M/g of ``maps.step_points``, read from the closed form
+    of (payoff, eta1, eta2) that this library entry builds and certifies for
+    itself, since perfbench's tracer reads diffs and horizon at positions 3
+    and 4. The dynamics is linear, so the distance between two orbits is
     exactly the norm of the evolved difference. The tail window is the last
     max(1, horizon // 5) steps (chaos._tail_start), and only it is evaluated:
 
@@ -477,7 +476,7 @@ def difference_log_stats(
         raise ValueError("horizon must be >= 1")
     if np.any(np.max(np.abs(diffs), axis=1) == 0.0):
         raise ValueError("difference vectors must be nonzero")
-    m = _certified_step(payoff, eta1, eta2).float_matrices()[0]
+    m = BipartiteInvariant(payoff, eta1, eta2)._step.float_matrices()[0]
     tail_start = _tail_start(horizon)
     u, row_e = _pow2_normalised(diffs, axes=1)
     jump, jump_e = _normalised_power(m, tail_start + 1)

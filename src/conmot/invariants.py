@@ -327,14 +327,14 @@ def dphi_rank(payoff: PayoffData, eta1, eta2) -> tuple[np.ndarray, int]:
     Phi is the quadratic form z -> z.T H z / 2 with H = [[2/eta1 I, A],
     [A.T, -2/eta2 I]], so its differential at z is H z and the rank of H
     counts independent directions of variation. H is the certified integer
-    form of the exact engine over phi_den_unit, each entry correctly rounded.
+    form of the closed form built here over phi_den_unit, correctly rounded.
     It is nonsingular for positive step sizes, hence the rank equals the full
     bipartite dimension; singular values below DPHI_RANK_RTOL times the
     largest do not count.
     """
-    from .exact import _certified_step
+    from .exact import BipartiteInvariant
 
-    step = _certified_step(payoff, eta1, eta2)
+    step = BipartiteInvariant(payoff, eta1, eta2)._step
     h = np.array([[ratio_to_float(v, step.phi_den_unit) for v in row] for row in step.h])
     sv = np.linalg.svd(h, compute_uv=False)
     rank = int(np.sum(sv > DPHI_RANK_RTOL * sv[0]))

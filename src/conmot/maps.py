@@ -33,7 +33,7 @@ from .rationals import as_fraction
 from .state import Chart, State, on_chart, renormalize, validate_points
 
 if TYPE_CHECKING:
-    from .exact import PayoffData
+    from .exact import BipartiteInvariant, PayoffData
 
 __all__ = [
     "MAP_KINDS", "MapInstance", "gradient_descent", "mwu_exponential", "mwu_linear",
@@ -55,29 +55,30 @@ class MapInstance:
     strings are taken at face value); their float view is computed once. For
     mwu kinds step_sizes holds one entry per simplex block, for alt_play the
     pair (eta1, eta2), otherwise a single entry. An alt_play map needs its
-    payoff and every other kind its objective; construction refuses a map
-    without one, so every step and series reads the map's own.
+    closed form, at its step sizes, and every other kind its objective; a map
+    without one is refused, so every step and series reads the map's own.
     """
 
     kind: str
     step_sizes: tuple[Fraction, ...]
     objective: ObjectiveSpec | None = None
-    payoff: PayoffData | None = None
+    closed_form: BipartiteInvariant | None = None
     blocks: tuple[int, ...] = ()
     chart: Chart = field(init=False)
 
     def __post_init__(self) -> None:
         kind, obj, mwu = self.kind, self.objective, self.kind in ("mwu_exp", "mwu_lin")
+        phi = self.closed_form
         if kind not in MAP_KINDS:
             raise ValueError(f"unknown map kind {kind!r}")
-        if kind == "alt_play" and self.payoff is None:
-            raise ValueError("an alt_play map needs its payoff")
+        if kind == "alt_play" and phi is None:
+            raise ValueError("an alt_play map needs its closed form")
         if kind != "alt_play" and obj is None:
             raise ValueError(f"a {kind} map needs its objective")
         if self.blocks and not mwu:
             raise ValueError(f"a {kind} map takes no blocks")
         if kind == "alt_play":
-            chart = charts.euclidean(self.payoff.dimension_x + self.payoff.dimension_y)
+            chart = charts.euclidean(phi.payoff.dimension_x + phi.payoff.dimension_y)
         elif mwu:
             chart = charts.simplex_product(*self.blocks)
             if obj.dimension != chart.dimension:
@@ -90,6 +91,8 @@ class MapInstance:
             raise StepSizeError("need one learning rate per agent block")
         if any(s <= 0 for s in rates):
             raise StepSizeError("step sizes must be positive")
+        if kind == "alt_play" and rates != (phi.eta1, phi.eta2):
+            raise ValueError("an alt_play map steps with the step sizes of its closed form")
         self.__dict__.update(step_sizes=rates, blocks=chart.blocks if mwu else (), chart=chart)
 
     @cached_property
@@ -99,10 +102,8 @@ class MapInstance:
     @cached_property
     def alt_play_matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """alt_play's float step M/g and inverse M_inv/g, read from the
-        certified integer matrices of the exact engine."""
-        from .exact import _certified_step
-
-        return _certified_step(self.payoff, *self.step_sizes).float_matrices()
+        certified integer step of the map's closed form."""
+        return self.closed_form._step.float_matrices()
 
 
 def gradient_descent(objective: ObjectiveSpec, eta) -> MapInstance:
@@ -131,8 +132,11 @@ def mwu_linear(objective: ObjectiveSpec, eps, blocks) -> MapInstance:
 
 def alternating_play(payoff: PayoffData, eta1, eta2) -> MapInstance:
     """Alternating bipartite play with rates (eta1, eta2) on the state X then Y;
-    the map derives euclidean(dx + dy), and the payoff splits the two."""
-    return MapInstance("alt_play", (eta1, eta2), payoff=payoff)
+    the map derives euclidean(dx + dy) and holds the game's closed form."""
+    from .exact import BipartiteInvariant
+
+    return MapInstance("alt_play", (eta1, eta2),
+                       closed_form=BipartiteInvariant(payoff, eta1, eta2))
 
 
 def sphere_rgd(objective: ObjectiveSpec, eta) -> MapInstance:

@@ -89,7 +89,8 @@ def test_named_levels_are_exact_and_hold_for_ten_thousand_steps():
     start = time.perf_counter()
     for eta1, eta2, orbits in cases:
         for init, level in orbits:
-            orb = ExactAltOrbit(payoff, eta1, eta2, [Fraction(v) for v in init])
+            phi = BipartiteInvariant(payoff, eta1, eta2)
+            orb = ExactAltOrbit(phi, [Fraction(v) for v in init])
             assert orb.phi_fraction() == Fraction(level)
             for _ in range(10_000):
                 orb.advance()

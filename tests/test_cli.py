@@ -1009,10 +1009,11 @@ def test_trajectory_matches_library_arithmetic(tmp_path):
     assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 0
     _, rows = read_csv(out / "hyp_trajectory_0.csv")
 
-    from conmot.exact import ExactAltOrbit
+    from conmot.exact import BipartiteInvariant, ExactAltOrbit
 
     payoff = PayoffData.from_matrix([[Fraction(1)]])
-    orbit = ExactAltOrbit(payoff, Fraction(1, 10), Fraction(1, 5), [60, -25])
+    phi = BipartiteInvariant(payoff, Fraction(1, 10), Fraction(1, 5))
+    orbit = ExactAltOrbit(phi, [60, -25])
     for _ in range(25):
         orbit.advance()
     x, y = orbit.xy_float()

@@ -27,7 +27,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from conmot.cli import FIGURE_RECIPES, main
 from conmot.config import _schema, _schema_error, load_config
 from conmot.errors import ConfigError
-from conmot.maps import alternating_play
+from conmot.maps import MapInstance
 from conmot.state import State
 
 COMMANDS = ("simulate", "invariant", "classify", "scan")
@@ -274,9 +274,10 @@ def test_an_accepted_alt_play_config_builds_its_float_views(doc):
             assert exc.json_path is not None and exc.json_path in err.getvalue()
             assert "Traceback" not in err.getvalue()
             return
-    m = cfg.map
-    assert m == alternating_play(cfg.closed_form.payoff, cfg.closed_form.eta1, cfg.closed_form.eta2)
-    assert m.chart.dimension == sum(m.payoff.matrix.shape)
+    m, phi = cfg.map, cfg.closed_form
+    assert m == MapInstance("alt_play", (phi.eta1, phi.eta2), closed_form=phi)
+    assert m.closed_form is phi
+    assert m.chart.dimension == sum(phi.payoff.matrix.shape)
     assert len(cfg.initial_states) == len(cfg.initial_exact)
     for state, vals in zip(cfg.initial_states, cfg.initial_exact):
         expected = State(np.array([float(v) for v in vals]), m.chart)

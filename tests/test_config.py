@@ -15,7 +15,7 @@ from conmot.cli import main
 from conmot.config import _READS, _TYPES, _schema, _schema_errors, build_weight, load_config
 from conmot.errors import ConfigError
 from conmot.exact import BipartiteInvariant, PayoffData, certified_quadratic
-from conmot.maps import alternating_play
+from conmot.maps import MapInstance
 
 
 def write(tmp_path, payload):
@@ -548,7 +548,8 @@ def test_an_alt_play_config_carries_its_certified_closed_form(tmp_path, matrix, 
         assert phi.exact(x) == by_hand.exact(x)
     assert (phi.eta1, phi.eta2) == etas
     assert certified_quadratic(phi, cfg.map)
-    assert cfg.map == alternating_play(phi.payoff, phi.eta1, phi.eta2)
+    assert cfg.map == MapInstance("alt_play", (phi.eta1, phi.eta2), closed_form=phi)
+    assert cfg.map.closed_form is phi
 
 
 @pytest.mark.parametrize("kind", sorted(RUNNABLE.keys() - {"alt_play"}))

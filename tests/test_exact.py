@@ -13,7 +13,7 @@ from conmot import exact
 from conmot.chaos import _relative_gap
 from conmot.cli import main
 from conmot.dynamics import inverse_step
-from conmot.errors import ConmotError
+from conmot.errors import ConmotError, StepSizeError
 from conmot.exact import (
     BipartiteInvariant,
     ExactAltOrbit,
@@ -29,6 +29,7 @@ from conmot.state import State, euclidean
 
 PAY = PayoffData.from_matrix([[1]])
 ETA = (Fraction(1, 10), Fraction(1, 5))
+PHI = BipartiteInvariant(PAY, *ETA)
 
 
 def _step(m, row):
@@ -56,7 +57,7 @@ def test_identity_certificate_holds_for_random_dyadic_instances():
 
 
 def test_exact_orbit_matches_float_steps_initially():
-    ex = ExactAltOrbit(PAY, *ETA, (60, -25))
+    ex = ExactAltOrbit(PHI, (60, -25))
     ex.advance(1)
     np.testing.assert_allclose(ex.xy_float(), [57.5, -13.5])
     m = alternating_play(PAY, *ETA)
@@ -68,7 +69,7 @@ def test_exact_orbit_matches_float_steps_initially():
 
 
 def test_retreat_is_the_exact_inverse_of_advance():
-    ex = ExactAltOrbit(PAY, *ETA, (Fraction(3, 7), Fraction(-2, 9)))
+    ex = ExactAltOrbit(PHI, (Fraction(3, 7), Fraction(-2, 9)))
     start = ex.xy_fractions()
     ex.advance(137)
     ex.retreat(137)
@@ -77,7 +78,7 @@ def test_retreat_is_the_exact_inverse_of_advance():
 
 
 def test_invariant_value_is_exactly_conserved_over_long_runs():
-    ex = ExactAltOrbit(PAY, *ETA, (60, -25))
+    ex = ExactAltOrbit(PHI, (60, -25))
     assert ex.phi_fraction() == 31375
     ex.advance(500)
     assert ex.phi_matches_start()
@@ -88,7 +89,7 @@ def test_invariant_value_is_exactly_conserved_over_long_runs():
 
 
 def test_backward_runs_conserve_too():
-    ex = ExactAltOrbit(PAY, *ETA, (-20, 2))
+    ex = ExactAltOrbit(PHI, (-20, 2))
     assert ex.phi_fraction() == 3940
     ex.retreat(300)
     assert ex.phi_matches_start()
@@ -111,6 +112,41 @@ def test_conservation_audit_certifies_the_step_once(monkeypatch):
                         lambda self: calls.append(1) or certified(self))
     assert conservation_audit(PAY, *ETA, (10, -50), steps=400).identity_verified is True
     assert len(calls) == 1
+
+
+def test_each_alt_play_command_certifies_its_step_once(monkeypatch, tmp_path):
+    """The closed form holds the one certified step, and the orbits, the map
+    and the level curves of a command read it. scan certifies twice: the pair
+    scan's difference_log_stats takes (payoff, eta1, eta2) and builds its own
+    closed form, since the differences and the horizon must stay at argument
+    positions 3 and 4, where perfbench/tracer.py reads them."""
+    x = ExactAltOrbit(PHI, (60, -25))
+    x.advance(3)
+    y = list(x.xy_float())  # T^3 (60, -25), on the orbit
+    calls = []
+    certified = exact._IntegerStep.certified
+    monkeypatch.setattr(exact._IntegerStep, "certified",
+                        lambda self: calls.append(1) or certified(self))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "map": {"kind": "alt_play", "payoff": {"matrix": [[1]]}, "step_sizes": ["1/10", "1/5"]},
+        "initial_states": [[60, -25], [-20, 2], [10, -50]],
+        "steps": {"forward": 6, "backward": 4},
+        "invariant": {"kind": "closed-form", "defect_horizon": 5},
+        "classify": {"x": [60, -25], "y": y},
+        "scan": {"pairs": 3, "horizon": 20},
+        "seed": 1,
+    }))
+    counts = {}
+    for command in ("simulate", "invariant", "classify", "scan", "figures"):
+        calls.clear()
+        out = tmp_path / command
+        argv = ["figures", "fig1"] if command == "figures" else ["--config", str(config), command]
+        assert main([*argv, "--out", str(out)]) == 0
+        counts[command] = len(calls)
+    verdict = json.loads((tmp_path / "classify" / "run_classify.json").read_text())
+    assert (verdict["answer"], verdict["index"]) == ("yes", 3)
+    assert counts == {"simulate": 1, "invariant": 1, "classify": 1, "scan": 2, "figures": 1}
 
 
 def test_transition_matrix_matches_the_map_and_has_unit_determinant():
@@ -235,7 +271,7 @@ def test_difference_log_stats_match_the_exact_orbit(case):
     step = exact._IntegerStep(payoff, e1, e2)  # M^t = step.m^t / g^t
     tail_start = horizon - max(1, horizon // 5)
     power = exact._matpow(step.m, tail_start + 1)
-    orbit = ExactAltOrbit(payoff, e1, e2, diff)
+    orbit = ExactAltOrbit(BipartiteInvariant(payoff, e1, e2), diff)
     log2_d2 = _log2_of(Fraction(sum(v * v for v in diff)))
     window = []
     for t in range(tail_start + 1, horizon + 1):
@@ -353,7 +389,7 @@ def test_difference_log_stats_peak_memory_is_bounded(n_pairs):
 
 
 def test_initial_state_denominators_are_respected():
-    ex = ExactAltOrbit(PAY, *ETA, ("0.25", Fraction(1, 3)))
+    ex = ExactAltOrbit(PHI, ("0.25", Fraction(1, 3)))
     assert ex.xy_fractions() == [Fraction(1, 4), Fraction(1, 3)]
     ex.advance(3)
     ex.retreat(3)
@@ -361,7 +397,7 @@ def test_initial_state_denominators_are_respected():
 
 
 def test_payoff_value_tracks_the_bilinear_pairing():
-    ex = ExactAltOrbit(PAY, *ETA, (60, -25))
+    ex = ExactAltOrbit(PHI, (60, -25))
     assert ex.payoff_value_float() == pytest.approx(60.0 * -25.0)
     ex.advance(1)
     assert ex.payoff_value_float() == pytest.approx(57.5 * -13.5)
@@ -381,6 +417,12 @@ def dyadic_orbits(draw):
     eta = st.integers(3, 128).map(lambda k: Fraction(k, 256))
     xy = [draw(st.integers(-640, 640).map(lambda k: Fraction(k, 64))) for _ in range(dx + dy)]
     return PayoffData.from_matrix(matrix), draw(eta), draw(eta), xy
+
+
+def _orbit(game):
+    """The exact orbit of a drawn game from its start, on the game's closed form."""
+    payoff, e1, e2, xy = game
+    return ExactAltOrbit(BipartiteInvariant(payoff, e1, e2), xy)
 
 
 def _integers(orb):
@@ -404,7 +446,7 @@ def test_one_float_step_each_way_is_the_exact_orbit_read_once(game):
     payoff, e1, e2, xy = game
     m = alternating_play(payoff, e1, e2)
     x = State(np.array([float(v) for v in xy]), m.chart)
-    orb = ExactAltOrbit(*game)
+    orb = _orbit(game)
     for move, position in ((_step, 1), (inverse_step, -1)):
         _move(orb, position - orb.position)
         assert move(m, x.coordinates).tobytes() == np.array(orb.xy_float()).tobytes()
@@ -413,11 +455,11 @@ def test_one_float_step_each_way_is_the_exact_orbit_read_once(game):
 @settings(max_examples=25, deadline=None)
 @given(dyadic_orbits(), st.integers(0, 120), st.integers(0, 120))
 def test_advance_composes(game, a, b):
-    stepped = ExactAltOrbit(*game)
+    stepped = _orbit(game)
     stepped.advance(a)
     _integers(stepped)
     stepped.advance(b)
-    direct = ExactAltOrbit(*game)
+    direct = _orbit(game)
     direct.advance(a + b)
     assert stepped.position == direct.position == a + b
     assert _integers(stepped) == _integers(direct)
@@ -426,7 +468,7 @@ def test_advance_composes(game, a, b):
 @settings(max_examples=25, deadline=None)
 @given(dyadic_orbits(), st.integers(0, 120))
 def test_retreat_undoes_advance(game, n):
-    orb = ExactAltOrbit(*game)
+    orb = _orbit(game)
     start = _integers(orb)
     orb.advance(n)
     _integers(orb)
@@ -439,11 +481,11 @@ def test_retreat_undoes_advance(game, n):
 @settings(max_examples=25, deadline=None)
 @given(dyadic_orbits(), st.lists(st.integers(-40, 40), min_size=1, max_size=8))
 def test_mixed_walks_hold_the_integers_of_their_position(game, moves):
-    walker = ExactAltOrbit(*game)
+    walker = _orbit(game)
     for move in moves:
         _move(walker, move)
         _integers(walker)
-    direct = ExactAltOrbit(*game)
+    direct = _orbit(game)
     _move(direct, walker.position)
     assert _integers(walker) == _integers(direct)
     assert np.array(walker.xy_float()).tobytes() == np.array(direct.xy_float()).tobytes()
@@ -456,7 +498,7 @@ def test_mixed_walks_hold_the_integers_of_their_position(game, moves):
 def test_phi_reads_its_exact_value_correctly_rounded_at_every_position(game, moves):
     """A conserved phi reads as the start level's float, computed once; that
     is float(phi_fraction()) bit for bit wherever the walk goes."""
-    orb = ExactAltOrbit(*game)
+    orb = _orbit(game)
     for move in [0, *moves]:
         _move(orb, move)
         exact_phi = float(orb.phi_fraction()).hex()
@@ -466,7 +508,7 @@ def test_phi_reads_its_exact_value_correctly_rounded_at_every_position(game, mov
 
 
 def test_phi_reads_the_same_floats_without_the_start_level_shortcut(monkeypatch):
-    orb = ExactAltOrbit(PAY, Fraction(1, 20), Fraction(1, 50), [-14, -5])
+    orb = ExactAltOrbit(BipartiteInvariant(PAY, Fraction(1, 20), Fraction(1, 50)), [-14, -5])
     fast = []
     for _ in range(30):
         orb.advance(7)
@@ -513,15 +555,15 @@ def test_engine_steps_with_the_certified_matrix(game):
     payoff, e1, e2, xy = game
     certified = exact._IntegerStep(payoff, e1, e2)
     assert certified.certified() and exact._certified_step(payoff, e1, e2).m == certified.m
-    v0, s0 = _integers(ExactAltOrbit(*game))
+    v0, s0 = _integers(_orbit(game))
     g = int(certified.g)
     for move, matrix in ((1, certified.m), (-1, certified.m_inv)):
-        orb = ExactAltOrbit(*game)
+        orb = _orbit(game)
         _move(orb, move)
         expected = [sum(int(c) * v for c, v in zip(row, v0)) for row in matrix]
         assert _integers(orb) == (expected, s0 * g)
     # The step is alternating play: X moves first, then Y against the new X.
-    fwd = ExactAltOrbit(*game)
+    fwd = _orbit(game)
     fwd.advance()
     x_new = [x + e1 * sum(a * y for a, y in zip(row, xy[len(payoff.exact):]))
              for x, row in zip(xy, payoff.exact)]
@@ -533,14 +575,16 @@ def test_engine_steps_with_the_certified_matrix(game):
 
 def test_a_failed_certificate_raises(monkeypatch, tmp_path, capsys):
     """Every reader of the integer step refuses a failed certificate with one
-    message, _certified_step first. An alt_play config builds its closed form
-    at load, so every command that reads one stops there, before any output."""
+    message, _certified_step first: each builds or reads a closed form, whose
+    construction runs it. An alt_play config builds its closed form at load,
+    so every command that reads one stops there, before any output."""
     monkeypatch.setattr(exact._IntegerStep, "certified", lambda self: False)
     message = "the exact conservation certificate failed"
     readers = [
         lambda: exact._certified_step(PAY, *ETA),
-        lambda: ExactAltOrbit(PAY, *ETA, (60, -25)),
+        lambda: ExactAltOrbit(BipartiteInvariant(PAY, *ETA), (60, -25)),
         lambda: BipartiteInvariant(PAY, *ETA),
+        lambda: conservation_audit(PAY, *ETA, (60, -25), 10),
         lambda: alternating_play(PAY, *ETA).alt_play_matrices,
         lambda: difference_log_stats(PAY, *ETA, [[1.0, 0.0]], 10),
         lambda: dphi_rank(PAY, *ETA),
@@ -567,7 +611,7 @@ def test_a_failed_certificate_raises(monkeypatch, tmp_path, capsys):
 def test_the_orbit_and_the_closed_form_read_the_same_float_at_the_start():
     # A start where a 64-bit leading-window quotient rounded Phi one ulp off.
     x0 = [-11.439523619558951, 18.975829069034646]
-    orbit_phi = ExactAltOrbit(PAY, *ETA, x0).phi_and_defect_float()[0]
+    orbit_phi = ExactAltOrbit(PHI, x0).phi_and_defect_float()[0]
     assert orbit_phi == BipartiteInvariant(PAY, *ETA)(x0) == -708.8578826975653
 
 
@@ -578,5 +622,5 @@ def test_the_orbit_and_the_closed_form_read_the_same_float_at_the_start():
 )
 def test_the_certificate_rejects_nonpositive_step_sizes(etas):
     for build in (exact._IntegerStep, exact._certified_step, BipartiteInvariant):
-        with pytest.raises(ConmotError, match="step sizes must be positive"):
+        with pytest.raises(StepSizeError, match="step sizes must be positive"):
             build(PAY, *etas)

@@ -122,17 +122,23 @@ def test_declared_dependencies_are_what_the_code_imports():
 
 def calls_by_function(source: str, callee: str) -> list[str]:
     """The innermost enclosing function of each call of callee, by plain
-    name or as an attribute; "<module>" outside any function."""
+    name or as an attribute; "<module>" outside any function. A method is
+    named with its class, "Class.method", since methods of two classes can
+    share a name."""
     found = []
 
-    def visit(node, scope):
+    def visit(node, scope, cls=None):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call):
                 func = child.func
                 if getattr(func, "id", getattr(func, "attr", None)) == callee:
                     found.append(scope)
-            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(child, child.name if inner else scope)
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{cls}.{child.name}" if cls else child.name)
+            else:
+                visit(child, scope, cls)
 
     visit(ast.parse(source), "<module>")
     return found
@@ -146,11 +152,21 @@ def test_the_integer_step_is_built_only_where_its_certificate_is_decided():
     assert callers == ["exact.py:_certified_step"]
 
 
+def test_the_step_is_certified_only_where_the_closed_form_is_built():
+    """The closed form holds the one certified step of its game: an exact
+    orbit, an alt_play map and every library entry read a closed form's step
+    and certify none of their own."""
+    callers = sorted(f"{path.name}:{scope}" for path in MODULES
+                     for scope in calls_by_function(path.read_text(), "_certified_step"))
+    assert callers == ["exact.py:BipartiteInvariant.__init__"]
+
+
 def test_the_call_check_finds_every_caller():
     source = ("x = _IntegerStep(1)\n"
               "class C:\n    def m(self):\n        return exact._IntegerStep(2)\n"
+              "    y = _IntegerStep(5)\n"
               "def f():\n    def g():\n        return _IntegerStep(3)\n    return other(4)\n")
-    assert calls_by_function(source, "_IntegerStep") == ["<module>", "m", "g"]
+    assert calls_by_function(source, "_IntegerStep") == ["<module>", "C.m", "<module>", "g"]
 
 
 def _runtime_imports(source: str) -> set[str]:

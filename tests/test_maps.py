@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conmot.errors import ChartViolation, RegionError, StepSizeError
-from conmot.exact import PayoffData
+from conmot.exact import BipartiteInvariant, PayoffData
 from conmot.maps import (
     MAP_KINDS,
     MapInstance,
@@ -190,12 +190,12 @@ FACTORIES = {
 def test_a_map_without_its_objective_or_payoff_is_refused_at_construction(kind):
     built = FACTORIES[kind]()
     assert built.kind == kind
-    needs = "payoff" if kind == "alt_play" else "objective"
+    needs = "closed form" if kind == "alt_play" else "objective"
     with pytest.raises(ValueError, match=f"^an? {kind} map needs its {needs}$"):
         MapInstance(kind, built.step_sizes)
     # The other field does not stand in for the missing one.
-    other = ({"payoff": PayoffData.from_matrix([[1]])} if needs == "objective"
-             else {"objective": quadratic(2)})
+    other = ({"closed_form": BipartiteInvariant(PayoffData.from_matrix([[1]]), 0.1, 0.2)}
+             if needs == "objective" else {"objective": quadratic(2)})
     with pytest.raises(ValueError, match=f"needs its {needs}$"):
         MapInstance(kind, built.step_sizes, **other)
 
@@ -208,7 +208,8 @@ CHARTS = {"gd": euclidean(2), "mwu_exp": simplex_product(3), "mwu_lin": simplex_
 def test_the_map_derives_its_chart_from_its_kind(kind):
     built = FACTORIES[kind]()
     assert built.chart == CHARTS[kind]
-    fields = {"objective": built.objective, "payoff": built.payoff, "blocks": built.blocks}
+    fields = {"objective": built.objective, "closed_form": built.closed_form,
+              "blocks": built.blocks}
     assert MapInstance(kind, built.step_sizes, **fields) == built
     # Floats convert exactly, as the factories' arguments do.
     assert MapInstance(kind, built.float_step_sizes, **fields) == built
@@ -263,6 +264,17 @@ def test_map_constructors_reject_nonpositive_rates():
         gradient_descent(quadratic(1), 0.0)
     with pytest.raises(StepSizeError):
         alternating_play(PayoffData.from_matrix([[1]]), 0.1, -0.2)
+
+
+def test_an_alt_play_map_steps_with_the_step_sizes_of_its_closed_form():
+    phi = BipartiteInvariant(PayoffData.from_matrix([[1]]), "0.1", "0.2")
+    m = alternating_play(phi.payoff, "0.1", "0.2")
+    assert m.step_sizes == (phi.eta1, phi.eta2) == (m.closed_form.eta1, m.closed_form.eta2)
+    assert MapInstance("alt_play", ("0.1", "0.2"), closed_form=phi).closed_form is phi
+    for rates in (("0.1", "0.3"), ("0.2", "0.1"), (0.1, 0.2), ("0.1",), ("0.1", "0.2", "0.2")):
+        with pytest.raises(ValueError, match="^an alt_play map steps with the step sizes of "
+                                             "its closed form$"):
+            MapInstance("alt_play", rates, closed_form=phi)
 
 
 def test_step_sizes_are_stored_exactly():

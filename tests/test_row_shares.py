@@ -29,9 +29,10 @@ from conmot import cli
 from conmot.cli import main
 from conmot.exact import BipartiteInvariant, ExactAltOrbit, PayoffData
 
-SQUARE = (PayoffData.from_matrix([[1]]), Fraction(1, 10), Fraction(1, 5))
-RECT = (PayoffData.from_matrix([[Fraction(1, 4), -1, 2], [3, Fraction(-1, 2), 1]]),
-        Fraction(1, 10), Fraction(1, 5))
+SQUARE = BipartiteInvariant(PayoffData.from_matrix([[1]]), Fraction(1, 10), Fraction(1, 5))
+RECT = BipartiteInvariant(PayoffData.from_matrix([[Fraction(1, 4), -1, 2],
+                                                  [3, Fraction(-1, 2), 1]]),
+                          Fraction(1, 10), Fraction(1, 5))
 DOC = {
     "map": {"kind": "alt_play", "payoff": {"matrix": [[1]]}, "step_sizes": ["1/10", "1/5"]},
     "initial_states": [[60, -25], [-20, 2], [10, -50]],
@@ -86,21 +87,20 @@ def _games():
 @given(_games(), st.integers(0, 25), st.integers(0, 25), st.sampled_from([1, 2, 3]))
 def test_the_strided_shares_together_are_the_one_share_rows_bit_for_bit(
         game, n_forward, n_backward, shares):
-    (payoff, eta1, eta2), inits = game
+    phi, inits = game
     inits = [list(init) for init in inits]
     with mock.patch.object(cli, "_usable_cpus", return_value=1):
-        whole, levels = cli._exact_orbits(payoff, eta1, eta2, inits, n_forward, n_backward)
+        whole, levels = cli._exact_orbits(phi, inits, n_forward, n_backward)
     # Every share read here, on the same orbits one after another.
     with mock.patch.object(cli, "_usable_cpus", return_value=shares), \
             mock.patch.object(cli, "_fork_share", return_value=None):
-        split, split_levels = cli._exact_orbits(payoff, eta1, eta2, inits, n_forward, n_backward)
+        split, split_levels = cli._exact_orbits(phi, inits, n_forward, n_backward)
     assert [[row[0] for row in orbit] for orbit in whole] == (
         [list(range(-n_backward, n_forward + 1))] * len(inits))
     assert _bits(split) == _bits(whole)
-    phi = BipartiteInvariant(payoff, eta1, eta2)
     assert split_levels == levels == [phi.exact(init) for init in inits]
     # Each share holds its residue class alone.
-    orbits = [ExactAltOrbit(payoff, eta1, eta2, init) for init in inits]
+    orbits = [ExactAltOrbit(phi, init) for init in inits]
     for share in range(shares):
         for orbit in cli._read_share(orbits, n_forward, n_backward, share, shares):
             assert all(t % shares == share for t, *_ in orbit)
@@ -213,7 +213,7 @@ def test_a_worker_that_sends_a_short_payload_has_its_share_read_here(
 def test_a_failing_worker_exits_and_never_returns_to_its_caller(monkeypatch):
     parent = os.getpid()
     monkeypatch.setattr(cli, "_read_share", mock.Mock(side_effect=RuntimeError("worker failed")))
-    orbits = [ExactAltOrbit(*SQUARE, [60, -25])]
+    orbits = [ExactAltOrbit(SQUARE, [60, -25])]
     try:
         worker = cli._fork_share(orbits, 10, 10, 1, 2)
     except BaseException:
@@ -236,7 +236,7 @@ def _timeout(signum, frame):
 def test_a_payload_beyond_the_pipe_buffer_is_drained_before_the_wait(monkeypatch):
     inits = [[60, -25], [-20, 2], [10, -50], [-14, -5]]
     n_forward, n_backward = 700, 100
-    orbits = [ExactAltOrbit(*SQUARE, init) for init in inits]
+    orbits = [ExactAltOrbit(SQUARE, init) for init in inits]
     assert len(marshal.dumps(cli._read_share(orbits, n_forward, n_backward, 1, 2))) > 1 << 16
     _fake_cpus(monkeypatch, 2)
     forks = mock.Mock(wraps=os.fork)
@@ -244,14 +244,14 @@ def test_a_payload_beyond_the_pipe_buffer_is_drained_before_the_wait(monkeypatch
     previous = signal.signal(signal.SIGALRM, _timeout)
     signal.alarm(60)
     try:
-        rows, _ = cli._exact_orbits(*SQUARE, inits, n_forward, n_backward)
+        rows, _ = cli._exact_orbits(SQUARE, inits, n_forward, n_backward)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert forks.call_count == 1
     with monkeypatch.context() as m:
         _fake_cpus(m, 1)
-        whole, _ = cli._exact_orbits(*SQUARE, inits, n_forward, n_backward)
+        whole, _ = cli._exact_orbits(SQUARE, inits, n_forward, n_backward)
     assert _bits(rows) == _bits(whole)
 
 
@@ -273,7 +273,7 @@ def test_every_worker_is_reaped_when_the_reader_raises(monkeypatch):
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(cli, "_read_share", _in_workers(parent, cli._read_share, fail))
     with pytest.raises(RuntimeError, match="the reader failed"):
-        cli._exact_orbits(*SQUARE, [[60, -25]], 300, 50)
+        cli._exact_orbits(SQUARE, [[60, -25]], 300, 50)
     assert len(pids) == 2
     for pid in pids:
         with pytest.raises(ChildProcessError):
