@@ -10,12 +10,13 @@ is v' = M v and S' = g S for one integer matrix M with integer inverse M_inv,
 M M_inv = g^2 I. The state at position t is M^t v_0 (M_inv^|t| v_0 if t < 0)
 over s_0 g^|t|. The quadratic is num = v.T H v / 2 over p1*p2*D*S^2, so it
 is conserved iff num_t == num_0 * g^(2|t|), which M.T H M == g^2 H certifies
-for every orbit. ``_certified_step`` checks that identity and M M_inv == g^2 I
-when the closed form ``BipartiteInvariant`` builds the step; every reader of
-the step gets it from a closed form, and a failed certificate raises
-ConmotError. ``advance`` and ``retreat`` only move the position; a read builds
-the state from the nearest built one, by one product per step or by binary
-powering of M for a long jump, and computes the quadratic once per position.
+for every orbit. The closed form ``BipartiteInvariant`` is the one class that
+builds M, M_inv and H, checks that identity and M M_inv == g^2 I, and
+evaluates Phi; a failed certificate raises ConmotError when it is built, and
+its orbits and its map step with its M. ``advance`` and ``retreat`` only
+move the position; a read builds the state from the nearest built one, by one
+product per step or by binary powering of M for a long jump, and computes the
+quadratic once per position.
 
 The payoff is one matrix A (rows for X, columns for Y). It, the engine and
 the closed-form quadratic run on Python integers and Fractions alone; numpy
@@ -124,15 +125,23 @@ def _blocks(cx, xy: list[list], yx: list[list], cy) -> list[list]:
     return top + [r + [cy * (i == j) for j in range(len(yx))] for i, r in enumerate(yx)]
 
 
-class _IntegerStep:
-    """The integer step M, its integer inverse M_inv and the quadratic form H.
+class BipartiteInvariant:
+    """Phi(X, Y) = |X|^2/eta1 - |Y|^2/eta2 + X.T A Y, and the integer step of
+    alternating play on its game, which conserves it.
 
-    This is the one place that knows Phi: the engine, the certificate and the
-    closed-form invariant all read ``quadratic`` and ``h`` from here.
+    Building it builds M, M_inv and H and checks the certificate, M.T H M ==
+    g^2 H and M M_inv == g^2 I; a failed one raises ConmotError, so every
+    closed form that exists is certified. Its exact orbits and its alt_play
+    map step with its M, and it evaluates Phi with its H. It is callable on a
+    State or any coordinate sequence: the point is put over one integer scale
+    s (float64 inputs are exact binary rationals), and Phi is one integer
+    numerator over phi_den_unit * s^2, so a float read is that quotient
+    correctly rounded, the same float an exact orbit gives at the same point.
     """
 
     def __init__(self, payoff: PayoffData, eta1, eta2) -> None:
-        self.eta = eta1, eta2 = as_fraction(eta1), as_fraction(eta2)
+        self.payoff = payoff
+        self.eta1, self.eta2 = eta1, eta2 = as_fraction(eta1), as_fraction(eta2)
         if eta1 <= 0 or eta2 <= 0:
             raise StepSizeError("step sizes must be positive")
         d = math.lcm(*(v.denominator for row in payoff.exact for v in row))  # A = At / D
@@ -145,59 +154,70 @@ class _IntegerStep:
         # A step is two shears, X along At Y and then Y along At.T X'; [1] undoes one.
         half_x = [_blocks(c1, _scaled(s * p1, at), zy, c1) for s in (1, -1)]
         half_y = [_blocks(c2, zx, _scaled(s * p2, att), c2) for s in (1, -1)]
-        self.m, self.m_inv = _matmul(half_y[0], half_x[0]), _matmul(half_x[1], half_y[1])
-        self.h = _blocks(2 * p2 * c1, _scaled(p1 * p2, at), _scaled(p1 * p2, att), -2 * p1 * c2)
-        self.at, self.d, self.g = at, d, c1 * c2
-        self.kx, self.ky, self.kxy = p2 * c1, p1 * c2, p1 * p2
-        self.phi_den_unit = p1 * p2 * d
-        self.dx, self.dim = payoff.dimension_x, len(self.m)
+        self._m, self._m_inv = _matmul(half_y[0], half_x[0]), _matmul(half_x[1], half_y[1])
+        self._h = _blocks(2 * p2 * c1, _scaled(p1 * p2, at), _scaled(p1 * p2, att), -2 * p1 * c2)
+        self._at, self._d, self._g = at, d, c1 * c2
+        self._kx, self._ky, self._kxy = p2 * c1, p1 * c2, p1 * p2
+        self._phi_den_unit, self._dx = p1 * p2 * d, payoff.dimension_x
+        if not self._certified():
+            raise ConmotError("the exact conservation certificate failed")
 
-    def integer_state(self, xy) -> tuple[list, int]:
+    def _certified(self) -> bool:
+        """M.T H M == g^2 H and M M_inv == g^2 I, both in exact integers."""
+        g2 = self._g * self._g
+        mt = [list(col) for col in zip(*self._m)]
+        conserves = _matmul(_matmul(mt, self._h), self._m) == _scaled(g2, self._h)
+        n = range(len(self._m))
+        inverts = _matmul(self._m, self._m_inv) == [[g2 * (i == j) for j in n] for i in n]
+        return conserves and inverts
+
+    def _integer_state(self, xy) -> tuple[list, int]:
         """(coords, s) with xy == coords / s over the least common scale s. A
         finite float (numpy's float64 too) is read without making a Fraction."""
         vals = [(v if isinstance(v, float) and math.isfinite(v) else as_fraction(v))
                 .as_integer_ratio() for v in xy]
-        if len(vals) != self.dim:
-            raise ConmotError(f"state has length {len(vals)}, expected {self.dim}")
+        if len(vals) != len(self._m):
+            raise ConmotError(f"state has length {len(vals)}, expected {len(self._m)}")
         s = math.lcm(*(d for _, d in vals))
         return [n * (s // d) for n, d in vals], s
 
-    def quadratic(self, coords: list) -> tuple:
+    def _quadratic(self, coords: list) -> tuple:
         """(phi numerator, AX.T At AY) of integer coordinates over a scale s:
         Phi = num / (phi_den_unit s^2) and x.T A y = cross / (d s^2)."""
-        ax, ay = coords[: self.dx], coords[self.dx :]
-        cross = sum(x * s for x, s in zip(ax, _matvec(self.at, ay)))
-        num = (self.kx * sum(v * v for v in ax) - self.ky * sum(v * v for v in ay)
-               + self.kxy * cross)
+        ax, ay = coords[: self._dx], coords[self._dx :]
+        cross = sum(x * s for x, s in zip(ax, _matvec(self._at, ay)))
+        num = (self._kx * sum(v * v for v in ax) - self._ky * sum(v * v for v in ay)
+               + self._kxy * cross)
         return num, cross
 
-    def certified(self) -> bool:
-        """M.T H M == g^2 H and M M_inv == g^2 I, both in exact integers."""
-        g2 = self.g * self.g
-        mt = [list(col) for col in zip(*self.m)]
-        conserves = _matmul(_matmul(mt, self.h), self.m) == _scaled(g2, self.h)
-        n = range(len(self.m))
-        inverts = _matmul(self.m, self.m_inv) == [[g2 * (i == j) for j in n] for i in n]
-        return conserves and inverts
-
-    def float_matrices(self) -> tuple:
+    def _float_matrices(self) -> tuple:
         """(M / g, M_inv / g) as read-only float64 arrays, each entry its
         integer over g correctly rounded once: the float step and its inverse."""
         import numpy as np
 
-        out = tuple(np.array([[ratio_to_float(v, self.g) for v in row] for row in m])
-                    for m in (self.m, self.m_inv))
+        out = tuple(np.array([[ratio_to_float(v, self._g) for v in row] for row in m])
+                    for m in (self._m, self._m_inv))
         for m in out:
             m.setflags(write=False)
         return out
 
+    def _ratio(self, xy) -> tuple[int, int]:
+        coords, s = self._integer_state(getattr(xy, "coordinates", xy))
+        return self._quadratic(coords)[0], self._phi_den_unit * s * s
 
-def _certified_step(payoff: PayoffData, eta1, eta2) -> _IntegerStep:
-    """The integer step of this instance; a failed exact certificate raises here."""
-    step = _IntegerStep(payoff, eta1, eta2)
-    if not step.certified():
-        raise ConmotError("the exact conservation certificate failed")
-    return step
+    def exact(self, xy) -> Fraction:
+        return Fraction(*map(int, self._ratio(xy)))
+
+    def relative_gap(self, x, y) -> float:
+        """|Phi(x) - Phi(y)| / (1 + max |Phi|), symmetric in the pair: one exact
+        rational rounded once, at most 2 even where Phi(x) and Phi(y) round to inf."""
+        (na, da), (nb, db) = self._ratio(x), self._ratio(y)
+        if abs(na) * db > abs(nb) * da:  # swapped so that |b| >= |a|; da, db > 0
+            (na, da), (nb, db) = (nb, db), (na, da)
+        return ratio_to_float(abs(nb * da - na * db), da * (db + abs(nb)))
+
+    def __call__(self, xy) -> float:
+        return ratio_to_float(*self._ratio(xy))
 
 
 @dataclass(slots=True)
@@ -222,12 +242,12 @@ class ExactAltOrbit:
     """
 
     def __init__(self, phi: BipartiteInvariant, xy0) -> None:
-        self._step = phi._step
-        coords, s0 = self._step.integer_state(xy0)
-        self._phi_den0 = self._step.phi_den_unit * s0 * s0
-        self._payoff_den0 = self._step.d * s0 * s0
+        self._phi = phi
+        coords, s0 = phi._integer_state(xy0)
+        self._phi_den0 = phi._phi_den_unit * s0 * s0
+        self._payoff_den0 = phi._d * s0 * s0
         self._origin = self._last = _Point(0, coords, s0, 1)
-        self._power = ((True, 1), self._step.m)  # the last M^k or M_inv^k used
+        self._power = ((True, 1), phi._m)  # the last M^k or M_inv^k used
         self._pos = 0
         self._num0 = self._quadratic()[0]
         self._phi0_float = ratio_to_float(self._num0, self._phi_den0)
@@ -244,8 +264,8 @@ class ExactAltOrbit:
         self._pos -= n
 
     # The integer state at the current position, xy = (_ax + _ay) / _s.
-    _ax = property(lambda self: self._here().coords[: self._step.dx])
-    _ay = property(lambda self: self._here().coords[self._step.dx :])
+    _ax = property(lambda self: self._here().coords[: self._phi._dx])
+    _ay = property(lambda self: self._here().coords[self._phi._dx :])
     _s = property(lambda self: self._here().scale)
 
     def _here(self) -> _Point:
@@ -259,8 +279,8 @@ class ExactAltOrbit:
             start = self._origin
         forward, k = t > start.pos, abs(t - start.pos)
         if self._power[0] != (forward, k):
-            self._power = ((forward, k), _matpow(self._step.m if forward else self._step.m_inv, k))
-        coords, g_k = _matvec(self._power[1], start.coords), self._step.g**k
+            self._power = ((forward, k), _matpow(self._phi._m if forward else self._phi._m_inv, k))
+        coords, g_k = _matvec(self._power[1], start.coords), self._phi._g**k
         if abs(t) > abs(start.pos):
             self._last = _Point(t, coords, start.scale * g_k, start.g2_pow * g_k * g_k)
         else:  # toward t = 0: M_inv^k M^k == g^(2k) I, so the division is exact
@@ -273,7 +293,7 @@ class ExactAltOrbit:
         """(phi numerator, AX.T At AY, g^(2|t|)) at the current position."""
         p = self._here()
         if p.quad is None:
-            p.quad = self._step.quadratic(p.coords)
+            p.quad = self._phi._quadratic(p.coords)
         return (*p.quad, p.g2_pow)
 
     def xy_float(self) -> tuple[float, ...]:
@@ -305,41 +325,6 @@ class ExactAltOrbit:
             return self._phi0_float, 0.0
         phi, phi0 = self.phi_fraction(), Fraction(int(self._num0), int(self._phi_den0))
         return as_float(phi), float(abs(phi - phi0) / (1 + abs(phi0)))
-
-
-class BipartiteInvariant:
-    """Phi(X, Y) = |X|^2/eta1 - |Y|^2/eta2 + X.T A Y.
-
-    Callable on a State or any coordinate sequence. It holds the one certified
-    step of its game (``_certified_step``), which its exact orbits and its
-    alt_play map step with. Evaluation puts the point over one integer scale s
-    (float64 inputs are exact binary rationals): Phi is one integer numerator
-    over phi_den_unit * s^2, so a float read is that quotient correctly
-    rounded, the same float an exact orbit gives at the same point.
-    """
-
-    def __init__(self, payoff: PayoffData, eta1, eta2) -> None:
-        self.payoff = payoff
-        self._step = _certified_step(payoff, eta1, eta2)
-        self.eta1, self.eta2 = self._step.eta
-
-    def _ratio(self, xy) -> tuple[int, int]:
-        coords, s = self._step.integer_state(getattr(xy, "coordinates", xy))
-        return self._step.quadratic(coords)[0], self._step.phi_den_unit * s * s
-
-    def exact(self, xy) -> Fraction:
-        return Fraction(*map(int, self._ratio(xy)))
-
-    def relative_gap(self, x, y) -> float:
-        """|Phi(x) - Phi(y)| / (1 + max |Phi|), symmetric in the pair: one exact
-        rational rounded once, at most 2 even where Phi(x) and Phi(y) round to inf."""
-        (na, da), (nb, db) = self._ratio(x), self._ratio(y)
-        if abs(na) * db > abs(nb) * da:  # swapped so that |b| >= |a|; da, db > 0
-            (na, da), (nb, db) = (nb, db), (na, da)
-        return ratio_to_float(abs(nb * da - na * db), da * (db + abs(nb)))
-
-    def __call__(self, xy) -> float:
-        return ratio_to_float(*self._ratio(xy))
 
 
 def certified_quadratic(phi, map_instance) -> bool:
@@ -476,7 +461,7 @@ def difference_log_stats(
         raise ValueError("horizon must be >= 1")
     if np.any(np.max(np.abs(diffs), axis=1) == 0.0):
         raise ValueError("difference vectors must be nonzero")
-    m = BipartiteInvariant(payoff, eta1, eta2)._step.float_matrices()[0]
+    m = BipartiteInvariant(payoff, eta1, eta2)._float_matrices()[0]
     tail_start = _tail_start(horizon)
     u, row_e = _pow2_normalised(diffs, axes=1)
     jump, jump_e = _normalised_power(m, tail_start + 1)

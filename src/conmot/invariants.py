@@ -108,16 +108,15 @@ def _series_preconditions(map_instance: MapInstance) -> list[str]:
             "gradient descent needs a bounded objective or a declared "
             "region for the series invariant"
         )
-    if kind in ("gd", "rgd_sphere"):
-        eta = map_instance.step_sizes[0]
-        if kind == "gd":
-            verdict, bound = validate_step_size_gd(obj, eta), "contraction"
-        else:
-            verdict, bound = validate_step_size_manifold(eta), "manifold"
-        if verdict.accepted is False:
-            raise StepSizeError(f"step size {float(eta)} fails the {bound} bound {verdict.bound}")
-        if verdict.accepted is None:
-            notes.append("step size could not be verified against a curvature bound")
+    eta, verdict = map_instance.step_sizes[0], None  # no bound is known for either mwu kind
+    if kind == "gd":
+        verdict, bound = validate_step_size_gd(obj, eta), "contraction"
+    elif kind == "rgd_sphere":
+        verdict, bound = validate_step_size_manifold(eta), "manifold"
+    if verdict is not None and verdict.accepted is False:
+        raise StepSizeError(f"step size {float(eta)} fails the {bound} bound {verdict.bound}")
+    if verdict is None or verdict.accepted is None:
+        notes.append("step size could not be verified against a curvature bound")
     return notes
 
 
@@ -334,8 +333,8 @@ def dphi_rank(payoff: PayoffData, eta1, eta2) -> tuple[np.ndarray, int]:
     """
     from .exact import BipartiteInvariant
 
-    step = BipartiteInvariant(payoff, eta1, eta2)._step
-    h = np.array([[ratio_to_float(v, step.phi_den_unit) for v in row] for row in step.h])
+    phi = BipartiteInvariant(payoff, eta1, eta2)
+    h = np.array([[ratio_to_float(v, phi._phi_den_unit) for v in row] for row in phi._h])
     sv = np.linalg.svd(h, compute_uv=False)
     rank = int(np.sum(sv > DPHI_RANK_RTOL * sv[0]))
     return h, rank

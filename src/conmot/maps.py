@@ -103,7 +103,7 @@ class MapInstance:
     def alt_play_matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """alt_play's float step M/g and inverse M_inv/g, read from the
         certified integer step of the map's closed form."""
-        return self.closed_form._step.float_matrices()
+        return self.closed_form._float_matrices()
 
 
 def gradient_descent(objective: ObjectiveSpec, eta) -> MapInstance:

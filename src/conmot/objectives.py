@@ -261,7 +261,10 @@ def validate_step_size_gd(objective: ObjectiveSpec, step_size) -> StepSizeVerdic
 
     d is the ambient dimension and L the objective's declared uniform
     entrywise Hessian bound; without one the verdict is unverifiable
-    (accepted=None), which is distinct from a rejection.
+    (accepted=None), which is distinct from a rejection. It is a descent
+    bound: above 1 / (d * L), T need not be one-to-one, so a backward orbit
+    may not be unique. It accepts eta = 0.3 on double_well(1), where T(1.3) =
+    1.0309 < T(1.101), so T(1.3) has a second preimage (ROADMAP item 3).
     """
     return _verdict(step_size, objective.hessian_entry_bound,
                     lambda L: 2.0 / (objective.dimension * L), "2/(d*L)",

@@ -38,7 +38,7 @@ def _step(m, row):
 
 
 def test_identity_certificate_holds_for_the_reference_instance():
-    assert exact._IntegerStep(PAY, *ETA).certified() is True
+    assert PHI._certified() is True
 
 
 def test_identity_certificate_holds_for_random_dyadic_instances():
@@ -53,7 +53,7 @@ def test_identity_certificate_holds_for_random_dyadic_instances():
         pay = PayoffData.from_matrix(matrix)
         e1 = Fraction(int(rng.integers(3, 129)), 256)
         e2 = Fraction(int(rng.integers(3, 129)), 256)
-        assert exact._IntegerStep(pay, e1, e2).certified()
+        assert BipartiteInvariant(pay, e1, e2)._certified()
 
 
 def test_exact_orbit_matches_float_steps_initially():
@@ -107,8 +107,8 @@ def test_conservation_audit_reports_exact_zero_defect():
 
 def test_conservation_audit_certifies_the_step_once(monkeypatch):
     calls = []
-    certified = exact._IntegerStep.certified
-    monkeypatch.setattr(exact._IntegerStep, "certified",
+    certified = BipartiteInvariant._certified
+    monkeypatch.setattr(BipartiteInvariant, "_certified",
                         lambda self: calls.append(1) or certified(self))
     assert conservation_audit(PAY, *ETA, (10, -50), steps=400).identity_verified is True
     assert len(calls) == 1
@@ -124,8 +124,8 @@ def test_each_alt_play_command_certifies_its_step_once(monkeypatch, tmp_path):
     x.advance(3)
     y = list(x.xy_float())  # T^3 (60, -25), on the orbit
     calls = []
-    certified = exact._IntegerStep.certified
-    monkeypatch.setattr(exact._IntegerStep, "certified",
+    certified = BipartiteInvariant._certified
+    monkeypatch.setattr(BipartiteInvariant, "_certified",
                         lambda self: calls.append(1) or certified(self))
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -180,17 +180,17 @@ def test_the_float_step_and_its_inverse_are_the_integer_matrices_rounded_once():
     """On the basis vectors, step and inverse_step read the columns of M/g and
     M_inv/g, each entry its exact quotient correctly rounded."""
     m = alternating_play(RECT, *ETA)
-    integer = exact._IntegerStep(RECT, *ETA)
-    for matrix, move in ((integer.m, _step), (integer.m_inv, inverse_step)):
+    phi = m.closed_form
+    for matrix, move in ((phi._m, _step), (phi._m_inv, inverse_step)):
         for j, e in enumerate(np.eye(5)):
             got = move(m, State(e, m.chart).coordinates)
-            want = np.array([ratio_to_float(row[j], integer.g) for row in matrix])
+            want = np.array([ratio_to_float(row[j], phi._g) for row in matrix])
             assert got.tobytes() == want.tobytes()
 
 
 def _fraction_integer_state(xy) -> tuple[list, int]:
     """(coords, s) read through as_fraction alone: the reference the float
-    path of integer_state must match."""
+    path of _integer_state must match."""
     vals = [as_fraction(v) for v in xy]
     s = math.lcm(*(v.denominator for v in vals))
     return [v.numerator * (s // v.denominator) for v in vals], s
@@ -205,7 +205,7 @@ _COORDINATES = (st.floats(allow_nan=False, allow_infinity=False)
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_COORDINATES, min_size=5, max_size=5))
 def test_integer_state_reads_floats_as_their_fractions_do(xy):
-    coords, s = exact._IntegerStep(RECT, *ETA).integer_state(xy)
+    coords, s = BipartiteInvariant(RECT, *ETA)._integer_state(xy)
     assert (coords, s) == _fraction_integer_state(xy)
     assert all(type(v) is int for v in (*coords, s))
 
@@ -213,7 +213,7 @@ def test_integer_state_reads_floats_as_their_fractions_do(xy):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
 def test_integer_state_refuses_a_non_finite_float_as_as_fraction_does(bad):
     with pytest.raises(ValueError, match="^cannot convert a non-finite float to a rational$"):
-        exact._IntegerStep(RECT, *ETA).integer_state([1.0, 2.0, bad, 0.5, 0.25])
+        BipartiteInvariant(RECT, *ETA)._integer_state([1.0, 2.0, bad, 0.5, 0.25])
 
 
 def test_difference_log_stats_reject_degenerate_input():
@@ -268,19 +268,19 @@ def test_difference_log_stats_match_the_exact_orbit(case):
     """
     payoff, e1, e2, diff, horizon = case
     lo, hi = difference_log_stats(payoff, float(e1), float(e2), [diff], horizon)
-    step = exact._IntegerStep(payoff, e1, e2)  # M^t = step.m^t / g^t
+    phi = BipartiteInvariant(payoff, e1, e2)  # M^t = phi._m^t / g^t
     tail_start = horizon - max(1, horizon // 5)
-    power = exact._matpow(step.m, tail_start + 1)
-    orbit = ExactAltOrbit(BipartiteInvariant(payoff, e1, e2), diff)
+    power = exact._matpow(phi._m, tail_start + 1)
+    orbit = ExactAltOrbit(phi, diff)
     log2_d2 = _log2_of(Fraction(sum(v * v for v in diff)))
     window = []
     for t in range(tail_start + 1, horizon + 1):
         if t > tail_start + 1:
-            power = exact._matmul(step.m, power)
+            power = exact._matmul(phi._m, power)
         orbit.advance(t - orbit.position)
         log2_v2 = _log2_of(sum(v * v for v in orbit.xy_fractions()))
         log2_m2 = _log2_of(Fraction(int(sum(c * c for row in power for c in row)),
-                                    int(step.g) ** (2 * t)))
+                                    int(phi._g) ** (2 * t)))
         assume(0.5 * (log2_m2 + log2_d2 - log2_v2) <= 8)
         window.append(0.5 * log2_v2)
     for got, want in ((lo[0], min(window)), (hi[0], max(window))):
@@ -299,7 +299,7 @@ def _stacked_log_stats(payoff, eta1, eta2, diffs, horizon):
     from conmot.chaos import _tail_start
 
     u, row_e = exact._pow2_normalised(diffs, axes=1)
-    m = exact._certified_step(payoff, eta1, eta2).float_matrices()[0]
+    m = BipartiteInvariant(payoff, eta1, eta2)._float_matrices()[0]
     tail_start = _tail_start(horizon)
     jump, jump_e = exact._normalised_power(m, tail_start + 1)
     u, carry_e = exact._pow2_normalised(_in_order(jump[None], u.T)[0].T, axes=1)
@@ -553,12 +553,12 @@ def test_the_closed_form_gap_of_opposite_levels_past_2_53_is_two():
 @given(dyadic_orbits())
 def test_engine_steps_with_the_certified_matrix(game):
     payoff, e1, e2, xy = game
-    certified = exact._IntegerStep(payoff, e1, e2)
-    assert certified.certified() and exact._certified_step(payoff, e1, e2).m == certified.m
-    v0, s0 = _integers(_orbit(game))
-    g = int(certified.g)
-    for move, matrix in ((1, certified.m), (-1, certified.m_inv)):
-        orb = _orbit(game)
+    phi = BipartiteInvariant(payoff, e1, e2)
+    assert phi._certified()
+    v0, s0 = _integers(ExactAltOrbit(phi, xy))
+    g = int(phi._g)
+    for move, matrix in ((1, phi._m), (-1, phi._m_inv)):
+        orb = ExactAltOrbit(phi, xy)
         _move(orb, move)
         expected = [sum(int(c) * v for c, v in zip(row, v0)) for row in matrix]
         assert _integers(orb) == (expected, s0 * g)
@@ -575,13 +575,12 @@ def test_engine_steps_with_the_certified_matrix(game):
 
 def test_a_failed_certificate_raises(monkeypatch, tmp_path, capsys):
     """Every reader of the integer step refuses a failed certificate with one
-    message, _certified_step first: each builds or reads a closed form, whose
+    message, the closed form first: each builds or reads a closed form, whose
     construction runs it. An alt_play config builds its closed form at load,
     so every command that reads one stops there, before any output."""
-    monkeypatch.setattr(exact._IntegerStep, "certified", lambda self: False)
+    monkeypatch.setattr(BipartiteInvariant, "_certified", lambda self: False)
     message = "the exact conservation certificate failed"
     readers = [
-        lambda: exact._certified_step(PAY, *ETA),
         lambda: ExactAltOrbit(BipartiteInvariant(PAY, *ETA), (60, -25)),
         lambda: BipartiteInvariant(PAY, *ETA),
         lambda: conservation_audit(PAY, *ETA, (60, -25), 10),
@@ -621,6 +620,5 @@ def test_the_orbit_and_the_closed_form_read_the_same_float_at_the_start():
      (Fraction(1, 10), -0.5)],
 )
 def test_the_certificate_rejects_nonpositive_step_sizes(etas):
-    for build in (exact._IntegerStep, exact._certified_step, BipartiteInvariant):
-        with pytest.raises(StepSizeError, match="step sizes must be positive"):
-            build(PAY, *etas)
+    with pytest.raises(StepSizeError, match="step sizes must be positive"):
+        BipartiteInvariant(PAY, *etas)

@@ -144,29 +144,27 @@ def calls_by_function(source: str, callee: str) -> list[str]:
     return found
 
 
-def test_the_integer_step_is_built_only_where_its_certificate_is_decided():
-    """Every reader of M, M_inv or H gets the step from _certified_step, which
-    refuses a failed certificate."""
-    callers = sorted(f"{path.name}:{scope}" for path in MODULES
-                     for scope in calls_by_function(path.read_text(), "_IntegerStep"))
-    assert callers == ["exact.py:_certified_step"]
-
-
 def test_the_step_is_certified_only_where_the_closed_form_is_built():
-    """The closed form holds the one certified step of its game: an exact
-    orbit, an alt_play map and every library entry read a closed form's step
-    and certify none of their own."""
+    """BipartiteInvariant builds, certifies and evaluates the one integer step
+    of its game: an exact orbit, an alt_play map and every library entry read
+    a closed form's M, M_inv or H and certify none of their own. Its public
+    methods stay the evaluation alone, the set perfbench/tracer.py wraps."""
+    from conmot.exact import BipartiteInvariant
+
     callers = sorted(f"{path.name}:{scope}" for path in MODULES
-                     for scope in calls_by_function(path.read_text(), "_certified_step"))
+                     for scope in calls_by_function(path.read_text(), "_certified"))
     assert callers == ["exact.py:BipartiteInvariant.__init__"]
+    public = {name for name, member in vars(BipartiteInvariant).items()
+              if callable(member) and (not name.startswith("_") or name == "__call__")}
+    assert public == {"exact", "relative_gap", "__call__"}
 
 
 def test_the_call_check_finds_every_caller():
-    source = ("x = _IntegerStep(1)\n"
-              "class C:\n    def m(self):\n        return exact._IntegerStep(2)\n"
-              "    y = _IntegerStep(5)\n"
-              "def f():\n    def g():\n        return _IntegerStep(3)\n    return other(4)\n")
-    assert calls_by_function(source, "_IntegerStep") == ["<module>", "C.m", "<module>", "g"]
+    source = ("x = _certified(1)\n"
+              "class C:\n    def m(self):\n        return self._certified(2)\n"
+              "    y = _certified(5)\n"
+              "def f():\n    def g():\n        return _certified(3)\n    return other(4)\n")
+    assert calls_by_function(source, "_certified") == ["<module>", "C.m", "<module>", "g"]
 
 
 def _runtime_imports(source: str) -> set[str]:

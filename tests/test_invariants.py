@@ -1,5 +1,6 @@
 """Closed-form and series invariants, their defects, and the rank diagnostic."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conmot import dynamics, invariants
+from conmot.cli import main
 from conmot.dynamics import Orbit
 from conmot.errors import ConmotError, RegionError, StepSizeError
 from conmot.exact import BipartiteInvariant, PayoffData
@@ -20,8 +22,12 @@ from conmot.invariants import (
     make_series_invariant,
     series_invariant,
 )
-from conmot.maps import alternating_play, gradient_descent, mwu_exponential, sphere_rgd, step_points
-from conmot.objectives import Box, ObjectiveSpec, double_well, linear, quadratic
+from conmot.maps import (
+    alternating_play, gradient_descent, mwu_exponential, mwu_linear, sphere_rgd, step_points,
+)
+from conmot.objectives import (
+    Box, ObjectiveSpec, double_well, linear, quadratic, validate_step_size_gd,
+)
 from conmot.state import State, euclidean, simplex_product, sphere
 from test_dynamics import roundtrip_cases
 
@@ -460,6 +466,45 @@ def test_mwu_series_runs_on_the_simplex():
     rep = series_invariant(m, ONES, s, 30)
     assert math.isfinite(rep.value)
     assert rep.truncation_n > 0
+
+
+THIRDS = State([0.5, 0.3, 0.2], simplex_product(3))
+UNVERIFIED = "step size could not be verified against a curvature bound"
+
+
+@pytest.mark.parametrize("map_instance, start, noted", [
+    (sphere_rgd(linear([1.0, -2.0, 0.5]), 0.1), State([1 / 3, 2 / 3, 2 / 3], sphere(3)), True),
+    (mwu_exponential(quadratic(3), 10, (3,)), THIRDS, True),
+    (mwu_linear(quadratic(3), 0.1, (3,)), THIRDS, True),
+    (DOUBLE_WELL_GD, HALF, False),
+], ids=["rgd_sphere", "mwu_exp", "mwu_lin", "gd"])
+def test_a_series_report_says_when_its_step_size_is_unchecked(map_instance, start, noted):
+    """Only gd has a curvature bound to check its step size against; every
+    other series map's report says that its step size went unchecked."""
+    rep = series_invariant(map_instance, ONES, start, 8)
+    assert (UNVERIFIED in rep.notes) is noted
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: validate_step_size_gd accepts "
+                   "eta < 2/(d*L), a descent bound; above 1/(d*L) gd need not be one-to-one, "
+                   "and at eta = 0.3 T(1.3) has a second preimage below 1.101")
+def test_gd_refuses_a_step_size_at_which_it_is_not_one_to_one(tmp_path):
+    """T(0) = 0 < T(1.3) = 1.0309 < T(1.101), so T, being continuous, takes
+    the value T(1.3) again in (0, 1.101): that point has two preimages, its
+    backward orbit is not unique, and the step size must be refused."""
+    well = gradient_descent(double_well(1), 0.3)
+    (t_0,), (t_a,), (t_b,) = step_points(well, np.array([[0.0], [1.3], [1.101]]))[0]
+    assert t_0 == 0.0 < t_a < t_b and t_a == pytest.approx(1.0309)
+    assert validate_step_size_gd(double_well(1), 0.3).accepted is False
+    for start in ("1.3", "1.101"):
+        config = tmp_path / f"{start}.json"
+        config.write_text(json.dumps({
+            "map": {"kind": "gd", "objective": {"name": "double_well", "dimension": 1},
+                    "step_size": "0.3"},
+            "initial_states": [[start]],
+            "invariant": {"kind": "series", "truncation": 8},
+        }))
+        assert main(["--config", str(config), "--out", str(tmp_path / start), "invariant"]) == 3
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a series whose terms rise before "
