@@ -15,6 +15,7 @@ and ``dynamics`` (same_orbit's walk) load only when those run.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -224,7 +225,7 @@ def same_orbit(
     looking for y within tolerance. An exhausted or escape-guarded search
     returns inconclusive: absence within a finite window proves nothing.
     """
-    from .dynamics import Orbit, detect_fixed_point
+    from .dynamics import Orbit
 
     if max_iterations < 0:
         raise ValueError("max_iterations must be nonnegative")
@@ -247,8 +248,12 @@ def same_orbit(
             invariant_gap=gap, search_mode="bidirectional",
         )
 
-    # Two distinct fixed points sit on two distinct constant orbits.
-    if orb.fixed_at(0) and detect_fixed_point(map_instance, y):
+    # Two fixed points sit on distinct constant orbits; a y that cannot step is not fixed.
+    y_fixed = False
+    if orb.fixed_at(0):
+        with contextlib.suppress(ConmotError):
+            y_fixed = Orbit(map_instance, y).fixed_at(0)
+    if y_fixed:
         return SameOrbitVerdict(
             answer="no", index=None, closest_approach=closest,
             invariant_gap=gap, search_mode="fixed-points",

@@ -63,8 +63,7 @@ class RunConfig:
     def map(self) -> MapInstance:
         from .maps import MapInstance
 
-        phi = self.closed_form
-        return MapInstance("alt_play", (phi.eta1, phi.eta2), closed_form=phi)
+        return MapInstance("alt_play", closed_form=self.closed_form)
 
     @cached_property
     def initial_states(self) -> tuple[State, ...]:

@@ -124,7 +124,7 @@ def inverse_step(map_instance: MapInstance, row: np.ndarray) -> np.ndarray:
     NEWTON_TOLERANCE. The preimage gets the chart checks of a State.
     """
     if map_instance.kind == "alt_play":
-        prev = map_instance.alt_play_matrices[1] @ row
+        prev = map_instance.closed_form.float_matrices[1] @ row
     else:
         prev = _newton(map_instance, row)
     region = map_instance.objective.region if map_instance.kind == "gd" else None
@@ -203,6 +203,5 @@ class Orbit:
 
 
 def detect_fixed_point(map_instance: MapInstance, x: State) -> bool:
-    """Whether ||T(x) - x|| <= FIXED_POINT_TOL."""
-    coords = on_chart(x, map_instance.chart)
-    return _norm(coords - step_points(map_instance, coords)[0]) <= FIXED_POINT_TOL
+    """Whether ||T(x) - x|| <= FIXED_POINT_TOL: the orbit's own rule, Orbit.fixed_at(0)."""
+    return Orbit(map_instance, x).fixed_at(0)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ConmotError, StepSizeError
 from .rationals import as_float, as_fraction, ratio_to_float
@@ -190,7 +191,8 @@ class BipartiteInvariant:
                + self._kxy * cross)
         return num, cross
 
-    def _float_matrices(self) -> tuple:
+    @cached_property
+    def float_matrices(self) -> tuple:
         """(M / g, M_inv / g) as read-only float64 arrays, each entry its
         integer over g correctly rounded once: the float step and its inverse."""
         import numpy as np
@@ -329,14 +331,12 @@ class ExactAltOrbit:
 
 def certified_quadratic(phi, map_instance) -> bool:
     """Whether phi is the closed form of this alternating-play map, built on a
-    certified step and so conserved exactly along every orbit of the map. The
-    game is compared by value: a phi built apart from the map's counts too."""
-    return (
-        isinstance(phi, BipartiteInvariant)
-        and map_instance.kind == "alt_play"
-        and phi.payoff.exact == map_instance.closed_form.payoff.exact
-        and (phi.eta1, phi.eta2) == map_instance.step_sizes
-    )
+    certified step and so conserved exactly along every orbit of the map. It
+    is compared with the map's closed form by value: a phi built apart from
+    the map's counts too."""
+    own = map_instance.closed_form
+    return isinstance(phi, BipartiteInvariant) and own is not None and (
+        (phi.payoff.exact, phi.eta1, phi.eta2) == (own.payoff.exact, own.eta1, own.eta2))
 
 
 @dataclass(frozen=True)
@@ -461,7 +461,7 @@ def difference_log_stats(
         raise ValueError("horizon must be >= 1")
     if np.any(np.max(np.abs(diffs), axis=1) == 0.0):
         raise ValueError("difference vectors must be nonzero")
-    m = BipartiteInvariant(payoff, eta1, eta2)._float_matrices()[0]
+    m = BipartiteInvariant(payoff, eta1, eta2).float_matrices[0]
     tail_start = _tail_start(horizon)
     u, row_e = _pow2_normalised(diffs, axes=1)
     jump, jump_e = _normalised_power(m, tail_start + 1)

@@ -2,14 +2,14 @@
 
 Two constructions. The closed-form bipartite quadratic
 (``exact.BipartiteInvariant``) is conserved exactly by alternating play and
-is certified through the exact engine, which only invariance_defect and
-dphi_rank import, when they run. The truncated
-series invariant, built here, works for the dissipative maps: it sums
-weighted one-step drops of the map's own objective along the bi-infinite orbit,
-truncated symmetrically, and reports its own convergence diagnostics instead
-of pretending to be exact. The series at T^k x is the same sum with its index
-shifted by k, so defect horizons and trajectory rows read their shifted sums
-from one orbit window around the starting point.
+is certified through the exact engine, which only invariance_defect imports,
+when it runs. The truncated series invariant, built here, works for the
+dissipative maps: it sums weighted one-step drops of the map's own objective
+along the bi-infinite orbit, truncated symmetrically, and reports its own
+convergence diagnostics instead of pretending to be exact. The series at
+T^k x is the same sum with its index shifted by k, so defect horizons and
+trajectory rows read their shifted sums from one orbit window around the
+starting point.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .rationals import ratio_to_float
 from .state import State
 
 if TYPE_CHECKING:
-    from .exact import PayoffData
+    from .exact import BipartiteInvariant
 
 __all__ = [
     "WeightFunction", "constant_weight", "coordinate_weight", "gaussian_bump_weight",
@@ -259,6 +259,8 @@ def series_invariant(
     per_step_defect[k - 1] is |Phi(T^k x) - Phi(x)|: the same sum shifted by k,
     read from the one orbit window the value was summed on.
     """
+    if defect_horizon < 0:
+        raise ValueError("defect_horizon must be nonnegative")
     window = _OrbitWindow(Orbit(map_instance, state), weight, truncation)
     report = window.series_at(0, window.notes)
     if defect_horizon > 0 and not (report.divergent or report.fixed_point):
@@ -320,20 +322,17 @@ def invariance_defect(
     return worst
 
 
-def dphi_rank(payoff: PayoffData, eta1, eta2) -> tuple[np.ndarray, int]:
-    """Gradient matrix of the bipartite quadratic and its numerical rank.
+def dphi_rank(phi: BipartiteInvariant) -> tuple[np.ndarray, int]:
+    """Gradient matrix of the bipartite quadratic phi and its numerical rank.
 
     Phi is the quadratic form z -> z.T H z / 2 with H = [[2/eta1 I, A],
     [A.T, -2/eta2 I]], so its differential at z is H z and the rank of H
-    counts independent directions of variation. H is the certified integer
-    form of the closed form built here over phi_den_unit, correctly rounded.
+    counts independent directions of variation. H is phi's certified integer
+    form over phi_den_unit, correctly rounded; no second closed form is built.
     It is nonsingular for positive step sizes, hence the rank equals the full
     bipartite dimension; singular values below DPHI_RANK_RTOL times the
     largest do not count.
     """
-    from .exact import BipartiteInvariant
-
-    phi = BipartiteInvariant(payoff, eta1, eta2)
     h = np.array([[ratio_to_float(v, phi._phi_den_unit) for v in row] for row in phi._h])
     sv = np.linalg.svd(h, compute_uv=False)
     rank = int(np.sum(sv > DPHI_RANK_RTOL * sv[0]))

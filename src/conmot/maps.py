@@ -51,33 +51,35 @@ class MapInstance:
     rgd_sphere (d the objective's dimension), euclidean(dx + dy) for alt_play,
     and simplex_product(*blocks) for the mwu kinds, the only ones with blocks.
 
-    Step sizes are stored as exact Fractions (floats convert exactly, decimal
-    strings are taken at face value); their float view is computed once. For
-    mwu kinds step_sizes holds one entry per simplex block, for alt_play the
-    pair (eta1, eta2), otherwise a single entry. An alt_play map needs its
-    closed form, at its step sizes, and every other kind its objective; a map
-    without one is refused, so every step and series reads the map's own.
+    An alt_play map reads its closed form alone, whose (eta1, eta2) are its
+    step sizes. Other kinds read their objective and step sizes, kept as exact
+    Fractions (floats convert exactly, decimal strings at face value; the float
+    view is computed once): one per simplex block for mwu, else exactly one
+    (StepSizeError otherwise). A missing field that the kind needs, or one it
+    does not read, raises ValueError, so every step reads the map's own.
     """
 
     kind: str
-    step_sizes: tuple[Fraction, ...]
+    step_sizes: tuple[Fraction, ...] = ()
     objective: ObjectiveSpec | None = None
     closed_form: BipartiteInvariant | None = None
     blocks: tuple[int, ...] = ()
     chart: Chart = field(init=False)
 
     def __post_init__(self) -> None:
-        kind, obj, mwu = self.kind, self.objective, self.kind in ("mwu_exp", "mwu_lin")
-        phi = self.closed_form
+        kind, obj, phi = self.kind, self.objective, self.closed_form
         if kind not in MAP_KINDS:
             raise ValueError(f"unknown map kind {kind!r}")
-        if kind == "alt_play" and phi is None:
-            raise ValueError("an alt_play map needs its closed form")
-        if kind != "alt_play" and obj is None:
-            raise ValueError(f"a {kind} map needs its objective")
-        if self.blocks and not mwu:
-            raise ValueError(f"a {kind} map takes no blocks")
-        if kind == "alt_play":
+        alt, mwu = kind == "alt_play", kind in ("mwu_exp", "mwu_lin")
+        a, needs = ("an", "closed_form") if alt else ("a", "objective")
+        if getattr(self, needs) is None:
+            raise ValueError(f"{a} {kind} map needs its {needs.replace('_', ' ')}")
+        for name, read in (("objective", not alt), ("closed_form", alt), ("blocks", mwu)):
+            if not read and getattr(self, name) not in (None, ()):
+                raise ValueError(f"{a} {kind} map takes no {name.replace('_', ' ')}")
+        if alt:
+            if self.step_sizes:
+                raise ValueError("an alt_play map takes its step sizes from its closed form")
             chart = charts.euclidean(phi.payoff.dimension_x + phi.payoff.dimension_y)
         elif mwu:
             chart = charts.simplex_product(*self.blocks)
@@ -86,24 +88,17 @@ class MapInstance:
                     f"objective dimension {obj.dimension} does not match blocks {chart.blocks}")
         else:
             chart = (charts.euclidean if kind == "gd" else charts.sphere)(obj.dimension)
-        rates = tuple(as_fraction(s) for s in self.step_sizes)
-        if mwu and len(rates) != len(chart.blocks):
-            raise StepSizeError("need one learning rate per agent block")
+        rates = (phi.eta1, phi.eta2) if alt else tuple(as_fraction(s) for s in self.step_sizes)
+        if not alt and len(rates) != (len(chart.blocks) if mwu else 1):
+            raise StepSizeError("need one learning rate per agent block" if mwu else
+                                f"a {kind} map takes exactly one step size")
         if any(s <= 0 for s in rates):
             raise StepSizeError("step sizes must be positive")
-        if kind == "alt_play" and rates != (phi.eta1, phi.eta2):
-            raise ValueError("an alt_play map steps with the step sizes of its closed form")
         self.__dict__.update(step_sizes=rates, blocks=chart.blocks if mwu else (), chart=chart)
 
     @cached_property
     def float_step_sizes(self) -> tuple[float, ...]:
         return tuple(float(s) for s in self.step_sizes)
-
-    @cached_property
-    def alt_play_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """alt_play's float step M/g and inverse M_inv/g, read from the
-        certified integer step of the map's closed form."""
-        return self.closed_form._float_matrices()
 
 
 def gradient_descent(objective: ObjectiveSpec, eta) -> MapInstance:
@@ -135,8 +130,7 @@ def alternating_play(payoff: PayoffData, eta1, eta2) -> MapInstance:
     the map derives euclidean(dx + dy) and holds the game's closed form."""
     from .exact import BipartiteInvariant
 
-    return MapInstance("alt_play", (eta1, eta2),
-                       closed_form=BipartiteInvariant(payoff, eta1, eta2))
+    return MapInstance("alt_play", closed_form=BipartiteInvariant(payoff, eta1, eta2))
 
 
 def sphere_rgd(objective: ObjectiveSpec, eta) -> MapInstance:
@@ -211,11 +205,13 @@ def _identity(n: int) -> np.ndarray:
 def step_jacobian(map_instance: MapInstance, y: np.ndarray) -> np.ndarray:
     """dT/dy of the raw rule at one point y, in ambient coordinates, by the
     chain rule through the objective's Hessian. Defined for the kinds that
-    take an objective.
+    take an objective; an alt_play map raises ValueError.
 
     Each mwu block is w / sum(w) with weights w_j = y_j a(g_j), a = exp(-eps g)
     or 1 - eps g; the sphere rule is z / ||z|| with z = y - eta (g - y <y, g>).
     """
+    if map_instance.kind == "alt_play":
+        raise ValueError("an alt_play map has no objective")
     obj = map_instance.objective
     h = obj.hessian(y)
     eye = _identity(len(y))
@@ -256,7 +252,7 @@ def _raw_step(map_instance: MapInstance, coords: np.ndarray) -> np.ndarray:
     if kind in ("mwu_exp", "mwu_lin"):
         return mwu_step(map_instance, coords)
     if kind == "alt_play":
-        return (map_instance.alt_play_matrices[0] @ coords[..., None])[..., 0]
+        return (map_instance.closed_form.float_matrices[0] @ coords[..., None])[..., 0]
     return rgd_sphere_step(map_instance.objective, rates[0], coords)
 
 
@@ -272,7 +268,9 @@ def step_points(map_instance: MapInstance, coords: np.ndarray) -> tuple[np.ndarr
 
 def descent_check(map_instance: MapInstance, x: State) -> float:
     """f(x) - f(T(x)) for the map's own objective f; positive when the step
-    strictly decreased it."""
+    strictly decreased it. An alt_play map has no objective: ValueError."""
+    if map_instance.kind == "alt_play":
+        raise ValueError("an alt_play map has no objective")
     coords = on_chart(x, map_instance.chart)
     after, _ = step_points(map_instance, coords)
     f = map_instance.objective.evaluate

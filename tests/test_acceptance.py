@@ -210,16 +210,16 @@ def test_every_map_family_inverts_to_one_in_ten_billion():
 def test_bipartite_invariant_gradient_has_full_rank():
     """The quadratic's gradient matrix is the expected 2x2 on the worked
     instance and has full rank (at least 2) on 100 random dyadic games."""
-    h, rank = dphi_rank(
+    h, rank = dphi_rank(BipartiteInvariant(
         PayoffData.from_matrix([[Fraction(1)]]), Fraction(1, 10), Fraction(1, 5)
-    )
+    ))
     assert np.allclose(h, [[20.0, 1.0], [1.0, -10.0]])
     assert rank == 2
 
     rng = random.Random(1729)
     for _ in range(100):
         payoff, eta1, eta2, _ = _random_dyadic_instance(rng)
-        _, rank = dphi_rank(payoff, eta1, eta2)
+        _, rank = dphi_rank(BipartiteInvariant(payoff, eta1, eta2))
         assert rank == payoff.dimension_x + payoff.dimension_y
         assert rank >= 2
 

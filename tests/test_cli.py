@@ -285,6 +285,23 @@ def test_classify_successor_pair(tmp_path):
     }
 
 
+@pytest.mark.parametrize("x", [1.0, 0.5])
+def test_classify_answers_alike_when_y_cannot_step(tmp_path, capsys, x):
+    """y = 1.6 lies outside the double well's box, so its forward step fails.
+    Such a y is not a fixed point, so from the fixed point x = 1 the search
+    runs as it does from x = 0.5: both answer inconclusive and exit 0."""
+    doc = {
+        "map": {"kind": "gd", "objective": {"name": "double_well", "dimension": 1},
+                "step_size": 0.1},
+        "classify": {"x": [x], "y": [1.6]},
+    }
+    out = tmp_path / "out"
+    rc = main(["--config", str(write_config(tmp_path, doc)), "--out", str(out), "classify"])
+    assert (rc, capsys.readouterr().err) == (0, "")
+    payload = json.loads((out / "run_classify.json").read_text())
+    assert (payload["answer"], payload["search_mode"]) == ("inconclusive", "bidirectional")
+
+
 def test_classify_rejects_wrong_length(tmp_path):
     doc = {
         "map": {

@@ -275,7 +275,8 @@ def test_an_accepted_alt_play_config_builds_its_float_views(doc):
             assert "Traceback" not in err.getvalue()
             return
     m, phi = cfg.map, cfg.closed_form
-    assert m == MapInstance("alt_play", (phi.eta1, phi.eta2), closed_form=phi)
+    assert m == MapInstance("alt_play", closed_form=phi)
+    assert m.step_sizes == (phi.eta1, phi.eta2)
     assert m.closed_form is phi
     assert m.chart.dimension == sum(phi.payoff.matrix.shape)
     assert len(cfg.initial_states) == len(cfg.initial_exact)

@@ -548,7 +548,8 @@ def test_an_alt_play_config_carries_its_certified_closed_form(tmp_path, matrix, 
         assert phi.exact(x) == by_hand.exact(x)
     assert (phi.eta1, phi.eta2) == etas
     assert certified_quadratic(phi, cfg.map)
-    assert cfg.map == MapInstance("alt_play", (phi.eta1, phi.eta2), closed_form=phi)
+    assert cfg.map == MapInstance("alt_play", closed_form=phi)
+    assert cfg.map.step_sizes == etas
     assert cfg.map.closed_form is phi
 
 

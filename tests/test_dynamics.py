@@ -381,7 +381,8 @@ def test_detect_fixed_point_examples():
 def test_the_orbit_decides_fixed_points_at_the_threshold_detect_fixed_point_reads():
     """Near the minimum of the double well |T(x) - x| is about 0.2 |x - 1|, so
     the starts straddle FIXED_POINT_TOL; the orbit's one test decides where a
-    segment stops on either side, and only the orbit tags a failed step."""
+    segment stops on either side, and detect_fixed_point is that test, so a
+    failed step is tagged with its index either way."""
     m = gradient_descent(double_well(1), 0.1)
     for x, stop in ((1.0, 0), (1.0 - 4e-10, 0), (0.0, 0), (1.0 - 6e-10, 1), (0.5, 5)):
         s = State([x], euclidean(1))
@@ -394,10 +395,10 @@ def test_the_orbit_decides_fixed_points_at_the_threshold_detect_fixed_point_read
     outside = State([2.0], euclidean(1))
     with pytest.raises(RegionError) as tagged:
         Orbit(m, outside).fixed_at(0)
-    with pytest.raises(RegionError) as untagged:
+    with pytest.raises(RegionError) as also_tagged:
         detect_fixed_point(m, outside)
-    assert (tagged.value.step_index, untagged.value.step_index) == (1, None)
-    assert str(tagged.value) == str(untagged.value)
+    assert (tagged.value.step_index, also_tagged.value.step_index) == (1, 1)
+    assert str(tagged.value) == str(also_tagged.value)
 
 
 def test_detect_fixed_point_mwu_uniform_constant_gradient():

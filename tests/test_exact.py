@@ -150,7 +150,7 @@ def test_each_alt_play_command_certifies_its_step_once(monkeypatch, tmp_path):
 
 
 def test_transition_matrix_matches_the_map_and_has_unit_determinant():
-    m, _ = alternating_play(PAY, *ETA).alt_play_matrices
+    m, _ = alternating_play(PAY, *ETA).closed_form.float_matrices
     s = np.array([60.0, -25.0])
     np.testing.assert_allclose(m @ s, [57.5, -13.5])
     # Two shear half-steps compose to a volume-preserving map.
@@ -161,7 +161,7 @@ def test_difference_log_stats_match_direct_float_orbits_at_short_horizon():
     rng = np.random.default_rng(5)
     diffs = rng.normal(size=(3, 2))
     lo, hi = difference_log_stats(PAY, *ETA, diffs, horizon=10)
-    m, _ = alternating_play(PAY, *ETA).alt_play_matrices
+    m, _ = alternating_play(PAY, *ETA).closed_form.float_matrices
     for row in range(3):
         d = diffs[row].copy()
         norms = []
@@ -299,7 +299,7 @@ def _stacked_log_stats(payoff, eta1, eta2, diffs, horizon):
     from conmot.chaos import _tail_start
 
     u, row_e = exact._pow2_normalised(diffs, axes=1)
-    m = BipartiteInvariant(payoff, eta1, eta2)._float_matrices()[0]
+    m = BipartiteInvariant(payoff, eta1, eta2).float_matrices[0]
     tail_start = _tail_start(horizon)
     jump, jump_e = exact._normalised_power(m, tail_start + 1)
     u, carry_e = exact._pow2_normalised(_in_order(jump[None], u.T)[0].T, axes=1)
@@ -584,9 +584,9 @@ def test_a_failed_certificate_raises(monkeypatch, tmp_path, capsys):
         lambda: ExactAltOrbit(BipartiteInvariant(PAY, *ETA), (60, -25)),
         lambda: BipartiteInvariant(PAY, *ETA),
         lambda: conservation_audit(PAY, *ETA, (60, -25), 10),
-        lambda: alternating_play(PAY, *ETA).alt_play_matrices,
+        lambda: alternating_play(PAY, *ETA).closed_form.float_matrices,
         lambda: difference_log_stats(PAY, *ETA, [[1.0, 0.0]], 10),
-        lambda: dphi_rank(PAY, *ETA),
+        lambda: dphi_rank(BipartiteInvariant(PAY, *ETA)),
     ]
     for read in readers:
         with pytest.raises(ConmotError, match=f"^{message}$"):

@@ -244,6 +244,14 @@ def test_series_rejects_hopeless_constructions():
         series_invariant(too_fast, ONES, HALF, 8)
 
 
+def test_series_refuses_a_negative_truncation_or_defect_horizon():
+    with pytest.raises(ValueError, match="^truncation must be nonnegative$"):
+        series_invariant(DOUBLE_WELL_GD, ONES, HALF, -3)
+    with pytest.raises(ValueError, match="^defect_horizon must be nonnegative$"):
+        series_invariant(DOUBLE_WELL_GD, ONES, HALF, 8, defect_horizon=-3)
+    assert series_invariant(DOUBLE_WELL_GD, ONES, HALF, 8).per_step_defect == ()
+
+
 def test_make_series_invariant_matches_the_report_value():
     phi = make_series_invariant(DOUBLE_WELL_GD, ONES, 24)
     rep = series_invariant(DOUBLE_WELL_GD, ONES, HALF, 24)
@@ -433,7 +441,7 @@ def _hand_assembled_h(payoff: PayoffData, eta1: float, eta2: float) -> np.ndarra
 def test_dphi_rank_reads_the_hand_assembled_matrix_from_the_integer_form(dx, dy, data, e1, e2):
     matrix = [[data.draw(_RATIONALS) for _ in range(dy)] for _ in range(dx)]
     payoff = PayoffData.from_matrix(matrix)
-    h, rank = dphi_rank(payoff, e1, e2)
+    h, rank = dphi_rank(BipartiteInvariant(payoff, e1, e2))
     ref = _hand_assembled_h(payoff, e1, e2)
     assert h.dtype == ref.dtype and h.shape == ref.shape
     assert np.array_equal(h, ref)
@@ -441,14 +449,19 @@ def test_dphi_rank_reads_the_hand_assembled_matrix_from_the_integer_form(dx, dy,
     assert rank == int(np.sum(sv > 1e-10 * sv[0]))
 
 
-def test_dphi_rank_reference_instance():
-    h, rank = dphi_rank(PAY, 0.1, 0.2)
+def test_dphi_rank_reference_instance(monkeypatch):
+    """dphi_rank reads the H of the closed form it is given, and certifies no second one."""
+    phi = BipartiteInvariant(PAY, 0.1, 0.2)
+    calls = []
+    monkeypatch.setattr(BipartiteInvariant, "_certified", lambda self: calls.append(self))
+    h, rank = dphi_rank(phi)
+    assert calls == []
     assert rank == 2
     np.testing.assert_allclose(h, [[20.0, 1.0], [1.0, -10.0]])
 
 
 def test_dphi_rank_zero_payoff_keeps_full_rank():
-    h, rank = dphi_rank(PayoffData.from_matrix([[0]]), 0.3, 0.7)
+    h, rank = dphi_rank(BipartiteInvariant(PayoffData.from_matrix([[0]]), 0.3, 0.7))
     assert rank == 2
     assert h[0, 1] == 0.0
 
@@ -456,7 +469,7 @@ def test_dphi_rank_zero_payoff_keeps_full_rank():
 def test_dphi_rank_rectangular_payoff():
     rng = np.random.default_rng(21)
     pay = PayoffData.from_matrix(rng.uniform(-1, 1, size=(3, 2)))
-    _, rank = dphi_rank(pay, 0.2, 0.4)
+    _, rank = dphi_rank(BipartiteInvariant(pay, 0.2, 0.4))
     assert rank >= 2
 
 

@@ -1,6 +1,7 @@
 """Forward update rules: worked one-step values, fixed points, error paths."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -186,18 +187,54 @@ FACTORIES = {
 }
 
 
+# The fields each kind reads; an alt_play map's step sizes are its closed form's.
+READS = {"gd": ("step_sizes", "objective"), "rgd_sphere": ("step_sizes", "objective"),
+         "mwu_exp": ("step_sizes", "objective", "blocks"),
+         "mwu_lin": ("step_sizes", "objective", "blocks"), "alt_play": ("closed_form",)}
+
+
+def _fields(built: MapInstance) -> dict:
+    """The fields that built's kind reads, as built holds them."""
+    return {name: getattr(built, name) for name in READS[built.kind]}
+
+
 @pytest.mark.parametrize("kind", MAP_KINDS)
 def test_a_map_without_its_objective_or_payoff_is_refused_at_construction(kind):
     built = FACTORIES[kind]()
     assert built.kind == kind
     needs = "closed form" if kind == "alt_play" else "objective"
+    rates = {} if kind == "alt_play" else {"step_sizes": built.step_sizes}
     with pytest.raises(ValueError, match=f"^an? {kind} map needs its {needs}$"):
-        MapInstance(kind, built.step_sizes)
+        MapInstance(kind, **rates)
     # The other field does not stand in for the missing one.
     other = ({"closed_form": BipartiteInvariant(PayoffData.from_matrix([[1]]), 0.1, 0.2)}
              if needs == "objective" else {"objective": quadratic(2)})
     with pytest.raises(ValueError, match=f"needs its {needs}$"):
-        MapInstance(kind, built.step_sizes, **other)
+        MapInstance(kind, **rates, **other)
+
+
+@pytest.mark.parametrize("kind", MAP_KINDS)
+def test_every_field_a_kind_does_not_read_is_refused(kind):
+    built = FACTORIES[kind]()
+    unread = {"objective": quadratic(2), "blocks": (2,),
+              "closed_form": BipartiteInvariant(PayoffData.from_matrix([[1]]), 0.1, 0.2)}
+    for name in unread.keys() - set(READS[kind]):
+        with pytest.raises(ValueError, match=f"^an? {kind} map takes no {name.replace('_', ' ')}$"):
+            MapInstance(kind, **_fields(built), **{name: unread[name]})
+    if kind == "alt_play":
+        phi = built.closed_form
+        assert MapInstance(kind, closed_form=phi).step_sizes == (phi.eta1, phi.eta2)
+        with pytest.raises(ValueError, match="^an alt_play map takes its step sizes from its "
+                                             "closed form$"):
+            MapInstance(kind, built.step_sizes, closed_form=phi)
+        return
+    # One step size for gd and rgd_sphere, one per block for mwu; none and
+    # one too many are both refused.
+    count = "need one learning rate per agent block" if "blocks" in READS[kind] else (
+        f"a {kind} map takes exactly one step size")
+    for rates in ((), built.step_sizes + (0.2,)):
+        with pytest.raises(StepSizeError, match=f"^{count}$"):
+            MapInstance(kind, **{**_fields(built), "step_sizes": rates})
 
 
 CHARTS = {"gd": euclidean(2), "mwu_exp": simplex_product(3), "mwu_lin": simplex_product(3),
@@ -208,11 +245,14 @@ CHARTS = {"gd": euclidean(2), "mwu_exp": simplex_product(3), "mwu_lin": simplex_
 def test_the_map_derives_its_chart_from_its_kind(kind):
     built = FACTORIES[kind]()
     assert built.chart == CHARTS[kind]
-    fields = {"objective": built.objective, "closed_form": built.closed_form,
-              "blocks": built.blocks}
-    assert MapInstance(kind, built.step_sizes, **fields) == built
+    assert MapInstance(kind, **_fields(built)) == built
     # Floats convert exactly, as the factories' arguments do.
-    assert MapInstance(kind, built.float_step_sizes, **fields) == built
+    if kind != "alt_play":
+        floats = {**_fields(built), "step_sizes": built.float_step_sizes}
+        assert MapInstance(kind, **floats) == built
+    else:
+        phi = BipartiteInvariant(built.closed_form.payoff, *built.float_step_sizes)
+        assert MapInstance(kind, closed_form=phi).step_sizes == built.step_sizes
 
 
 def test_an_mwu_map_derives_its_product_of_simplices():
@@ -266,20 +306,29 @@ def test_map_constructors_reject_nonpositive_rates():
         alternating_play(PayoffData.from_matrix([[1]]), 0.1, -0.2)
 
 
-def test_an_alt_play_map_steps_with_the_step_sizes_of_its_closed_form():
+def test_an_alt_play_map_takes_its_step_sizes_from_its_closed_form():
     phi = BipartiteInvariant(PayoffData.from_matrix([[1]]), "0.1", "0.2")
     m = alternating_play(phi.payoff, "0.1", "0.2")
     assert m.step_sizes == (phi.eta1, phi.eta2) == (m.closed_form.eta1, m.closed_form.eta2)
-    assert MapInstance("alt_play", ("0.1", "0.2"), closed_form=phi).closed_form is phi
-    for rates in (("0.1", "0.3"), ("0.2", "0.1"), (0.1, 0.2), ("0.1",), ("0.1", "0.2", "0.2")):
-        with pytest.raises(ValueError, match="^an alt_play map steps with the step sizes of "
+    direct = MapInstance("alt_play", closed_form=phi)
+    assert direct.closed_form is phi and direct.step_sizes == (Fraction(1, 10), Fraction(1, 5))
+    # Given step sizes are refused, even the closed form's own: there is one copy of eta.
+    for rates in (("0.1", "0.2"), ("0.1", "0.3"), ("0.2", "0.1"), (0.1, 0.2), ("0.1",),
+                  ("0.1", "0.2", "0.2")):
+        with pytest.raises(ValueError, match="^an alt_play map takes its step sizes from "
                                              "its closed form$"):
             MapInstance("alt_play", rates, closed_form=phi)
 
 
-def test_step_sizes_are_stored_exactly():
-    from fractions import Fraction
+def test_descent_check_and_step_jacobian_refuse_an_alt_play_map():
+    m = alternating_play(PayoffData.from_matrix([[1]]), "0.1", "0.2")
+    s = State([1.0, 2.0], euclidean(2))
+    for call in (lambda: descent_check(m, s), lambda: step_jacobian(m, s.coordinates)):
+        with pytest.raises(ValueError, match="^an alt_play map has no objective$"):
+            call()
 
+
+def test_step_sizes_are_stored_exactly():
     m = alternating_play(PayoffData.from_matrix([[1]]), "0.1", Fraction(1, 5))
     assert m.step_sizes == (Fraction(1, 10), Fraction(1, 5))
     assert m.float_step_sizes == (0.1, 0.2)
