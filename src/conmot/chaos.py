@@ -88,12 +88,12 @@ def _pair_distance_extremes(
     lo, hi = np.full(z.shape[1], math.inf), np.full(z.shape[1], -math.inf)
     for t in range(1, horizon + 1):
         try:
-            z, _ = step_points(map_instance, z)
+            z = step_points(map_instance, z)
         except ConmotError:
             for xy in start.swapaxes(0, 1):  # the first pair that fails raises its own error
                 for s in range(1, horizon + 1):
                     try:
-                        xy = [step_points(map_instance, v)[0] for v in xy]
+                        xy = [step_points(map_instance, v) for v in xy]
                     except ChartViolation as exc:
                         error = NumericsError(f"pair orbit left float range at step {s}: {exc}")
                         error.step_index = s

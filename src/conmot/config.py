@@ -319,7 +319,11 @@ def build_weight(section: dict | None, dimension: int) -> WeightFunction:
     if len(center) != dimension:
         raise ConfigError(f"invariant.weight.center has length {len(center)}, the chart "
                           f"needs {dimension}", json_path="invariant.weight.center")
-    return gaussian_bump_weight(center, float(section["width"]))
+    try:
+        return gaussian_bump_weight(center, float(section["width"]))
+    except ValueError as exc:
+        raise ConfigError(f"invariant.weight.width: {exc}",
+                          json_path="invariant.weight.width") from exc
 
 
 def load_config(path) -> RunConfig:

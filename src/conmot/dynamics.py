@@ -48,7 +48,7 @@ def _retract(chart: Chart, y: np.ndarray) -> np.ndarray | None:
         return y / np.linalg.norm(y)
     if chart.kind != "simplex-product":
         return y
-    return None if np.any(y <= 0.0) else renormalize(y, chart)[0]
+    return None if np.any(y <= 0.0) else renormalize(y, chart)
 
 
 def _newton(map_instance: MapInstance, target: np.ndarray) -> np.ndarray:
@@ -135,25 +135,23 @@ def inverse_step(map_instance: MapInstance, row: np.ndarray) -> np.ndarray:
         if not (region_contains(region, prev)
                 and _norm(_raw_step(map_instance, prev) - row) <= NEWTON_TOLERANCE):
             raise RegionError("backward step left the objective's declared region")
-    prev, _ = renormalize(prev, map_instance.chart)
-    return validate_points(prev, map_instance.chart)
+    return validate_points(renormalize(prev, map_instance.chart), map_instance.chart)
 
 
 class Orbit:
     """The two-sided orbit through origin, built lazily and kept by signed index.
 
     orb[n] is T^n(origin) as a read-only float64 row; orb[0] is the origin's
-    coordinates. Forward reads run step_points and keep each step's chart
-    defect in orb.defects; backward reads run inverse_step. Each row is
-    computed once and kept in orb.rows. A failed step sets the error's
-    step_index to the index it could not compute; each side keeps that first
-    failure and raises it again on any later read past it, without solving
-    again.
+    coordinates. Forward reads run step_points, backward reads inverse_step.
+    Each row is computed once and kept in orb.rows. A failed step sets the
+    error's step_index to the index it could not compute; each side keeps
+    that first failure and raises it again on any later read past it,
+    without solving again.
     """
 
     def __init__(self, map_instance: MapInstance, origin: State) -> None:
         self.map, self.origin = map_instance, origin
-        self.rows, self.defects = {0: on_chart(origin, map_instance.chart)}, {}
+        self.rows = {0: on_chart(origin, map_instance.chart)}
         self.first = self.last = 0  # the stored indices run from first to last
         self._failures: dict[bool, ConmotError] = {}
 
@@ -165,10 +163,10 @@ class Orbit:
             raise self._failures[forward]
         try:
             while self.last < n:
-                nxt, defect = step_points(self.map, self.rows[self.last])
+                nxt = step_points(self.map, self.rows[self.last])
                 nxt.setflags(write=False)
                 self.last += 1
-                self.rows[self.last], self.defects[self.last] = nxt, defect
+                self.rows[self.last] = nxt
             while self.first > n:
                 prev = inverse_step(self.map, self.rows[self.first])
                 prev.setflags(write=False)

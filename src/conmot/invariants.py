@@ -68,6 +68,8 @@ def gaussian_bump_weight(center, width: float) -> WeightFunction:
     if width <= 0:
         raise ValueError("width must be positive")
     two_w2 = 2.0 * width * width
+    if two_w2 == 0.0:
+        raise ValueError(f"width {width!r} is too small: 2 * width**2 underflows to 0")
 
     def bump(x: np.ndarray) -> float:
         d = x - center

@@ -12,9 +12,9 @@ Five kinds are supported, each a map T on its chart:
 - ``rgd_sphere``: projected gradient plus normalization retraction on the
   unit sphere.
 
-Forward steps renormalize simplex and sphere states every step and report the
-pre-renormalization chart defect, so float drift never accumulates and is
-distinguishable from algorithmic non-conservation.
+A forward step returns its points: simplex and sphere rows are renormalized
+onto their chart every step, so float drift never accumulates, and then get
+the chart checks of a State.
 """
 
 from __future__ import annotations
@@ -256,14 +256,14 @@ def _raw_step(map_instance: MapInstance, coords: np.ndarray) -> np.ndarray:
     return rgd_sphere_step(map_instance.objective, rates[0], coords)
 
 
-def step_points(map_instance: MapInstance, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """T on every point of a (..., d) array, with the chart checks of a State,
-    and the chart defect renormalize removed from each point (0.0 on a
-    euclidean chart). Each row equals the call on that row alone, bit for bit,
-    and the call raises if any point fails (a NaN that hides a failure from a
-    minimum over points fails finiteness)."""
-    out, defects = renormalize(_raw_step(map_instance, coords), map_instance.chart)
-    return validate_points(out, map_instance.chart), defects
+def step_points(map_instance: MapInstance, coords: np.ndarray) -> np.ndarray:
+    """T on every point of a (..., d) array, renormalized onto the chart and
+    given the chart checks of a State, as a new array. Each row equals the
+    call on that row alone, bit for bit, and the call raises if any point
+    fails (a NaN that hides a failure from a minimum over points fails
+    finiteness)."""
+    out = renormalize(_raw_step(map_instance, coords), map_instance.chart)
+    return validate_points(out, map_instance.chart)
 
 
 def descent_check(map_instance: MapInstance, x: State) -> float:
@@ -272,6 +272,5 @@ def descent_check(map_instance: MapInstance, x: State) -> float:
     if map_instance.kind == "alt_play":
         raise ValueError("an alt_play map has no objective")
     coords = on_chart(x, map_instance.chart)
-    after, _ = step_points(map_instance, coords)
     f = map_instance.objective.evaluate
-    return f(coords) - f(after)
+    return f(coords) - f(step_points(map_instance, coords))

@@ -157,17 +157,15 @@ def on_chart(x: State, chart: Chart) -> np.ndarray:
     return x.coordinates
 
 
-def renormalize(coords: np.ndarray, chart: Chart) -> tuple[np.ndarray, float]:
-    """Project coordinates back onto the chart exactly.
+def renormalize(coords: np.ndarray, chart: Chart) -> np.ndarray:
+    """The coordinates projected back onto the chart, as a new float array.
 
-    Returns the renormalized copy and the pre-renormalization defect (the chart
-    residual that was removed). A euclidean chart passes through with defect 0.
-    Raises ChartViolation when renormalization is impossible (a zero block, a
-    zero vector on the sphere, or a negative beyond the clamp tolerance).
-    A (..., d) array is renormalized point by point, one defect per point.
+    A euclidean chart passes through as a copy. Raises ChartViolation when
+    renormalization is impossible (a zero block, a zero vector on the sphere,
+    or a negative beyond the clamp tolerance). A (..., d) array is
+    renormalized point by point.
     """
     out = np.array(coords, dtype=float)
-    defect = _chart_residual(out, chart)
     if chart.kind == "simplex-product":
         neg = out.min()
         if neg < -CLAMP_TOL:
@@ -183,7 +181,7 @@ def renormalize(coords: np.ndarray, chart: Chart) -> tuple[np.ndarray, float]:
         if n.min() <= 0.0:
             raise ChartViolation("cannot renormalize the zero vector onto the sphere")
         out = out / n
-    return out, defect
+    return out
 
 
 def tangent_frame(chart: Chart, y: np.ndarray) -> np.ndarray:
@@ -229,10 +227,7 @@ def sample_chart(chart: Chart, rng: np.random.Generator) -> State:
     """
     if chart.kind == "simplex-product":
         parts = [rng.dirichlet(np.ones(size)) for size in chart.blocks]
-        coords, _ = renormalize(np.concatenate(parts), chart)
-        return State(coords, chart)
+        return State(renormalize(np.concatenate(parts), chart), chart)
     if chart.kind == "sphere":
-        v = rng.normal(size=chart.dimension)
-        coords, _ = renormalize(v, chart)
-        return State(coords, chart)
+        return State(renormalize(rng.normal(size=chart.dimension), chart), chart)
     return State(rng.normal(size=chart.dimension), chart)

@@ -49,7 +49,7 @@ def _bp(x, y):
 
 def _image(m, s):
     """T(s) as a State, through the one forward step."""
-    return State(step_points(m, s.coordinates)[0], s.chart)
+    return State(step_points(m, s.coordinates), s.chart)
 
 
 def _stack(pairs):
@@ -318,8 +318,8 @@ def _reference_reports(m, pairs, horizon, eps_low=EPS_LOW, eps_high=EPS_HIGH):
         lim_lo, lim_hi = math.inf, -math.inf
         for t in range(1, horizon + 1):
             try:
-                wx, _ = step_points(m, wx)
-                wy, _ = step_points(m, wy)
+                wx = step_points(m, wx)
+                wy = step_points(m, wy)
             except ChartViolation as exc:
                 error = NumericsError(f"pair orbit left float range at step {t}: {exc}")
                 error.step_index = t

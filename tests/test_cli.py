@@ -339,6 +339,9 @@ def test_classify_unparsable_coordinate_is_exit_two_with_path(tmp_path, capsys):
         ({"kind": "coordinate"}, "invariant.weight"),
         ({"kind": "gaussian-bump", "width": 1.0}, "invariant.weight"),
         ({"kind": "gaussian-bump", "center": [0]}, "invariant.weight"),
+        # 2 * width**2 underflows to 0.0 at both widths.
+        ({"kind": "gaussian-bump", "center": [0], "width": 1e-300}, "invariant.weight.width"),
+        ({"kind": "gaussian-bump", "center": [0], "width": 1e-320}, "invariant.weight.width"),
     ],
 )
 def test_weight_that_does_not_fit_the_chart_is_exit_two_with_path(
@@ -358,6 +361,22 @@ def test_weight_that_does_not_fit_the_chart_is_exit_two_with_path(
     err = capsys.readouterr().err
     assert err.startswith("error: configuration:")
     assert path in err
+    assert not any(out.iterdir())
+
+
+def test_classify_with_a_too_narrow_bump_is_exit_two_with_path(tmp_path, capsys):
+    doc = {
+        "map": {"kind": "gd", "objective": {"name": "double_well", "dimension": 1},
+                "step_size": "0.1"},
+        "invariant": {"kind": "series", "truncation": 8,
+                      "weight": {"kind": "gaussian-bump", "center": [0], "width": 1e-300}},
+        "classify": {"x": [1.0], "y": [0.5]},
+    }
+    out = tmp_path / "o"
+    rc = main(["--config", str(write_config(tmp_path, doc)), "--out", str(out), "classify"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: configuration: invariant.weight.width: width 1e-300 is too small")
     assert not any(out.iterdir())
 
 

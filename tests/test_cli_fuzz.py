@@ -55,7 +55,8 @@ NUMBER = sometimes(
 RATE = sometimes(st.sampled_from(["1/10", "0.05", "1/3", "1/4"]) | st.floats(0.01, 0.5),
                  BAD_NUMBER | st.floats(0.5, 4.0))
 SMALL = whole(0, 20)
-POSITIVE = sometimes(st.floats(1e-9, 10.0), st.sampled_from([1e300, math.inf, 10**400]))
+POSITIVE = sometimes(st.floats(1e-9, 10.0),
+                     st.sampled_from([1e300, math.inf, 10**400, 1e-300, 5e-324]))
 PREFIX = sometimes(st.text("abc_-.", min_size=1, max_size=6),
                    st.text(min_size=1, max_size=8) | st.sampled_from(["a/b", "../x", "p" * 300]))
 JSON = st.recursive(
@@ -198,6 +199,8 @@ FLAGS = st.lists(
     max_size=2,
 )
 
+GD = {"kind": "gd", "objective": {"name": "quadratic"}, "step_size": "0.1"}
+
 
 def _run(argv) -> int:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -206,6 +209,10 @@ def _run(argv) -> int:
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(doc=DOCUMENTS, flags=FLAGS)
+# A width whose 2 * width**2 underflows to 0.0.
+@example(doc={"map": GD, "classify": {"x": [1, 1], "y": [0.5, 0.5]},
+              "invariant": {"kind": "series", "weight": {
+                  "kind": "gaussian-bump", "center": [0, 0], "width": 1e-300}}}, flags=[])
 def test_every_subcommand_exits_zero_two_or_three(doc, flags):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
@@ -219,9 +226,6 @@ def test_every_subcommand_exits_zero_two_or_three(doc, flags):
 @pytest.mark.parametrize("which", sorted(FIGURE_RECIPES))
 def test_figures_reads_no_config_and_exits_zero(tmp_path, which):
     assert _run(["--out", str(tmp_path), "figures", which]) == 0
-
-
-GD = {"kind": "gd", "objective": {"name": "quadratic"}, "step_size": "0.1"}
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])

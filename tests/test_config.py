@@ -206,6 +206,7 @@ def test_build_weight_catalog():
         ({"kind": "coordinate", "index": 3}, "invariant.weight.index"),
         ({"kind": "coordinate", "index": 1}, "invariant.weight.index"),
         ({"kind": "gaussian-bump", "center": [0.0, 1.0], "width": 1.0}, "invariant.weight.center"),
+        ({"kind": "gaussian-bump", "center": [0.0], "width": 1e-300}, "invariant.weight.width"),
     ],
 )
 def test_build_weight_checks_the_chart_dimension(weight, path):

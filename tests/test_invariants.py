@@ -332,7 +332,7 @@ def test_windowed_defects_match_a_fresh_series_at_every_shift(case):
     assert rep.value == fresh(x)
     want, walker = [], x
     for _ in range(horizon):
-        walker = State(step_points(m, walker.coordinates)[0], m.chart)
+        walker = State(step_points(m, walker.coordinates), m.chart)
         want.append(abs(fresh(walker) - rep.value))
     assert len(rep.per_step_defect) == horizon
     assert_same_up_to_rounding(rep.per_step_defect, want)
@@ -363,7 +363,7 @@ def test_the_series_at_the_next_state_is_the_series_shifted_by_one(case):
     T x, to the same bar."""
     m, x, weight, truncation = case
     shifted = invariants.series_along_orbit(Orbit(m, x), weight, truncation, [1])
-    tx = State(step_points(m, x.coordinates)[0], m.chart)
+    tx = State(step_points(m, x.coordinates), m.chart)
     fresh = series_invariant(m, weight, tx, truncation).value
     assert_same_up_to_rounding(shifted, [fresh])
 
@@ -506,7 +506,7 @@ def test_gd_refuses_a_step_size_at_which_it_is_not_one_to_one(tmp_path):
     the value T(1.3) again in (0, 1.101): that point has two preimages, its
     backward orbit is not unique, and the step size must be refused."""
     well = gradient_descent(double_well(1), 0.3)
-    (t_0,), (t_a,), (t_b,) = step_points(well, np.array([[0.0], [1.3], [1.101]]))[0]
+    (t_0,), (t_a,), (t_b,) = step_points(well, np.array([[0.0], [1.3], [1.101]]))
     assert t_0 == 0.0 < t_a < t_b and t_a == pytest.approx(1.0309)
     assert validate_step_size_gd(double_well(1), 0.3).accepted is False
     for start in ("1.3", "1.101"):

@@ -23,12 +23,12 @@ from conmot.maps import (
     step_points,
 )
 from conmot.objectives import bilinear, double_well, linear, quadratic, bump
-from conmot.state import State, euclidean, sample_chart, simplex_product, sphere
+from conmot.state import State, _chart_residual, euclidean, sample_chart, simplex_product, sphere
 
 
 def _step(m, s: State) -> np.ndarray:
     """T(s) as a coordinate row, through the one forward step."""
-    return step_points(m, s.coordinates)[0]
+    return step_points(m, s.coordinates)
 
 
 def test_gd_contracts_the_quadratic():
@@ -291,12 +291,11 @@ def test_mwu_blocks_must_cover_the_objective_with_one_rate_each():
         MapInstance("gd", (0.1,), objective=quadratic(2), blocks=(2,))
 
 
-def test_step_points_reports_float_noise_only():
+def test_step_points_leaves_float_noise_only():
     m = mwu_exponential(quadratic(3), 0.05, (3,))
     s = State([0.2, 0.3, 0.5], simplex_product(3))
-    out, defect = step_points(m, s.coordinates)
-    assert 0.0 <= defect < 1e-14
-    assert out.sum() == pytest.approx(1.0, abs=1e-15)
+    assert 0.0 <= _chart_residual(_raw_step(m, s.coordinates), m.chart) < 1e-14
+    assert step_points(m, s.coordinates).sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_map_constructors_reject_nonpositive_rates():
@@ -396,11 +395,8 @@ def test_step_points_rows_equal_the_one_row_call_bit_for_bit(kind, dim, rows, se
     else:
         states = [sample_chart(m.chart, rng) for _ in range(rows)]
     coords = np.stack([s.coordinates for s in states])
-    out, defects = step_points(m, coords)
-    for row, defect, s in zip(out, np.broadcast_to(defects, len(states)), states):
-        alone, alone_defect = step_points(m, s.coordinates)
-        assert row.tobytes() == alone.tobytes()
-        assert defect == alone_defect
+    for row, s in zip(step_points(m, coords), states, strict=True):
+        assert row.tobytes() == step_points(m, s.coordinates).tobytes()
 
 
 def test_step_points_raises_when_any_point_fails():

@@ -70,19 +70,16 @@ def test_sphere_state_requires_unit_norm():
         State([1.0, 1.0], c)
 
 
-def test_renormalize_reports_the_removed_defect():
-    c = simplex_product(2)
-    coords, defect = renormalize(np.array([0.5, 0.6]), c)
+def test_renormalize_projects_onto_each_chart():
+    coords = renormalize(np.array([0.5, 0.6]), simplex_product(2))
     assert coords == pytest.approx([0.5 / 1.1, 0.6 / 1.1])
-    assert defect == pytest.approx(0.1)
 
-    coords, defect = renormalize(np.array([3.0, 4.0]), sphere(2))
+    coords = renormalize(np.array([3.0, 4.0]), sphere(2))
     assert np.linalg.norm(coords) == pytest.approx(1.0, abs=1e-15)
-    assert defect == pytest.approx(4.0)
 
-    coords, defect = renormalize(np.array([7.0, -2.0]), euclidean(2))
-    assert defect == 0.0
-    assert coords == pytest.approx([7.0, -2.0])
+    given = np.array([7.0, -2.0])
+    coords = renormalize(given, euclidean(2))
+    assert coords is not given and coords.tolist() == [7.0, -2.0]
 
 
 def test_renormalize_refuses_unrecoverable_inputs():
